@@ -1,10 +1,15 @@
 #include "partition/block.h"
 
 #include <algorithm>
-#include <cassert>
+#include <climits>
 #include <deque>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <string>
+
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace rannc {
 
@@ -17,13 +22,45 @@ struct CompEdge {
   std::int64_t bytes = 0;
 };
 
+/// Epoch-stamped membership set over [0, n): clear() is O(1), so a check
+/// never allocates or zeroes an n-sized array.
+class StampSet {
+ public:
+  void resize(std::size_t n) {
+    stamp_.assign(n, 0);
+    epoch_ = 1;
+  }
+  void clear() {
+    if (++epoch_ == 0) {  // wrapped: forget every stale stamp
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+  }
+  [[nodiscard]] bool contains(int i) const {
+    return stamp_[static_cast<std::size_t>(i)] == epoch_;
+  }
+  /// Adds `i`; false if it was already present.
+  bool insert(int i) {
+    std::uint32_t& s = stamp_[static_cast<std::size_t>(i)];
+    if (s == epoch_) return false;
+    s = epoch_;
+    return true;
+  }
+
+ private:
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 1;
+};
+
 /// Working state shared by the three steps. Groups are tracked as an
 /// assignment comp -> group id; group ids are compacted between steps.
 class Partitioner {
  public:
+  /// `checked` diffs every incremental cycle check against the full
+  /// quotient rebuild (`quotient_acyclic`) and throws on disagreement.
   Partitioner(const AtomicPartition& ap, const GraphProfiler& prof,
-              const BlockPartitionConfig& cfg)
-      : ap_(ap), cfg_(cfg) {
+              const BlockPartitionConfig& cfg, bool checked)
+      : ap_(ap), cfg_(cfg), checked_(checked) {
     const TaskGraph& g = ap.graph;
     const int n = static_cast<int>(ap.comps.size());
     comp_time_f_.resize(static_cast<std::size_t>(n));
@@ -73,13 +110,33 @@ class Partitioner {
     }
     group_of_comp_.resize(static_cast<std::size_t>(n));
     std::iota(group_of_comp_.begin(), group_of_comp_.end(), 0);
+    in_move_.resize(static_cast<std::size_t>(n));
+    seen_.resize(static_cast<std::size_t>(n));
   }
 
   BlockPartition run() {
-    coarsen();
-    if (cfg_.uncoarsening) uncoarsen();
-    compact();
-    if (cfg_.balance_refinement) balance_refine();
+    {
+      obs::Scope sc("phase2:coarsen");
+      step_ = "coarsen";
+      coarsen();
+    }
+    if (cfg_.uncoarsening) {
+      obs::Scope sc("phase2:uncoarsen");
+      step_ = "uncoarsen";
+      uncoarsen();
+    }
+    {
+      obs::Scope sc("phase2:compact");
+      compact();
+    }
+    if (cfg_.balance_refinement) {
+      obs::Scope sc("phase2:refine");
+      step_ = "refine";
+      balance_refine();
+    }
+    obs::MetricsRegistry& m = obs::metrics();
+    m.counter("partition.block.cycle_checks").add(cycle_checks_);
+    m.counter("partition.block.cycle_check_comps").add(cycle_check_comps_);
     return finalize();
   }
 
@@ -102,7 +159,8 @@ class Partitioner {
   }
 
   /// Builds a compacted view of the current partition. Group ids are
-  /// renumbered densely; group_of_comp_ is rewritten accordingly.
+  /// renumbered densely; group_of_comp_ is rewritten accordingly, and the
+  /// incremental check state (members_, ord_, pos_) is reset from the view.
   GroupView build_view() {
     // Renumber group ids densely.
     std::vector<int> remap(group_of_comp_.size(), -1);
@@ -148,14 +206,18 @@ class Partitioner {
       v.erase(std::unique(v.begin(), v.end()), v.end());
     }
     gv.rank = topo_rank(gv);
+    members_ = gv.comps;
+    pos_ = gv.rank;
+    ord_.resize(static_cast<std::size_t>(next));
+    for (int gid = 0; gid < next; ++gid)
+      ord_[static_cast<std::size_t>(pos_[static_cast<std::size_t>(gid)])] = gid;
     return gv;
   }
 
-  /// Fast acyclicity check of the current quotient (group_of_comp_ +
-  /// edges_), without building a full view. Used to validate individual
-  /// merges/moves: pairwise convexity checks do not compose — two merges
-  /// that are each convex against the same snapshot can jointly create a
-  /// quotient cycle.
+  /// Full acyclicity check of the current quotient (group_of_comp_ +
+  /// edges_): rebuilds the quotient and runs Kahn's algorithm, O(n + E).
+  /// Kept only as the oracle the checked entry diffs `move_if_acyclic`
+  /// against.
   [[nodiscard]] bool quotient_acyclic() const {
     const int n = static_cast<int>(group_of_comp_.size());
     std::vector<int> indeg(static_cast<std::size_t>(n), 0);
@@ -188,6 +250,191 @@ class Partitioner {
     return visited == groups;
   }
 
+  // ---- incremental cycle check ---------------------------------------------
+  // Every step changes the partition by one operation: move the comp set S
+  // out of its group H into the group T (a coarsening merge moves all of H).
+  // The move only removes quotient edges at H and only adds edges at T, so
+  // starting from an acyclic quotient, every new cycle passes through T:
+  // T -> y ~> x -> T, with y an out-neighbour and x an in-neighbour of T
+  // after the move, and the path y ~> x avoiding T. That path uses only
+  // edges that already existed, so along it the maintained topological
+  // order ord_ strictly increases: the move closes a cycle iff a DFS from
+  // the out-neighbours, restricted to groups ranked <= max rank of an
+  // in-neighbour, reaches T. When every in-neighbour ranks before T and
+  // every out-neighbour after it, no DFS is needed and ord_ stays valid.
+
+  /// Moves the comps `s` (all in group `h`) into group `t` iff that keeps
+  /// the quotient acyclic; returns whether it did.
+  bool move_if_acyclic(std::span<const int> s, int h, int t) {
+    const bool expect = checked_ && acyclic_after_move(s, t);
+    const bool ok = check_and_move(s, h, t);
+    if (checked_) audit(ok, expect);
+    return ok;
+  }
+
+  /// Group of comp `c` once the marked move set (in_move_) sits in `t`.
+  [[nodiscard]] int group_after(int c, int t) const {
+    return in_move_.contains(c) ? t
+                                : group_of_comp_[static_cast<std::size_t>(c)];
+  }
+
+  bool check_and_move(std::span<const int> s, int h, int t) {
+    ++cycle_checks_;
+    in_move_.clear();
+    for (int c : s) in_move_.insert(c);
+    const int rt = pos_[static_cast<std::size_t>(t)];
+    // In- and out-neighbours that S brings to T. T's own in-neighbours all
+    // rank before rt and its own out-neighbours after rt.
+    int max_in = -1;
+    int min_out = INT_MAX;
+    outs_.clear();
+    cycle_check_comps_ += static_cast<std::int64_t>(s.size());
+    for (int c : s) {
+      for (int e : comp_radj_[static_cast<std::size_t>(c)]) {
+        const int g = group_after(edges_[static_cast<std::size_t>(e)].from, t);
+        if (g != t)
+          max_in = std::max(max_in, pos_[static_cast<std::size_t>(g)]);
+      }
+      for (int e : comp_adj_[static_cast<std::size_t>(c)]) {
+        const int g = group_after(edges_[static_cast<std::size_t>(e)].to, t);
+        if (g == t) continue;
+        min_out = std::min(min_out, pos_[static_cast<std::size_t>(g)]);
+        outs_.push_back(g);
+      }
+    }
+    if (max_in < rt && min_out > rt) {  // ord_ stays a topological order
+      apply_move(s, h, t);
+      return true;
+    }
+    // The DFS bound is the highest rank of any in-neighbour after the move.
+    // If S brings one after rt, T's own out-neighbours can start a cycle
+    // below it; otherwise T's own in-neighbours may set the bound.
+    const auto& tm = members_[static_cast<std::size_t>(t)];
+    cycle_check_comps_ += static_cast<std::int64_t>(tm.size());
+    if (max_in > rt) {
+      for (int c : tm)
+        for (int e : comp_adj_[static_cast<std::size_t>(c)]) {
+          const int g = group_after(edges_[static_cast<std::size_t>(e)].to, t);
+          if (g != t) outs_.push_back(g);
+        }
+    } else {
+      for (int c : tm)
+        for (int e : comp_radj_[static_cast<std::size_t>(c)]) {
+          const int g =
+              group_after(edges_[static_cast<std::size_t>(e)].from, t);
+          if (g != t)
+            max_in = std::max(max_in, pos_[static_cast<std::size_t>(g)]);
+        }
+    }
+    seen_.clear();
+    stack_.clear();
+    for (int g : outs_)
+      if (pos_[static_cast<std::size_t>(g)] <= max_in && seen_.insert(g))
+        stack_.push_back(g);
+    while (!stack_.empty()) {
+      const int u = stack_.back();
+      stack_.pop_back();
+      const auto& um = members_[static_cast<std::size_t>(u)];
+      cycle_check_comps_ += static_cast<std::int64_t>(um.size());
+      for (int c : um) {
+        if (u == h && in_move_.contains(c)) continue;
+        for (int e : comp_adj_[static_cast<std::size_t>(c)]) {
+          const int g = group_after(edges_[static_cast<std::size_t>(e)].to, t);
+          if (g == u) continue;
+          if (g == t) return false;  // T -> ... -> u -> T
+          if (pos_[static_cast<std::size_t>(g)] <= max_in && seen_.insert(g))
+            stack_.push_back(g);
+        }
+      }
+    }
+    apply_move(s, h, t);
+    repair_order(t, std::min(rt, min_out), max_in);
+    return true;
+  }
+
+  /// Restores ord_ after an accepted move into `t`. The DFS set F (seen_)
+  /// holds every group reachable from T's out-neighbours within rank
+  /// `bound` (= max in-neighbour rank). Only the rank window [lo, hi]
+  /// changes: its groups ranked <= bound outside F keep their order and
+  /// precede T, then come F, then the groups ranked > bound (all of which
+  /// rank before rt, so no in-neighbour is among them).
+  void repair_order(int t, int lo, int bound) {
+    const int rt = pos_[static_cast<std::size_t>(t)];
+    const int hi = std::max(rt, bound);
+    if (lo >= hi) return;
+    window_.clear();
+    for (int r = lo; r <= hi; ++r) {
+      const int g = ord_[static_cast<std::size_t>(r)];
+      if (g != t && r <= bound && !seen_.contains(g)) window_.push_back(g);
+    }
+    window_.push_back(t);
+    for (int r = lo; r <= hi; ++r) {
+      const int g = ord_[static_cast<std::size_t>(r)];
+      if (g != t && seen_.contains(g)) window_.push_back(g);
+    }
+    for (int r = std::max(lo, bound + 1); r <= hi; ++r) {
+      const int g = ord_[static_cast<std::size_t>(r)];
+      if (g != t) window_.push_back(g);
+    }
+    for (std::size_t i = 0; i < window_.size(); ++i) {
+      const int r = lo + static_cast<int>(i);
+      ord_[static_cast<std::size_t>(r)] = window_[i];
+      pos_[static_cast<std::size_t>(window_[i])] = r;
+    }
+  }
+
+  /// Commits the marked move set (in_move_ == `s`) from `h` into `t`.
+  void apply_move(std::span<const int> s, int h, int t) {
+    auto& tm = members_[static_cast<std::size_t>(t)];
+    for (int c : s) {
+      group_of_comp_[static_cast<std::size_t>(c)] = t;
+      tm.push_back(c);
+    }
+    auto& hm = members_[static_cast<std::size_t>(h)];
+    if (hm.size() == s.size()) {
+      hm.clear();
+    } else {
+      hm.erase(std::remove_if(hm.begin(), hm.end(),
+                              [&](int c) { return in_move_.contains(c); }),
+               hm.end());
+    }
+  }
+
+  // ---- the oracle (checked entry only) -------------------------------------
+  /// Full-rebuild answer for "move `s` into `t`", leaving state unchanged.
+  [[nodiscard]] bool acyclic_after_move(std::span<const int> s, int t) {
+    std::vector<int> saved;
+    saved.reserve(s.size());
+    for (int c : s) {
+      saved.push_back(group_of_comp_[static_cast<std::size_t>(c)]);
+      group_of_comp_[static_cast<std::size_t>(c)] = t;
+    }
+    const bool ok = quotient_acyclic();
+    for (std::size_t i = 0; i < s.size(); ++i)
+      group_of_comp_[static_cast<std::size_t>(s[i])] = saved[i];
+    return ok;
+  }
+
+  /// Throws on the first check that disagrees with the oracle, or that
+  /// leaves ord_ no longer a topological order of the quotient.
+  void audit(bool got, bool expect) const {
+    const std::string where = std::string(step_) + " check #" +
+                              std::to_string(cycle_checks_ - 1);
+    if (got != expect)
+      throw std::logic_error(
+          "block_partition: " + where + ": incremental check says " +
+          (got ? "acyclic" : "cycle") + ", full quotient rebuild says " +
+          (expect ? "acyclic" : "cycle"));
+    for (const CompEdge& e : edges_) {
+      const int a = group_of_comp_[static_cast<std::size_t>(e.from)];
+      const int b = group_of_comp_[static_cast<std::size_t>(e.to)];
+      if (a != b && pos_[static_cast<std::size_t>(a)] >=
+                        pos_[static_cast<std::size_t>(b)])
+        throw std::logic_error("block_partition: " + where +
+                               ": maintained order is no longer topological");
+    }
+  }
+
   /// Kahn topological ranks; throws if the quotient has a cycle (would mean
   /// a convexity invariant was violated).
   static std::vector<int> topo_rank(const GroupView& gv) {
@@ -214,35 +461,29 @@ class Partitioner {
 
   /// True iff a path u ->+ x exists in the quotient that passes through at
   /// least one intermediate group. Pruned DFS using topological ranks.
-  static bool indirect_path(const GroupView& gv, int u, int x) {
+  bool indirect_path(const GroupView& gv, int u, int x) {
     const int limit = gv.rank[static_cast<std::size_t>(x)];
-    std::vector<char> visited(gv.comps.size(), 0);
-    std::vector<int> stack;
+    seen_.clear();
+    stack_.clear();
     for (int s : gv.succ[static_cast<std::size_t>(u)]) {
       if (s == x) continue;  // direct edge: allowed
-      if (gv.rank[static_cast<std::size_t>(s)] < limit &&
-          !visited[static_cast<std::size_t>(s)]) {
-        visited[static_cast<std::size_t>(s)] = 1;
-        stack.push_back(s);
-      }
+      if (gv.rank[static_cast<std::size_t>(s)] < limit && seen_.insert(s))
+        stack_.push_back(s);
     }
-    while (!stack.empty()) {
-      const int cur = stack.back();
-      stack.pop_back();
+    while (!stack_.empty()) {
+      const int cur = stack_.back();
+      stack_.pop_back();
       for (int s : gv.succ[static_cast<std::size_t>(cur)]) {
         if (s == x) return true;
-        if (gv.rank[static_cast<std::size_t>(s)] < limit &&
-            !visited[static_cast<std::size_t>(s)]) {
-          visited[static_cast<std::size_t>(s)] = 1;
-          stack.push_back(s);
-        }
+        if (gv.rank[static_cast<std::size_t>(s)] < limit && seen_.insert(s))
+          stack_.push_back(s);
       }
     }
     return false;
   }
 
   /// Merge feasibility: adjacent + convex + within device memory.
-  [[nodiscard]] bool can_merge(const GroupView& gv, int a, int b) const {
+  [[nodiscard]] bool can_merge(const GroupView& gv, int a, int b) {
     if (cfg_.device_memory > 0 &&
         gv.mem[static_cast<std::size_t>(a)] +
                 gv.mem[static_cast<std::size_t>(b)] >
@@ -313,30 +554,20 @@ class Partitioner {
       if (merges.empty()) break;  // |G_L| == |G_{L+1}|: no progress
 
       // Record history for uncoarsening, then apply the merges one at a
-      // time, validating quotient acyclicity after each: merges checked
+      // time, each only if it keeps the quotient acyclic: merges checked
       // pairwise against the same snapshot can jointly create a cycle, so
-      // offenders are rolled back (they may merge at a later level).
+      // offenders are skipped (they may merge at a later level).
       LevelHistory hist;
       bool applied_any = false;
       for (auto [a, b] : merges) {
-        const int target =
-            group_of_comp_[static_cast<std::size_t>(
-                gv.comps[static_cast<std::size_t>(a)].front())];
-        std::vector<int> saved;
-        saved.reserve(gv.comps[static_cast<std::size_t>(b)].size());
-        for (int c : gv.comps[static_cast<std::size_t>(b)]) {
-          saved.push_back(group_of_comp_[static_cast<std::size_t>(c)]);
-          group_of_comp_[static_cast<std::size_t>(c)] = target;
-        }
-        if (!quotient_acyclic()) {
-          for (std::size_t i = 0; i < saved.size(); ++i)
-            group_of_comp_[static_cast<std::size_t>(
-                gv.comps[static_cast<std::size_t>(b)][i])] = saved[i];
+        const auto& ca = gv.comps[static_cast<std::size_t>(a)];
+        const auto& cb = gv.comps[static_cast<std::size_t>(b)];
+        if (!move_if_acyclic(
+                cb, group_of_comp_[static_cast<std::size_t>(cb.front())],
+                group_of_comp_[static_cast<std::size_t>(ca.front())]))
           continue;
-        }
         applied_any = true;
-        hist.pairs.push_back({gv.comps[static_cast<std::size_t>(a)],
-                              gv.comps[static_cast<std::size_t>(b)]});
+        hist.pairs.push_back({ca, cb});
       }
       if (!applied_any) break;  // every candidate merge would create a cycle
       history_.push_back(std::move(hist));
@@ -346,22 +577,20 @@ class Partitioner {
 
   // ---- uncoarsening -------------------------------------------------------
   /// Bytes of comp edges between the comp set `sub` and the group `gid`
-  /// (excluding comps of `sub` itself).
+  /// (excluding comps of `sub` itself, which in_move_ must hold).
   [[nodiscard]] std::int64_t bytes_between(const std::vector<int>& sub,
                                            int gid) const {
-    std::vector<char> in_sub(group_of_comp_.size(), 0);
-    for (int c : sub) in_sub[static_cast<std::size_t>(c)] = 1;
     std::int64_t total = 0;
     for (int c : sub) {
       for (int e : comp_adj_[static_cast<std::size_t>(c)]) {
         const int o = edges_[static_cast<std::size_t>(e)].to;
-        if (!in_sub[static_cast<std::size_t>(o)] &&
+        if (!in_move_.contains(o) &&
             group_of_comp_[static_cast<std::size_t>(o)] == gid)
           total += edges_[static_cast<std::size_t>(e)].bytes;
       }
       for (int e : comp_radj_[static_cast<std::size_t>(c)]) {
         const int o = edges_[static_cast<std::size_t>(e)].from;
-        if (!in_sub[static_cast<std::size_t>(o)] &&
+        if (!in_move_.contains(o) &&
             group_of_comp_[static_cast<std::size_t>(o)] == gid)
           total += edges_[static_cast<std::size_t>(e)].bytes;
       }
@@ -391,27 +620,23 @@ class Partitioner {
     const int home = group_of_comp_[static_cast<std::size_t>(sub.front())];
     for (int c : sub)
       if (group_of_comp_[static_cast<std::size_t>(c)] != home) return;
-    std::size_t home_size = 0;
-    for (int g : group_of_comp_)
-      if (g == home) ++home_size;
-    if (home_size == sub.size()) return;
+    if (members_[static_cast<std::size_t>(home)].size() == sub.size())
+      return;
 
     // Candidate targets: blocks adjacent to any comp of `sub`.
     std::vector<int> cands;
-    std::vector<char> in_sub(group_of_comp_.size(), 0);
-    for (int c : sub) in_sub[static_cast<std::size_t>(c)] = 1;
+    in_move_.clear();
+    for (int c : sub) in_move_.insert(c);
     for (int c : sub) {
       for (int e : comp_adj_[static_cast<std::size_t>(c)]) {
         const int o = edges_[static_cast<std::size_t>(e)].to;
         const int og = group_of_comp_[static_cast<std::size_t>(o)];
-        if (!in_sub[static_cast<std::size_t>(o)] && og != home)
-          cands.push_back(og);
+        if (!in_move_.contains(o) && og != home) cands.push_back(og);
       }
       for (int e : comp_radj_[static_cast<std::size_t>(c)]) {
         const int o = edges_[static_cast<std::size_t>(e)].from;
         const int og = group_of_comp_[static_cast<std::size_t>(o)];
-        if (!in_sub[static_cast<std::size_t>(o)] && og != home)
-          cands.push_back(og);
+        if (!in_move_.contains(o) && og != home) cands.push_back(og);
       }
     }
     std::sort(cands.begin(), cands.end());
@@ -430,32 +655,18 @@ class Partitioner {
     }
     if (best < 0) return;
 
-    // Tentatively apply; verify convexity (quotient acyclicity) and memory
-    // with non-mutating checks (build_view renumbers group ids in place and
-    // must not run on a state that may be rolled back).
-    std::vector<int> saved;
-    saved.reserve(sub.size());
-    for (int c : sub) {
-      saved.push_back(group_of_comp_[static_cast<std::size_t>(c)]);
-      group_of_comp_[static_cast<std::size_t>(c)] = best;
-    }
-    bool ok = quotient_acyclic();
-    if (ok && cfg_.device_memory > 0) {
+    // The move must fit the target's memory and keep the quotient acyclic.
+    if (cfg_.device_memory > 0) {
       std::int64_t params = 0, act = 0;
-      for (std::size_t c = 0; c < group_of_comp_.size(); ++c) {
-        if (group_of_comp_[c] == best) {
-          params += comp_params_[c];
-          act += comp_act_[c];
-        }
-      }
-      ok = group_mem(params, act) <= cfg_.device_memory;
+      const auto add = [&](int c) {
+        params += comp_params_[static_cast<std::size_t>(c)];
+        act += comp_act_[static_cast<std::size_t>(c)];
+      };
+      for (int c : members_[static_cast<std::size_t>(best)]) add(c);
+      for (int c : sub) add(c);
+      if (group_mem(params, act) > cfg_.device_memory) return;
     }
-    if (!ok) {
-      for (std::size_t i = 0; i < sub.size(); ++i)
-        group_of_comp_[static_cast<std::size_t>(sub[i])] = saved[i];
-    } else {
-      ++result_moves_;
-    }
+    if (move_if_acyclic(sub, home, best)) ++result_moves_;
   }
 
   // ---- compaction ---------------------------------------------------------
@@ -604,11 +815,10 @@ class Partitioner {
     const int dst_gid = group_of_comp_[static_cast<std::size_t>(
         gv.comps[static_cast<std::size_t>(dst)].front())];
     const int src_gid = group_of_comp_[static_cast<std::size_t>(best_comp)];
-    group_of_comp_[static_cast<std::size_t>(best_comp)] = dst_gid;
-    if (!quotient_acyclic()) {  // defensive: reject convexity-breaking moves
-      group_of_comp_[static_cast<std::size_t>(best_comp)] = src_gid;
+    // Defensive: reject convexity-breaking moves.
+    if (!move_if_acyclic(std::span<const int>(&best_comp, 1), src_gid,
+                         dst_gid))
       return 0;
-    }
     gv.time[static_cast<std::size_t>(src)] -= best_tc;
     gv.time[static_cast<std::size_t>(dst)] += best_tc;
     gv.mem[static_cast<std::size_t>(src)] -= cm;
@@ -667,6 +877,18 @@ class Partitioner {
   std::vector<CompEdge> edges_;
   std::vector<std::vector<int>> comp_adj_, comp_radj_;  // edge indices
   std::vector<int> group_of_comp_;
+  // Incremental cycle-check state, reset by build_view(): member comps per
+  // group, a topological order of the current groups (ord_[rank] = group,
+  // pos_[group] = rank), and reusable scratch.
+  std::vector<std::vector<int>> members_;
+  std::vector<int> ord_, pos_;
+  StampSet in_move_;  // comps of the set being moved
+  StampSet seen_;     // groups visited by a DFS
+  std::vector<int> stack_, outs_, window_;
+  bool checked_ = false;
+  const char* step_ = "coarsen";
+  std::int64_t cycle_checks_ = 0;
+  std::int64_t cycle_check_comps_ = 0;
   std::vector<LevelHistory> history_;
   int result_levels_ = 0;
   int result_moves_ = 0;
@@ -679,7 +901,18 @@ BlockPartition block_partition(const AtomicPartition& ap,
                                const GraphProfiler& prof,
                                const BlockPartitionConfig& cfg) {
   if (ap.comps.empty()) throw std::invalid_argument("empty atomic partition");
-  return Partitioner(ap, prof, cfg).run();
+  return Partitioner(ap, prof, cfg, /*checked=*/false).run();
 }
+
+namespace detail {
+
+BlockPartition block_partition_checked(const AtomicPartition& ap,
+                                       const GraphProfiler& prof,
+                                       const BlockPartitionConfig& cfg) {
+  if (ap.comps.empty()) throw std::invalid_argument("empty atomic partition");
+  return Partitioner(ap, prof, cfg, /*checked=*/true).run();
+}
+
+}  // namespace detail
 
 }  // namespace rannc

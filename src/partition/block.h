@@ -19,6 +19,8 @@
 // Convexity is enforced throughout by keeping the block-quotient graph
 // acyclic: a non-convex subcomponent is exactly one that induces a cycle
 // among blocks, which would deadlock the sequential pipeline (Section III-B).
+// Each merge or move is checked locally against a maintained topological
+// order of the groups (see block.cpp), not by rebuilding the quotient.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +54,7 @@ struct Block {
   std::int64_t param_bytes = 0;
   std::int64_t act_bytes = 0;  ///< activation bytes at profile_batch
   [[nodiscard]] double time() const { return time_f + time_b; }
+  friend bool operator==(const Block&, const Block&) = default;
 };
 
 struct BlockPartition {
@@ -62,6 +65,8 @@ struct BlockPartition {
   int uncoarsen_moves = 0;
   int compaction_merges = 0;
   std::int64_t cut_bytes = 0;       ///< activation bytes crossing block edges
+  friend bool operator==(const BlockPartition&,
+                         const BlockPartition&) = default;
 };
 
 /// Runs block-level partitioning over the atomic partition `ap`.
@@ -69,5 +74,18 @@ struct BlockPartition {
 BlockPartition block_partition(const AtomicPartition& ap,
                                const GraphProfiler& prof,
                                const BlockPartitionConfig& cfg);
+
+namespace detail {
+
+/// Test hook: runs exactly what block_partition runs, but diffs every
+/// incremental cycle check against a full quotient rebuild and verifies the
+/// maintained topological order after it. Throws std::logic_error naming
+/// the step (coarsen, uncoarsen, refine) and check index of the first
+/// disagreement. O(n + E) per check; not for production use.
+BlockPartition block_partition_checked(const AtomicPartition& ap,
+                                       const GraphProfiler& prof,
+                                       const BlockPartitionConfig& cfg);
+
+}  // namespace detail
 
 }  // namespace rannc

@@ -3,14 +3,19 @@
 // the communication-reducing refinement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "graph/subgraph.h"
 #include "models/bert.h"
 #include "models/mlp.h"
+#include "models/moe.h"
 #include "models/resnet.h"
+#include "obs/metrics.h"
 #include "partition/atomic.h"
 #include "partition/block.h"
+#include "serve/model_zoo.h"
 
 namespace rannc {
 namespace {
@@ -181,6 +186,111 @@ TEST(BlockPartition, CutBytesAreNonNegativeAndBounded) {
   for (const Block& blk : bp.blocks) total_act += blk.act_bytes;
   EXPECT_GE(bp.cut_bytes, 0);
   EXPECT_LT(bp.cut_bytes, total_act);
+}
+
+// ---- incremental cycle check ----------------------------------------------
+
+/// The 10-layer MoE decoder of the search benchmark (h512, seq 512).
+Built prepare_moe(std::int64_t experts) {
+  MoeConfig c;
+  c.hidden = 512;
+  c.seq_len = 512;
+  c.layers = 10;
+  c.experts = experts;
+  Built b{atomic_partition(build_moe(c).graph), nullptr};
+  b.prof = std::make_unique<GraphProfiler>(b.ap.graph, DeviceSpec{});
+  return b;
+}
+
+/// Comp-level edges block partitioning works over: one per (value,
+/// consumer comp) with the consumer outside the producer's comp.
+std::int64_t comp_edges(const AtomicPartition& ap) {
+  std::int64_t n = 0;
+  for (const Value& v : ap.graph.values()) {
+    if (v.producer == kNoTask || v.kind == ValueKind::Param) continue;
+    const int pc = ap.comp_of_task[static_cast<std::size_t>(v.producer)];
+    std::vector<int> seen;
+    for (TaskId c : v.consumers) {
+      const int cc = ap.comp_of_task[static_cast<std::size_t>(c)];
+      if (cc == pc || std::find(seen.begin(), seen.end(), cc) != seen.end())
+        continue;
+      seen.push_back(cc);
+      ++n;
+    }
+  }
+  return n;
+}
+
+/// Runs the checked entry (every incremental check diffed against a full
+/// quotient rebuild) in all step combinations, with and without a memory
+/// budget that rejects merges, and expects the plain entry's exact result.
+void expect_checked_matches_plain(const Built& b, const std::string& name) {
+  BlockPartitionConfig base;
+  const BlockPartition plain = block_partition(b.ap, *b.prof, base);
+  std::int64_t max_mem = 0;
+  for (const Block& blk : plain.blocks)
+    max_mem = std::max(max_mem, 4 * blk.param_bytes + blk.act_bytes);
+  for (int k : {4, 32})
+    for (std::int64_t mem : {std::int64_t{0}, max_mem * 3 / 4})
+      for (bool unc : {true, false})
+        for (bool bal : {true, false}) {
+          BlockPartitionConfig cfg;
+          cfg.k = k;
+          cfg.device_memory = mem;
+          cfg.uncoarsening = unc;
+          cfg.balance_refinement = bal;
+          SCOPED_TRACE(name + " k=" + std::to_string(k) +
+                       " mem=" + std::to_string(mem) +
+                       " unc=" + std::to_string(unc) +
+                       " bal=" + std::to_string(bal));
+          BlockPartition checked;
+          ASSERT_NO_THROW(
+              checked = detail::block_partition_checked(b.ap, *b.prof, cfg));
+          const BlockPartition want = block_partition(b.ap, *b.prof, cfg);
+          EXPECT_EQ(checked.blocks, want.blocks);
+          EXPECT_EQ(checked.block_of_comp, want.block_of_comp);
+          EXPECT_EQ(checked.cut_bytes, want.cut_bytes);
+          EXPECT_EQ(checked.coarsen_levels, want.coarsen_levels);
+          EXPECT_EQ(checked.uncoarsen_moves, want.uncoarsen_moves);
+          EXPECT_EQ(checked.compaction_merges, want.compaction_merges);
+        }
+}
+
+TEST(BlockCycleCheck, AgreesWithFullRebuildOnModelZoo) {
+  for (const char* model : {"mlp", "bert", "gpt2", "t5", "resnet"}) {
+    serve::ModelSpec spec;
+    spec.model = model;
+    Built b{atomic_partition(serve::build_model(spec).graph), nullptr};
+    b.prof = std::make_unique<GraphProfiler>(b.ap.graph, DeviceSpec{});
+    expect_checked_matches_plain(b, model);
+  }
+}
+
+TEST(BlockCycleCheck, AgreesWithFullRebuildOnMoe) {
+  for (std::int64_t experts : {8, 16})
+    expect_checked_matches_plain(prepare_moe(experts),
+                                 "moe-E" + std::to_string(experts));
+}
+
+TEST(BlockCycleCheck, CheckWorkIsAFractionOfFullRebuilds) {
+  // A full rebuild touches every component and comp edge per check; the
+  // incremental checks must scan only a small share of that. The bound is
+  // machine-independent, so a quadratic regression fails on any runner.
+  const Built b = prepare_moe(16);
+  obs::Counter& checks = obs::metrics().counter("partition.block.cycle_checks");
+  obs::Counter& comps =
+      obs::metrics().counter("partition.block.cycle_check_comps");
+  const std::int64_t checks0 = checks.get(), comps0 = comps.get();
+  block_partition(b.ap, *b.prof, BlockPartitionConfig{});
+  const std::int64_t n_checks = checks.get() - checks0;
+  const std::int64_t scanned = comps.get() - comps0;
+  const std::int64_t full =
+      n_checks *
+      (static_cast<std::int64_t>(b.ap.comps.size()) + comp_edges(b.ap));
+  ASSERT_GT(n_checks, 1000);
+  EXPECT_LE(scanned * 20, full)
+      << scanned << " comps scanned by " << n_checks << " checks; a full "
+      << "rebuild per check would touch " << full;
 }
 
 }  // namespace

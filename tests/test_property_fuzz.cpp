@@ -8,7 +8,9 @@
 // invariant, cross-validating convexity against a brute-force oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
 
 #include "analysis/analysis.h"
 #include "graph/subgraph.h"
@@ -162,6 +164,33 @@ TEST_P(Fuzz, ConvexityPredicateMatchesOracle) {
   }
 }
 
+/// The incremental cycle checks agree with a full quotient rebuild at every
+/// step (the checked entry throws otherwise) and change nothing. Memory
+/// budgets below the largest block of `bp` reject merges and moves; the
+/// toggles reach uncoarsening and refinement from different states.
+void expect_checked_matches_plain(const AtomicPartition& ap,
+                                  const GraphProfiler& prof,
+                                  const BlockPartitionConfig& cfg,
+                                  const BlockPartition& bp) {
+  std::int64_t max_mem = 0;
+  for (const Block& blk : bp.blocks)
+    max_mem = std::max(max_mem, 4 * blk.param_bytes + blk.act_bytes);
+  for (std::int64_t mem : {std::int64_t{0}, max_mem / 2, max_mem * 3 / 4})
+    for (bool unc : {true, false})
+      for (bool bal : {true, false}) {
+        BlockPartitionConfig c = cfg;
+        c.device_memory = mem;
+        c.uncoarsening = unc;
+        c.balance_refinement = bal;
+        SCOPED_TRACE("k=" + std::to_string(c.k) + " mem=" +
+                     std::to_string(mem) + " unc=" + std::to_string(unc) +
+                     " bal=" + std::to_string(bal));
+        BlockPartition checked;
+        ASSERT_NO_THROW(checked = detail::block_partition_checked(ap, prof, c));
+        EXPECT_TRUE(checked == block_partition(ap, prof, c));
+      }
+}
+
 TEST_P(Fuzz, BlockPartitionInvariantsHold) {
   TaskGraph g = random_graph(GetParam());
   AtomicPartition ap = atomic_partition(g);
@@ -196,6 +225,19 @@ TEST_P(Fuzz, BlockPartitionInvariantsHold) {
         EXPECT_LE(block_of_task[static_cast<std::size_t>(v.producer)],
                   block_of_task[static_cast<std::size_t>(c)]);
     }
+
+    expect_checked_matches_plain(ap, prof, cfg, bp);
+  }
+
+  // Wider graphs are where merges checked pairwise against one snapshot
+  // jointly close cycles, so coarsening's rejections get diffed too.
+  AtomicPartition wide = atomic_partition(random_graph(GetParam(), 16, 8));
+  GraphProfiler wide_prof(wide.graph, DeviceSpec{});
+  for (int k : {2, 4, 7}) {
+    BlockPartitionConfig cfg;
+    cfg.k = k;
+    expect_checked_matches_plain(wide, wide_prof, cfg,
+                                 block_partition(wide, wide_prof, cfg));
   }
 }
 
