@@ -48,6 +48,29 @@ void BM_MatMulGradB(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulGradB)->Args({256, 0})->Args({256, 1});
 
+// matmul_grad_b at BERT-tiny's FFN shapes (seq 64): [64x384]^T x [64x1536]
+// and [64x1536]^T x [64x384]. Args: k, n, upstream gradient (0 = uniform,
+// 1 = all subnormal at 1e-39, 2 = every 50th row subnormal, ~2 % of rows,
+// as late in training), path (0 = blocked, 1 = naive).
+void BM_MatMulGradBSubnormal(benchmark::State& state) {
+  const std::int64_t m = 64, k = state.range(0), n = state.range(1);
+  KernelPath path(state.range(3) != 0);
+  Tensor a = Tensor::uniform(Shape{m, k}, 1.0f, 1);
+  Tensor g = Tensor::uniform(Shape{m, n}, 1.0f, 2);
+  for (std::int64_t r = 0; r < m; ++r) {
+    if (state.range(2) == 1 || (state.range(2) == 2 && r % 50 == 0))
+      for (std::int64_t j = 0; j < n; ++j) g.at(r * n + j) = 1e-39f;
+  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(matmul_grad_b(a, g, Shape{k, n}));
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+}
+BENCHMARK(BM_MatMulGradBSubnormal)
+    ->Args({384, 1536, 0, 0})->Args({384, 1536, 1, 0})->Args({384, 1536, 2, 0})
+    ->Args({1536, 384, 0, 0})->Args({1536, 384, 1, 0})->Args({1536, 384, 2, 0})
+    ->Args({384, 1536, 0, 1})->Args({384, 1536, 1, 1})->Args({384, 1536, 2, 1})
+    ->Args({1536, 384, 0, 1})->Args({1536, 384, 1, 1})->Args({1536, 384, 2, 1});
+
 void BM_Transpose(benchmark::State& state) {
   const auto n = state.range(0);
   KernelPath path(state.range(1) != 0);

@@ -1,6 +1,8 @@
 #include "tensor/kernels_blocked.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -298,60 +300,303 @@ void blocked_matmul_grad_a(const float* G, const float* B, float* DA,
 }
 
 // ---- matmul_grad_b: DB = A^T x G --------------------------------------------
+//
+// Each DB row (fixed kk) sums A[r][kk] * G row r over rows r, in ascending
+// groups of four with one fixed association per group:
+//
+//   d = d + (fma(a0, g0, a1*g1) + fma(a2, g2, a3*g3))
+//
+// and leftover rows as d = fma(a, g, d). With AVX2 that formula has two
+// routes that produce the same bits:
+//
+// * the float route evaluates it with float intrinsics, fast on normal
+//   operands but stalled by a microcode assist on every float multiply or
+//   add that reads or produces a subnormal;
+// * the exact route evaluates the same float operations in double, where no
+//   value involved is subnormal, and rounds each one to float exactly as the
+//   float instruction would (see exact_fused below).
+//
+// A 4-row group takes the exact route only when a subnormal could occur in
+// its products (subnormal_risk); the route is a fixed function of the data,
+// so it never depends on thread assignment. Cancellation to a subnormal is
+// left on the float route, where it is exact, only slow.
 
 namespace {
 
-/// One DB row (fixed kk): sum over rows r of A[r][kk] * G row r. Rows are
-/// processed in ascending groups of four with a fixed pairwise association,
-/// so the result is the same for every thread assignment.
-void gb_row(const float* A, const float* G, float* dbrow, std::int64_t rows,
-            std::int64_t k, std::int64_t n, std::int64_t kk) {
+#ifdef RANNC_KERNELS_AVX2
+
+/// Lane mask selecting the first w (1..7) of 8 floats, for column tails.
+__m256i tail_mask(std::int64_t w) {
+  alignas(32) static const std::int32_t kLanes[16] = {-1, -1, -1, -1, -1, -1,
+                                                      -1, -1, 0,  0,  0,  0,
+                                                      0,  0,  0,  0};
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kLanes + 8 - w));
+}
+
+// Column drivers: run `kern` over columns [0, n) of R G rows and the DB row
+// d, one vector at a time; the last n % 8 (n % 4) columns go through a lane
+// mask, so masked-off lanes read zeros and are never stored. Every column is
+// computed independently, so the tail gives the bits the body would.
+
+template <int R, typename Kern>
+void columns8(const float* const* g, float* d, std::int64_t n, Kern kern) {
+  __m256 x[R];
+  std::int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    for (int i = 0; i < R; ++i) x[i] = _mm256_loadu_ps(g[i] + j);
+    _mm256_storeu_ps(d + j, kern(x, _mm256_loadu_ps(d + j)));
+  }
+  if (j < n) {
+    const __m256i m = tail_mask(n - j);
+    for (int i = 0; i < R; ++i) x[i] = _mm256_maskload_ps(g[i] + j, m);
+    _mm256_maskstore_ps(d + j, m, kern(x, _mm256_maskload_ps(d + j, m)));
+  }
+}
+
+template <int R, typename Kern>
+void columns4(const float* const* g, float* d, std::int64_t n, Kern kern) {
+  __m128 x[R];
+  std::int64_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    for (int i = 0; i < R; ++i) x[i] = _mm_loadu_ps(g[i] + j);
+    _mm_storeu_ps(d + j, kern(x, _mm_loadu_ps(d + j)));
+  }
+  if (j < n) {
+    const __m128i m = _mm256_castsi256_si128(tail_mask(n - j));
+    for (int i = 0; i < R; ++i) x[i] = _mm_maskload_ps(g[i] + j, m);
+    _mm_maskstore_ps(d + j, m, kern(x, _mm_maskload_ps(d + j, m)));
+  }
+}
+
+/// rf(x + y): the float nearest the exact sum of two doubles, where x + y
+/// may need more than 53 bits. The double sum s is rounded to odd — when
+/// the TwoSum error e is non-zero and s's last bit is even, s steps one ulp
+/// toward e — and then rounded to float once. Rounding to odd at 53 >= 24 + 2
+/// bits makes that second rounding correct (Boldo & Melquiond, "When double
+/// rounding is odd", 2005), subnormal float results included. Non-finite
+/// sums have a NaN error and are left as they are.
+__m128 exact_fused(__m256d x, __m256d y) {
+  const __m256d s = _mm256_add_pd(x, y);
+  const __m256d bb = _mm256_sub_pd(s, x);
+  const __m256d e = _mm256_add_pd(_mm256_sub_pd(x, _mm256_sub_pd(s, bb)),
+                                  _mm256_sub_pd(y, bb));
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i one = _mm256_set1_epi64x(1);
+  const __m256i sb = _mm256_castpd_si256(s);
+  const __m256i even = _mm256_cmpeq_epi64(_mm256_and_si256(sb, one), zero);
+  const __m256i inexact = _mm256_castpd_si256(
+      _mm256_cmp_pd(e, _mm256_setzero_pd(), _CMP_NEQ_OQ));
+  // One ulp toward e: +1 on the bit pattern when e has s's sign, else -1.
+  const __m256i toward = _mm256_or_si256(
+      _mm256_cmpgt_epi64(zero, _mm256_xor_si256(sb, _mm256_castpd_si256(e))),
+      one);
+  const __m256i odd = _mm256_add_epi64(
+      sb, _mm256_and_si256(toward, _mm256_and_si256(even, inexact)));
+  return _mm256_cvtpd_ps(_mm256_castsi256_pd(odd));
+}
+
+/// rf(x + y) for two floats: their double sum rounded to float. Double
+/// rounding is harmless because 53 >= 2*24 + 2 (and a subnormal float sum
+/// is exact in both formats).
+__m128 exact_add(__m128 x, __m128 y) {
+  return _mm256_cvtpd_ps(_mm256_add_pd(_mm256_cvtps_pd(x), _mm256_cvtps_pd(y)));
+}
+
+/// fma(a0, x0, a1*x1) over four columns, on the exact route. A product of
+/// two floats is exact in double, so every product here is exact and FP
+/// contraction of it into a later add cannot change a bit.
+__m128 exact_pair(__m256d a0, __m256d a1, __m128 x0, __m128 x1) {
+  const __m256d q0 = _mm256_mul_pd(a0, _mm256_cvtps_pd(x0));
+  const __m256d q1 = _mm256_mul_pd(a1, _mm256_cvtps_pd(x1));
+  // rf(a1*x1), the product the float route rounds before its fma.
+  const __m256d f1 = _mm256_cvtps_pd(_mm256_cvtpd_ps(q1));
+  return exact_fused(q0, f1);
+}
+
+void gb4_float(const float* a, const float* const* g, float* d,
+               std::int64_t n) {
+  const __m256 av[4] = {_mm256_set1_ps(a[0]), _mm256_set1_ps(a[1]),
+                        _mm256_set1_ps(a[2]), _mm256_set1_ps(a[3])};
+  columns8<4>(g, d, n, [&](const __m256* x, __m256 dv) {
+    const __m256 p01 = _mm256_fmadd_ps(av[0], x[0], _mm256_mul_ps(av[1], x[1]));
+    const __m256 p23 = _mm256_fmadd_ps(av[2], x[2], _mm256_mul_ps(av[3], x[3]));
+    return _mm256_add_ps(dv, _mm256_add_ps(p01, p23));
+  });
+}
+
+void gb4_exact(const float* a, const float* const* g, float* d,
+               std::int64_t n) {
+  const __m256d av[4] = {_mm256_set1_pd(a[0]), _mm256_set1_pd(a[1]),
+                         _mm256_set1_pd(a[2]), _mm256_set1_pd(a[3])};
+  columns4<4>(g, d, n, [&](const __m128* x, __m128 dv) {
+    const __m128 p01 = exact_pair(av[0], av[1], x[0], x[1]);
+    const __m128 p23 = exact_pair(av[2], av[3], x[2], x[3]);
+    return exact_add(dv, exact_add(p01, p23));
+  });
+}
+
+void gb1_float(float a, const float* g, float* d, std::int64_t n) {
+  const __m256 av = _mm256_set1_ps(a);
+  columns8<1>(&g, d, n, [&](const __m256* x, __m256 dv) {
+    return _mm256_fmadd_ps(av, x[0], dv);
+  });
+}
+
+void gb1_exact(float a, const float* g, float* d, std::int64_t n) {
+  const __m256d av = _mm256_set1_pd(a);
+  columns4<1>(&g, d, n, [&](const __m128* x, __m128 dv) {
+    return exact_fused(_mm256_mul_pd(av, _mm256_cvtps_pd(x[0])),
+                       _mm256_cvtps_pd(dv));
+  });
+}
+
+/// min |g| over the non-zero elements of one G row, +inf when there are
+/// none. Works on the bit patterns (|g| orders as an unsigned integer), so
+/// it never performs float arithmetic on a subnormal. Subtracting one maps
+/// zero to the largest unsigned value, which never wins the min.
+float row_min_nonzero(const float* g, std::int64_t n) {
+  std::uint32_t lo = 0x7f800000u - 1;  // +inf, less one
+  for (std::int64_t j = 0; j < n; ++j)
+    lo = std::min(lo, (std::bit_cast<std::uint32_t>(g[j]) & 0x7fffffffu) - 1);
+  return std::bit_cast<float>(lo + 1);
+}
+
+/// True when A[r][kk] * (a row-r element of G) could read a subnormal
+/// operand or round to a subnormal product: a is subnormal, the row holds a
+/// subnormal, or |a| * gmin (exact in double) is below 2^-125. Products at
+/// or above FLT_MIN = 2^-126 are normal; the extra binade is a margin.
+bool subnormal_risk(float a, float gmin) {
+  constexpr float kFltMin = 0x1p-126f;
+  const float aa = std::fabs(a);
+  if (gmin < kFltMin) return true;
+  if (aa == 0.0f) return false;
+  return aa < kFltMin || static_cast<double>(aa) * gmin < 0x1p-125;
+}
+
+#endif  // RANNC_KERNELS_AVX2
+
+enum class GradBRoute { kAuto, kFloat, kExact };
+
+/// One DB row (fixed kk) over `rows` rows of A and G; returns the number of
+/// row groups (4-row groups and leftover rows) that took the exact route.
+/// gmin[r] is G row r's smallest non-zero |g| (read only by kAuto).
+std::int64_t gb_row(const float* A, const float* G, const float* gmin,
+                    float* dbrow, std::int64_t rows, std::int64_t k,
+                    std::int64_t n, std::int64_t kk, GradBRoute route) {
   std::fill_n(dbrow, n, 0.0f);
+  std::int64_t exact = 0;
   std::int64_t r = 0;
   for (; r + 4 <= rows; r += 4) {
-    const float a0 = A[r * k + kk];
-    const float a1 = A[(r + 1) * k + kk];
-    const float a2 = A[(r + 2) * k + kk];
-    const float a3 = A[(r + 3) * k + kk];
-    if (a0 == 0.0f && a1 == 0.0f && a2 == 0.0f && a3 == 0.0f) continue;
-    const float* __restrict g0 = G + r * n;
-    const float* __restrict g1 = g0 + n;
-    const float* __restrict g2 = g1 + n;
-    const float* __restrict g3 = g2 + n;
+    const float a[4] = {A[r * k + kk], A[(r + 1) * k + kk],
+                        A[(r + 2) * k + kk], A[(r + 3) * k + kk]};
+    if (a[0] == 0.0f && a[1] == 0.0f && a[2] == 0.0f && a[3] == 0.0f)
+      continue;
+    const float* g[4] = {G + r * n, G + (r + 1) * n, G + (r + 2) * n,
+                         G + (r + 3) * n};
+#ifdef RANNC_KERNELS_AVX2
+    const bool use_exact =
+        route == GradBRoute::kExact ||
+        (route == GradBRoute::kAuto &&
+         (subnormal_risk(a[0], gmin[r]) || subnormal_risk(a[1], gmin[r + 1]) ||
+          subnormal_risk(a[2], gmin[r + 2]) ||
+          subnormal_risk(a[3], gmin[r + 3])));
+    if (use_exact) {
+      ++exact;
+      gb4_exact(a, g, dbrow, n);
+    } else {
+      gb4_float(a, g, dbrow, n);
+    }
+#else
+    (void)gmin;
+    (void)route;
+    const float* __restrict g0 = g[0];
+    const float* __restrict g1 = g[1];
+    const float* __restrict g2 = g[2];
+    const float* __restrict g3 = g[3];
     float* __restrict d = dbrow;
     for (std::int64_t j = 0; j < n; ++j)
-      d[j] += (a0 * g0[j] + a1 * g1[j]) + (a2 * g2[j] + a3 * g3[j]);
+      d[j] += (a[0] * g0[j] + a[1] * g1[j]) + (a[2] * g2[j] + a[3] * g3[j]);
+#endif
   }
   for (; r < rows; ++r) {
     const float av = A[r * k + kk];
     if (av == 0.0f) continue;
-    const float* __restrict g = G + r * n;
+    const float* g = G + r * n;
+#ifdef RANNC_KERNELS_AVX2
+    if (route == GradBRoute::kExact ||
+        (route == GradBRoute::kAuto && subnormal_risk(av, gmin[r]))) {
+      ++exact;
+      gb1_exact(av, g, dbrow, n);
+    } else {
+      gb1_float(av, g, dbrow, n);
+    }
+#else
+    const float* __restrict gr = g;
     float* __restrict d = dbrow;
-    for (std::int64_t j = 0; j < n; ++j) d[j] += av * g[j];
+    for (std::int64_t j = 0; j < n; ++j) d[j] += av * gr[j];
+#endif
   }
+  return exact;
+}
+
+std::int64_t grad_b_routed(const float* A, const float* G, float* DB,
+                           std::int64_t ba, std::int64_t m, std::int64_t k,
+                           std::int64_t n, bool shared_b, ThreadPool& pool,
+                           GradBRoute route) {
+  // Routing input, once per call: each G row's smallest non-zero |g|.
+  std::vector<float> gmin;
+#ifdef RANNC_KERNELS_AVX2
+  if (route == GradBRoute::kAuto) {
+    gmin.resize(static_cast<std::size_t>(ba * m));
+    pool.parallel_for(0, ba * m, [&](std::int64_t r0, std::int64_t r1) {
+      for (std::int64_t r = r0; r < r1; ++r)
+        gmin[static_cast<std::size_t>(r)] = row_min_nonzero(G + r * n, n);
+    });
+  }
+#endif
+  std::atomic<std::int64_t> exact{0};
+  if (shared_b) {
+    pool.parallel_for(0, k, [&](std::int64_t k0, std::int64_t k1) {
+      std::int64_t e = 0;
+      for (std::int64_t kk = k0; kk < k1; ++kk)
+        e += gb_row(A, G, gmin.data(), DB + kk * n, ba * m, k, n, kk, route);
+      exact.fetch_add(e, std::memory_order_relaxed);
+    });
+  } else {
+    pool.parallel_for(0, ba, [&](std::int64_t b0, std::int64_t b1) {
+      std::int64_t e = 0;
+      for (std::int64_t bi = b0; bi < b1; ++bi) {
+        const float* amat = A + bi * m * k;
+        const float* gmat = G + bi * m * n;
+        const float* gm = gmin.empty() ? nullptr : gmin.data() + bi * m;
+        float* dbmat = DB + bi * k * n;
+        for (std::int64_t kk = 0; kk < k; ++kk)
+          e += gb_row(amat, gmat, gm, dbmat + kk * n, m, k, n, kk, route);
+      }
+      exact.fetch_add(e, std::memory_order_relaxed);
+    });
+  }
+  return exact.load(std::memory_order_relaxed);
 }
 
 }  // namespace
 
-void blocked_matmul_grad_b(const float* A, const float* G, float* DB,
-                           std::int64_t ba, std::int64_t m, std::int64_t k,
-                           std::int64_t n, bool shared_b, ThreadPool& pool) {
-  if (shared_b) {
-    pool.parallel_for(0, k, [&](std::int64_t k0, std::int64_t k1) {
-      for (std::int64_t kk = k0; kk < k1; ++kk)
-        gb_row(A, G, DB + kk * n, ba * m, k, n, kk);
-    });
-  } else {
-    pool.parallel_for(0, ba, [&](std::int64_t b0, std::int64_t b1) {
-      for (std::int64_t bi = b0; bi < b1; ++bi) {
-        const float* amat = A + bi * m * k;
-        const float* gmat = G + bi * m * n;
-        float* dbmat = DB + bi * k * n;
-        for (std::int64_t kk = 0; kk < k; ++kk)
-          gb_row(amat, gmat, dbmat + kk * n, m, k, n, kk);
-      }
-    });
-  }
+std::int64_t blocked_matmul_grad_b(const float* A, const float* G, float* DB,
+                                   std::int64_t ba, std::int64_t m,
+                                   std::int64_t k, std::int64_t n,
+                                   bool shared_b, ThreadPool& pool) {
+  return grad_b_routed(A, G, DB, ba, m, k, n, shared_b, pool,
+                       GradBRoute::kAuto);
+}
+
+void blocked_matmul_grad_b_forced(const float* A, const float* G, float* DB,
+                                  std::int64_t ba, std::int64_t m,
+                                  std::int64_t k, std::int64_t n,
+                                  bool shared_b, bool exact,
+                                  ThreadPool& pool) {
+  grad_b_routed(A, G, DB, ba, m, k, n, shared_b, pool,
+                exact ? GradBRoute::kExact : GradBRoute::kFloat);
 }
 
 // ---- conv2d ----------------------------------------------------------------

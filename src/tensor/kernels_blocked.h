@@ -9,9 +9,12 @@
 // fixed function of the problem shape only, every output element is
 // produced by exactly one unit, and the floating-point reduction order per
 // element never depends on how units are assigned to threads — results are
-// bit-identical at any thread-pool size. The double-accumulator kernels
-// (matmul_grad_a, the conv family) are additionally bit-identical to their
-// naive references, because float products are exact in double.
+// bit-identical at any thread-pool size. matmul_grad_a, conv2d and
+// conv2d_grad_x accumulate in double over the naive loops' per-element term
+// order, so they are additionally bit-identical to their naive references
+// (float products are exact in double). matmul_grad_b (float, pairwise-of-4
+// association) and conv2d_grad_w (lane-split double dot) differ from theirs
+// in the last bits.
 //
 // This translation unit is compiled -O3 and, where the toolchain allows,
 // -mavx2 -mfma (see src/tensor/CMakeLists.txt and the
@@ -40,10 +43,23 @@ void blocked_matmul_grad_a(const float* G, const float* B, float* DA,
                            std::int64_t k, bool shared_b, ThreadPool& pool);
 
 /// DB = A^T x G. Shared rhs ([k,n], batches reduced) when shared_b, else
-/// per-batch [ba,k,n]. DB need not be initialized.
-void blocked_matmul_grad_b(const float* A, const float* G, float* DB,
-                           std::int64_t ba, std::int64_t m, std::int64_t k,
-                           std::int64_t n, bool shared_b, ThreadPool& pool);
+/// per-batch [ba,k,n]. DB need not be initialized. Returns the number of
+/// row groups (4-row groups and leftover rows) that took the exact,
+/// subnormal-immune route; the float route gives the same bits.
+std::int64_t blocked_matmul_grad_b(const float* A, const float* G, float* DB,
+                                   std::int64_t ba, std::int64_t m,
+                                   std::int64_t k, std::int64_t n,
+                                   bool shared_b, ThreadPool& pool);
+
+/// Test hook: blocked_matmul_grad_b with every row group forced onto the
+/// exact route (exact) or the float route (!exact), so tests can compare
+/// the two bit for bit. Builds without AVX2 have only the float route and
+/// ignore `exact`.
+void blocked_matmul_grad_b_forced(const float* A, const float* G, float* DB,
+                                  std::int64_t ba, std::int64_t m,
+                                  std::int64_t k, std::int64_t n,
+                                  bool shared_b, bool exact,
+                                  ThreadPool& pool);
 
 /// Y[N,K,Ho,Wo] = conv(X[N,C,H,W], W[K,C,kh,kw]); Y need not be initialized.
 void blocked_conv2d(const float* X, const float* Wt, float* Y, std::int64_t N,

@@ -217,11 +217,14 @@ Tensor matmul_grad_b(const Tensor& a, const Tensor& g, const Shape& b_shape) {
   float* DB = db.data();
 
   static KernelMetrics km("matmul_grad_b");
+  // Row groups the blocked kernel sent down its subnormal-immune route.
+  static obs::Counter& exact_groups =
+      obs::metrics().counter("runtime.kernel.matmul_grad_b.exact_groups");
   km.record(2.0 * static_cast<double>(ba * m) * static_cast<double>(k) * n,
             tensor_bytes(a, g, db));
   if (!naive_kernels()) {
-    detail::blocked_matmul_grad_b(A, G, DB, ba, m, k, n, bb == 1,
-                                  kernel_pool());
+    exact_groups.add(detail::blocked_matmul_grad_b(A, G, DB, ba, m, k, n,
+                                                   bb == 1, kernel_pool()));
     return db;
   }
   if (bb == 1) {

@@ -8,8 +8,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <random>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "tensor/kernels_blocked.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/arena.h"
@@ -419,6 +422,166 @@ TEST(KernelParity, BlockedResultsBitIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(bit_equal(db1, db2));
   EXPECT_TRUE(bit_equal(y1, y2));
   EXPECT_TRUE(bit_equal(t1, t2));
+}
+
+// ---- matmul_grad_b: float route vs exact (subnormal-immune) route ----------
+
+/// Random values whose magnitude is set per row: normal-range, tiny
+/// (1e-30 .. 1e-45), all-subnormal, or mixed within the row, with zeros of
+/// both signs sprinkled in.
+std::vector<float> magnitude_rows(std::int64_t rows, std::int64_t cols,
+                                  std::uint32_t seed) {
+  static const float kScales[] = {1.0f,  1e-3f, 1e-30f, 1e-36f, 1e-38f,
+                                  1e-39f, 1e-41f, 1e-43f, 1e-45f};
+  constexpr int kNumScales = sizeof(kScales) / sizeof(kScales[0]);
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<float> unit(-1.0f, 1.0f);
+  std::vector<float> out(static_cast<std::size_t>(rows * cols));
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const int kind = static_cast<int>(rng() % 4);
+    const float row_scale = kind == 0   ? 1.0f
+                            : kind == 1 ? kScales[2 + rng() % 7]
+                            : kind == 2 ? kScales[4 + rng() % 5]
+                                        : 0.0f;  // mixed: per element
+    for (std::int64_t c = 0; c < cols; ++c) {
+      const float s = kind == 3 ? kScales[rng() % kNumScales] : row_scale;
+      float v = unit(rng) * s;
+      if (rng() % 9 == 0) v = (rng() % 2) ? -0.0f : 0.0f;
+      out[static_cast<std::size_t>(r * cols + c)] = v;
+    }
+  }
+  return out;
+}
+
+enum class Route { kRouted, kFloat, kExact };
+
+/// DB from the blocked grad_b kernel, routed as in production or with every
+/// row group forced onto one route.
+std::vector<float> grad_b_route(const std::vector<float>& a,
+                                const std::vector<float>& g, std::int64_t ba,
+                                std::int64_t m, std::int64_t k, std::int64_t n,
+                                bool shared_b, Route route) {
+  std::vector<float> db(static_cast<std::size_t>((shared_b ? 1 : ba) * k * n),
+                        std::nanf(""));
+  ThreadPool pool(2);
+  if (route == Route::kRouted)
+    detail::blocked_matmul_grad_b(a.data(), g.data(), db.data(), ba, m, k, n,
+                                  shared_b, pool);
+  else
+    detail::blocked_matmul_grad_b_forced(a.data(), g.data(), db.data(), ba, m,
+                                         k, n, shared_b,
+                                         route == Route::kExact, pool);
+  return db;
+}
+
+bool bit_equal(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+TEST(KernelParity, GradBExactRouteBitIdenticalToFloatRoute) {
+  if (!detail::blocked_kernels_simd())
+    GTEST_SKIP() << "the exact route exists only in AVX2 builds";
+  // Rows % 4 != 0 (leftover rows), n % 8 and n % 4 != 0 (column tails).
+  const MmCase cases[] = {
+      {1, 4, 3, 8, true},   {1, 7, 5, 13, true},  {2, 9, 4, 21, true},
+      {3, 6, 3, 6, false},  {2, 11, 2, 35, false}, {1, 1, 2, 3, true},
+      {2, 16, 6, 64, false}, {4, 5, 7, 1, true},
+  };
+  std::uint32_t seed = 1;
+  for (const MmCase& c : cases) {
+    for (int rep = 0; rep < 8; ++rep, ++seed) {
+      const std::vector<float> a = magnitude_rows(c.ba * c.m, c.k, seed);
+      const std::vector<float> g = magnitude_rows(c.ba * c.m, c.n, seed + 1000);
+      for (bool shared : {c.shared_b, !c.shared_b}) {
+        const std::string at = "ba=" + std::to_string(c.ba) +
+                               " m=" + std::to_string(c.m) +
+                               " k=" + std::to_string(c.k) +
+                               " n=" + std::to_string(c.n) +
+                               " shared_b=" + std::to_string(shared) +
+                               " seed=" + std::to_string(seed);
+        const auto fl =
+            grad_b_route(a, g, c.ba, c.m, c.k, c.n, shared, Route::kFloat);
+        const auto ex =
+            grad_b_route(a, g, c.ba, c.m, c.k, c.n, shared, Route::kExact);
+        const auto routed =
+            grad_b_route(a, g, c.ba, c.m, c.k, c.n, shared, Route::kRouted);
+        EXPECT_TRUE(bit_equal(fl, ex)) << at;
+        EXPECT_TRUE(bit_equal(fl, routed)) << at;
+      }
+    }
+  }
+  // One 4-row group, k = 1: db = fma(a0, g0, rf(a1*g1)). a0*g0 is a float
+  // midpoint (25 significant bits) and a1*g1 = +-2^-80 sits far below it,
+  // so the double sum lands exactly on the midpoint with a non-zero error.
+  // Rounding that sum straight to float would tie to even; only one
+  // correct rounding of the exact value gives the fused result.
+  struct Midpoint {
+    float a0, g0, tiny, want;
+  };
+  const float u = 0x1p-12f;
+  const Midpoint midpoints[] = {
+      // 1 + 2^-11 + 2^-24: ties down to even; +tiny must round up.
+      {1 + u, 1 + u, 0x1p-80f, 1 + 0x1p-11f + 0x1p-23f},
+      // 1 + 2^-10 + 3*2^-24: ties up to even; -tiny must round down.
+      {1 + u, 1 + 3 * u, -0x1p-80f, 1 + 0x1p-10f + 0x1p-23f},
+  };
+  for (const Midpoint& c : midpoints) {
+    for (std::int64_t n : {1, 5, 8, 12}) {
+      const std::vector<float> a = {c.a0, 0x1p-40f, 0.0f, 0.0f};
+      std::vector<float> g(static_cast<std::size_t>(4 * n), 0.0f);
+      for (std::int64_t j = 0; j < n; ++j) {
+        g[static_cast<std::size_t>(j)] = c.g0;
+        g[static_cast<std::size_t>(n + j)] = c.tiny * 0x1p40f;
+      }
+      const auto fl = grad_b_route(a, g, 1, 4, 1, n, true, Route::kFloat);
+      const auto ex = grad_b_route(a, g, 1, 4, 1, n, true, Route::kExact);
+      EXPECT_TRUE(bit_equal(fl, ex)) << "n=" << n;
+      EXPECT_EQ(ex[0], c.want) << "n=" << n;
+    }
+  }
+}
+
+TEST(KernelParity, GradBMixedRoutesBitIdenticalAcrossThreadCounts) {
+  // Normal-range operands except every 7th G row, which is subnormal: the
+  // row groups holding one take the exact route, the others stay on floats.
+  const std::int64_t ba = 2, m = 30, k = 9, n = 27;
+  const Tensor au = Tensor::uniform(Shape{ba * m, k}, 1.0f, 77);
+  Tensor gu = Tensor::uniform(Shape{ba * m, n}, 1.0f, 78);
+  for (std::int64_t r = 3; r < ba * m; r += 7)
+    for (std::int64_t j = 0; j < n; ++j) gu.at(r * n + j) *= 1e-39f;
+  const std::vector<float> av(au.data(), au.data() + au.numel());
+  const std::vector<float> gv(gu.data(), gu.data() + gu.numel());
+  const Tensor a(Shape{ba, m, k}, av), g(Shape{ba, m, n}, gv);
+  obs::Counter& exact_groups =
+      obs::metrics().counter("runtime.kernel.matmul_grad_b.exact_groups");
+  ThreadPool solo(0), wide(3);
+  for (const Shape& b_shape : {Shape{k, n}, Shape{ba, k, n}}) {
+    set_kernel_pool(&solo);
+    const std::int64_t e0 = exact_groups.get();
+    const Tensor db1 = matmul_grad_b(a, g, b_shape);
+    const std::int64_t e1 = exact_groups.get();
+    set_kernel_pool(&wide);
+    const Tensor db2 = matmul_grad_b(a, g, b_shape);
+    const std::int64_t e2 = exact_groups.get();
+    set_kernel_pool(nullptr);
+    EXPECT_TRUE(bit_equal(db1, db2));
+    // Both routes ran: some row groups, but not all of them, went exact.
+    // Builds without AVX2 have only the float route.
+    const std::int64_t groups = k * ba * ((m + 3) / 4);
+    if (detail::blocked_kernels_simd()) {
+      EXPECT_GT(e1 - e0, 0);
+      EXPECT_LT(e1 - e0, groups);
+    } else {
+      EXPECT_EQ(e1 - e0, 0);
+    }
+    EXPECT_EQ(e2 - e1, e1 - e0);
+    // The routed result equals the all-float one.
+    const auto fl =
+        grad_b_route(av, gv, ba, m, k, n, b_shape.rank() == 2, Route::kFloat);
+    EXPECT_TRUE(std::memcmp(fl.data(), db1.data(),
+                            fl.size() * sizeof(float)) == 0);
+  }
 }
 
 // ---- arena ------------------------------------------------------------------
