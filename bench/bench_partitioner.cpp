@@ -4,21 +4,21 @@
 //  * atomic component counts vs model depth (paper: ~15k at 256 layers);
 //  * block-count (k) sweep: balance quality vs search cost (paper fixes 32);
 //  * balance-refinement ablation;
-//  * DP search-space statistics (cells, memoized profile queries);
-//  * search-engine benchmark: the parallel, memoized (S, MB) stage-DP sweep
-//    across BERT / ResNet / GPT-2 geometries, emitted as
+//  * DP search-space statistics (cells, profile queries);
+//  * search-engine benchmark: the parallel (S, MB) stage-DP sweep across
+//    BERT / ResNet / GPT-2 geometries at 1, 4 and 8 threads, emitted as
 //    BENCH_PARTITIONER.json (search wall-clock, dp_cells, profile_queries,
-//    memo hit rate, speedup vs the single-threaded unmemoized baseline, and
-//    a bit-identical-plan check across every configuration).
+//    speedup vs one thread, and a bit-identical-plan check across every
+//    configuration).
 //
 // Usage: bench_partitioner [--quick] [--out FILE] [--trace FILE]
 //   --quick   small geometries, single rep, skip the legacy diagnostic
 //             sections (CI smoke mode)
 //   --out     JSON output path (default BENCH_PARTITIONER.json)
-//   --trace   additionally run one memoized 2-thread search on the first
-//             geometry with the trace recorder attached and write the
-//             Chrome trace-event JSON (search flame view + profile-memo
-//             hit-rate counters) to FILE
+//   --trace   additionally run one 2-thread search on the first geometry
+//             with the trace recorder attached and write the Chrome
+//             trace-event JSON (search flame view + sweep_progress
+//             counters) to FILE
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -44,16 +44,12 @@ struct Geometry {
 struct ConfigResult {
   std::string label;
   int threads = 1;
-  bool profile_memo = true;
   bool feasible = false;
   double search_seconds = 0;  ///< min over reps
   double wall_seconds = 0;    ///< min over reps, whole auto_partition
   std::int64_t dp_cells = 0;
   std::int64_t profile_queries = 0;
   std::int64_t profile_queries_saved = 0;
-  std::int64_t memo_hits = 0;
-  std::int64_t memo_misses = 0;
-  double memo_hit_rate = 0;
   std::string plan_json;
 };
 
@@ -101,19 +97,16 @@ std::vector<Geometry> make_geometries(bool quick) {
 }
 
 ConfigResult run_config(const TaskGraph& graph, const Geometry& g,
-                        const std::string& label, int threads,
-                        bool profile_memo, int reps) {
+                        const std::string& label, int threads, int reps) {
   ConfigResult cr;
   cr.label = label;
   cr.threads = threads;
-  cr.profile_memo = profile_memo;
   cr.search_seconds = 1e30;
   cr.wall_seconds = 1e30;
   for (int rep = 0; rep < reps; ++rep) {
     SearchRequest req;
     req.batch_size = g.batch_size;
     req.budget.threads = threads;
-    req.profile_memo = profile_memo;
     // This bench measures the exhaustive sweep (its counters are the
     // sentinel baseline); bench_search_scale covers the pruned engine.
     req.prune.enabled = false;
@@ -124,9 +117,6 @@ ConfigResult run_config(const TaskGraph& graph, const Geometry& g,
     cr.dp_cells = r.stats.dp_cells_visited;
     cr.profile_queries = r.stats.profile_queries;
     cr.profile_queries_saved = r.stats.profile_queries_saved;
-    cr.memo_hits = r.stats.memo_hits;
-    cr.memo_misses = r.stats.memo_misses;
-    cr.memo_hit_rate = r.stats.memo_hit_rate();
     if (rep == 0) cr.plan_json = plan_to_json(r);
   }
   return cr;
@@ -251,13 +241,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Search-engine benchmark: parallel, memoized (S, MB) sweep ----------
+  // ---- Search-engine benchmark: parallel (S, MB) sweep -------------------
   const int reps = quick ? 1 : 3;
-  const std::vector<int> thread_counts = quick ? std::vector<int>{2}
-                                               : std::vector<int>{2, 4, 8};
+  const std::vector<int> thread_counts = quick ? std::vector<int>{1, 4}
+                                               : std::vector<int>{1, 4, 8};
   const unsigned hw = std::thread::hardware_concurrency();
 
-  std::printf("\n== Search engine: parallel + memoized (S, MB) sweep ==\n");
+  std::printf("\n== Search engine: parallel (S, MB) sweep ==\n");
   std::printf("(hardware_concurrency = %u, reps = %d, min taken)\n", hw, reps);
 
   struct GeomResult {
@@ -276,13 +266,9 @@ int main(int argc, char** argv) {
     gr.batch_size = g.batch_size;
     gr.tasks = bm.graph.num_tasks();
 
-    gr.configs.push_back(
-        run_config(bm.graph, g, "legacy-t1", 1, /*memo=*/false, reps));
-    gr.configs.push_back(
-        run_config(bm.graph, g, "memo-t1", 1, /*memo=*/true, reps));
     for (int t : thread_counts)
-      gr.configs.push_back(run_config(bm.graph, g, "memo-t" + std::to_string(t),
-                                      t, /*memo=*/true, reps));
+      gr.configs.push_back(
+          run_config(bm.graph, g, "t" + std::to_string(t), t, reps));
 
     for (const ConfigResult& cr : gr.configs)
       if (cr.plan_json != gr.configs.front().plan_json)
@@ -291,16 +277,14 @@ int main(int argc, char** argv) {
     const double base = gr.configs.front().search_seconds;
     std::printf("\n-- %s (BS=%lld, %zu tasks) --\n", g.name.c_str(),
                 static_cast<long long>(g.batch_size), gr.tasks);
-    std::printf("%-10s %-10s %-12s %-12s %-10s %-10s %-8s\n", "config",
-                "search(s)", "dp_cells", "profiles", "saved", "hit_rate",
-                "speedup");
+    std::printf("%-10s %-10s %-12s %-12s %-10s %-8s\n", "config",
+                "search(s)", "dp_cells", "profiles", "saved", "speedup");
     for (const ConfigResult& cr : gr.configs) {
-      std::printf("%-10s %-10.3f %-12lld %-12lld %-10lld %-10.3f %-8.2f\n",
+      std::printf("%-10s %-10.3f %-12lld %-12lld %-10lld %-8.2f\n",
                   cr.label.c_str(), cr.search_seconds,
                   static_cast<long long>(cr.dp_cells),
                   static_cast<long long>(cr.profile_queries),
                   static_cast<long long>(cr.profile_queries_saved),
-                  cr.memo_hit_rate,
                   cr.search_seconds > 0 ? base / cr.search_seconds : 0.0);
     }
     std::printf("  plans identical across configs: %s\n",
@@ -309,29 +293,28 @@ int main(int argc, char** argv) {
   }
 
   // ---- Optional traced run ------------------------------------------------
-  // One memoized multi-thread search with the recorder attached: a flame
-  // view of the sweep's worker lanes plus the cumulative profile-memo
-  // hit/miss counter series ("profile_memo" counter events).
+  // One multi-thread search with the recorder attached: a flame view of
+  // the sweep's worker lanes plus the cumulative sweep_progress counter
+  // series (DP cells, profile queries, jobs done).
   if (!trace_path.empty()) {
     const Geometry g = make_geometries(quick).front();
     BuiltModel bm = g.build();
     obs::set_thread_name("main");
     obs::TraceRecorder rec;
     obs::set_recorder(&rec);
-    run_config(bm.graph, g, "traced-memo-t2", 2, /*memo=*/true, /*reps=*/1);
+    run_config(bm.graph, g, "traced-t2", 2, /*reps=*/1);
     obs::set_recorder(nullptr);
-    std::size_t memo_samples = 0;
+    std::size_t progress_samples = 0;
     for (const obs::TraceEvent& e : rec.snapshot())
-      if (e.ph == 'C' && e.name == "profile_memo") ++memo_samples;
+      if (e.ph == 'C' && e.name == "sweep_progress") ++progress_samples;
     if (!rec.write_json_file(trace_path)) {
       RANNC_LOG_ERROR("cannot open " << trace_path << " for writing");
       return 1;
     }
-    std::printf("\nwrote %s (%zu events, %zu memo hit-rate samples)\n",
-                trace_path.c_str(), rec.event_count(), memo_samples);
-    if (memo_samples == 0) {
-      RANNC_LOG_ERROR("traced memoized run emitted no profile_memo counter "
-                      "events");
+    std::printf("\nwrote %s (%zu events, %zu sweep-progress samples)\n",
+                trace_path.c_str(), rec.event_count(), progress_samples);
+    if (progress_samples == 0) {
+      RANNC_LOG_ERROR("traced run emitted no sweep_progress counter events");
       return 1;
     }
   }
@@ -363,8 +346,6 @@ int main(int argc, char** argv) {
       os << "        {\n";
       os << "          \"label\": \"" << json_escape(cr.label) << "\",\n";
       os << "          \"threads\": " << cr.threads << ",\n";
-      os << "          \"profile_memo\": "
-         << (cr.profile_memo ? "true" : "false") << ",\n";
       os << "          \"feasible\": " << (cr.feasible ? "true" : "false")
          << ",\n";
       os << "          \"search_seconds\": " << cr.search_seconds << ",\n";
@@ -373,10 +354,7 @@ int main(int argc, char** argv) {
       os << "          \"profile_queries\": " << cr.profile_queries << ",\n";
       os << "          \"profile_queries_saved\": " << cr.profile_queries_saved
          << ",\n";
-      os << "          \"memo_hits\": " << cr.memo_hits << ",\n";
-      os << "          \"memo_misses\": " << cr.memo_misses << ",\n";
-      os << "          \"memo_hit_rate\": " << cr.memo_hit_rate << ",\n";
-      os << "          \"speedup_vs_legacy\": "
+      os << "          \"speedup_vs_t1\": "
          << (cr.search_seconds > 0 ? base / cr.search_seconds : 0.0) << "\n";
       os << "        }" << (ci + 1 < gr.configs.size() ? "," : "") << "\n";
     }

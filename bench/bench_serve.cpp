@@ -53,8 +53,8 @@ serve::ServeRequest make_req(const serve::ModelSpec& spec, int nodes, int dpn,
 
 /// Eight request types, hot-to-cold: mixed models and geometries, all small
 /// enough that a cold search is milliseconds. Entries 1/2 and 4/5 share a
-/// fingerprint across different geometries, exercising the sibling-memo
-/// warm start on the miss path.
+/// fingerprint across different geometries, so their keys differ only in
+/// the geometry signature.
 std::vector<ZooEntry> make_zoo() {
   std::vector<ZooEntry> zoo;
   serve::ModelSpec mlp;

@@ -1,7 +1,7 @@
 // Metrics registry: named counters, gauges and histograms, snapshotted to
 // JSON. The quantitative half of `src/obs` — where the tracing layer
 // answers "where did the time go", the registry answers "how much": DP
-// cells visited, profile-memo hit rate, per-link busy fractions, bubble
+// cells visited, profile queries, per-link busy fractions, bubble
 // fraction, peak memory per stage.
 //
 // All instruments are thread-safe. References returned by the registry

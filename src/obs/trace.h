@@ -7,8 +7,8 @@
 //    (verify gate, Phase 1 atomic, Phase 2 block, Phase 3 per-(S, MB)
 //    stage-DP jobs) laid out on one chrome `tid` row per host thread, so
 //    the `ThreadPool` worker lanes of the parallel sweep render as a
-//    flame view. `ProfileMemo` hit/miss progress rides along as counter
-//    events.
+//    flame view. Cumulative sweep progress (DP cells, profile queries,
+//    jobs done) rides along as `sweep_progress` counter events.
 //
 //  * `Domain::SimSchedule` / `Domain::SimFabric` — *virtual-time* spans
 //    of the simulated cluster: every `ScheduleInterval` of the pipeline

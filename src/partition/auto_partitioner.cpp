@@ -6,11 +6,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
-#include <shared_mutex>
+#include <stdexcept>
 #include <sstream>
 #include <tuple>
 
@@ -21,7 +21,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "partition/atomic.h"
-#include "partition/profile_memo.h"
 #include "partition/search.h"
 #include "util/thread_pool.h"
 
@@ -31,8 +30,9 @@ namespace {
 
 /// A topologically-ordered sequence of units (blocks or atomic components)
 /// with prefix-summed costs, so any consecutive range can be profiled in
-/// O(1) after an O(T) per-batch-size precomputation. This plays the role of
-/// the paper's memoized `profile` procedure in Algorithm 1.
+/// O(1) after an O(T) per-batch-size precomputation (build_tables). This
+/// plays the role of the paper's memoized `profile` procedure in
+/// Algorithm 1.
 class UnitSequence {
  public:
   UnitSequence(const AtomicPartition& ap, const GraphProfiler& prof,
@@ -92,6 +92,7 @@ class UnitSequence {
   }
 
   [[nodiscard]] int size() const { return static_cast<int>(units_.size()); }
+  [[nodiscard]] bool standalone() const { return standalone_; }
   [[nodiscard]] const std::vector<TaskId>& unit(int u) const {
     return units_[static_cast<std::size_t>(u)];
   }
@@ -127,42 +128,61 @@ class UnitSequence {
            pact_[static_cast<std::size_t>(lo)];
   }
 
-  /// Prefix forward/backward compute times for a given microbatch size,
-  /// built lazily (one O(T) pass per distinct bsize). Thread-safe: the
-  /// parallel sweep normally only ever *reads* entries pre-built by
-  /// prebuild_times, but a miss under concurrency is still correct (the
-  /// slow path re-checks under the exclusive lock; std::map references
-  /// stay stable across inserts).
-  struct TimePrefix {
-    std::vector<double> f, b;
+  /// What a stage profile reads for one microbatch size: prefix-summed
+  /// forward/backward compute seconds, and the comm seconds of a range
+  /// sending its outputs across boundary hi (comm_out[hi]) or receiving
+  /// its inputs across boundary lo (comm_in[lo]).
+  struct ProfileTable {
+    std::vector<double> f, b, comm_out, comm_in;
   };
-  const TimePrefix& times(std::int64_t bsize) const {
-    {
-      std::shared_lock<std::shared_mutex> lk(times_mu_);
-      if (auto it = time_cache_.find(bsize); it != time_cache_.end())
-        return it->second;
-    }
-    TimePrefix tp;
-    const int n = size();
-    tp.f.assign(static_cast<std::size_t>(n) + 1, 0);
-    tp.b.assign(static_cast<std::size_t>(n) + 1, 0);
-    for (int u = 0; u < n; ++u) {
-      double f = 0, b = 0;
-      for (TaskId t : units_[static_cast<std::size_t>(u)]) {
-        f += prof_->task_time_f(t, bsize, standalone_);
-        b += prof_->task_time_b(t, bsize, standalone_);
+
+  /// Builds one ProfileTable per microbatch size in `bsizes`. Runs before
+  /// the sweep; the tables are never written afterwards, so concurrent
+  /// jobs read them without locks.
+  void build_tables(const std::set<std::int64_t>& bsizes,
+                    const ClusterSpec& cluster) {
+    const std::size_t n = units_.size();
+    const double af = prof_->act_factor();
+    bsizes_.assign(bsizes.begin(), bsizes.end());
+    tables_.assign(bsizes_.size(), ProfileTable{});
+    for (std::size_t i = 0; i < bsizes_.size(); ++i) {
+      const std::int64_t bsize = bsizes_[i];
+      ProfileTable& t = tables_[i];
+      t.f.assign(n + 1, 0);
+      t.b.assign(n + 1, 0);
+      for (std::size_t u = 0; u < n; ++u) {
+        double f = 0, b = 0;
+        for (TaskId task : units_[u]) {
+          f += prof_->task_time_f(task, bsize, standalone_);
+          b += prof_->task_time_b(task, bsize, standalone_);
+        }
+        t.f[u + 1] = t.f[u] + f;
+        t.b[u + 1] = t.b[u] + b;
       }
-      tp.f[static_cast<std::size_t>(u) + 1] = tp.f[static_cast<std::size_t>(u)] + f;
-      tp.b[static_cast<std::size_t>(u) + 1] = tp.b[static_cast<std::size_t>(u)] + b;
+      t.comm_out.resize(n + 1);
+      t.comm_in.resize(n + 1);
+      for (std::size_t k = 0; k <= n; ++k) {
+        const int pos = static_cast<int>(k);
+        t.comm_out[k] = comm_partitioner_time(
+            cluster, static_cast<std::int64_t>(
+                         cross_out(pos) * static_cast<double>(bsize) * af));
+        t.comm_in[k] = comm_partitioner_time(
+            cluster, static_cast<std::int64_t>(
+                         cross_in(pos) * static_cast<double>(bsize) * af));
+      }
     }
-    std::unique_lock<std::shared_mutex> lk(times_mu_);
-    return time_cache_.emplace(bsize, std::move(tp)).first->second;
   }
 
-  /// Builds the time-prefix tables for every microbatch size in `bsizes`
-  /// upfront, so the concurrent sweep hits only the shared-lock fast path.
-  void prebuild_times(const std::set<std::int64_t>& bsizes) const {
-    for (std::int64_t b : bsizes) times(b);
+  /// The table of a microbatch size passed to build_tables.
+  const ProfileTable& table(std::int64_t bsize) const {
+    const auto it = std::lower_bound(bsizes_.begin(), bsizes_.end(), bsize);
+    if (it == bsizes_.end() || *it != bsize)
+      throw std::logic_error("no profile table for microbatch size " +
+                             std::to_string(bsize));
+    return tables_[static_cast<std::size_t>(it - bsizes_.begin())];
+  }
+  [[nodiscard]] const std::vector<std::int64_t>& bsizes() const {
+    return bsizes_;
   }
 
  private:
@@ -173,11 +193,35 @@ class UnitSequence {
   std::vector<double> pact_;  // batch-1 fp32 activation bytes
   std::vector<std::int64_t> pparams_, pnparams_;
   std::vector<double> cross_;
-  mutable std::shared_mutex times_mu_;
-  mutable std::map<std::int64_t, TimePrefix> time_cache_;
+  std::vector<std::int64_t> bsizes_;  // ascending; tables_[i] is bsizes_[i]'s
+  std::vector<ProfileTable> tables_;
 };
 
-/// Builds the RangeProfileFn over a unit sequence.
+/// Replica memory of stage (lo, hi] at microbatch `bsize` receiving
+/// `in_bytes` of boundary activations (the memory half of a profile).
+/// `summed_estimates`: see make_profile_fn.
+std::int64_t range_memory(const UnitSequence& seq, int lo, int hi,
+                          std::int64_t bsize, double af, double in_bytes,
+                          Precision prec, OptimizerKind opt, int microbatches,
+                          int num_stages, bool summed_estimates) {
+  ProfileResult pr;
+  pr.num_params = seq.range_nparams(lo, hi);
+  pr.param_bytes = seq.range_param_bytes(lo, hi);
+  pr.act_bytes = static_cast<std::int64_t>(seq.range_act_bytes1(lo, hi) *
+                                           static_cast<double>(bsize) * af);
+  pr.boundary_bytes = static_cast<std::int64_t>(in_bytes);
+  // A single stage has no pipeline fill: each microbatch's backward runs
+  // immediately after its forward (plain gradient accumulation), so only
+  // one microbatch of activations is ever live. With S > 1 the GPipe
+  // flush keeps all MB microbatches in flight per stage.
+  const std::int64_t inflight = num_stages == 1 ? 1 : microbatches;
+  return stage_memory(pr, prec, opt, inflight,
+                      num_stages > 1 && !summed_estimates)
+      .total();
+}
+
+/// Builds the RangeProfileFn over a unit sequence whose tables are built:
+/// a profile is about six table reads plus a few flops.
 ///
 /// `summed_estimates` selects the Section IV-C ablation semantics: times
 /// are sums of standalone component profiles (already baked into the
@@ -185,44 +229,66 @@ class UnitSequence {
 /// activation bytes — the variant cannot profile the merged subcomponent,
 /// so it cannot model gradient-checkpointing's reduced footprint either.
 RangeProfileFn make_profile_fn(const UnitSequence& seq,
-                               const GraphProfiler& prof,
-                               const ClusterSpec& cluster, Precision prec,
+                               const GraphProfiler& prof, Precision prec,
                                OptimizerKind opt, bool summed_estimates) {
   const double af = prof.act_factor();
-  return [&seq, &cluster, prec, opt, af, summed_estimates](
+  return [&seq, prec, opt, af, summed_estimates](
              int lo, int hi, std::int64_t bsize, int microbatches,
              int num_stages) -> StageProfile {
-    const auto& tp = seq.times(bsize);
-    const double tf_c = tp.f[static_cast<std::size_t>(hi)] -
-                        tp.f[static_cast<std::size_t>(lo)];
-    const double tb_c = tp.b[static_cast<std::size_t>(hi)] -
-                        tp.b[static_cast<std::size_t>(lo)];
-    const double out_bytes = seq.cross_out(hi) * static_cast<double>(bsize) * af;
-    const double in_bytes = seq.cross_in(lo) * static_cast<double>(bsize) * af;
-    const bool checkpointing = num_stages > 1;
-
+    const UnitSequence::ProfileTable& t = seq.table(bsize);
+    const std::size_t l = static_cast<std::size_t>(lo);
+    const std::size_t h = static_cast<std::size_t>(hi);
+    const double tf_c = t.f[h] - t.f[l];
     StageProfile p;
     // h() includes the time to send outputs to the following stage
     // (Section III-C); the backward pass symmetrically returns input
     // gradients to the preceding stage, plus the checkpoint recompute.
+    p.t_f = tf_c + t.comm_out[h];
+    p.t_b = (t.b[h] - t.b[l]) + t.comm_in[l];
+    if (num_stages > 1 && !summed_estimates) p.t_b += tf_c;
+    p.mem = range_memory(seq, lo, hi, bsize, af,
+                         seq.cross_in(lo) * static_cast<double>(bsize) * af,
+                         prec, opt, microbatches, num_stages,
+                         summed_estimates);
+    return p;
+  };
+}
+
+/// The slow oracle of make_profile_fn (detail::SweepProfiles): the same
+/// formula with no shared table, so every query rebuilds its microbatch's
+/// prefix sums and calls comm_partitioner_time itself.
+RangeProfileFn make_oracle_profile_fn(const UnitSequence& seq,
+                                      const GraphProfiler& prof,
+                                      const ClusterSpec& cluster,
+                                      Precision prec, OptimizerKind opt,
+                                      bool summed_estimates) {
+  const double af = prof.act_factor();
+  return [&seq, &prof, &cluster, prec, opt, af, summed_estimates](
+             int lo, int hi, std::int64_t bsize, int microbatches,
+             int num_stages) -> StageProfile {
+    const std::size_t n = static_cast<std::size_t>(seq.size());
+    std::vector<double> f(n + 1, 0), b(n + 1, 0);
+    for (std::size_t u = 0; u < n; ++u) {
+      double uf = 0, ub = 0;
+      for (TaskId task : seq.unit(static_cast<int>(u))) {
+        uf += prof.task_time_f(task, bsize, seq.standalone());
+        ub += prof.task_time_b(task, bsize, seq.standalone());
+      }
+      f[u + 1] = f[u] + uf;
+      b[u + 1] = b[u] + ub;
+    }
+    const std::size_t l = static_cast<std::size_t>(lo);
+    const std::size_t h = static_cast<std::size_t>(hi);
+    const double tf_c = f[h] - f[l];
+    const double tb_c = b[h] - b[l];
+    const double out_bytes = seq.cross_out(hi) * static_cast<double>(bsize) * af;
+    const double in_bytes = seq.cross_in(lo) * static_cast<double>(bsize) * af;
+    StageProfile p;
     p.t_f = tf_c + comm_partitioner_time(cluster, static_cast<std::int64_t>(out_bytes));
     p.t_b = tb_c + comm_partitioner_time(cluster, static_cast<std::int64_t>(in_bytes));
-    if (checkpointing && !summed_estimates) p.t_b += tf_c;
-
-    ProfileResult pr;
-    pr.num_params = seq.range_nparams(lo, hi);
-    pr.param_bytes = seq.range_param_bytes(lo, hi);
-    pr.act_bytes = static_cast<std::int64_t>(seq.range_act_bytes1(lo, hi) *
-                                             static_cast<double>(bsize) * af);
-    pr.boundary_bytes = static_cast<std::int64_t>(in_bytes);
-    // A single stage has no pipeline fill: each microbatch's backward runs
-    // immediately after its forward (plain gradient accumulation), so only
-    // one microbatch of activations is ever live. With S > 1 the GPipe
-    // flush keeps all MB microbatches in flight per stage.
-    const std::int64_t inflight = num_stages == 1 ? 1 : microbatches;
-    const StageMemory mem = stage_memory(pr, prec, opt, inflight,
-                                         checkpointing && !summed_estimates);
-    p.mem = mem.total();
+    if (num_stages > 1 && !summed_estimates) p.t_b += tf_c;
+    p.mem = range_memory(seq, lo, hi, bsize, af, in_bytes, prec, opt,
+                         microbatches, num_stages, summed_estimates);
     return p;
   };
 }
@@ -266,8 +332,7 @@ struct Candidate {
 /// Every microbatch size the Phase-3 sweep (or estimate_iteration) can ask
 /// the profile fn for: bsize = BS / R / MB / stage_devs over the exact
 /// (n, MB, stage_devs) ranges Algorithm 2 enumerates, clamped to >= 1.
-/// Pre-building the time-prefix tables for this set means the concurrent
-/// jobs never take the exclusive path of the lazy cache.
+/// UnitSequence::build_tables builds one profile table for each.
 std::set<std::int64_t> enumerate_bsizes(std::int64_t BS, int N_nodes,
                                         int Dnode) {
   std::set<std::int64_t> out{1};
@@ -281,6 +346,42 @@ std::set<std::int64_t> enumerate_bsizes(std::int64_t BS, int N_nodes,
       }
   }
   return out;
+}
+
+/// Phase 2: block-level partitioning, or the atomic components themselves
+/// for the Section IV-C ablation. Returns the units' task lists in
+/// topological order and records the block statistics.
+std::vector<std::vector<TaskId>> partition_units(const AtomicPartition& ap,
+                                                 const GraphProfiler& prof,
+                                                 const SearchRequest& req,
+                                                 SearchStats& stats) {
+  obs::Scope sc("phase2:block_partition");
+  std::vector<std::vector<TaskId>> unit_tasks;
+  if (req.use_coarsening) {
+    BlockPartitionConfig bcfg;
+    bcfg.k = req.num_blocks;
+    bcfg.device_memory = req.usable_memory();
+    // Balance blocks at the smallest microbatch size a stage replica can
+    // see. Per-op overheads weigh most at batch 1, so blocks equalized
+    // there only get more even as the batch grows compute-bound — whereas
+    // blocks balanced at a large batch can be badly skewed at microbatch
+    // 1, which is exactly the regime the very largest models run in
+    // (many stages, many microbatches).
+    bcfg.profile_batch = 1;
+    BlockPartition bp = block_partition(ap, prof, bcfg);
+    stats.blocks = static_cast<int>(bp.blocks.size());
+    stats.coarsen_levels = bp.coarsen_levels;
+    stats.uncoarsen_moves = bp.uncoarsen_moves;
+    stats.compaction_merges = bp.compaction_merges;
+    unit_tasks.reserve(bp.blocks.size());
+    for (Block& b : bp.blocks) unit_tasks.push_back(std::move(b.tasks));
+  } else {
+    unit_tasks.reserve(ap.comps.size());
+    for (const AtomicComponent& c : ap.comps) unit_tasks.push_back(c.tasks);
+    stats.blocks = static_cast<int>(unit_tasks.size());
+  }
+  sc.arg("blocks", stats.blocks);
+  return unit_tasks;
 }
 
 }  // namespace
@@ -403,69 +504,20 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
     }
   }
 
-  // Phase 2: block-level partitioning (skipped by the ablation variant).
-  std::vector<std::vector<TaskId>> unit_tasks;
-  {
-    obs::Scope sc("phase2:block_partition");
-    if (req.use_coarsening) {
-      BlockPartitionConfig bcfg;
-      bcfg.k = req.num_blocks;
-      bcfg.device_memory = M;
-      // Balance blocks at the smallest microbatch size a stage replica can
-      // see. Per-op overheads weigh most at batch 1, so blocks equalized
-      // there only get more even as the batch grows compute-bound — whereas
-      // blocks balanced at a large batch can be badly skewed at microbatch
-      // 1, which is exactly the regime the very largest models run in
-      // (many stages, many microbatches).
-      bcfg.profile_batch = 1;
-      BlockPartition bp = block_partition(*ap, prof, bcfg);
-      res.stats.blocks = static_cast<int>(bp.blocks.size());
-      res.stats.coarsen_levels = bp.coarsen_levels;
-      res.stats.uncoarsen_moves = bp.uncoarsen_moves;
-      res.stats.compaction_merges = bp.compaction_merges;
-      unit_tasks.reserve(bp.blocks.size());
-      for (Block& b : bp.blocks) unit_tasks.push_back(std::move(b.tasks));
-    } else {
-      unit_tasks.reserve(ap->comps.size());
-      for (const AtomicComponent& c : ap->comps)
-        unit_tasks.push_back(c.tasks);
-      res.stats.blocks = static_cast<int>(unit_tasks.size());
-    }
-    sc.arg("blocks", res.stats.blocks);
-  }
-
-  UnitSequence seq(*ap, prof, std::move(unit_tasks),
+  UnitSequence seq(*ap, prof, partition_units(*ap, prof, req, res.stats),
                    /*standalone=*/!req.use_coarsening);
-  const RangeProfileFn search_fn =
-      make_profile_fn(seq, prof, req.cluster, req.precision, req.optimizer,
+  const RangeProfileFn sweep_fn =
+      make_profile_fn(seq, prof, req.precision, req.optimizer,
                       /*summed_estimates=*/!req.use_coarsening);
-  // The final plan is always evaluated with merged-profile semantics: the
-  // ablation variant *searches* with summed estimates but physically runs
-  // the merged stages (Section IV-C). When coarsening is on, the search
-  // sequence already uses merged semantics and is reused directly.
-  std::vector<std::vector<TaskId>> unit_copy;
-  if (!req.use_coarsening) {
-    unit_copy.reserve(static_cast<std::size_t>(seq.size()));
-    for (int i = 0; i < seq.size(); ++i) unit_copy.push_back(seq.unit(i));
-  }
-  const UnitSequence eval_seq_storage =
-      req.use_coarsening
-          ? UnitSequence(*ap, prof, {}, false)
-          : UnitSequence(*ap, prof, std::move(unit_copy), false);
-  const UnitSequence& eval_seq = req.use_coarsening ? seq : eval_seq_storage;
-  const RangeProfileFn eval_fn =
-      req.use_coarsening
-          ? search_fn
-          : make_profile_fn(eval_seq, prof, req.cluster, req.precision,
-                            req.optimizer, /*summed_estimates=*/false);
 
-  // Phase 3: Algorithm 2 (form_stage), dispatched as a parallel, memoized,
+  // Phase 3: Algorithm 2 (form_stage), dispatched as a parallel,
   // branch-and-bound sweep. Every (S, MB) pair of a node group is an
   // independent stage-DP invocation; they run on a pool sized by
-  // budget.threads, share one StageProfile memo, one incumbent-cost channel
-  // and (when set) one atomic cell budget, and are aggregated in job order
-  // so the resulting *plan* is bit-identical at any thread count, any shard
-  // count, and pruned vs exhaustive (docs/ALGORITHMS.md §13).
+  // budget.threads, read one set of read-only profile tables, share one
+  // incumbent-cost channel and (when set) one atomic cell budget, and are
+  // aggregated in job order so the resulting *plan* is bit-identical at any
+  // thread count, any shard count, and pruned vs exhaustive
+  // (docs/ALGORITHMS.md §13).
   const int threads = resolve_search_threads(req.budget.threads);
   const int shards = req.shard.shards;
   res.stats.threads_used = threads;
@@ -474,24 +526,7 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
 
   {
     obs::Scope sc("phase3:prebuild_times");
-    seq.prebuild_times(enumerate_bsizes(BS, N_nodes, Dnode));
-  }
-  std::optional<ProfileMemo> local_memo;
-  ProfileMemo* memo = nullptr;
-  RangeProfileFn sweep_fn = search_fn;
-  std::int64_t memo_h0 = 0, memo_m0 = 0;
-  if (req.shared_memo) {
-    // Warm restart: reuse a prior run's cache, count only this run's
-    // lookups so the hit rate of the restart is observable.
-    memo = req.shared_memo.get();
-    memo->set_base(search_fn);
-    memo_h0 = memo->hits();
-    memo_m0 = memo->misses();
-    sweep_fn = memo->fn();
-  } else if (req.profile_memo) {
-    local_memo.emplace(search_fn);
-    memo = &*local_memo;
-    sweep_fn = memo->fn();
+    seq.build_tables(enumerate_bsizes(BS, N_nodes, Dnode), req.cluster);
   }
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1)
@@ -539,6 +574,25 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
     std::vector<double> suffix;  ///< suffix[b]: V floor past unit b (size N+1)
   };
 
+  // Cumulative sweep progress, sampled into the search trace once per
+  // finished job. The mutex (taken only while a recorder is attached) keeps
+  // the series non-decreasing in timestamp order across worker threads.
+  std::mutex progress_mu;
+  std::int64_t progress_cells = 0, progress_queries = 0, progress_jobs = 0;
+  const auto trace_progress = [&](const StageDpSolution& sol) {
+    obs::TraceRecorder* rec = obs::recorder();
+    if (rec == nullptr) return;
+    std::lock_guard<std::mutex> lk(progress_mu);
+    progress_cells += sol.dp_cells_visited;
+    progress_queries += sol.profile_queries;
+    ++progress_jobs;
+    rec->counter(obs::Domain::Search, 0, "sweep_progress", rec->now_us(),
+                 "\"dp_cells\":" + std::to_string(progress_cells) +
+                     ",\"profile_queries\":" +
+                     std::to_string(progress_queries) +
+                     ",\"jobs_done\":" + std::to_string(progress_jobs));
+  };
+
   bool aborted = false;
   Candidate best;
   bool found = false;
@@ -582,7 +636,7 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
         jb[i].bsize_min =
             std::max<std::int64_t>(1, BS / R / j.MB / (D - j.S + 1));
         if (!use_time_bounds) continue;
-        const auto& tp = seq.times(jb[i].bsize_min);
+        const auto& tp = seq.table(jb[i].bsize_min);
         jb[i].suffix.assign(static_cast<std::size_t>(NU) + 1, 0.0);
         double total = 0;
         for (int u = NU - 1; u >= 0; --u) {
@@ -640,8 +694,6 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
       in.device_memory = M;
       in.max_cells = req.budget.max_dp_cells;
       in.shared_cells = req.budget.max_dp_cells > 0 ? &shared_cells : nullptr;
-      in.reuse_equal_stage_devs =
-          req.profile_memo || req.shared_memo != nullptr;
       in.profile = sweep_fn;
       if (prune_on) {
         in.prune_structural = true;
@@ -669,6 +721,7 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
       StageDpSolution sol = form_stage_dp(in);
       sc.arg("feasible", static_cast<int>(sol.feasible));
       sc.arg("dp_cells", sol.dp_cells_visited);
+      trace_progress(sol);
       if (sol.feasible) {
         ests[i] = estimate_iteration(seq, sweep_fn, req.cluster,
                                      req.precision, sol, BS, R, j.MB);
@@ -795,10 +848,6 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
               return std::tie(a.nodes, a.stages, a.microbatches) <
                      std::tie(b.nodes, b.stages, b.microbatches);
             });
-  if (memo) {
-    res.stats.memo_hits = memo->hits() - memo_h0;
-    res.stats.memo_misses = memo->misses() - memo_m0;
-  }
   res.stats.search_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     t_search0)
@@ -817,13 +866,6 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
     m.counter("partition.profile_queries").add(res.stats.profile_queries);
     m.counter("partition.profile_queries_saved")
         .add(res.stats.profile_queries_saved);
-    m.counter("partition.memo_hits").add(res.stats.memo_hits);
-    m.counter("partition.memo_misses").add(res.stats.memo_misses);
-    const std::int64_t lookups = res.stats.memo_hits + res.stats.memo_misses;
-    if (lookups > 0)
-      m.gauge("partition.memo_hit_rate")
-          .set(static_cast<double>(res.stats.memo_hits) /
-               static_cast<double>(lookups));
     m.gauge("partition.search_seconds").set(res.stats.search_seconds);
     m.gauge("partition.wall_seconds").set(res.stats.wall_seconds);
     const PruneStats& ps = res.stats.prune;
@@ -852,7 +894,25 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
     return out;
   }
 
-  // Assemble the plan, re-profiled with merged semantics.
+  // Assemble the plan, re-profiled with merged semantics: the ablation
+  // variant *searches* with summed estimates but physically runs the merged
+  // stages (Section IV-C). When coarsening is on, the search sequence
+  // already uses merged semantics and is reused directly.
+  std::optional<UnitSequence> merged_seq;
+  RangeProfileFn eval_fn = sweep_fn;
+  if (!req.use_coarsening) {
+    std::vector<std::vector<TaskId>> units;
+    units.reserve(static_cast<std::size_t>(seq.size()));
+    for (int i = 0; i < seq.size(); ++i) units.push_back(seq.unit(i));
+    merged_seq.emplace(*ap, prof, std::move(units), false);
+    std::set<std::int64_t> used;
+    for (int devs : best.sol.stage_devices)
+      used.insert(std::max<std::int64_t>(1, BS / best.R / best.MB / devs));
+    merged_seq->build_tables(used, req.cluster);
+    eval_fn = make_profile_fn(*merged_seq, prof, req.precision, req.optimizer,
+                              /*summed_estimates=*/false);
+  }
+  const UnitSequence& eval_seq = merged_seq ? *merged_seq : seq;
   res.feasible = true;
   res.microbatches = best.MB;
   res.pipelines = best.R;
@@ -930,5 +990,50 @@ std::string describe(const PartitionResult& r) {
   }
   return os.str();
 }
+
+namespace detail {
+
+struct SweepProfiles::Impl {
+  ClusterSpec cluster;  // the oracle holds a reference
+  AtomicPartition ap;
+  GraphProfiler prof;
+  SearchStats stats;
+  UnitSequence seq;
+  RangeProfileFn table_fn, oracle_fn;
+
+  Impl(const TaskGraph& model, const SearchRequest& req)
+      : cluster(req.cluster),
+        ap(atomic_partition(model)),
+        prof(ap.graph, req.cluster.device, req.precision),
+        seq(ap, prof, partition_units(ap, prof, req, stats),
+            /*standalone=*/!req.use_coarsening) {
+    seq.build_tables(enumerate_bsizes(req.batch_size, req.cluster.num_nodes,
+                                      req.cluster.devices_per_node),
+                     cluster);
+    table_fn = make_profile_fn(seq, prof, req.precision, req.optimizer,
+                               !req.use_coarsening);
+    oracle_fn = make_oracle_profile_fn(seq, prof, cluster, req.precision,
+                                       req.optimizer, !req.use_coarsening);
+  }
+};
+
+SweepProfiles::SweepProfiles(const TaskGraph& model, const SearchRequest& req)
+    : impl_(std::make_unique<Impl>(model, req)) {}
+SweepProfiles::~SweepProfiles() = default;
+
+int SweepProfiles::num_units() const { return impl_->seq.size(); }
+const std::vector<std::int64_t>& SweepProfiles::bsizes() const {
+  return impl_->seq.bsizes();
+}
+StageProfile SweepProfiles::table(int lo, int hi, std::int64_t bsize,
+                                  int microbatches, int num_stages) const {
+  return impl_->table_fn(lo, hi, bsize, microbatches, num_stages);
+}
+StageProfile SweepProfiles::oracle(int lo, int hi, std::int64_t bsize,
+                                   int microbatches, int num_stages) const {
+  return impl_->oracle_fn(lo, hi, bsize, microbatches, num_stages);
+}
+
+}  // namespace detail
 
 }  // namespace rannc

@@ -19,8 +19,6 @@
 
 namespace rannc {
 
-class ProfileMemo;
-
 struct PartitionConfig {
   ClusterSpec cluster;
   Precision precision = Precision::FP32;
@@ -45,22 +43,6 @@ struct PartitionConfig {
   /// bit-identical at any thread count (deterministic job enumeration,
   /// aggregation and winner tie-break).
   int threads = 0;
-  /// Profile memoization: the cross-DP StageProfile cache (ProfileMemo)
-  /// plus the equal-stage_devs reuse inside form_stage_dp. Off reproduces
-  /// the legacy recompute-everything behaviour; the resulting plan is
-  /// identical either way. Exposed so bench_partitioner can measure the
-  /// memoization speedup.
-  bool profile_memo = true;
-  /// Cross-run memo sharing: when set, the Phase-3 sweep uses this memo
-  /// (rebinding its base to the current run's profile fn) instead of a
-  /// private one, so a re-partition after device loss runs warm off the
-  /// original search's profiles. Caller contract: the model, profiler and
-  /// block partition must be unchanged between runs sharing a memo — only
-  /// the cluster size and batch size may differ (batch size is part of the
-  /// cache key). stats.memo_hits/memo_misses report this run's lookups
-  /// only, so the warm-restart hit rate is directly observable.
-  std::shared_ptr<ProfileMemo> shared_memo;
-
   [[nodiscard]] std::int64_t usable_memory() const {
     return static_cast<std::int64_t>(
         static_cast<double>(cluster.device.memory_bytes) * memory_margin);
@@ -135,9 +117,6 @@ struct SearchStats {
   std::int64_t profile_queries = 0;
   /// Queries avoided by the equal-stage_devs reuse inside form_stage_dp.
   std::int64_t profile_queries_saved = 0;
-  /// Cross-DP profile-memo hit/miss counts (0/0 when profile_memo is off).
-  std::int64_t memo_hits = 0;
-  std::int64_t memo_misses = 0;
   int dp_invocations = 0;
   int threads_used = 1;      ///< resolved SearchBudget::threads
   int shards_used = 1;       ///< resolved ShardOptions::shards
@@ -152,13 +131,6 @@ struct SearchStats {
   /// and the cell/query totals reflect the work actually done, which may
   /// vary with scheduling; every other field is thread-count-invariant.
   std::vector<CandidateTrace> candidates;
-
-  [[nodiscard]] double memo_hit_rate() const {
-    const std::int64_t total = memo_hits + memo_misses;
-    return total > 0 ? static_cast<double>(memo_hits) /
-                           static_cast<double>(total)
-                     : 0.0;
-  }
 };
 
 struct PartitionResult {

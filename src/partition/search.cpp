@@ -52,8 +52,6 @@ SearchRequest SearchRequest::from_config(const PartitionConfig& cfg) {
   req.num_blocks = cfg.num_blocks;
   req.memory_margin = cfg.memory_margin;
   req.use_coarsening = cfg.use_coarsening;
-  req.profile_memo = cfg.profile_memo;
-  req.shared_memo = cfg.shared_memo;
   req.budget.max_dp_cells = cfg.max_dp_cells;
   req.budget.threads = cfg.threads;
   // Legacy semantics: the PartitionConfig surface predates the
@@ -73,8 +71,6 @@ PartitionConfig SearchRequest::to_config() const {
   cfg.num_blocks = num_blocks;
   cfg.memory_margin = memory_margin;
   cfg.use_coarsening = use_coarsening;
-  cfg.profile_memo = profile_memo;
-  cfg.shared_memo = shared_memo;
   cfg.max_dp_cells = budget.max_dp_cells;
   cfg.threads = budget.threads;
   return cfg;

@@ -31,8 +31,6 @@
 
 namespace rannc {
 
-class ProfileMemo;
-
 /// Which branch-and-bound cuts the sweep may take. Every cut preserves the
 /// winning plan exactly; the sub-switches exist so benchmarks and tests can
 /// attribute the savings (and reproduce the exhaustive engine with
@@ -80,12 +78,6 @@ struct SearchRequest {
   double memory_margin = 0.9;
   /// false selects the Section IV-C ablation (DP over atomic components).
   bool use_coarsening = true;
-  /// Cross-DP StageProfile memoization (see PartitionConfig::profile_memo).
-  bool profile_memo = true;
-  /// Cross-run warm-start memo (see PartitionConfig::shared_memo); the
-  /// sharded search routes every shard through this one memo, so a serve
-  /// sibling-geometry donor warms all ranks.
-  std::shared_ptr<ProfileMemo> shared_memo;
   SearchBudget budget;
   PruneOptions prune;
   ShardOptions shard;
@@ -125,5 +117,33 @@ struct SearchResult {
 /// entry point. Branch-and-bound and sharding are governed by `req`;
 /// defaults give the pruned single-rank search.
 SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req);
+
+namespace detail {
+
+/// Test-only access to the stage profiles the Phase-3 sweep reads. Runs
+/// Phases 1-2 of auto_partition(model, req) and builds the per-microbatch
+/// profile tables exactly as the sweep does. `oracle` evaluates the same
+/// formula with no shared table: it rebuilds that microbatch's prefix sums
+/// on the spot, calls comm_partitioner_time per query and applies
+/// stage_memory. The two must agree bit for bit.
+class SweepProfiles {
+ public:
+  SweepProfiles(const TaskGraph& model, const SearchRequest& req);
+  ~SweepProfiles();
+
+  [[nodiscard]] int num_units() const;
+  /// Every microbatch size the sweep can query, ascending.
+  [[nodiscard]] const std::vector<std::int64_t>& bsizes() const;
+  [[nodiscard]] StageProfile table(int lo, int hi, std::int64_t bsize,
+                                   int microbatches, int num_stages) const;
+  [[nodiscard]] StageProfile oracle(int lo, int hi, std::int64_t bsize,
+                                    int microbatches, int num_stages) const;
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+}  // namespace detail
 
 }  // namespace rannc

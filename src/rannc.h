@@ -69,7 +69,6 @@
 #include "partition/auto_partitioner.h"
 #include "partition/block.h"
 #include "partition/plan_io.h"
-#include "partition/profile_memo.h"
 #include "partition/search.h"
 #include "partition/stage_dp.h"
 

@@ -112,11 +112,7 @@ ShardMigration remap_shards(const PartitionResult& before,
 
 RecoveryCoordinator::RecoveryCoordinator(const TaskGraph& model,
                                          SearchRequest req)
-    : model_(model),
-      req_(std::move(req)),
-      memo_(std::make_shared<ProfileMemo>()) {
-  req_.shared_memo = memo_;
-}
+    : model_(model), req_(std::move(req)) {}
 
 const PartitionResult& RecoveryCoordinator::partition() {
   plan_ = auto_partition(model_, req_).plan;
@@ -147,7 +143,6 @@ RecoveryCoordinator::Outcome RecoveryCoordinator::recover(
   SearchRequest req2 = req_;
   req2.cluster = out.cluster;
   out.plan = auto_partition(model_, req2).plan;
-  out.memo_hit_rate = out.plan.stats.memo_hit_rate();
   if (!out.plan.feasible) {
     out.reason = "no feasible plan on the shrunk cluster (" +
                  out.plan.infeasible_reason + ")";
@@ -164,13 +159,11 @@ RecoveryCoordinator::Outcome RecoveryCoordinator::recover(
   m.counter("resilience.migrated_values")
       .add(static_cast<std::int64_t>(out.migration.moves.size()));
   m.counter("resilience.migrated_bytes").add(out.migration.total_bytes);
-  m.gauge("resilience.memo_hit_rate").set(out.memo_hit_rate);
   RANNC_LOG_INFO("recovered onto "
                  << out.cluster.num_nodes << "x"
                  << out.cluster.devices_per_node << " devices; "
                  << out.plan.stages.size() << " stages, "
-                 << out.migration.moves.size() << " shards migrated, memo hit rate "
-                 << out.memo_hit_rate);
+                 << out.migration.moves.size() << " shards migrated");
   return out;
 }
 

@@ -2,9 +2,9 @@
 //
 // When a rank fail-stops, training can continue on the survivors: shrink
 // the cluster to its largest uniform sub-cluster, re-run the automatic
-// partitioner on the smaller device set — warm, off the original search's
-// profile cache, since device loss changes neither the model nor the
-// per-device profiles — remap parameter shards onto the new stage layout,
+// partitioner on the smaller device set (a plain cold search: its plan is
+// exactly the one a fresh search on the survivors would return), remap
+// parameter shards onto the new stage layout,
 // and resume from the last completed optimizer step (which transactional
 // pipeline steps guarantee is well-defined). The RecoveryCoordinator owns
 // that policy loop; the partitioner, fabric and runtime supply mechanism.
@@ -22,7 +22,6 @@
 #include "cluster/cluster_spec.h"
 #include "graph/task_graph.h"
 #include "partition/auto_partitioner.h"
-#include "partition/profile_memo.h"
 #include "partition/search.h"
 
 namespace rannc {
@@ -63,21 +62,16 @@ ShardMigration remap_shards(const PartitionResult& before,
 
 class RecoveryCoordinator {
  public:
-  /// `model` must outlive the coordinator. `req.shared_memo` is replaced
-  /// with a coordinator-owned memo so re-partitions run warm.
+  /// `model` must outlive the coordinator.
   RecoveryCoordinator(const TaskGraph& model, SearchRequest req);
 
-  /// Runs the initial partition (populating the profile memo) and stores
-  /// it as the active plan.
+  /// Runs the initial partition and stores it as the active plan.
   const PartitionResult& partition();
 
   /// The active plan (initial, or the latest recovery's).
   [[nodiscard]] const PartitionResult& plan() const { return plan_; }
   /// The active search request (cluster shrinks across recoveries).
   [[nodiscard]] const SearchRequest& request() const { return req_; }
-  [[nodiscard]] const std::shared_ptr<ProfileMemo>& memo() const {
-    return memo_;
-  }
 
   struct Outcome {
     bool ok = false;
@@ -85,11 +79,10 @@ class RecoveryCoordinator {
     ClusterSpec cluster;       ///< shrunk survivor cluster
     PartitionResult plan;      ///< re-partition on the shrunk cluster
     ShardMigration migration;  ///< old plan -> new plan parameter moves
-    double memo_hit_rate = 0;  ///< warm-restart profile reuse of this run
   };
 
   /// Handles the loss of `failed_ranks` (ranks in the *current* cluster's
-  /// numbering): shrink, warm re-partition, shard remap. On success the
+  /// numbering): shrink, re-partition, shard remap. On success the
   /// coordinator's active plan and cluster advance to the outcome's, so
   /// repeated failures chain. On failure (no survivors, or no feasible
   /// plan on the shrunk cluster) the active state is unchanged and
@@ -99,7 +92,6 @@ class RecoveryCoordinator {
  private:
   const TaskGraph& model_;
   SearchRequest req_;
-  std::shared_ptr<ProfileMemo> memo_;
   PartitionResult plan_;
   bool have_plan_ = false;
 };

@@ -214,15 +214,13 @@ SimResult simulate_with_faults(const TaskGraph& model,
             fail_t * 1e6, (rec_end - fail_t) * 1e6,
             "\"migrated_values\":" + std::to_string(oc.migration.moves.size()) +
                 ",\"migrated_bytes\":" +
-                std::to_string(oc.migration.total_bytes) +
-                ",\"memo_hit_rate\":" + obs::json_double(oc.memo_hit_rate));
+                std::to_string(oc.migration.total_bytes));
 
       st.recovered = true;
       st.end = rec_end;
       res.steps.push_back(st);
       res.recovered = true;
       res.recovery_seconds += rec_end - fail_t;
-      res.memo_hit_rate = oc.memo_hit_rate;
       res.migration = oc.migration;
       res.final_plan = std::move(oc.plan);
       fabric = std::move(nf);

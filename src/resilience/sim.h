@@ -7,9 +7,9 @@
 // lanes), and the fault plan injects message timeouts (absorbed by the
 // retry policy as simulated backoff, or escalating to a transactional
 // rollback), link degradation windows, and device fail-stops. A fail-stop
-// triggers the full elastic-recovery path: cluster shrink, warm
-// re-partition off the shared profile memo, shard migration replayed as
-// fabric transfers, and the remaining steps continue on the new plan.
+// triggers the full elastic-recovery path: cluster shrink, re-partition
+// on the survivors, shard migration replayed as fabric transfers, and the
+// remaining steps continue on the new plan.
 //
 // Determinism: the schedule, fabric, partitioner and fault plan are all
 // individually deterministic in virtual time, so the whole replay — final
@@ -65,7 +65,6 @@ struct SimResult {
   PartitionResult final_plan;
   bool recovered = false;
   double recovery_seconds = 0;  ///< virtual re-shard window
-  double memo_hit_rate = 0;     ///< warm re-partition profile reuse
   ShardMigration migration;
   std::vector<SimStep> steps;
   double virtual_seconds = 0;  ///< whole-run makespan

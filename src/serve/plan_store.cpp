@@ -1,9 +1,7 @@
 #include "serve/plan_store.h"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
-#include <vector>
 
 #include "obs/trace.h"
 #include "util/json.h"
@@ -30,7 +28,7 @@ std::string hex16(std::uint64_t v) {
 }
 
 std::string checksum(const StoredEntry& e) {
-  return hex16(fnv1a64(e.plan_json + '\n' + e.memo_json));
+  return hex16(fnv1a64(e.plan_json));
 }
 
 const char* precision_name(Precision p) {
@@ -99,24 +97,19 @@ PlanStore::PlanStore(std::filesystem::path dir) : dir_(std::move(dir)) {
   std::filesystem::create_directories(dir_);
 }
 
-std::optional<StoredEntry> PlanStore::load_file(
-    const std::filesystem::path& path, const Fingerprint& fp,
-    const std::string& want_profile_sig,
-    const std::string* want_geom_sig) const {
+std::optional<StoredEntry> PlanStore::load(const PlanKey& key) const {
   try {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(dir_ / key.filename(), std::ios::binary);
     if (!in) return std::nullopt;
     std::ostringstream buf;
     buf << in.rdbuf();
     const json::Value doc = json::parse(buf.str());
     if (doc.geti("format_version", -1) != kFormatVersion) return std::nullopt;
-    if (doc.gets("fingerprint") != fp.hex()) return std::nullopt;
-    if (doc.gets("profile_sig") != want_profile_sig) return std::nullopt;
-    if (want_geom_sig != nullptr && doc.gets("geom_sig") != *want_geom_sig)
-      return std::nullopt;
+    if (doc.gets("fingerprint") != key.fp.hex()) return std::nullopt;
+    if (doc.gets("profile_sig") != key.profile_sig) return std::nullopt;
+    if (doc.gets("geom_sig") != key.geom_sig) return std::nullopt;
     StoredEntry e;
     e.plan_json = doc.gets("plan");
-    e.memo_json = doc.gets("memo");
     e.infeasible = doc.getb("infeasible");
     e.infeasible_reason = doc.gets("infeasible_reason");
     if (doc.gets("checksum") != checksum(e)) return std::nullopt;
@@ -125,11 +118,6 @@ std::optional<StoredEntry> PlanStore::load_file(
     // Any defect — unreadable file, bad JSON, mistyped field — is a miss.
     return std::nullopt;
   }
-}
-
-std::optional<StoredEntry> PlanStore::load(const PlanKey& key) const {
-  return load_file(dir_ / key.filename(), key.fp, key.profile_sig,
-                   &key.geom_sig);
 }
 
 bool PlanStore::save(const PlanKey& key, const StoredEntry& entry) const {
@@ -151,8 +139,7 @@ bool PlanStore::save(const PlanKey& key, const StoredEntry& entry) const {
           << "  \"infeasible_reason\": "
           << obs::json_string(entry.infeasible_reason) << ",\n"
           << "  \"checksum\": \"" << checksum(entry) << "\",\n"
-          << "  \"plan\": " << obs::json_string(entry.plan_json) << ",\n"
-          << "  \"memo\": " << obs::json_string(entry.memo_json) << "\n"
+          << "  \"plan\": " << obs::json_string(entry.plan_json) << "\n"
           << "}\n";
       if (!out.good()) {
         out.close();
@@ -167,33 +154,6 @@ bool PlanStore::save(const PlanKey& key, const StoredEntry& entry) const {
     std::filesystem::remove(tmp_path, ec);
     return false;
   }
-}
-
-std::optional<std::string> PlanStore::load_sibling_memo(
-    const PlanKey& key) const {
-  const std::string prefix =
-      key.fp.hex() + "-" + hex16(fnv1a64(key.profile_sig)) + "-";
-  const std::string suffix = ".plan.json";
-  std::vector<std::string> names;
-  try {
-    for (const auto& de : std::filesystem::directory_iterator(dir_)) {
-      const std::string name = de.path().filename().string();
-      if (name.size() > prefix.size() + suffix.size() &&
-          name.compare(0, prefix.size(), prefix) == 0 &&
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-              0)
-        names.push_back(name);
-    }
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  std::sort(names.begin(), names.end());
-  for (const std::string& name : names) {
-    const auto e =
-        load_file(dir_ / name, key.fp, key.profile_sig, nullptr);
-    if (e && !e->memo_json.empty()) return e->memo_json;
-  }
-  return std::nullopt;
 }
 
 }  // namespace serve

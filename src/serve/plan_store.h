@@ -1,10 +1,9 @@
-// Durable, versioned plan + ProfileMemo store.
+// Durable, versioned plan store.
 //
 // One file per (fingerprint, profile signature, geometry signature) triple:
-// the winning PartitionResult (plan_io JSON) plus a ProfileMemo snapshot,
-// wrapped in an envelope carrying a format version, the full key (echoed
-// to guard against filename-hash collisions) and an FNV-1a checksum of the
-// payload. The store is a *cache*, so every defect on the read side —
+// the winning PartitionResult (plan_io JSON), wrapped in an envelope
+// carrying a format version, the full key (echoed to guard against
+// filename-hash collisions) and an FNV-1a checksum of the payload. The store is a *cache*, so every defect on the read side —
 // unreadable file, bad JSON, wrong version, key mismatch, checksum
 // mismatch — degrades to a miss; it never throws past its API. Writes go
 // through a temp file plus std::filesystem::rename so a crashed writer can
@@ -14,21 +13,18 @@
 //
 //   profile_sig — everything that enters StageProfile values: precision,
 //     optimizer, block partitioning knobs, device roofline numbers, fabric
-//     bandwidth/latency, comm model. Two searches agreeing on (fingerprint,
-//     profile_sig) satisfy ProfileMemo::set_base's rebind contract, so a
-//     miss may still warm-start from a *sibling* entry with a different
-//     geometry (load_sibling_memo).
+//     bandwidth/latency, comm model.
 //   geom_sig — what remains: cluster geometry, global batch size, memory
-//     budget and the DP cell cap. Differing geometry means a different
-//     plan but reusable profiles.
+//     budget and the DP cell cap.
 //
-// SearchRequest::budget.threads / profile_memo / shared_memo — and, since
-// PR 10, the whole PruneOptions / ShardOptions blocks — are deliberately
-// excluded: plans are bit-identical across all of them (the PR 3 guarantee,
-// extended by the admissible-bound proof of docs/ALGORITHMS.md §13), so
-// they must not split the cache. That exclusion is also what lets a
-// *sharded* served search warm-start from a donor written by an exhaustive
-// one, and vice versa.
+// SearchRequest::budget.threads and the whole PruneOptions / ShardOptions
+// blocks are deliberately excluded: plans are bit-identical across all of
+// them (the thread-count guarantee, extended by the admissible-bound proof
+// of docs/ALGORITHMS.md §13), so they must not split the cache — a sharded
+// search hits the entry an exhaustive one wrote, and vice versa.
+//
+// Format version 2 dropped the version-1 profile-memo payload; a version-1
+// entry is a miss like any other defect, and the next search rewrites it.
 #pragma once
 
 #include <filesystem>
@@ -64,19 +60,16 @@ PlanKey make_plan_key(const Fingerprint& fp, const SearchRequest& req);
 
 /// What one store entry holds: the plan (plan_io JSON; empty when the
 /// search proved the request infeasible — negative results are cacheable
-/// too, the `infeasible` flag distinguishes them) and the search's
-/// ProfileMemo snapshot (ProfileMemo::to_json form; may be empty when the
-/// search ran unmemoized).
+/// too, the `infeasible` flag distinguishes them).
 struct StoredEntry {
   std::string plan_json;
-  std::string memo_json;
   bool infeasible = false;
   std::string infeasible_reason;
 };
 
 class PlanStore {
  public:
-  static constexpr int kFormatVersion = 1;
+  static constexpr int kFormatVersion = 2;
 
   /// Opens (creating if needed) the store directory. Throws
   /// std::filesystem::filesystem_error only here — a store that cannot
@@ -94,18 +87,7 @@ class PlanStore {
   /// false (after cleaning up) instead of throwing on I/O failure.
   bool save(const PlanKey& key, const StoredEntry& entry) const;
 
-  /// Memo snapshot of any valid entry sharing (fp, profile_sig) with `key`
-  /// — the warm-start donor for a geometry the store has not seen. Picks
-  /// the lexicographically first matching file for determinism.
-  [[nodiscard]] std::optional<std::string> load_sibling_memo(
-      const PlanKey& key) const;
-
  private:
-  std::optional<StoredEntry> load_file(const std::filesystem::path& path,
-                                       const Fingerprint& fp,
-                                       const std::string& want_profile_sig,
-                                       const std::string* want_geom_sig) const;
-
   std::filesystem::path dir_;
 };
 

@@ -13,12 +13,6 @@ namespace serve {
 
 namespace {
 
-/// Warm memos are shared per (fingerprint, profile_sig): exactly the pair
-/// under which ProfileMemo::set_base's rebind contract holds.
-std::string memo_sig(const PlanKey& key) {
-  return key.fp.hex() + "|" + key.profile_sig;
-}
-
 /// The reply's cache identity: the store filename without its extension.
 std::string key_stem(const PlanKey& key) {
   std::string f = key.filename();
@@ -69,37 +63,13 @@ PlanServer::Outcome PlanServer::run_search(
     const SearchRequest& req) {
   Outcome out;
   try {
-    std::shared_ptr<MemoSlot> slot;
-    {
-      std::lock_guard<std::mutex> lk(memos_mu_);
-      auto& s = memos_[memo_sig(key)];
-      if (!s) s = std::make_shared<MemoSlot>();
-      slot = s;
-    }
-    // Serialize searches sharing this memo: set_base (inside
-    // auto_partition) is not safe against a sibling search's concurrent
-    // lookups. Distinct models/cost models still search in parallel.
-    std::lock_guard<std::mutex> memo_lk(slot->mu);
-    if (store_ && !slot->disk_checked) {
-      slot->disk_checked = true;
-      if (const auto m = store_->load_sibling_memo(key)) {
-        try {
-          slot->memo->from_json(*m);
-        } catch (const std::exception&) {
-          // A corrupt donor snapshot only costs warmth, never the search.
-        }
-      }
-    }
-    SearchRequest run = req;
-    run.profile_memo = true;
-    run.shared_memo = slot->memo;
     searches_.fetch_add(1, std::memory_order_relaxed);
     SearchResult sr;
     {
       obs::Scope span("serve.search", "serve");
       if (span.active()) span.arg("key", key_stem(key));
-      sr = opts_.search_fn ? opts_.search_fn(ge->built.graph, run)
-                           : auto_partition(ge->built.graph, run);
+      sr = opts_.search_fn ? opts_.search_fn(ge->built.graph, req)
+                           : auto_partition(ge->built.graph, req);
     }
     const PartitionResult& result = sr.plan;
     auto cp = std::make_shared<CachedPlan>();
@@ -116,7 +86,6 @@ PlanServer::Outcome PlanServer::run_search(
     if (store_ && opts_.persist) {
       StoredEntry e;
       e.plan_json = cp->plan_json;
-      e.memo_json = slot->memo->to_json();
       e.infeasible = cp->infeasible;
       e.infeasible_reason = cp->infeasible_reason;
       store_->save(key, e);

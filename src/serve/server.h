@@ -4,9 +4,10 @@
 //
 //   L0  graph cache      canonical ModelSpec sig -> built graph+fingerprint
 //   L1  plan cache       PlanKey -> plan JSON, in memory
-//   L2  plan store       PlanKey -> plan + ProfileMemo snapshot, on disk
-//   L3  search           PR 3 parallel engine, warm-started from the memo
-//                        of any sibling geometry already served/stored
+//   L2  plan store       PlanKey -> plan JSON, on disk
+//   L3  search           auto_partition (parallel, branch-and-bound); a
+//                        miss always searches cold — stage profiles are
+//                        table reads, so there is nothing worth warming
 //
 // plus the two properties a shared cache front-end needs under load:
 // *single-flight* — concurrent requests for the same key block on one
@@ -33,7 +34,6 @@
 #include <string>
 
 #include "partition/auto_partitioner.h"
-#include "partition/profile_memo.h"
 #include "serve/fingerprint.h"
 #include "serve/model_zoo.h"
 #include "serve/plan_store.h"
@@ -54,7 +54,7 @@ struct ServeOptions {
   std::string store_dir;
   /// Leader searches allowed in flight before misses are shed.
   int max_queue = 4;
-  /// Persist search results (and memo snapshots) to the store.
+  /// Persist search results to the store.
   bool persist = true;
   /// Baseline SearchRequest for wire requests: fields absent from the JSON
   /// inherit from here (the daemon points this at its --shards/--no-prune/
@@ -143,8 +143,8 @@ class PlanServer {
 
   std::shared_ptr<const GraphEntry> graph_for(const ModelSpec& spec);
   ServeResponse dispatch(const ServeRequest& req);
-  /// The leader's miss path: runs the search (memo-warmed, serialized per
-  /// memo signature), caches and persists the result.
+  /// The leader's miss path: runs the search, caches and persists the
+  /// result.
   Outcome run_search(const std::shared_ptr<const GraphEntry>& ge,
                      const PlanKey& key, const SearchRequest& req);
 
@@ -160,17 +160,6 @@ class PlanServer {
   std::mutex inflight_mu_;
   std::map<std::string, std::shared_future<Outcome>> inflight_;
   int leaders_ = 0;
-
-  /// Per-(fingerprint, profile_sig) warm memo plus the mutex serializing
-  /// searches over it: ProfileMemo::set_base is not safe against
-  /// concurrent lookups, so two leaders sharing profiles must not overlap.
-  struct MemoSlot {
-    std::mutex mu;
-    std::shared_ptr<ProfileMemo> memo = std::make_shared<ProfileMemo>();
-    bool disk_checked = false;
-  };
-  std::mutex memos_mu_;
-  std::map<std::string, std::shared_ptr<MemoSlot>> memos_;
 
   std::atomic<std::int64_t> hits_{0}, disk_hits_{0}, misses_{0},
       coalesced_{0}, searches_{0}, shed_{0}, errors_{0};

@@ -100,7 +100,6 @@ TEST(DeprecatedShim, ConfigRoundTripPreservesEveryLegacyKnob) {
   cfg.memory_margin = 0.7;
   cfg.use_coarsening = false;
   cfg.max_dp_cells = 12345;
-  cfg.profile_memo = false;
 
   const PartitionConfig back = SearchRequest::from_config(cfg).to_config();
   EXPECT_EQ(back.cluster.num_nodes, cfg.cluster.num_nodes);
@@ -113,7 +112,6 @@ TEST(DeprecatedShim, ConfigRoundTripPreservesEveryLegacyKnob) {
   EXPECT_EQ(back.use_coarsening, cfg.use_coarsening);
   EXPECT_EQ(back.max_dp_cells, cfg.max_dp_cells);
   EXPECT_EQ(back.threads, cfg.threads);
-  EXPECT_EQ(back.profile_memo, cfg.profile_memo);
 }
 
 TEST(DeprecatedShim, LegacyValidatePlanOverloadForwards) {

@@ -302,7 +302,7 @@ TEST(ShrinkCluster, RejectsTotalLossAndBadRanks) {
 
 // ---- recovery coordinator --------------------------------------------------
 
-TEST(RecoveryCoordinator, RecoversFromDeviceLossWithWarmMemo) {
+TEST(RecoveryCoordinator, RecoversFromDeviceLossLikeAColdSearch) {
   const BuiltModel m = build_mlp(test_mlp());
   SearchRequest cfg;
   cfg.batch_size = 64;
@@ -317,9 +317,12 @@ TEST(RecoveryCoordinator, RecoversFromDeviceLossWithWarmMemo) {
   EXPECT_EQ(oc.cluster.num_nodes, 1);
   EXPECT_EQ(oc.cluster.devices_per_node, 3);
   ASSERT_TRUE(oc.plan.feasible);
-  // Device loss changes neither the model nor the per-device profiles, so
-  // the warm re-partition should hit the memo heavily.
-  EXPECT_GT(oc.memo_hit_rate, 0.5);
+  // The recovered plan is exactly what a cold search on the surviving
+  // cluster returns.
+  SearchRequest cold = cfg;
+  cold.cluster = oc.cluster;
+  EXPECT_EQ(plan_to_json(oc.plan),
+            plan_to_json(auto_partition(m.graph, cold).plan));
 
   // Migration bookkeeping: every parameter is either moved or unchanged,
   // moves are strictly ascending by ValueId, and bytes add up.
@@ -477,13 +480,18 @@ TEST(FaultSim, RollbackWhenTimeoutsExhaustRetryBudget) {
   EXPECT_TRUE(res.steps[0].completed);
 }
 
+SearchRequest failover_request(int threads) {
+  SearchRequest cfg;
+  cfg.batch_size = 64;
+  cfg.budget.threads = threads;
+  return cfg;
+}
+
 resilience::SimResult run_failover_sim(int threads, std::string* schedule,
                                        std::string* fabric,
                                        std::string* plan_json) {
   const BuiltModel m = build_mlp(test_mlp());
-  SearchRequest cfg;
-  cfg.batch_size = 64;
-  cfg.budget.threads = threads;
+  const SearchRequest cfg = failover_request(threads);
 
   FaultPlan faults;
   FaultEvent e;
@@ -512,7 +520,12 @@ TEST(FaultSim, RecoveryIsBitIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(r1.recovered);
   ASSERT_FALSE(r1.aborted);
   EXPECT_TRUE(r1.final_plan.feasible);
-  EXPECT_GT(r1.memo_hit_rate, 0.0);
+  // The recovered plan is a cold search's plan on the surviving cluster
+  // (rank 0 failed).
+  SearchRequest cold = failover_request(1);
+  cold.cluster = resilience::shrink_cluster(cold.cluster, {0});
+  EXPECT_EQ(plan1,
+            plan_to_json(auto_partition(build_mlp(test_mlp()).graph, cold).plan));
   // Every completed step after the failure, plus the interrupted one.
   EXPECT_GE(r1.steps.size(), 3u);
 

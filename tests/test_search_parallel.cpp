@@ -1,18 +1,21 @@
-// Tests for the parallel, memoized partition-search engine: bit-identical
-// plans at any thread count, ProfileMemo keying correctness, the shared
-// stage-DP cell budget under concurrency, and the equal-stage_devs profile
-// reuse inside form_stage_dp.
+// Tests for the parallel partition-search engine: bit-identical plans at
+// any thread and shard count, the per-microbatch profile tables against
+// their from-scratch oracle, the shared stage-DP cell budget under
+// concurrency, and the equal-stage_devs profile reuse inside form_stage_dp.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "models/bert.h"
 #include "models/mlp.h"
 #include "partition/auto_partitioner.h"
 #include "partition/plan_io.h"
-#include "partition/profile_memo.h"
 #include "partition/search.h"
 #include "partition/stage_dp.h"
 
@@ -28,13 +31,12 @@ BertConfig tiny_bert() {
   return c;
 }
 
-// ---- Plan determinism across thread counts and memoization ---------------
+// ---- Plan determinism across thread and shard counts --------------------
 
 void expect_plan_invariant(const TaskGraph& g, std::int64_t batch_size) {
   SearchRequest cfg;
   cfg.batch_size = batch_size;
   cfg.budget.threads = 1;
-  cfg.profile_memo = false;
   // The dp_cells / candidate-count equalities below assume the exhaustive
   // sweep; the pruned engine's invariance is covered by test_search_prune.
   cfg.prune.enabled = false;
@@ -42,19 +44,22 @@ void expect_plan_invariant(const TaskGraph& g, std::int64_t batch_size) {
   ASSERT_TRUE(base.feasible) << base.infeasible_reason;
   const std::string base_json = plan_to_json(base);
 
-  cfg.profile_memo = true;
-  for (int t : {1, 2, 8}) {
-    cfg.budget.threads = t;
-    const PartitionResult r = auto_partition(g, cfg).plan;
-    ASSERT_TRUE(r.feasible) << r.infeasible_reason;
-    EXPECT_EQ(r.stats.threads_used, t);
-    // Byte-identical plan JSON: same stages, devices, microbatches,
-    // replicas and profiled times regardless of thread count, and with
-    // the profile memo on or off.
-    EXPECT_EQ(plan_to_json(r), base_json) << "threads=" << t;
-    // The search totals are also invariant when no budget abort occurs.
-    EXPECT_EQ(r.stats.dp_cells_visited, base.stats.dp_cells_visited);
-    EXPECT_EQ(r.stats.candidates.size(), base.stats.candidates.size());
+  for (int t : {1, 4}) {
+    for (int shards : {1, 4}) {
+      cfg.budget.threads = t;
+      cfg.shard.shards = shards;
+      const PartitionResult r = auto_partition(g, cfg).plan;
+      ASSERT_TRUE(r.feasible) << r.infeasible_reason;
+      EXPECT_EQ(r.stats.threads_used, t);
+      // Byte-identical plan JSON: same stages, devices, microbatches,
+      // replicas and profiled times regardless of thread or shard count.
+      EXPECT_EQ(plan_to_json(r), base_json)
+          << "threads=" << t << " shards=" << shards;
+      // The search totals are also invariant when no budget abort occurs.
+      EXPECT_EQ(r.stats.dp_cells_visited, base.stats.dp_cells_visited);
+      EXPECT_EQ(r.stats.profile_queries, base.stats.profile_queries);
+      EXPECT_EQ(r.stats.candidates.size(), base.stats.candidates.size());
+    }
   }
 }
 
@@ -100,80 +105,55 @@ TEST(SearchParallel, ResolveThreadsPrecedence) {
   EXPECT_EQ(resolve_search_threads(0), 1);
 }
 
-// ---- ProfileMemo keying --------------------------------------------------
+// ---- Profile tables vs the from-scratch oracle ---------------------------
 
-/// Base fn that records how often it runs and whose result encodes every
-/// component of the memo key, so a wrong cache hit is observable.
-struct CountingBase {
-  std::atomic<int> calls{0};
-
-  RangeProfileFn fn() {
-    return [this](int lo, int hi, std::int64_t bsize, int microbatches,
-                  int num_stages) {
-      calls.fetch_add(1);
-      const std::int64_t inflight = num_stages == 1 ? 1 : microbatches;
-      StageProfile p;
-      p.t_f = lo + 100.0 * hi + 0.5 * static_cast<double>(bsize);
-      p.t_b = static_cast<double>(inflight);
-      p.mem = (num_stages > 1 ? 1000000 : 0) + bsize;
-      return p;
-    };
-  }
-};
-
-TEST(ProfileMemo, HitsOnEquivalentStageCounts) {
-  CountingBase base;
-  ProfileMemo memo(base.fn());
-  RangeProfileFn f = memo.fn();
-
-  // (MB=2, S=3) and (MB=2, S=5) share (inflight=2, checkpointing=true).
-  const StageProfile a = f(0, 4, 8, /*MB=*/2, /*S=*/3);
-  const StageProfile b = f(0, 4, 8, /*MB=*/2, /*S=*/5);
-  EXPECT_EQ(base.calls.load(), 1);
-  EXPECT_EQ(memo.hits(), 1);
-  EXPECT_EQ(memo.misses(), 1);
-  EXPECT_DOUBLE_EQ(a.t_f, b.t_f);
-  EXPECT_DOUBLE_EQ(a.t_b, b.t_b);
-  EXPECT_EQ(a.mem, b.mem);
-
-  // S=1 forces inflight=1 whatever MB is.
-  f(0, 4, 8, /*MB=*/4, /*S=*/1);
-  f(0, 4, 8, /*MB=*/8, /*S=*/1);
-  EXPECT_EQ(base.calls.load(), 2);
-  EXPECT_EQ(memo.hits(), 2);
-}
-
-TEST(ProfileMemo, MissesOnDistinctKeys) {
-  CountingBase base;
-  ProfileMemo memo(base.fn());
-  RangeProfileFn f = memo.fn();
-
-  f(0, 4, 8, 2, 3);
-  f(0, 4, 8, 4, 3);  // different inflight
-  f(0, 4, 8, 2, 1);  // different checkpointing AND inflight
-  f(0, 4, 4, 2, 3);  // different bsize
-  f(0, 5, 8, 2, 3);  // different hi
-  f(1, 4, 8, 2, 3);  // different lo
-  EXPECT_EQ(base.calls.load(), 6);
-  EXPECT_EQ(memo.hits(), 0);
-  EXPECT_EQ(memo.misses(), 6);
-}
-
-TEST(ProfileMemo, ReturnsBitIdenticalProfiles) {
-  CountingBase base;
-  ProfileMemo memo(base.fn());
-  RangeProfileFn f = memo.fn();
-  RangeProfileFn raw = base.fn();
-  for (int lo = 0; lo < 4; ++lo)
-    for (int hi = lo + 1; hi <= 5; ++hi)
-      for (int mb : {1, 2, 4})
-        for (int s : {1, 2, 3}) {
-          const StageProfile got = f(lo, hi, 16, mb, s);
-          const StageProfile want = raw(lo, hi, 16, mb, s);
-          EXPECT_DOUBLE_EQ(got.t_f, want.t_f);
-          EXPECT_DOUBLE_EQ(got.t_b, want.t_b);
-          EXPECT_EQ(got.mem, want.mem);
+/// Every table-backed profile equals the oracle (the same formula with no
+/// shared table) bit for bit: random ranges, every microbatch size the
+/// sweep can query, single- and multi-stage memory, both comm models and
+/// both unit granularities.
+TEST(ProfileTables, MatchOracleBitForBit) {
+  BertConfig bc = tiny_bert();
+  bc.layers = 2;
+  const BuiltModel m = build_bert(bc);
+  std::mt19937 rng(7);
+  for (const CommModel comm : {CommModel::Analytic, CommModel::Fabric}) {
+    for (const bool coarsen : {true, false}) {
+      SearchRequest req;
+      req.cluster.num_nodes = 2;
+      req.cluster.devices_per_node = 4;
+      req.cluster.comm_model = comm;
+      req.batch_size = 64;
+      req.use_coarsening = coarsen;
+      const detail::SweepProfiles sp(m.graph, req);
+      const int n = sp.num_units();
+      ASSERT_GT(n, 1);
+      ASSERT_FALSE(sp.bsizes().empty());
+      std::uniform_int_distribution<int> pick(0, n);
+      for (const std::int64_t bsize : sp.bsizes()) {
+        for (int q = 0; q < 8; ++q) {
+          int lo = pick(rng), hi = pick(rng);
+          if (lo == hi) continue;
+          if (lo > hi) std::swap(lo, hi);
+          for (const auto [mb, stages] : {std::pair{1, 1}, std::pair{4, 3}}) {
+            const StageProfile got = sp.table(lo, hi, bsize, mb, stages);
+            const StageProfile want = sp.oracle(lo, hi, bsize, mb, stages);
+            const std::string where =
+                "comm=" + std::to_string(static_cast<int>(comm)) +
+                " coarsen=" + std::to_string(coarsen) + " range=(" +
+                std::to_string(lo) + "," + std::to_string(hi) +
+                "] bsize=" + std::to_string(bsize);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.t_f),
+                      std::bit_cast<std::uint64_t>(want.t_f))
+                << where;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.t_b),
+                      std::bit_cast<std::uint64_t>(want.t_b))
+                << where;
+            EXPECT_EQ(got.mem, want.mem) << where;
+          }
         }
+      }
+    }
+  }
 }
 
 // ---- Budget abort under concurrency --------------------------------------

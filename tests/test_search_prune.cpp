@@ -20,7 +20,6 @@
 #include "models/moe.h"
 #include "partition/auto_partitioner.h"
 #include "partition/plan_io.h"
-#include "partition/profile_memo.h"
 #include "partition/search.h"
 #include "partition/stage_dp.h"
 #include "serve/fingerprint.h"
@@ -421,7 +420,7 @@ TEST(StageDpBounds, InadmissibleMemoryFloorLosesFeasibility) {
   EXPECT_GT(wrong.ranges_mem_pruned, 0);
 }
 
-// ---- serve warm start across engine modes ---------------------------------
+// ---- plan-store keys across engine modes ----------------------------------
 
 TEST(SearchPrune, PlanStoreKeyIgnoresPruneShardAndThreads) {
   const serve::Fingerprint fp =
@@ -430,14 +429,13 @@ TEST(SearchPrune, PlanStoreKeyIgnoresPruneShardAndThreads) {
 
   SearchRequest b = exhaustive(a);
   b.budget.threads = 8;
-  b.profile_memo = false;
   SearchRequest c = a;
   c.shard.shards = 4;
   c.prune.memory_bounds = false;
 
-  // Plans are bit-identical across these knobs, so the store must hand a
-  // sharded served search the memo an exhaustive search wrote (the warm
-  // sibling fix) — which requires the keys to collide exactly.
+  // Plans are bit-identical across these knobs, so a sharded served search
+  // must hit the entry an exhaustive search wrote — which requires the
+  // keys to collide exactly.
   EXPECT_EQ(serve::make_plan_key(fp, a), serve::make_plan_key(fp, b));
   EXPECT_EQ(serve::make_plan_key(fp, a), serve::make_plan_key(fp, c));
 
@@ -445,30 +443,6 @@ TEST(SearchPrune, PlanStoreKeyIgnoresPruneShardAndThreads) {
   SearchRequest d = a;
   d.batch_size = 2 * a.batch_size;
   EXPECT_NE(serve::make_plan_key(fp, a), serve::make_plan_key(fp, d));
-}
-
-TEST(SearchPrune, ShardedSearchRunsWarmOffAnExhaustiveMemo) {
-  const BuiltModel m = build_mlp(deep_mlp());
-  SearchRequest cold = exhaustive(base_request());
-  auto memo = std::make_shared<ProfileMemo>();
-  cold.shared_memo = memo;
-  const SearchResult first = auto_partition(m.graph, cold);
-  ASSERT_TRUE(first.feasible());
-  ASSERT_GT(memo->size(), 0u);
-
-  // The sharded pruned engine routes every rank through the shared memo,
-  // so an exhaustive donor answers most of its profile queries (the bound
-  // evaluations probe extra microbatch floors, so a few misses remain).
-  SearchRequest warm = base_request();
-  warm.budget.threads = 4;
-  warm.shard.shards = 4;
-  warm.shared_memo = memo;
-  const SearchResult second = auto_partition(m.graph, warm);
-  ASSERT_TRUE(second.feasible());
-  EXPECT_LT(second.stats().memo_misses, first.stats().memo_misses);
-  EXPECT_GT(second.stats().memo_hits, 0);
-  EXPECT_GT(second.stats().memo_hit_rate(), 0.5);
-  EXPECT_EQ(plan_to_json(second.plan), plan_to_json(first.plan));
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Tests for the serve subsystem: canonical fingerprints, the ProfileMemo
-// JSON round-trip, the durable plan store, and PlanServer (single-flight,
-// shedding, bit-identity of served plans).
+// Tests for the serve subsystem: canonical fingerprints, the durable plan
+// store (including its format-version contract), and PlanServer
+// (single-flight, shedding, bit-identity of served plans).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -232,68 +233,6 @@ TEST(Fingerprint, MalformedGraphThrows) {
   EXPECT_THROW(serve::fingerprint_graph(g), std::invalid_argument);
 }
 
-// ---- ProfileMemo JSON round-trip -------------------------------------------
-
-TEST(MemoJson, ExactRoundTripAndWarmSearch) {
-  const BuiltModel m = serve::build_model(mlp_spec());
-  SearchRequest cfg = small_cfg();
-  auto memo1 = std::make_shared<ProfileMemo>();
-  cfg.shared_memo = memo1;
-  const PartitionResult r1 = auto_partition(m.graph, cfg).plan;
-  ASSERT_TRUE(r1.feasible);
-  ASSERT_GT(memo1->size(), 0u);
-
-  const std::string snap = memo1->to_json();
-  auto memo2 = std::make_shared<ProfileMemo>();
-  memo2->from_json(snap);
-  EXPECT_EQ(memo2->size(), memo1->size());
-  EXPECT_EQ(memo2->to_json(), snap);  // byte-exact round trip
-
-  SearchRequest cfg2 = small_cfg();
-  cfg2.shared_memo = memo2;
-  const PartitionResult r2 = auto_partition(m.graph, cfg2).plan;
-  EXPECT_EQ(r2.stats.memo_misses, 0);  // every profile restored
-  EXPECT_GT(r2.stats.memo_hits, 0);
-  EXPECT_EQ(plan_to_json(r2), plan_to_json(r1));
-}
-
-TEST(MemoJson, SerializationIsEntryOrderIndependent) {
-  const char* kEntryA =
-      "{\"lo\": 0, \"hi\": 2, \"bsize\": 8, \"inflight\": 1, "
-      "\"ckpt\": false, \"t_f\": 0.25, \"t_b\": 0.5, \"mem\": 100}";
-  const char* kEntryB =
-      "{\"lo\": 2, \"hi\": 4, \"bsize\": 8, \"inflight\": 2, "
-      "\"ckpt\": true, \"t_f\": 0.125, \"t_b\": 0.25, \"mem\": 200}";
-  ProfileMemo ab, ba;
-  ab.from_json(std::string("{\"version\": 1, \"entries\": [") + kEntryA +
-               ", " + kEntryB + "]}");
-  ba.from_json(std::string("{\"version\": 1, \"entries\": [") + kEntryB +
-               ", " + kEntryA + "]}");
-  EXPECT_EQ(ab.size(), 2u);
-  EXPECT_EQ(ab.to_json(), ba.to_json());
-}
-
-TEST(MemoJson, RejectsTruncatedAndCorruptSnapshots) {
-  const BuiltModel m = serve::build_model(mlp_spec());
-  SearchRequest cfg = small_cfg();
-  auto memo = std::make_shared<ProfileMemo>();
-  cfg.shared_memo = memo;
-  (void)auto_partition(m.graph, cfg);
-  const std::string snap = memo->to_json();
-
-  ProfileMemo fresh;
-  EXPECT_THROW(fresh.from_json(snap.substr(0, snap.size() / 2)),
-               std::invalid_argument);
-  EXPECT_THROW(fresh.from_json("not json at all"), std::invalid_argument);
-  EXPECT_THROW(fresh.from_json("{\"version\": 99, \"entries\": []}"),
-               std::invalid_argument);
-  EXPECT_THROW(fresh.from_json("{\"entries\": []}"), std::invalid_argument);
-  EXPECT_THROW(
-      fresh.from_json("{\"version\": 1, \"entries\": [{\"lo\": 0}]}"),
-      std::invalid_argument);
-  EXPECT_EQ(fresh.size(), 0u);  // failed loads leave nothing behind
-}
-
 // ---- plan store ------------------------------------------------------------
 
 class PlanStoreTest : public ::testing::Test {
@@ -308,7 +247,6 @@ class PlanStoreTest : public ::testing::Test {
   StoredEntry entry() const {
     StoredEntry e;
     e.plan_json = "{\"version\": 1, \"fake\": \"plan\"}";
-    e.memo_json = "{\"version\": 1, \"entries\": []}";
     return e;
   }
 
@@ -324,7 +262,6 @@ TEST_F(PlanStoreTest, SaveLoadRoundTrip) {
   const auto got = store.load(key);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->plan_json, entry().plan_json);
-  EXPECT_EQ(got->memo_json, entry().memo_json);
   EXPECT_FALSE(got->infeasible);
   // Atomic write protocol leaves no temp droppings.
   for (const auto& de : std::filesystem::directory_iterator(dir_))
@@ -378,12 +315,15 @@ TEST_F(PlanStoreTest, FutureFormatVersionIsRejected) {
   ASSERT_TRUE(store.save(key, entry()));
   const std::filesystem::path file = dir_ / key.filename();
   std::string text = slurp(file);
-  const std::string want = "\"format_version\": 1";
+  const std::string want =
+      "\"format_version\": " + std::to_string(PlanStore::kFormatVersion);
   const auto pos = text.find(want);
   ASSERT_NE(pos, std::string::npos);
   // The checksum covers only the payload, so this isolates the version
   // gate from the checksum gate.
-  text.replace(pos, want.size(), "\"format_version\": 2");
+  text.replace(pos, want.size(),
+               "\"format_version\": " +
+                   std::to_string(PlanStore::kFormatVersion + 1));
   spit(file, text);
   EXPECT_FALSE(store.load(key).has_value());
 }
@@ -397,23 +337,6 @@ TEST_F(PlanStoreTest, FilenameCollisionGuardedByEchoedKey) {
   // path. The echoed geom_sig must reject it.
   std::filesystem::rename(dir_ / key_a.filename(), dir_ / key_b.filename());
   EXPECT_FALSE(store.load(key_b).has_value());
-}
-
-TEST_F(PlanStoreTest, SiblingMemoFoundAcrossGeometries) {
-  PlanStore store(dir_);
-  const PlanKey key_a = serve::make_plan_key(fp_, small_cfg(16));
-  const PlanKey key_b = serve::make_plan_key(fp_, small_cfg(32));
-  ASSERT_NE(key_a.filename(), key_b.filename());
-  ASSERT_TRUE(store.save(key_a, entry()));
-  const auto memo = store.load_sibling_memo(key_b);
-  ASSERT_TRUE(memo.has_value());
-  EXPECT_EQ(*memo, entry().memo_json);
-
-  // A different cost model is not a sibling.
-  SearchRequest other = small_cfg(32);
-  other.precision = Precision::Mixed;
-  EXPECT_FALSE(
-      store.load_sibling_memo(serve::make_plan_key(fp_, other)).has_value());
 }
 
 // ---- PlanServer ------------------------------------------------------------
@@ -489,6 +412,61 @@ TEST(PlanServerTest, DiskWarmRestartHitsWithIdenticalPlan) {
     EXPECT_TRUE(r.from_disk);
     EXPECT_EQ(r.plan_json, first_plan);
     EXPECT_EQ(server.stats().disk_hits, 1);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PlanServerTest, VersionOneEntriesAreMissesThatTheNextSearchRewrites) {
+  const auto dir = fresh_dir("v1_entry");
+  ServeOptions o;
+  o.store_dir = dir.string();
+  std::string plan;
+  std::filesystem::path file;
+  {
+    PlanServer server(o);
+    const ServeResponse r = server.handle(mlp_request());
+    ASSERT_EQ(r.status, ServeResponse::Status::Miss) << r.error;
+    plan = r.plan_json;
+    file = dir / (r.key + ".plan.json");
+  }
+  // Turn the entry into a well-formed version-1 one: version 1, a memo
+  // payload, and the checksum version 1 computed over plan + '\n' + memo.
+  const json::Value doc = json::parse(slurp(file));
+  const std::string memo = "{\"version\": 1, \"entries\": []}";
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a, as the store hashes
+  for (const unsigned char c : doc.gets("plan") + '\n' + memo) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  char sum[17];
+  std::snprintf(sum, sizeof sum, "%016llx", static_cast<unsigned long long>(h));
+  std::ostringstream v1;
+  v1 << "{\"format_version\": 1, \"fingerprint\": "
+     << obs::json_string(doc.gets("fingerprint"))
+     << ", \"profile_sig\": " << obs::json_string(doc.gets("profile_sig"))
+     << ", \"geom_sig\": " << obs::json_string(doc.gets("geom_sig"))
+     << ", \"infeasible\": false, \"infeasible_reason\": \"\""
+     << ", \"checksum\": \"" << sum << "\", \"plan\": "
+     << obs::json_string(doc.gets("plan"))
+     << ", \"memo\": " << obs::json_string(memo) << "}\n";
+  spit(file, v1.str());
+  {
+    // The version-1 entry is a miss; the search rewrites it at the current
+    // version with the same plan.
+    PlanServer server(o);
+    const ServeResponse r = server.handle(mlp_request());
+    EXPECT_EQ(r.status, ServeResponse::Status::Miss);
+    EXPECT_EQ(r.plan_json, plan);
+    const json::Value now = json::parse(slurp(file));
+    EXPECT_EQ(now.geti("format_version"), PlanStore::kFormatVersion);
+    EXPECT_EQ(now.find("memo"), nullptr);
+  }
+  {
+    PlanServer server(o);
+    const ServeResponse r = server.handle(mlp_request());
+    EXPECT_EQ(r.status, ServeResponse::Status::Hit);
+    EXPECT_TRUE(r.from_disk);
+    EXPECT_EQ(r.plan_json, plan);
   }
   std::filesystem::remove_all(dir);
 }

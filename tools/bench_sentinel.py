@@ -13,8 +13,8 @@ the sentinel guards the *deterministic* surface:
 
   partitioner   geometries matched by (name, batch_size): task counts,
                 feasibility, plans_identical, and the search-work counters
-                (dp_cells, profile_queries, memo hits/misses) per config
-                label must be identical — these count algorithmic work,
+                (dp_cells, profile_queries, profile_queries_saved) per
+                config label must be identical — these count algorithmic work,
                 so any drift is a behaviour change, not noise.
   serve         phase request/hit/miss/disk-hit counts and the p99 gate
                 when the trace length matches the baseline's.
@@ -103,8 +103,7 @@ def check_partitioner(s, base, cur):
                 s.note(f"{key}/{c['label']}: no baseline config")
                 continue
             for field in ("dp_cells", "profile_queries",
-                          "profile_queries_saved", "memo_hits",
-                          "memo_misses"):
+                          "profile_queries_saved"):
                 s.expect(
                     c[field] == b[field],
                     f"{key}/{c['label']}.{field}: {c[field]} != "

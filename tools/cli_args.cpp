@@ -141,7 +141,6 @@ void register_search_flags(ArgParser& p, SearchOptions& o) {
          "search over atomic units instead of blocks");
   p.flag("--no-prune", &o.no_prune,
          "disable branch-and-bound pruning (exhaustive sweep)");
-  p.flag("--no-memo", &o.no_memo, "disable the profile memo cache");
 }
 
 void apply_search(const SearchOptions& o, SearchRequest& req) {
@@ -155,7 +154,6 @@ void apply_search(const SearchOptions& o, SearchRequest& req) {
   if (o.memory_margin > 0) req.memory_margin = o.memory_margin;
   if (o.no_coarsening) req.use_coarsening = false;
   if (o.no_prune) req.prune.enabled = false;
-  if (o.no_memo) req.profile_memo = false;
 }
 
 }  // namespace cli

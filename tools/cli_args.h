@@ -97,7 +97,6 @@ struct SearchOptions {
   double memory_margin = 0;
   bool no_coarsening = false;
   bool no_prune = false;
-  bool no_memo = false;
 };
 
 /// Registers the shared search flag group into `p`.

@@ -149,8 +149,8 @@ int run(const Options& o) {
               << r.stats.dp_invocations << " DP invocations, "
               << r.stats.dp_cells_visited << " cells, "
               << r.stats.profile_queries << " profile queries ("
-              << r.stats.profile_queries_saved << " saved in-DP, memo hit rate "
-              << r.stats.memo_hit_rate() << "), " << r.stats.search_seconds
+              << r.stats.profile_queries_saved << " saved in-DP), "
+              << r.stats.search_seconds
               << "s sweep / " << r.stats.wall_seconds << "s total\n";
     const PruneStats& pr = r.stats.prune;
     std::cout << "prune: " << pr.jobs_pruned << " jobs pruned, "

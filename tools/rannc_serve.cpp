@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
   cli::register_search_flags(p, o.search);
   p.section("Service");
   p.opt("--store", &o.store_dir, "DIR",
-        "durable plan/memo store directory (empty = memory only)");
+        "durable plan store directory (empty = memory only)");
   p.opt("--workers", &o.workers, "N", "transport threads (default 4)");
   p.opt("--max-queue", &o.max_queue, "N",
         "in-flight searches before misses are shed (default 4)");

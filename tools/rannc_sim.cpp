@@ -80,8 +80,7 @@ int run(const Options& o) {
       std::cout << "recovery: " << res.migration.moves.size()
                 << " shard moves (" << res.migration.total_bytes
                 << " bytes) in " << res.recovery_seconds
-                << "s virtual, memo hit rate " << res.memo_hit_rate
-                << "; final plan " << res.final_plan.stages.size()
+                << "s virtual; final plan " << res.final_plan.stages.size()
                 << " stages x " << res.final_plan.pipelines << " pipeline(s)\n";
     std::cout << "virtual run time: " << res.virtual_seconds << "s\n";
     if (res.aborted) std::cout << "ABORTED: " << res.abort_reason << '\n';

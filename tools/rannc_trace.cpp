@@ -5,13 +5,13 @@
 //   trace.json    Chrome trace-event timeline (open in chrome://tracing or
 //                 https://ui.perfetto.dev). Three processes:
 //                   pid 1  "search (wall clock)"        — partition phases,
-//                          per-thread stage-DP job lanes, memo counters
+//                          per-thread stage-DP job lanes, sweep progress
 //                   pid 2  "pipeline schedule (virtual time)" — per-stage
 //                          F/B intervals of the simulated GPipe schedule
 //                   pid 3  "comm fabric (virtual time)" — per-link transfer
 //                          spans and bandwidth-share counters
-//   metrics.json  counters/gauges/histograms snapshot (dp cells, memo hit
-//                 rate, bubble fraction, per-link busy fractions, ...)
+//   metrics.json  counters/gauges/histograms snapshot (dp cells, profile
+//                 queries, bubble fraction, per-link busy fractions, ...)
 //
 //   rannc-trace --model bert --layers 8 --trace trace.json --metrics metrics.json
 //

@@ -18,8 +18,10 @@ subset of JSON Schema (type / required / properties / additionalProperties
   * all three pids carry process_name metadata
 
 With --search-only (e.g. for bench_partitioner --trace output, which has
-no simulation replay) the pid 2/3 checks are skipped and a profile-memo
-counter series is required instead.
+no simulation replay) the pid 2/3 checks are skipped and the search's
+cumulative `sweep_progress` counter series is required instead: present,
+non-empty, and per search counting jobs_done 1, 2, 3, ... in timestamp
+order with dp_cells and profile_queries non-decreasing.
 
 With --explain the single argument is a rannc-explain attribution report,
 validated against tools/explain_schema.json plus semantic checks: every
@@ -94,6 +96,41 @@ def validate_file(data_path, schema_name):
     return data, errors
 
 
+def sweep_progress_checks(events):
+    """The cumulative search counter series: present and non-empty. Ordered
+    by timestamp, each search's samples (a new search restarts at
+    jobs_done == 1; traced searches run one after another) count jobs_done
+    1, 2, 3, ... with dp_cells and profile_queries non-decreasing."""
+    samples = [e.get("args", {}) for e in sorted(
+        (e for e in events
+         if e["pid"] == 1 and e["ph"] == "C" and e["name"] == "sweep_progress"),
+        key=lambda e: (e["ts"], e.get("args", {}).get("jobs_done", 0)))]
+    if not samples:
+        return ["search domain: no sweep_progress counter samples"]
+    fields = ("dp_cells", "profile_queries", "jobs_done")
+    for a in samples:
+        if any(not isinstance(a.get(f), int) for f in fields):
+            return [f"sweep_progress: sample without integer {fields}: {a}"]
+    errors = []
+    prev = None
+    for a in samples:
+        if a["jobs_done"] == 1:
+            prev = None  # the next search's series starts
+        if prev is None:
+            if a["jobs_done"] != 1:
+                errors.append("sweep_progress: a series does not start at "
+                              "jobs_done 1")
+        elif a["jobs_done"] != prev["jobs_done"] + 1:
+            errors.append(f"sweep_progress: jobs_done {prev['jobs_done']} "
+                          f"followed by {a['jobs_done']}")
+        elif (a["dp_cells"] < prev["dp_cells"]
+              or a["profile_queries"] < prev["profile_queries"]):
+            errors.append("sweep_progress: dp_cells or profile_queries "
+                          f"decreases at jobs_done {a['jobs_done']}")
+        prev = a
+    return errors
+
+
 def semantic_trace_checks(trace, search_only=False):
     errors = []
     events = trace["traceEvents"]
@@ -102,11 +139,7 @@ def semantic_trace_checks(trace, search_only=False):
     if len(phases) < 3:
         errors.append(f"search domain: expected >= 3 phase spans, got {sorted(phases)}")
     if search_only:
-        if not any(
-            e["pid"] == 1 and e["ph"] == "C" and e["name"] == "profile_memo"
-            for e in events
-        ):
-            errors.append("search domain: no profile_memo counter samples")
+        errors += sweep_progress_checks(events)
     else:
         if not any(e["pid"] == 2 and e["ph"] == "X" for e in events):
             errors.append("schedule domain (pid 2): no complete spans")
