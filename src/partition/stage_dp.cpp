@@ -112,6 +112,9 @@ StageDpSolution form_stage_dp(const StageDpInput& in) {
                   CacheEnt{});
   std::uint32_t epoch = 0;
 
+  // Largest stage_devs whose per-replica microbatch stays >= 1.
+  const std::int64_t max_stage_devs =
+      in.batch_size / in.replica_factor / in.microbatches;
   int d_min = 1;
   // Set when any incumbent-dependent cut (column, range or path) skipped a
   // candidate. From then on an infinite cell may be evidence of domination
@@ -154,11 +157,16 @@ StageDpSolution form_stage_dp(const StageDpInput& in) {
             if (in.prune_memory && in.device_memory > 0 &&
                 be.b.mem > in.device_memory) {
               // The memory floor (profiled at the smallest reachable
-              // microbatch) already overflows: no device count fits. Note
-              // the skipped candidates never set bsize_clipped, which
-              // keeps the d_min rule below sound — a range that fails its
-              // memory floor fails at every d, clipped or not.
+              // microbatch) already overflows: no device count fits. The
+              // skipped candidates must still set bsize_clipped exactly as
+              // the exhaustive loop below would (a feasible prefix whose
+              // stage_devs rounds the microbatch down to 0), or d_min
+              // advances where the exhaustive engine's does not and cuts
+              // the optimum from every later column and layer.
               ++sol.ranges_mem_pruned;
+              for (int dp = s - 1; dp < d - max_stage_devs && !bsize_clipped;
+                   ++dp)
+                bsize_clipped = V[idx(s - 1, bp, dp)] != kInf;
               continue;
             }
             if (use_inc && in.est_scale * be.b.time > I) {

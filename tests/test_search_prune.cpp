@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "models/bert.h"
@@ -23,6 +24,7 @@
 #include "partition/search.h"
 #include "partition/stage_dp.h"
 #include "serve/fingerprint.h"
+#include "serve/model_zoo.h"
 #include "serve/plan_store.h"
 
 namespace rannc {
@@ -198,6 +200,54 @@ TEST(SearchPrune, WinnerCandidateIsNeverPrunedAndKeepsItsEstimate) {
   // ...and the exhaustive engine marks nothing pruned.
   for (const CandidateTrace& c : ex.stats().candidates)
     EXPECT_FALSE(c.pruned);
+}
+
+// ---- memory floor x clipped microbatches ----------------------------------
+
+/// Regression: a memory-pruned range must still mark its microbatch-clipped
+/// candidates (bsize_clipped), or d_min advances where the exhaustive DP's
+/// does not and the optimum is lost for every later column and layer. These
+/// zoo geometries lost it by 1-11 % (and BERT @ 2x8 returned three
+/// different plans across threads x shards) before the fix.
+TEST(SearchPrune, MemoryFloorKeepsTheOptimumOnLargeModels) {
+  serve::ModelSpec gpt2, bert;
+  gpt2.model = "gpt2";
+  gpt2.hidden = 1600;
+  gpt2.layers = 48;
+  bert.model = "bert";
+  bert.hidden = 2048;
+  bert.layers = 64;
+  const std::pair<serve::ModelSpec, std::int64_t> cases[] = {{gpt2, 64},
+                                                             {bert, 256}};
+  for (const auto& [spec, batch] : cases) {
+    const BuiltModel m = serve::build_model(spec);
+    for (int nodes : {4, 2}) {
+      SearchRequest base;
+      base.cluster.num_nodes = nodes;
+      base.cluster.devices_per_node = 8;
+      base.batch_size = batch;
+      base.budget.threads = 1;
+      const PartitionResult ex =
+          auto_partition(m.graph, exhaustive(base)).plan;
+      ASSERT_TRUE(ex.feasible) << ex.infeasible_reason;
+      const std::string want = plan_to_json(ex);
+      for (int mask = 0; mask < 8; ++mask) {
+        for (int threads : {1, 4}) {
+          for (int shards : {1, 4}) {
+            SearchRequest req = base;
+            req.prune.memory_bounds = (mask & 1) != 0;
+            req.prune.compute_bounds = (mask & 2) != 0;
+            req.prune.incumbent = (mask & 4) != 0;
+            req.budget.threads = threads;
+            req.shard.shards = shards;
+            EXPECT_EQ(plan_to_json(auto_partition(m.graph, req).plan), want)
+                << spec.model << " " << nodes << "x8 prune mask " << mask
+                << " threads=" << threads << " shards=" << shards;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---- sharded-mode determinism --------------------------------------------
