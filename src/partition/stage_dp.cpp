@@ -54,6 +54,18 @@ StageDpSolution form_stage_dp(const StageDpInput& in) {
   // (b, d) would let the first stage skip units or strand devices on an
   // empty prefix.
   V[idx(0, 0, 0)] = 0;
+  // fin_lo/fin_hi[(s, b)]: smallest/largest d with a finite V[s][b][d]
+  // (empty span: D + 1 / -1). The structural cut skips prefix cells
+  // outside that span.
+  const auto col = [N](int s, int b) {
+    return static_cast<std::size_t>(s) * static_cast<std::size_t>(N + 1) +
+           static_cast<std::size_t>(b);
+  };
+  std::vector<int> fin_lo(static_cast<std::size_t>(S + 1) *
+                              static_cast<std::size_t>(N + 1),
+                          D + 1),
+      fin_hi(fin_lo.size(), -1);
+  fin_lo[col(0, 0)] = fin_hi[col(0, 0)] = 0;
 
   // Budget accounting. With a shared counter the per-cell check becomes a
   // batched flush (see kFlush); without one the legacy exact per-cell
@@ -175,7 +187,16 @@ StageDpSolution form_stage_dp(const StageDpInput& in) {
               continue;  // any solution using this stage is dominated
             }
           }
-          for (int dp = s - 1; dp <= d - 1; ++dp) {
+          int dp_lo = s - 1;
+          int dp_hi = d - 1;
+          if (in.prune_structural) {
+            // A cell whose prefix V[s-1][bp][dp] is infinite sets no
+            // value, no bsize_clipped and no cut: skip the spans around
+            // the prefix column's finite cells.
+            dp_lo = std::max(dp_lo, fin_lo[col(s - 1, bp)]);
+            dp_hi = std::min(dp_hi, fin_hi[col(s - 1, bp)]);
+          }
+          for (int dp = dp_lo; dp <= dp_hi; ++dp) {
             ++sol.dp_cells_visited;
             ++unflushed_cells;
             if (++cells_since_refresh >= kFlush) {
@@ -236,6 +257,8 @@ StageDpSolution form_stage_dp(const StageDpInput& in) {
             const double ntb = std::max(tb[idx(s - 1, bp, dp)], p.t_b);
             const double v = ntf + ntb;
             if (v < V[idx(s, b, d)]) {
+              fin_lo[col(s, b)] = std::min(fin_lo[col(s, b)], d);
+              fin_hi[col(s, b)] = std::max(fin_hi[col(s, b)], d);
               V[idx(s, b, d)] = v;
               tf[idx(s, b, d)] = ntf;
               tb[idx(s, b, d)] = ntb;

@@ -101,7 +101,9 @@ struct StageDpInput {
   /// admissible for every device count).
   bool prune_memory = false;
   /// Restrict the s == S layer to the only column/device count the answer
-  /// reads (b == N, d == D).
+  /// reads (b == N, d == D), and skip cells whose prefix V[s-1][bp][dp]
+  /// lies outside the span of that prefix column's finite cells (such a
+  /// cell can set no value, no clipped flag and no cut).
   bool prune_structural = false;
 };
 

@@ -134,7 +134,7 @@ TEST(ProfileTables, MatchOracleBitForBit) {
           int lo = pick(rng), hi = pick(rng);
           if (lo == hi) continue;
           if (lo > hi) std::swap(lo, hi);
-          for (const auto [mb, stages] : {std::pair{1, 1}, std::pair{4, 3}}) {
+          for (const auto& [mb, stages] : {std::pair{1, 1}, std::pair{4, 3}}) {
             const StageProfile got = sp.table(lo, hi, bsize, mb, stages);
             const StageProfile want = sp.oracle(lo, hi, bsize, mb, stages);
             const std::string where =
