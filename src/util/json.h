@@ -2,9 +2,8 @@
 //
 // The repo already contains several purpose-built JSON *writers* (plan_io,
 // obs) and one purpose-built reader (plan_from_json); the serve subsystem
-// adds three more readers — wire requests, plan-store entries, ProfileMemo
-// snapshots — so the reader side is factored once here instead of a fourth
-// hand parser. This is a strict parser for the full JSON grammar (objects,
+// adds more readers — wire requests and plan-store entries — so the reader
+// side is factored once here instead of another hand parser. This is a strict parser for the full JSON grammar (objects,
 // arrays, strings with escapes, numbers, booleans, null) that rejects
 // trailing garbage; numbers keep their raw spelling so std::int64_t values
 // round-trip without passing through a double.
