@@ -122,15 +122,6 @@ ConfigResult run_config(const TaskGraph& graph, const Geometry& g,
   return cr;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -335,7 +326,7 @@ int main(int argc, char** argv) {
     const auto& gr = results[gi];
     const double base = gr.configs.front().search_seconds;
     os << "    {\n";
-    os << "      \"name\": \"" << json_escape(gr.name) << "\",\n";
+    os << "      \"name\": " << obs::json_string(gr.name) << ",\n";
     os << "      \"batch_size\": " << gr.batch_size << ",\n";
     os << "      \"tasks\": " << gr.tasks << ",\n";
     os << "      \"plans_identical\": "
@@ -344,7 +335,7 @@ int main(int argc, char** argv) {
     for (std::size_t ci = 0; ci < gr.configs.size(); ++ci) {
       const auto& cr = gr.configs[ci];
       os << "        {\n";
-      os << "          \"label\": \"" << json_escape(cr.label) << "\",\n";
+      os << "          \"label\": " << obs::json_string(cr.label) << ",\n";
       os << "          \"threads\": " << cr.threads << ",\n";
       os << "          \"feasible\": " << (cr.feasible ? "true" : "false")
          << ",\n";

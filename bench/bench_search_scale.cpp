@@ -156,15 +156,6 @@ EngineResult run_engine(const TaskGraph& graph, const Scenario& sc,
   return er;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -269,7 +260,7 @@ int main(int argc, char** argv) {
   for (std::size_t si = 0; si < results.size(); ++si) {
     const auto& r = results[si];
     os << "    {\n";
-    os << "      \"name\": \"" << json_escape(r.name) << "\",\n";
+    os << "      \"name\": " << obs::json_string(r.name) << ",\n";
     os << "      \"tasks\": " << r.tasks << ",\n";
     os << "      \"nodes\": " << r.nodes << ",\n";
     os << "      \"devices_per_node\": " << r.devices_per_node << ",\n";
@@ -283,7 +274,7 @@ int main(int argc, char** argv) {
     for (std::size_t ei = 0; ei < r.engines.size(); ++ei) {
       const auto& er = r.engines[ei];
       os << "        {\n";
-      os << "          \"label\": \"" << json_escape(er.label) << "\",\n";
+      os << "          \"label\": " << obs::json_string(er.label) << ",\n";
       os << "          \"feasible\": " << (er.feasible ? "true" : "false")
          << ",\n";
       os << "          \"search_seconds\": " << er.search_seconds << ",\n";

@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
   const int MB = MB_override > 0 ? MB_override : plan.microbatches;
   std::printf("%s\n", describe(plan).c_str());
 
-  std::vector<StageTimes> st;
-  for (const StagePlan& s : plan.stages) st.push_back({s.t_f, s.t_b, 0});
+  const std::vector<StageTimes> st = evaluate_plan(plan, req).stage_times;
 
   const ScheduleResult sync = simulate_gpipe(st, MB);
   std::printf("-- synchronous (GPipe, what RaNNC uses): %d microbatches --\n%s",

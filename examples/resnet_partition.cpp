@@ -28,9 +28,7 @@ int main(int argc, char** argv) {
               describe(plan).c_str());
 
   if (plan.feasible && plan.stages.size() > 1) {
-    std::vector<StageTimes> st;
-    for (const StagePlan& s : plan.stages) st.push_back({s.t_f, s.t_b, 0});
-    const ScheduleResult sched = simulate_gpipe(st, plan.microbatches);
+    const ScheduleResult sched = evaluate_plan(plan, req).schedule;
     std::printf("synchronous pipeline schedule (F = forward, B = backward):\n%s",
                 render_gantt(sched, static_cast<int>(plan.stages.size()), 100)
                     .c_str());

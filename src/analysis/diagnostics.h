@@ -47,14 +47,14 @@ enum class DiagCode : std::uint8_t {
   DTypeMismatch,          ///< builder-recorded output dtype != re-inferred
   // ---- dataflow (analysis/dataflow.cpp) ----
   DeadTask,               ///< task output cannot reach any marked output
-  // ---- partitioner configuration (partition/auto_partitioner.cpp) ----
-  BadBatchSize,           ///< PartitionConfig::batch_size <= 0
+  // ---- search request (SearchRequest::validate, partition/search.cpp) ----
+  BadBatchSize,           ///< batch_size <= 0
   BadMemoryMargin,        ///< memory_margin outside (0, 1]
-  BadThreadCount,         ///< threads < 0 (0 = env default is valid)
+  BadThreadCount,         ///< budget.threads < 0 (0 = env default is valid)
   BadBlockCount,          ///< num_blocks < 1
   EmptyCluster,           ///< cluster has no nodes or no devices per node
-  BadShardCount,          ///< SearchRequest shard count < 1 (or absurd)
-  BadCellBudget,          ///< SearchRequest max_dp_cells < 0
+  BadShardCount,          ///< shard.shards < 1 (or absurd)
+  BadCellBudget,          ///< budget.max_dp_cells < 0
 };
 
 const char* severity_name(Severity s);

@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "partition/atomic.h"
+#include "partition/plan_eval.h"
 #include "partition/search.h"
 #include "util/thread_pool.h"
 
@@ -293,34 +294,32 @@ RangeProfileFn make_oracle_profile_fn(const UnitSequence& seq,
   };
 }
 
-/// Estimated wall-clock of one mini-batch for a concrete DP solution:
-/// synchronous pipeline makespan plus the per-stage gradient all-reduce.
+/// Estimated wall-clock of one mini-batch for a concrete DP solution: its
+/// stages profiled by `fn` (comm folded into t_f / t_b, matching h() in the
+/// DP) and scored by evaluate_plan, so the sweep and the final plan share
+/// one formula.
 double estimate_iteration(const UnitSequence& seq, const RangeProfileFn& fn,
-                          const ClusterSpec& cluster, Precision prec,
-                          const StageDpSolution& sol, std::int64_t batch_size,
+                          const SearchRequest& req, const StageDpSolution& sol,
                           int R, int MB) {
   const int S = static_cast<int>(sol.stage_end.size());
-  std::vector<StageTimes> st(static_cast<std::size_t>(S));
-  double max_allreduce = 0;
+  PartitionResult plan;
+  plan.microbatches = MB;
+  plan.pipelines = R;
+  plan.stages.resize(static_cast<std::size_t>(S));
   int lo = 0;
   for (int i = 0; i < S; ++i) {
     const int hi = sol.stage_end[static_cast<std::size_t>(i)];
-    const int devs = sol.stage_devices[static_cast<std::size_t>(i)];
+    StagePlan& sp = plan.stages[static_cast<std::size_t>(i)];
+    sp.devices = sol.stage_devices[static_cast<std::size_t>(i)];
     const std::int64_t bsize =
-        std::max<std::int64_t>(1, batch_size / R / MB / devs);
+        std::max<std::int64_t>(1, req.batch_size / R / MB / sp.devices);
     const StageProfile p = fn(lo, hi, bsize, MB, S);
-    // Comm is already folded into t_f / t_b (matching h() in the DP).
-    st[static_cast<std::size_t>(i)] = {p.t_f, p.t_b, 0.0};
-    const std::int64_t grad_bytes = static_cast<std::int64_t>(
-        static_cast<double>(seq.range_param_bytes(lo, hi)) *
-        (prec == Precision::Mixed ? 0.5 : 1.0));
-    const int ranks = devs * R;
-    max_allreduce = std::max(
-        max_allreduce, comm_allreduce_time(cluster, grad_bytes, ranks, R > 1));
+    sp.t_f = p.t_f;
+    sp.t_b = p.t_b;
+    sp.param_bytes = seq.range_param_bytes(lo, hi);
     lo = hi;
   }
-  const ScheduleResult sched = simulate_gpipe(st, MB);
-  return sched.iteration_time + max_allreduce;
+  return evaluate_plan(plan, req).iteration_time;
 }
 
 struct Candidate {
@@ -393,37 +392,6 @@ int resolve_search_threads(int threads_knob) {
     if (v > 0) return static_cast<int>(std::min<long>(v, 256));
   }
   return 1;
-}
-
-std::vector<Diagnostic> PartitionConfig::validate() const {
-  std::vector<Diagnostic> ds;
-  const auto err = [&ds](DiagCode code, std::string msg) {
-    Diagnostic d;
-    d.severity = Severity::Error;
-    d.code = code;
-    d.message = std::move(msg);
-    ds.push_back(std::move(d));
-  };
-  if (batch_size <= 0)
-    err(DiagCode::BadBatchSize,
-        "batch_size must be positive, got " + std::to_string(batch_size));
-  if (!(memory_margin > 0.0) || memory_margin > 1.0)
-    err(DiagCode::BadMemoryMargin,
-        "memory_margin must be in (0, 1], got " +
-            std::to_string(memory_margin));
-  if (threads < 0)
-    err(DiagCode::BadThreadCount,
-        "threads must be >= 0 (0 = RANNC_THREADS env default), got " +
-            std::to_string(threads));
-  if (num_blocks < 1)
-    err(DiagCode::BadBlockCount,
-        "num_blocks must be >= 1, got " + std::to_string(num_blocks));
-  if (cluster.num_nodes < 1 || cluster.devices_per_node < 1)
-    err(DiagCode::EmptyCluster,
-        "cluster must have at least one node and one device per node, got " +
-            std::to_string(cluster.num_nodes) + " node(s) x " +
-            std::to_string(cluster.devices_per_node) + " device(s)");
-  return ds;
 }
 
 SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
@@ -723,8 +691,7 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
       sc.arg("dp_cells", sol.dp_cells_visited);
       trace_progress(sol);
       if (sol.feasible) {
-        ests[i] = estimate_iteration(seq, sweep_fn, req.cluster,
-                                     req.precision, sol, BS, R, j.MB);
+        ests[i] = estimate_iteration(seq, sweep_fn, req, sol, R, j.MB);
         sc.arg("est_iter", ests[i]);
         publish_est(ests[i]);
       }
@@ -912,7 +879,6 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
     eval_fn = make_profile_fn(*merged_seq, prof, req.precision, req.optimizer,
                               /*summed_estimates=*/false);
   }
-  const UnitSequence& eval_seq = merged_seq ? *merged_seq : seq;
   res.feasible = true;
   res.microbatches = best.MB;
   res.pipelines = best.R;
@@ -939,9 +905,7 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
     res.stages.push_back(std::move(sp));
     lo = hi;
   }
-  res.est_iteration_time = estimate_iteration(
-      eval_seq, eval_fn, req.cluster, req.precision, best.sol, BS, best.R,
-      best.MB);
+  res.est_iteration_time = evaluate_plan(res, req).iteration_time;
   double mf = 0, mb = 0;
   for (const StagePlan& sp : res.stages) {
     mf = std::max(mf, sp.t_f);
@@ -957,16 +921,6 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
     m.gauge("plan.bottleneck_value").set(res.bottleneck_value);
   }
   return out;
-}
-
-PartitionResult auto_partition(const TaskGraph& model,
-                               const PartitionConfig& cfg) {
-  // Preserve the legacy validation message for existing callers before
-  // bridging into the SearchRequest engine (pruning/sharding off, so the
-  // counters — not just the plan — match the pre-redesign behaviour).
-  if (std::vector<Diagnostic> ds = cfg.validate(); has_errors(ds))
-    throw std::invalid_argument("invalid PartitionConfig:\n" + render(ds));
-  return auto_partition(model, SearchRequest::from_config(cfg)).plan;
 }
 
 std::string describe(const PartitionResult& r) {

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/diagnostics.h"
 #include "cluster/cluster_spec.h"
 #include "graph/task_graph.h"
 #include "partition/block.h"
@@ -18,44 +17,6 @@
 #include "profiler/memory.h"
 
 namespace rannc {
-
-struct PartitionConfig {
-  ClusterSpec cluster;
-  Precision precision = Precision::FP32;
-  OptimizerKind optimizer = OptimizerKind::Adam;
-  std::int64_t batch_size = 256;  ///< global mini-batch BS
-  int num_blocks = 32;            ///< k for block-level partitioning
-  /// Fraction of device memory usable for model state (the rest is left to
-  /// the framework: CUDA context, fragmentation, comm buffers).
-  double memory_margin = 0.9;
-  /// false selects the Section IV-C ablation: the stage DP runs directly
-  /// over atomic components with costs estimated by summing standalone
-  /// per-component profiles.
-  bool use_coarsening = true;
-  /// Safety cap for the ablation variant, whose DP is O(|B|^2 D^2 S) with
-  /// |B| in the thousands. 0 = unlimited. The cap is a *global* budget
-  /// shared (through one atomic counter) by every stage-DP invocation of
-  /// the search; whether it is exhausted depends only on the total demand,
-  /// so the aborted-vs-completed outcome is identical at any thread count.
-  std::int64_t max_dp_cells = 0;
-  /// Worker threads for the Phase-3 (S, MB) stage-DP sweep. 0 = take
-  /// RANNC_THREADS from the environment, defaulting to 1. Plans are
-  /// bit-identical at any thread count (deterministic job enumeration,
-  /// aggregation and winner tie-break).
-  int threads = 0;
-  [[nodiscard]] std::int64_t usable_memory() const {
-    return static_cast<std::int64_t>(
-        static_cast<double>(cluster.device.memory_bytes) * memory_margin);
-  }
-
-  /// Checks the configuration knobs for obvious misuse and returns one
-  /// analysis-style diagnostic per violation (stable DiagCodes:
-  /// BadBatchSize, BadMemoryMargin, BadThreadCount, BadBlockCount,
-  /// EmptyCluster). Empty result = valid. `auto_partition` calls this at
-  /// entry — next to the graph verifier — and throws std::invalid_argument
-  /// listing every finding when any is an error.
-  [[nodiscard]] std::vector<Diagnostic> validate() const;
-};
 
 /// One pipeline stage of the final plan.
 struct StagePlan {
@@ -153,15 +114,6 @@ struct PartitionResult {
                : 0.0;
   }
 };
-
-/// Legacy entry point, kept as a thin shim over the SearchRequest engine
-/// (partition/search.h). Runs with pruning and sharding OFF — the exact
-/// PR 3 exhaustive semantics, so counter-sensitive consumers see unchanged
-/// behaviour. New code should build a SearchRequest and call
-/// auto_partition(graph, request) instead.
-[[deprecated("use auto_partition(graph, SearchRequest) from partition/search.h")]]
-PartitionResult auto_partition(const TaskGraph& model,
-                               const PartitionConfig& cfg);
 
 /// Resolves a search thread knob: an explicit positive value wins,
 /// else the RANNC_THREADS environment variable, else 1.

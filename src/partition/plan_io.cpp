@@ -1,12 +1,13 @@
 #include "partition/plan_io.h"
 
-#include <cctype>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "analysis/dataflow.h"
 #include "graph/subgraph.h"
+#include "util/json.h"
 
 namespace rannc {
 
@@ -105,11 +106,6 @@ std::vector<PlanViolation> validate_plan(const PartitionResult& plan,
   return out;
 }
 
-std::vector<PlanViolation> validate_plan(const PartitionResult& plan,
-                                         const PartitionConfig& cfg) {
-  return validate_plan(plan, SearchRequest::from_config(cfg));
-}
-
 // ---- JSON writing -----------------------------------------------------------
 
 std::string plan_to_json(const PartitionResult& plan) {
@@ -143,153 +139,45 @@ std::string plan_to_json(const PartitionResult& plan) {
 
 // ---- JSON reading -----------------------------------------------------------
 
-namespace {
-
-/// Minimal recursive-descent parser for the JSON subset plan_to_json emits
-/// (objects, arrays, numbers, booleans, double-quoted keys).
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != c)
-      throw std::invalid_argument(std::string("plan JSON: expected '") + c +
-                                  "' at offset " + std::to_string(pos_));
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string key() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') out.push_back(s_[pos_++]);
-    expect('"');
-    expect(':');
-    return out;
-  }
-
-  double number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E'))
-      ++pos_;
-    if (pos_ == start)
-      throw std::invalid_argument("plan JSON: expected a number at offset " +
-                                  std::to_string(start));
-    return std::stod(s_.substr(start, pos_ - start));
-  }
-
-  bool boolean() {
-    skip_ws();
-    if (s_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    throw std::invalid_argument("plan JSON: expected a boolean at offset " +
-                                std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-
- private:
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-PartitionResult plan_from_json(const std::string& json) {
-  JsonParser p(json);
+PartitionResult plan_from_json(const std::string& text) {
+  const json::Value doc = json::parse(text);
+  doc.check_keys({"version", "feasible", "microbatches", "pipelines",
+                  "nodes_used", "est_iteration_time", "stages"},
+                 "plan JSON");
+  if (doc.geti("version", 1) != 1)
+    throw std::invalid_argument("plan JSON: unsupported version");
   PartitionResult plan;
-  p.expect('{');
-  bool first = true;
-  while (true) {
-    if (!first && !p.consume(',')) break;
-    first = false;
-    p.skip_ws();
-    const std::string k = p.key();
-    if (k == "version") {
-      if (static_cast<int>(p.number()) != 1)
-        throw std::invalid_argument("plan JSON: unsupported version");
-    } else if (k == "feasible") {
-      plan.feasible = p.boolean();
-    } else if (k == "microbatches") {
-      plan.microbatches = static_cast<int>(p.number());
-    } else if (k == "pipelines") {
-      plan.pipelines = static_cast<int>(p.number());
-    } else if (k == "nodes_used") {
-      plan.nodes_used = static_cast<int>(p.number());
-    } else if (k == "est_iteration_time") {
-      plan.est_iteration_time = p.number();
-    } else if (k == "stages") {
-      p.expect('[');
-      if (!p.consume(']')) {
-        do {
-          p.expect('{');
-          StagePlan sp;
-          bool sfirst = true;
-          while (true) {
-            if (!sfirst && !p.consume(',')) break;
-            sfirst = false;
-            const std::string sk = p.key();
-            if (sk == "devices")
-              sp.devices = static_cast<int>(p.number());
-            else if (sk == "replicas_total")
-              sp.replicas_total = static_cast<int>(p.number());
-            else if (sk == "microbatch_size")
-              sp.microbatch_size = static_cast<std::int64_t>(p.number());
-            else if (sk == "t_f")
-              sp.t_f = p.number();
-            else if (sk == "t_b")
-              sp.t_b = p.number();
-            else if (sk == "mem")
-              sp.mem = static_cast<std::int64_t>(p.number());
-            else if (sk == "param_bytes")
-              sp.param_bytes = static_cast<std::int64_t>(p.number());
-            else if (sk == "comm_out_bytes")
-              sp.comm_out_bytes = static_cast<std::int64_t>(p.number());
-            else if (sk == "tasks") {
-              p.expect('[');
-              if (!p.consume(']')) {
-                do {
-                  sp.tasks.push_back(static_cast<TaskId>(p.number()));
-                } while (p.consume(','));
-                p.expect(']');
-              }
-            } else {
-              throw std::invalid_argument("plan JSON: unknown stage key " + sk);
-            }
-          }
-          p.expect('}');
-          plan.stages.push_back(std::move(sp));
-        } while (p.consume(','));
-        p.expect(']');
+  plan.feasible = doc.getb("feasible", plan.feasible);
+  plan.microbatches = doc.geti32("microbatches", plan.microbatches);
+  plan.pipelines = doc.geti32("pipelines", plan.pipelines);
+  plan.nodes_used = doc.geti32("nodes_used", plan.nodes_used);
+  plan.est_iteration_time =
+      doc.getd("est_iteration_time", plan.est_iteration_time);
+  if (const json::Value* stages = doc.find("stages")) {
+    if (!stages->is_array())
+      throw std::invalid_argument("plan JSON: 'stages' is not an array");
+    for (const json::Value& st : stages->items) {
+      st.check_keys({"devices", "replicas_total", "microbatch_size", "t_f",
+                     "t_b", "mem", "param_bytes", "comm_out_bytes", "tasks"},
+                    "plan JSON stage");
+      StagePlan sp;
+      sp.devices = st.geti32("devices", sp.devices);
+      sp.replicas_total = st.geti32("replicas_total", sp.replicas_total);
+      sp.microbatch_size = st.geti("microbatch_size", sp.microbatch_size);
+      sp.t_f = st.getd("t_f", sp.t_f);
+      sp.t_b = st.getd("t_b", sp.t_b);
+      sp.mem = st.geti("mem", sp.mem);
+      sp.param_bytes = st.geti("param_bytes", sp.param_bytes);
+      sp.comm_out_bytes = st.geti("comm_out_bytes", sp.comm_out_bytes);
+      if (const json::Value* tasks = st.find("tasks")) {
+        if (!tasks->is_array())
+          throw std::invalid_argument("plan JSON: 'tasks' is not an array");
+        for (const json::Value& t : tasks->items)
+          sp.tasks.push_back(t.as_int());
       }
-    } else {
-      throw std::invalid_argument("plan JSON: unknown key " + k);
+      plan.stages.push_back(std::move(sp));
     }
   }
-  p.expect('}');
   return plan;
 }
 

@@ -32,20 +32,17 @@ struct PlanViolation {
 std::vector<PlanViolation> validate_plan(const PartitionResult& plan,
                                          const SearchRequest& req);
 
-/// Pre-PR-10 spelling; forwards through SearchRequest::from_config.
-[[deprecated("use validate_plan(plan, SearchRequest)")]]
-std::vector<PlanViolation> validate_plan(const PartitionResult& plan,
-                                         const PartitionConfig& cfg);
-
 /// Serializes the plan (stage task lists, devices, replica counts,
 /// microbatching, timings, memory) as a JSON document.
 std::string plan_to_json(const PartitionResult& plan);
 
-/// Minimal deserialization of the structural fields written by
-/// plan_to_json: stage task lists, devices, microbatch size per stage,
-/// plus microbatches/pipelines/nodes. Timing/memory annotations are
-/// restored too. Throws std::invalid_argument on malformed input.
-/// The caller re-attaches the graph (it is not embedded in the JSON).
-PartitionResult plan_from_json(const std::string& json);
+/// Reads back the fields written by plan_to_json: stage task lists,
+/// devices, microbatch size per stage, plus microbatches/pipelines/nodes
+/// and the timing/memory annotations. Parses through util/json. Throws
+/// std::invalid_argument on malformed input: bad syntax, trailing garbage,
+/// unknown keys, mistyped fields, and integers that are fractional or out
+/// of their field's range. The caller re-attaches the graph (it is not
+/// embedded in the JSON).
+PartitionResult plan_from_json(const std::string& text);
 
 }  // namespace rannc

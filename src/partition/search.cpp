@@ -43,37 +43,4 @@ std::vector<Diagnostic> SearchRequest::validate() const {
   return ds;
 }
 
-SearchRequest SearchRequest::from_config(const PartitionConfig& cfg) {
-  SearchRequest req;
-  req.cluster = cfg.cluster;
-  req.precision = cfg.precision;
-  req.optimizer = cfg.optimizer;
-  req.batch_size = cfg.batch_size;
-  req.num_blocks = cfg.num_blocks;
-  req.memory_margin = cfg.memory_margin;
-  req.use_coarsening = cfg.use_coarsening;
-  req.budget.max_dp_cells = cfg.max_dp_cells;
-  req.budget.threads = cfg.threads;
-  // Legacy semantics: the PartitionConfig surface predates the
-  // branch-and-bound engine, so the bridge reproduces the exhaustive sweep
-  // (identical plans either way; identical counters only this way).
-  req.prune.enabled = false;
-  req.shard.shards = 1;
-  return req;
-}
-
-PartitionConfig SearchRequest::to_config() const {
-  PartitionConfig cfg;
-  cfg.cluster = cluster;
-  cfg.precision = precision;
-  cfg.optimizer = optimizer;
-  cfg.batch_size = batch_size;
-  cfg.num_blocks = num_blocks;
-  cfg.memory_margin = memory_margin;
-  cfg.use_coarsening = use_coarsening;
-  cfg.max_dp_cells = budget.max_dp_cells;
-  cfg.threads = budget.threads;
-  return cfg;
-}
-
 }  // namespace rannc

@@ -1,23 +1,18 @@
-// The partition-search request/result API (PR 10).
+// The partition-search request/result API.
 //
-// `SearchRequest` replaces the flat PartitionConfig knob bag with a typed
-// request in three layers: what to partition for (cluster, precision,
-// optimizer, global batch), how hard to look (SearchBudget), and how the
-// branch-and-bound sweep may cut work (PruneOptions) or split across
-// simulated searcher ranks (ShardOptions). `SearchResult` pairs the winning
-// plan with the search statistics, including the prune counters.
+// `SearchRequest` is a typed request in three layers: what to partition
+// for (cluster, precision, optimizer, global batch), how hard to look
+// (SearchBudget), and how the branch-and-bound sweep may cut work
+// (PruneOptions) or split across simulated searcher ranks (ShardOptions).
+// `SearchResult` pairs the winning plan with the search statistics,
+// including the prune counters.
 //
-// Invariant inherited from PR 3 and extended here: the returned *plan* is
-// bit-identical across every thread count, every shard count, and pruned
-// vs exhaustive mode. Pruning uses admissible lower bounds and strictly
-// dominated cuts only (see docs/ALGORITHMS.md §13), so it can never remove
-// the winner or perturb the deterministic (n, S, MB) tie-break; only the
-// work counters (cells visited, queries, prune totals) change.
-//
-// The legacy auto_partition(PartitionConfig) entry point survives as a
-// deprecated shim that runs the exhaustive engine (SearchRequest::
-// from_config turns pruning off), so existing callers keep their exact
-// counters while they migrate.
+// Invariant: the returned *plan* is bit-identical across every thread
+// count, every shard count, and pruned vs exhaustive mode. Pruning uses
+// admissible lower bounds and strictly dominated cuts only (see
+// docs/ALGORITHMS.md §13), so it can never remove the winner or perturb the
+// deterministic (n, S, MB) tie-break; only the work counters (cells
+// visited, queries, prune totals) change.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +55,10 @@ struct ShardOptions {
 /// How much work the search may spend.
 struct SearchBudget {
   /// Global DP cell cap shared by every stage-DP invocation of the sweep
-  /// (0 = unlimited); exceeding it aborts the whole search, deterministic
-  /// in whether-but-not-where it triggers (see PartitionConfig::max_dp_cells).
+  /// (0 = unlimited), a safety cap for the Section IV-C ablation whose DP
+  /// is O(|B|^2 D^2 S). The cap is drawn from one atomic counter, so
+  /// whether it is exhausted depends only on the total demand: the
+  /// aborted-vs-completed outcome is identical at any thread count.
   std::int64_t max_dp_cells = 0;
   /// Worker threads for the sweep. 0 = RANNC_THREADS env, else 1.
   int threads = 0;
@@ -93,15 +90,6 @@ struct SearchRequest {
   /// result = valid. auto_partition calls this at entry and throws
   /// std::invalid_argument listing every error.
   [[nodiscard]] std::vector<Diagnostic> validate() const;
-
-  /// Legacy bridge: lifts a PartitionConfig into a SearchRequest with
-  /// pruning and sharding OFF, reproducing the PR 3 exhaustive engine
-  /// (plans AND counters) exactly. Used by the deprecated shim.
-  static SearchRequest from_config(const PartitionConfig& cfg);
-
-  /// The flat legacy view (prune/shard options are dropped — they do not
-  /// affect the plan). Handy for APIs not yet migrated.
-  [[nodiscard]] PartitionConfig to_config() const;
 };
 
 /// The winning plan plus the search's accounting.

@@ -68,6 +68,7 @@
 #include "partition/atomic.h"
 #include "partition/auto_partitioner.h"
 #include "partition/block.h"
+#include "partition/plan_eval.h"
 #include "partition/plan_io.h"
 #include "partition/search.h"
 #include "partition/stage_dp.h"

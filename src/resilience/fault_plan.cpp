@@ -1,6 +1,5 @@
 #include "resilience/fault_plan.h"
 
-#include <cctype>
 #include <cmath>
 #include <fstream>
 #include <map>
@@ -10,6 +9,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "util/json.h"
 
 namespace rannc {
 namespace resilience {
@@ -66,85 +66,6 @@ void validate_event(const FaultEvent& e) {
   }
 }
 
-/// Minimal recursive-descent parser for the JSON subset to_json emits
-/// (same pattern as plan_io.cpp, plus double-quoted string values).
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != c)
-      throw std::invalid_argument(std::string("fault plan JSON: expected '") +
-                                  c + "' at offset " + std::to_string(pos_));
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) {
-        const char esc = s_[pos_++];
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          default:
-            throw std::invalid_argument(
-                "fault plan JSON: unsupported escape at offset " +
-                std::to_string(pos_ - 1));
-        }
-      }
-      out.push_back(c);
-    }
-    expect('"');
-    return out;
-  }
-
-  std::string key() {
-    std::string k = string();
-    expect(':');
-    return k;
-  }
-
-  double number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E'))
-      ++pos_;
-    if (pos_ == start)
-      throw std::invalid_argument(
-          "fault plan JSON: expected a number at offset " +
-          std::to_string(start));
-    return std::stod(s_.substr(start, pos_ - start));
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-
- private:
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
 /// Injector backed by a snapshot of the plan's MsgTimeout events.
 class PlanMessageFaults final : public comm::MessageFaultInjector {
  public:
@@ -196,68 +117,35 @@ std::string FaultPlan::to_json() const {
   return os.str();
 }
 
-FaultPlan FaultPlan::from_json(const std::string& json) {
-  JsonParser p(json);
+FaultPlan FaultPlan::from_json(const std::string& text) {
+  const json::Value doc = json::parse(text);
+  doc.check_keys({"version", "events"}, "fault plan JSON");
+  if (doc.geti("version", 1) != 1)
+    throw std::invalid_argument("fault plan JSON: unsupported version");
   FaultPlan plan;
-  p.expect('{');
-  bool first = true;
-  while (true) {
-    if (!first && !p.consume(',')) break;
-    first = false;
-    p.skip_ws();
-    const std::string k = p.key();
-    if (k == "version") {
-      if (static_cast<int>(p.number()) != 1)
-        throw std::invalid_argument("fault plan JSON: unsupported version");
-    } else if (k == "events") {
-      p.expect('[');
-      if (!p.consume(']')) {
-        do {
-          p.expect('{');
-          FaultEvent e;
-          bool efirst = true;
-          while (true) {
-            if (!efirst && !p.consume(',')) break;
-            efirst = false;
-            const std::string ek = p.key();
-            if (ek == "kind") {
-              e.kind = kind_from_name(p.string());
-              if (e.kind == FaultKind::LinkOutage) e.factor = 0;
-            } else if (ek == "rank") {
-              e.rank = static_cast<int>(p.number());
-            } else if (ek == "time") {
-              e.time = p.number();
-            } else if (ek == "link") {
-              e.link = p.string();
-            } else if (ek == "start") {
-              e.start = p.number();
-            } else if (ek == "end") {
-              e.end = p.number();
-            } else if (ek == "factor") {
-              e.factor = p.number();
-            } else if (ek == "channel") {
-              e.channel = p.string();
-            } else if (ek == "seq") {
-              e.seq = static_cast<std::int64_t>(p.number());
-            } else if (ek == "times") {
-              e.times = static_cast<int>(p.number());
-            } else {
-              throw std::invalid_argument(
-                  "fault plan JSON: unknown event key '" + ek + "'");
-            }
-          }
-          p.expect('}');
-          if (e.kind == FaultKind::LinkOutage) e.factor = 0;
-          validate_event(e);
-          plan.events.push_back(std::move(e));
-        } while (p.consume(','));
-        p.expect(']');
-      }
-    } else {
-      throw std::invalid_argument("fault plan JSON: unknown key '" + k + "'");
-    }
+  const json::Value* events = doc.find("events");
+  if (events == nullptr) return plan;
+  if (!events->is_array())
+    throw std::invalid_argument("fault plan JSON: 'events' is not an array");
+  for (const json::Value& ev : events->items) {
+    ev.check_keys({"kind", "rank", "time", "link", "start", "end", "factor",
+                   "channel", "seq", "times"},
+                  "fault plan JSON event");
+    FaultEvent e;
+    e.kind = kind_from_name(ev.gets("kind", fault_kind_name(e.kind)));
+    e.rank = ev.geti32("rank", e.rank);
+    e.time = ev.getd("time", e.time);
+    e.link = ev.gets("link", e.link);
+    e.start = ev.getd("start", e.start);
+    e.end = ev.getd("end", e.end);
+    e.factor = ev.getd("factor", e.factor);
+    e.channel = ev.gets("channel", e.channel);
+    e.seq = ev.geti("seq", e.seq);
+    e.times = ev.geti32("times", e.times);
+    if (e.kind == FaultKind::LinkOutage) e.factor = 0;
+    validate_event(e);
+    plan.events.push_back(std::move(e));
   }
-  p.expect('}');
   return plan;
 }
 

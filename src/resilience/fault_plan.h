@@ -56,10 +56,11 @@ struct FaultPlan {
 
   /// Serializes the plan; from_json(to_json()) is an exact round-trip.
   [[nodiscard]] std::string to_json() const;
-  /// Parses and validates a plan. Throws std::invalid_argument on
-  /// malformed JSON, unknown kinds, or out-of-range fields (negative rank,
-  /// empty window, factor outside [0, 1), times < 1).
-  static FaultPlan from_json(const std::string& json);
+  /// Parses (through util/json) and validates a plan. Throws
+  /// std::invalid_argument on malformed JSON, unknown keys or kinds,
+  /// mistyped or non-integral fields, or out-of-range fields (negative
+  /// rank, empty window, factor outside [0, 1), times < 1).
+  static FaultPlan from_json(const std::string& text);
   /// from_json over a file's contents; throws on an unreadable path.
   static FaultPlan load(const std::string& path);
 

@@ -8,6 +8,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "partition/plan_eval.h"
 #include "pipeline/schedule.h"
 
 namespace rannc {
@@ -20,43 +21,12 @@ namespace {
 constexpr int kControlTrack = 1000;
 
 /// First-device rank of every stage in one pipeline replica (contiguous
-/// layout, stages in order — the same convention as the runtime and the
-/// trace tool).
+/// layout, stages in order — the same convention as replay_plan_comm).
 std::vector<int> stage_offsets(const PartitionResult& plan) {
   std::vector<int> off(plan.stages.size() + 1, 0);
   for (std::size_t s = 0; s < plan.stages.size(); ++s)
     off[s + 1] = off[s] + plan.stages[s].devices;
   return off;
-}
-
-/// Replays one step's boundary traffic: per-microbatch forward activations
-/// and backward gradients between adjacent stages (replica 0), then each
-/// stage's gradient all-reduce across its replicas. Throws DeviceFailure
-/// when a transfer touches a failed rank.
-void replay_step_comm(comm::Fabric& fabric, const PartitionResult& plan) {
-  const int S = static_cast<int>(plan.stages.size());
-  const int R = plan.pipelines;
-  const std::vector<int> off = stage_offsets(plan);
-  const int D = off[static_cast<std::size_t>(S)];
-
-  for (int j = 0; j < plan.microbatches; ++j)
-    for (int s = 0; s + 1 < S; ++s) {
-      const std::int64_t bytes =
-          plan.stages[static_cast<std::size_t>(s)].comm_out_bytes;
-      if (bytes <= 0) continue;
-      fabric.p2p(off[static_cast<std::size_t>(s)],
-                 off[static_cast<std::size_t>(s) + 1], bytes);  // fwd
-      fabric.p2p(off[static_cast<std::size_t>(s) + 1],
-                 off[static_cast<std::size_t>(s)], bytes);  // bwd
-    }
-  for (int s = 0; s < S; ++s) {
-    const StagePlan& sp = plan.stages[static_cast<std::size_t>(s)];
-    std::vector<comm::Rank> ring;
-    for (int r = 0; r < R; ++r)
-      for (int d = 0; d < sp.devices; ++d)
-        ring.push_back(r * D + off[static_cast<std::size_t>(s)] + d);
-    if (ring.size() > 1) fabric.ring_allreduce(ring, sp.param_bytes);
-  }
 }
 
 /// Runtime channel names of the plan's stage boundaries, matching
@@ -107,12 +77,8 @@ SimResult simulate_with_faults(const TaskGraph& model,
 
     const int S = static_cast<int>(plan.stages.size());
     const int MB = plan.microbatches;
-    std::vector<StageTimes> times(static_cast<std::size_t>(S));
-    for (int s = 0; s < S; ++s) {
-      const StagePlan& sp = plan.stages[static_cast<std::size_t>(s)];
-      times[static_cast<std::size_t>(s)] = {sp.t_f, sp.t_b, 0.0};
-    }
-    const ScheduleResult sched = simulate_gpipe(times, MB);
+    const ScheduleResult sched =
+        evaluate_plan(plan, coord.request()).schedule;
 
     // Injected message timeouts of this step: the per-channel sequence
     // number advances one per microbatch, so step k covers seq
@@ -162,7 +128,7 @@ SimResult simulate_with_faults(const TaskGraph& model,
 
     fabric->advance_clocks(t);
     try {
-      replay_step_comm(*fabric, plan);
+      replay_plan_comm(*fabric, plan);
       st.end = std::max(t + step_compute, fabric->max_clock());
       st.completed = true;
       t = st.end;

@@ -271,17 +271,14 @@ ServeRequest request_from_json(const json::Value& v,
   r.id = v.geti("id");
   r.model = spec_from_json(v);
   r.search = defaults;
-  if (const std::int64_t n = v.geti("nodes"))
-    r.search.cluster.num_nodes = static_cast<int>(n);
-  if (const std::int64_t n = v.geti("devices_per_node"))
-    r.search.cluster.devices_per_node = static_cast<int>(n);
+  if (const int n = v.geti32("nodes")) r.search.cluster.num_nodes = n;
+  if (const int n = v.geti32("devices_per_node"))
+    r.search.cluster.devices_per_node = n;
   if (const std::int64_t n = v.geti("batch_size")) r.search.batch_size = n;
-  r.search.budget.threads =
-      static_cast<int>(v.geti("threads", defaults.budget.threads));
+  r.search.budget.threads = v.geti32("threads", defaults.budget.threads);
   r.search.budget.max_dp_cells =
       v.geti("max_dp_cells", defaults.budget.max_dp_cells);
-  r.search.shard.shards =
-      static_cast<int>(v.geti("shards", defaults.shard.shards));
+  r.search.shard.shards = v.geti32("shards", defaults.shard.shards);
   r.search.prune.enabled = v.getb("prune", defaults.prune.enabled);
   return r;
 }

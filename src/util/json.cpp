@@ -1,7 +1,10 @@
 #include "util/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <stdexcept>
+#include <utility>
 
 namespace rannc {
 namespace json {
@@ -193,7 +196,11 @@ class Parser {
     Value v;
     v.type = Value::Type::Number;
     v.raw_number = s_.substr(start, pos_ - start);
-    v.number = std::stod(v.raw_number);
+    try {
+      v.number = std::stod(v.raw_number);
+    } catch (const std::out_of_range&) {
+      fail(start, "number out of double range");
+    }
     return v;
   }
 
@@ -213,18 +220,41 @@ const Value* Value::find(const std::string& key) const {
 std::int64_t Value::as_int64() const {
   if (type != Type::Number)
     throw std::invalid_argument("JSON: expected a number");
-  try {
-    return std::stoll(raw_number);
-  } catch (const std::exception&) {
+  std::int64_t x = 0;
+  const char* end = raw_number.data() + raw_number.size();
+  const auto [ptr, ec] = std::from_chars(raw_number.data(), end, x);
+  if (ec != std::errc() || ptr != end)
     throw std::invalid_argument("JSON: '" + raw_number +
                                 "' is not an int64");
-  }
+  return x;
+}
+
+int Value::as_int() const {
+  const std::int64_t x = as_int64();
+  if (!std::in_range<int>(x))
+    throw std::invalid_argument("JSON: '" + raw_number + "' is not an int");
+  return static_cast<int>(x);
+}
+
+void Value::check_keys(std::initializer_list<std::string_view> known,
+                       const std::string& what) const {
+  if (type != Type::Object)
+    throw std::invalid_argument(what + ": expected a JSON object");
+  for (const auto& [k, v] : members)
+    if (std::find(known.begin(), known.end(), k) == known.end())
+      throw std::invalid_argument(what + ": unknown key '" + k + "'");
 }
 
 std::int64_t Value::geti(const std::string& key, std::int64_t dflt) const {
   const Value* v = find(key);
   if (v == nullptr) return dflt;
   return v->as_int64();
+}
+
+int Value::geti32(const std::string& key, int dflt) const {
+  const Value* v = find(key);
+  if (v == nullptr) return dflt;
+  return v->as_int();
 }
 
 double Value::getd(const std::string& key, double dflt) const {

@@ -1,16 +1,17 @@
-// Minimal JSON document model shared by the serving layer.
-//
-// The repo already contains several purpose-built JSON *writers* (plan_io,
-// obs) and one purpose-built reader (plan_from_json); the serve subsystem
-// adds more readers — wire requests and plan-store entries — so the reader
-// side is factored once here instead of another hand parser. This is a strict parser for the full JSON grammar (objects,
-// arrays, strings with escapes, numbers, booleans, null) that rejects
-// trailing garbage; numbers keep their raw spelling so std::int64_t values
-// round-trip without passing through a double.
+// The repo's one JSON reader: a minimal document model behind every parse
+// of external input — serve wire requests, plan-store entries,
+// plan_from_json (rannc-lint --plan), FaultPlan::from_json (rannc-sim
+// --faults) and rannc-explain --diff. This is a strict parser for the full
+// JSON grammar (objects, arrays, strings with escapes, numbers, booleans,
+// null) that rejects trailing garbage and numbers a double cannot hold;
+// numbers keep their raw spelling so std::int64_t values round-trip
+// without passing through a double.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -46,19 +47,31 @@ class Value {
   /// diagnosing, not silently defaulting.
   [[nodiscard]] std::int64_t geti(const std::string& key,
                                   std::int64_t dflt = 0) const;
+  /// geti narrowed to int; throws std::invalid_argument when out of range.
+  [[nodiscard]] int geti32(const std::string& key, int dflt = 0) const;
   [[nodiscard]] double getd(const std::string& key, double dflt = 0) const;
   [[nodiscard]] std::string gets(const std::string& key,
                                  const std::string& dflt = {}) const;
   [[nodiscard]] bool getb(const std::string& key, bool dflt = false) const;
 
-  /// This value as an exact int64 (throws on non-numbers and on spellings
-  /// std::stoll rejects, e.g. fractions).
+  /// This value as an exact int64. Throws std::invalid_argument on
+  /// non-numbers, on any spelling that is not a plain integer (fractions,
+  /// exponents: 1.5, 1e3) and on values outside the int64 range.
   [[nodiscard]] std::int64_t as_int64() const;
+  /// as_int64 narrowed to int; throws std::invalid_argument when out of range.
+  [[nodiscard]] int as_int() const;
+
+  /// Strict-schema check: throws std::invalid_argument unless this is an
+  /// object whose every key is in `known`. `what` names the object in the
+  /// message.
+  void check_keys(std::initializer_list<std::string_view> known,
+                  const std::string& what) const;
 };
 
 /// Parses a complete JSON document. Throws std::invalid_argument (with the
-/// byte offset) on any syntax error, on trailing non-whitespace, and on
-/// documents nested deeper than an internal sanity bound.
+/// byte offset) on any syntax error, on trailing non-whitespace, on numbers
+/// that overflow or underflow a double (1e999, 1e-320), and on documents
+/// nested deeper than an internal sanity bound.
 Value parse(const std::string& text);
 
 /// Removes all whitespace outside string literals — turns any JSON

@@ -3,7 +3,7 @@
 // are stage threads; within a stage, heavy kernels (GEMM, conv) fan out
 // across the global pool, and the auto-partitioner dispatches its
 // independent (S, MB) stage-DP sweeps onto a dedicated pool sized by
-// PartitionConfig::threads.
+// SearchRequest::budget.threads.
 #pragma once
 
 #include <condition_variable>

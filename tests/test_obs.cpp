@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -25,8 +24,10 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "partition/auto_partitioner.h"
+#include "partition/plan_eval.h"
 #include "partition/plan_io.h"
 #include "pipeline/schedule.h"
+#include "util/json.h"
 
 namespace rannc {
 namespace {
@@ -41,110 +42,14 @@ struct ObsGuard {
   }
 };
 
-// ---- minimal JSON syntax checker ------------------------------------------
-// Recursive-descent recognizer for the full JSON grammar; enough to assert
-// that emitted documents are well-formed without a third-party parser.
-
-struct JsonChecker {
-  const std::string& s;
-  std::size_t i = 0;
-
-  void ws() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  }
-  bool lit(const char* t) {
-    const std::size_t n = std::string(t).size();
-    if (s.compare(i, n, t) != 0) return false;
-    i += n;
-    return true;
-  }
-  bool string() {
-    if (i >= s.size() || s[i] != '"') return false;
-    ++i;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\') {
-        ++i;
-        if (i >= s.size()) return false;
-      }
-      ++i;
-    }
-    if (i >= s.size()) return false;
-    ++i;
-    return true;
-  }
-  bool number() {
-    const std::size_t start = i;
-    if (i < s.size() && s[i] == '-') ++i;
-    while (i < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[i])) || s[i] == '.' ||
-            s[i] == 'e' || s[i] == 'E' || s[i] == '+' || s[i] == '-'))
-      ++i;
-    return i > start;
-  }
-  bool value() {
-    ws();
-    if (i >= s.size()) return false;
-    const char c = s[i];
-    if (c == '{') {
-      ++i;
-      ws();
-      if (i < s.size() && s[i] == '}') {
-        ++i;
-        return true;
-      }
-      for (;;) {
-        ws();
-        if (!string()) return false;
-        ws();
-        if (i >= s.size() || s[i] != ':') return false;
-        ++i;
-        if (!value()) return false;
-        ws();
-        if (i < s.size() && s[i] == ',') {
-          ++i;
-          continue;
-        }
-        if (i < s.size() && s[i] == '}') {
-          ++i;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '[') {
-      ++i;
-      ws();
-      if (i < s.size() && s[i] == ']') {
-        ++i;
-        return true;
-      }
-      for (;;) {
-        if (!value()) return false;
-        ws();
-        if (i < s.size() && s[i] == ',') {
-          ++i;
-          continue;
-        }
-        if (i < s.size() && s[i] == ']') {
-          ++i;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '"') return string();
-    if (c == 't') return lit("true");
-    if (c == 'f') return lit("false");
-    if (c == 'n') return lit("null");
-    return number();
-  }
-};
-
+// Emitted documents must parse under the repo's one strict JSON reader.
 bool json_well_formed(const std::string& doc) {
-  JsonChecker c{doc};
-  if (!c.value()) return false;
-  c.ws();
-  return c.i == doc.size();
+  try {
+    (void)json::parse(doc);
+    return true;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
 }
 
 TEST(ObsJson, CheckerAcceptsAndRejects) {
@@ -253,29 +158,11 @@ std::pair<std::string, std::string> sim_trace_at_threads(int threads) {
   EXPECT_TRUE(plan.feasible) << plan.infeasible_reason;
   EXPECT_EQ(plan.stats.threads_used, threads);
 
-  const int S = static_cast<int>(plan.stages.size());
-  std::vector<StageTimes> st(static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s)
-    st[static_cast<std::size_t>(s)] = {
-        plan.stages[static_cast<std::size_t>(s)].t_f,
-        plan.stages[static_cast<std::size_t>(s)].t_b, 0.0};
-  const ScheduleResult sched = simulate_gpipe(st, plan.microbatches);
-  trace_schedule(rec, sched, S);
-
+  trace_schedule(rec, evaluate_plan(plan, cfg).schedule,
+                 static_cast<int>(plan.stages.size()));
   comm::Fabric fabric(cfg.cluster);
   fabric.set_recorder(&rec);
-  std::vector<int> offset(static_cast<std::size_t>(S) + 1, 0);
-  for (int s = 0; s < S; ++s)
-    offset[static_cast<std::size_t>(s) + 1] =
-        offset[static_cast<std::size_t>(s)] +
-        plan.stages[static_cast<std::size_t>(s)].devices;
-  for (int s = 0; s + 1 < S; ++s) {
-    const std::int64_t bytes =
-        plan.stages[static_cast<std::size_t>(s)].comm_out_bytes;
-    if (bytes > 0)
-      fabric.p2p(offset[static_cast<std::size_t>(s)],
-                 offset[static_cast<std::size_t>(s) + 1], bytes);
-  }
+  replay_plan_comm(fabric, plan);
   fabric.set_recorder(nullptr);
   obs::set_recorder(nullptr);
 
@@ -758,21 +645,13 @@ TEST(Attribution, ReportJsonDeterministicAndWellFormed) {
     cfg.budget.threads = threads;
     const PartitionResult plan = auto_partition(g, cfg).plan;
     ASSERT_TRUE(plan.feasible) << plan.infeasible_reason;
-    const int S = static_cast<int>(plan.stages.size());
-    std::vector<StageTimes> st(static_cast<std::size_t>(S));
-    for (int s = 0; s < S; ++s) {
-      const StagePlan& sp = plan.stages[static_cast<std::size_t>(s)];
-      const double comm = s + 1 < S ? partitioner_comm_time(
-                                          cfg.cluster, sp.comm_out_bytes)
-                                    : 0.0;
-      st[static_cast<std::size_t>(s)] = {sp.t_f, sp.t_b, comm};
-    }
-    obs::AttributionReport rep = obs::attribute(
-        causal_ops(simulate_gpipe(st, plan.microbatches)), S,
-        plan.microbatches);
+    const PlanEvaluation ev = evaluate_plan(plan, cfg);
+    obs::AttributionReport rep =
+        obs::attribute(causal_ops(ev.schedule),
+                       static_cast<int>(plan.stages.size()), plan.microbatches);
     for (const obs::WhatIf& w : obs::default_what_ifs(rep))
       rep.what_ifs.push_back(
-          eval_what_if(rep, st, plan.microbatches, w));
+          eval_what_if(rep, ev.stage_times, plan.microbatches, w));
     docs.push_back(obs::report_json(rep));
   }
   EXPECT_EQ(docs[0], docs[1]);

@@ -1,13 +1,20 @@
-// Tests for plan validation and JSON round-tripping.
+// Tests for plan validation and JSON round-tripping, and for the strictness
+// of every reader of external JSON (all of which parse through util/json).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "graph/subgraph.h"
 #include "models/bert.h"
 #include "models/mlp.h"
 #include "partition/auto_partitioner.h"
 #include "partition/plan_io.h"
+#include "resilience/fault_plan.h"
+#include "serve/model_zoo.h"
+#include "util/json.h"
 
 namespace rannc {
 namespace {
@@ -159,6 +166,70 @@ TEST(PlanJson, EmptyStagesArray) {
       "{\"version\": 1, \"feasible\": false, \"stages\": []}");
   EXPECT_FALSE(plan.feasible);
   EXPECT_TRUE(plan.stages.empty());
+}
+
+TEST(JsonReaders, RejectEveryMalformedInput) {
+  // Each case is input from outside the program (rannc-lint --plan,
+  // rannc-sim --faults, a rannc-serve request). Each must be rejected with
+  // the documented std::invalid_argument: never read as a silently wrong
+  // value, never escape as another exception type.
+  const struct {
+    const char* what;
+    std::function<void()> read;
+  } cases[] = {
+      {"plan: trailing garbage",
+       [] { (void)plan_from_json(R"({"version": 1} trailing)"); }},
+      {"plan: microbatches beyond int",
+       [] { (void)plan_from_json(R"({"microbatches": 1e12})"); }},
+      {"plan: fractional task ids",
+       [] { (void)plan_from_json(R"({"stages": [{"tasks": [1.5, 2.9]}]})"); }},
+      {"plan: double overflow",
+       [] { (void)plan_from_json(R"({"est_iteration_time": 1e999})"); }},
+      {"fault plan: trailing garbage",
+       [] { (void)resilience::FaultPlan::from_json(R"({"events": []} x)"); }},
+      {"fault plan: fractional rank",
+       [] {
+         (void)resilience::FaultPlan::from_json(
+             R"({"events": [{"kind": "rank_fail", "rank": 1.5}]})");
+       }},
+      {"json: geti of a fraction",
+       [] { (void)json::parse(R"({"a": 1.5})").geti("a"); }},
+      {"json: geti of an exponent",
+       [] { (void)json::parse(R"({"a": 1e3})").geti("a"); }},
+      {"json: double overflow", [] { (void)json::parse("1e999"); }},
+      {"json: double underflow", [] { (void)json::parse("1e-320"); }},
+      {"serve request: fractional layer count",
+       [] {
+         (void)serve::spec_from_json(
+             json::parse(R"({"model": "mlp", "layers": 1e3})"));
+       }},
+  };
+  for (const auto& c : cases) {
+    try {
+      c.read();
+      ADD_FAILURE() << c.what << ": accepted";
+    } catch (const std::invalid_argument&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << c.what << ": threw " << e.what()
+                    << " instead of std::invalid_argument";
+    }
+  }
+
+  // The documented exact round trip holds for every escape to_json writes.
+  resilience::FaultPlan p;
+  resilience::FaultEvent e;
+  e.kind = resilience::FaultKind::MsgTimeout;
+  e.channel = "fwd\r\t\"0\"->1\\";
+  p.events.push_back(e);
+  const std::string doc = p.to_json();
+  try {
+    const resilience::FaultPlan q = resilience::FaultPlan::from_json(doc);
+    ASSERT_EQ(q.events.size(), 1u);
+    EXPECT_EQ(q.events[0].channel, e.channel);
+    EXPECT_EQ(q.to_json(), doc);
+  } catch (const std::exception& ex) {
+    ADD_FAILURE() << "round trip threw " << ex.what();
+  }
 }
 
 }  // namespace

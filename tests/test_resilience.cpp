@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 
 #include "comm/fabric.h"
@@ -18,6 +19,7 @@
 #include "obs/trace.h"
 #include "partition/auto_partitioner.h"
 #include "partition/plan_io.h"
+#include "partition/search.h"
 #include "resilience/fault_plan.h"
 #include "resilience/recovery.h"
 #include "resilience/sim.h"
@@ -355,65 +357,63 @@ TEST(RecoveryCoordinator, RecoverBeforePartitionIsAnError) {
   EXPECT_THROW(coord.recover({0}), std::logic_error);
 }
 
-// ---- PartitionConfig::validate ---------------------------------------------
+// ---- SearchRequest::validate ------------------------------------------------
+// (BadShardCount / BadCellBudget: SearchPrune.ValidateRejectsBadShardAndCellBudget)
 
 TEST(PartitionConfigValidate, CleanConfigHasNoDiagnostics) {
-  EXPECT_TRUE(PartitionConfig{}.validate().empty());
+  EXPECT_TRUE(SearchRequest{}.validate().empty());
 }
 
 TEST(PartitionConfigValidate, BadBatchSize) {
-  PartitionConfig cfg;
-  cfg.batch_size = 0;
-  const auto ds = cfg.validate();
+  SearchRequest req;
+  req.batch_size = 0;
+  const auto ds = req.validate();
   ASSERT_EQ(ds.size(), 1u);
   EXPECT_EQ(ds[0].code, DiagCode::BadBatchSize);
   EXPECT_EQ(ds[0].severity, Severity::Error);
 }
 
 TEST(PartitionConfigValidate, BadMemoryMargin) {
-  PartitionConfig cfg;
-  cfg.memory_margin = 0.0;
-  auto ds = cfg.validate();
+  SearchRequest req;
+  req.memory_margin = 0.0;
+  auto ds = req.validate();
   ASSERT_EQ(ds.size(), 1u);
   EXPECT_EQ(ds[0].code, DiagCode::BadMemoryMargin);
-  cfg.memory_margin = 1.5;
-  ds = cfg.validate();
+  req.memory_margin = 1.5;
+  ds = req.validate();
   ASSERT_EQ(ds.size(), 1u);
   EXPECT_EQ(ds[0].code, DiagCode::BadMemoryMargin);
 }
 
 TEST(PartitionConfigValidate, BadThreadCount) {
-  PartitionConfig cfg;
-  cfg.threads = -1;
-  const auto ds = cfg.validate();
+  SearchRequest req;
+  req.budget.threads = -1;
+  const auto ds = req.validate();
   ASSERT_EQ(ds.size(), 1u);
   EXPECT_EQ(ds[0].code, DiagCode::BadThreadCount);
 }
 
 TEST(PartitionConfigValidate, BadBlockCount) {
-  PartitionConfig cfg;
-  cfg.num_blocks = 0;
-  const auto ds = cfg.validate();
+  SearchRequest req;
+  req.num_blocks = 0;
+  const auto ds = req.validate();
   ASSERT_EQ(ds.size(), 1u);
   EXPECT_EQ(ds[0].code, DiagCode::BadBlockCount);
 }
 
 TEST(PartitionConfigValidate, EmptyCluster) {
-  PartitionConfig cfg;
-  cfg.cluster.num_nodes = 0;
-  const auto ds = cfg.validate();
+  SearchRequest req;
+  req.cluster.num_nodes = 0;
+  const auto ds = req.validate();
   ASSERT_EQ(ds.size(), 1u);
   EXPECT_EQ(ds[0].code, DiagCode::EmptyCluster);
 }
 
 TEST(PartitionConfigValidate, GatesAutoPartition) {
   const BuiltModel m = build_mlp(test_mlp());
-  PartitionConfig cfg;
-  cfg.batch_size = -4;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_THROW(auto_partition(m.graph, cfg), std::invalid_argument);
-#pragma GCC diagnostic pop
+  SearchRequest req;
+  req.batch_size = -4;
+  EXPECT_THROW(auto_partition(m.graph, req), std::invalid_argument);
 }
 
 // ---- virtual-time fault simulator ------------------------------------------

@@ -149,6 +149,7 @@ TEST(SearchPrune, PrunedSearchVisitsNoMoreCellsAndActuallyCuts) {
 
   ASSERT_TRUE(ex.feasible());
   ASSERT_TRUE(bb.feasible());
+  EXPECT_EQ(plan_to_json(bb.plan), plan_to_json(ex.plan));
   // Cuts only ever remove work from the sweep.
   EXPECT_LE(bb.stats().dp_cells_visited, ex.stats().dp_cells_visited);
   // The exhaustive engine reports no prune activity at all.

@@ -1,14 +1,16 @@
 // rannc-explain — causal performance attribution CLI.
 //
-// Runs the partition search for a builder model, replays the winning plan
-// through the virtual-time GPipe simulator *with explicit boundary
-// communication*, and folds the causal annotations into an attribution
-// report (src/obs/attribution.h):
+// Runs the partition search for a builder model, scores the winning plan
+// with evaluate_plan — the GPipe schedule the search optimized, boundary
+// comm folded into each stage's t_f / t_b as in h() (paper Section III-C)
+// — and folds the schedule's causal annotations into an attribution report
+// (src/obs/attribution.h):
 //
-//   * the exact critical path (alternating compute / comm segments),
+//   * the exact critical path,
 //   * a conservation-checked decomposition of the step time into
 //     compute / comm / queue / bubble buckets per stage (the buckets sum
-//     to the step time bit-exactly),
+//     to the step time bit-exactly; the schedule-side comm bucket is 0
+//     because comm is counted inside compute, exactly once),
 //   * per-link wire vs contention-queuing attribution from a discrete-event
 //     fabric replay of the plan's communication pattern,
 //   * a what-if catalog: first-order estimates validated against
@@ -20,7 +22,6 @@
 // Every input is deterministic virtual time, so the JSON report is
 // byte-identical across runs and RANNC_THREADS values; CI diffs it.
 #include <cmath>
-#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -43,46 +44,6 @@ struct Options {
   bool quiet = false;
 };
 
-/// Replays the plan's communication pattern on the discrete-event fabric
-/// with the transfer log enabled: per-microbatch boundary activations
-/// between the lead ranks of adjacent stages, then each stage's gradient
-/// all-reduce ring across its replicas. Mirrors rannc-trace's replay so
-/// the two tools attribute the same virtual traffic.
-void replay_and_attach(obs::AttributionReport& rep, const PartitionResult& plan,
-                       const ClusterSpec& cluster) {
-  comm::Fabric fabric(cluster);
-  fabric.set_transfer_log(true);
-
-  const int S = static_cast<int>(plan.stages.size());
-  const int R = plan.pipelines;
-  std::vector<int> offset(static_cast<std::size_t>(S) + 1, 0);
-  for (int s = 0; s < S; ++s)
-    offset[static_cast<std::size_t>(s) + 1] =
-        offset[static_cast<std::size_t>(s)] +
-        plan.stages[static_cast<std::size_t>(s)].devices;
-  const int D = offset[static_cast<std::size_t>(S)];  // devices per replica
-
-  for (int j = 0; j < plan.microbatches; ++j)
-    for (int s = 0; s + 1 < S; ++s) {
-      const std::int64_t bytes =
-          plan.stages[static_cast<std::size_t>(s)].comm_out_bytes;
-      if (bytes <= 0) continue;
-      fabric.p2p(offset[static_cast<std::size_t>(s)],
-                 offset[static_cast<std::size_t>(s) + 1], bytes);
-    }
-
-  for (int s = 0; s < S; ++s) {
-    const StagePlan& sp = plan.stages[static_cast<std::size_t>(s)];
-    std::vector<comm::Rank> ring;
-    for (int r = 0; r < R; ++r)
-      for (int d = 0; d < sp.devices; ++d)
-        ring.push_back(r * D + offset[static_cast<std::size_t>(s)] + d);
-    if (ring.size() > 1) fabric.ring_allreduce(ring, sp.param_bytes);
-  }
-
-  comm::attribute_fabric(rep, fabric);
-}
-
 int run(const Options& o) {
   obs::set_thread_name("main");
   const BuiltModel m = cli::build_model(o.model);
@@ -96,21 +57,10 @@ int run(const Options& o) {
     return 1;
   }
 
-  // Explicit boundary communication: unlike rannc-trace (which folds comm
-  // into t_f/t_b to match the search's cost model), attribution needs the
-  // comm edges visible so the critical path can contain comm segments.
+  const PlanEvaluation ev = evaluate_plan(plan, req);
   const int S = static_cast<int>(plan.stages.size());
-  std::vector<StageTimes> st(static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) {
-    const StagePlan& sp = plan.stages[static_cast<std::size_t>(s)];
-    const double comm =
-        s + 1 < S ? partitioner_comm_time(req.cluster, sp.comm_out_bytes) : 0.0;
-    st[static_cast<std::size_t>(s)] = {sp.t_f, sp.t_b, comm};
-  }
-
-  const ScheduleResult sched = simulate_gpipe(st, plan.microbatches);
   obs::AttributionReport rep =
-      obs::attribute(causal_ops(sched), S, plan.microbatches);
+      obs::attribute(causal_ops(ev.schedule), S, plan.microbatches);
   {
     std::ostringstream subject;
     subject << o.model.model << " S=" << S << " MB=" << plan.microbatches
@@ -119,7 +69,13 @@ int run(const Options& o) {
     rep.subject = subject.str();
   }
 
-  replay_and_attach(rep, plan, req.cluster);
+  // Per-link wire vs contention attribution of one step's traffic.
+  {
+    comm::Fabric fabric(req.cluster);
+    fabric.set_transfer_log(true);
+    replay_plan_comm(fabric, plan);
+    comm::attribute_fabric(rep, fabric);
+  }
 
   // What-if catalog: first-order estimates from the report, ground truth
   // by perturbing the simulator inputs and re-running the schedule.
@@ -129,10 +85,10 @@ int run(const Options& o) {
     r.name = obs::what_if_name(w);
     r.baseline = rep.step_time;
     r.estimate = obs::estimate_what_if(rep, w);
-    std::vector<StageTimes> st2 = st;
-    int mb2 = plan.microbatches;
-    apply_what_if(w, st2, mb2);
-    r.ground_truth = simulate_gpipe(st2, mb2).iteration_time;
+    std::vector<StageTimes> st = ev.stage_times;
+    int mb = plan.microbatches;
+    apply_what_if(w, st, mb);
+    r.ground_truth = simulate_gpipe(st, mb).iteration_time;
     rep.what_ifs.push_back(std::move(r));
   }
 

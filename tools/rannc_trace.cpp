@@ -17,11 +17,8 @@
 //
 // The virtual-time (pid 2/3) events are deterministic: bit-identical across
 // runs and RANNC_THREADS values.
-#include <cstdint>
 #include <iostream>
-#include <numeric>
 #include <string>
-#include <vector>
 
 #include "cli_args.h"
 #include "rannc.h"
@@ -38,46 +35,15 @@ struct Options {
   bool quiet = false;
 };
 
-/// Replays the plan's communication pattern on the discrete-event fabric:
-/// per-microbatch activations between adjacent stages (replica 0, first
-/// device of each stage) followed by each stage's gradient all-reduce ring
-/// across its devices and pipeline replicas. All virtual time; events land
-/// on the recorder's per-link SimFabric tracks.
+/// Replays one step's traffic of the plan (replay_plan_comm) on the
+/// discrete-event fabric, all in virtual time: events land on the
+/// recorder's per-link SimFabric tracks, link busy fractions on the
+/// metrics registry.
 void replay_fabric(obs::TraceRecorder& rec, const PartitionResult& plan,
                    const ClusterSpec& cluster) {
   comm::Fabric fabric(cluster);
   fabric.set_recorder(&rec);
-
-  const int S = static_cast<int>(plan.stages.size());
-  const int R = plan.pipelines;
-  // Devices of one pipeline replica are contiguous; stages are laid out in
-  // order inside the replica block.
-  std::vector<int> offset(static_cast<std::size_t>(S) + 1, 0);
-  for (int s = 0; s < S; ++s)
-    offset[static_cast<std::size_t>(s) + 1] =
-        offset[static_cast<std::size_t>(s)] +
-        plan.stages[static_cast<std::size_t>(s)].devices;
-  const int D = offset[static_cast<std::size_t>(S)];  // devices per replica
-
-  // Forward activations stage s -> s+1, one transfer per microbatch.
-  for (int j = 0; j < plan.microbatches; ++j)
-    for (int s = 0; s + 1 < S; ++s) {
-      const std::int64_t bytes =
-          plan.stages[static_cast<std::size_t>(s)].comm_out_bytes;
-      if (bytes <= 0) continue;
-      fabric.p2p(offset[static_cast<std::size_t>(s)],
-                 offset[static_cast<std::size_t>(s) + 1], bytes);
-    }
-
-  // Per-stage gradient all-reduce across all replicas of the stage.
-  for (int s = 0; s < S; ++s) {
-    const StagePlan& sp = plan.stages[static_cast<std::size_t>(s)];
-    std::vector<comm::Rank> ring;
-    for (int r = 0; r < R; ++r)
-      for (int d = 0; d < sp.devices; ++d)
-        ring.push_back(r * D + offset[static_cast<std::size_t>(s)] + d);
-    if (ring.size() > 1) fabric.ring_allreduce(ring, sp.param_bytes);
-  }
+  replay_plan_comm(fabric, plan);
 
   obs::MetricsRegistry& m = obs::metrics();
   const double horizon = fabric.max_clock();
@@ -107,15 +73,8 @@ int run(const Options& o) {
     // the SimSchedule tracks, then the communication pattern on the
     // SimFabric link tracks.
     obs::Scope sc("simulate_plan", "sim");
-    const int S = static_cast<int>(plan.stages.size());
-    std::vector<StageTimes> st(static_cast<std::size_t>(S));
-    for (int s = 0; s < S; ++s) {
-      const StagePlan& sp = plan.stages[static_cast<std::size_t>(s)];
-      // Boundary comm is folded into t_f / t_b, matching the search's h().
-      st[static_cast<std::size_t>(s)] = {sp.t_f, sp.t_b, 0.0};
-    }
-    const ScheduleResult sched = simulate_gpipe(st, plan.microbatches);
-    trace_schedule(rec, sched, S);
+    const ScheduleResult sched = evaluate_plan(plan, req).schedule;
+    trace_schedule(rec, sched, static_cast<int>(plan.stages.size()));
     obs::MetricsRegistry& mreg = obs::metrics();
     mreg.gauge("sim.iteration_time").set(sched.iteration_time);
     mreg.gauge("sim.bubble_fraction").set(sched.bubble_fraction);
