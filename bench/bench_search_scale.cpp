@@ -14,8 +14,10 @@
 //                round-barrier incumbent sync over src/comm);
 //
 // — and emits BENCH_SEARCH.json: per-model DP-cell counts, prune counters,
-// search wall-clock, the cells/wall-clock ratios of exhaustive over pruned,
-// and an equal-quality proof (bit-identical plan JSON and bit-equal
+// the Phase-2 block counters (blocks, coarsening levels, uncoarsening and
+// refinement moves, compaction merges), the Phase-3 sweep and whole-call
+// wall-clock, the cells / sweep / whole-call ratios of exhaustive over
+// pruned, and an equal-quality proof (bit-identical plan JSON and bit-equal
 // est_iteration across all three engines). The headline gate holds the
 // PR 10 acceptance bar: on the 100k-task builder the pruned engine must
 // show >= 10x fewer DP cells or >= 10x search wall-clock speedup at equal
@@ -65,6 +67,12 @@ struct EngineResult {
   std::int64_t paths_pruned = 0;
   std::int64_t incumbent_updates = 0;
   int shard_rounds = 0;
+  // Phase 2 (block partitioning) runs before the engine choice, so these
+  // are the same for every engine of a scenario.
+  int blocks = 0;
+  int coarsen_levels = 0;
+  int uncoarsen_moves = 0;
+  int compaction_merges = 0;
   double est_iteration = 0;
   std::string plan_json;
 };
@@ -151,6 +159,10 @@ EngineResult run_engine(const TaskGraph& graph, const Scenario& sc,
   er.paths_pruned = sr.prune().paths_pruned;
   er.incumbent_updates = sr.prune().incumbent_updates;
   er.shard_rounds = sr.prune().shard_rounds;
+  er.blocks = sr.stats().blocks;
+  er.coarsen_levels = sr.stats().coarsen_levels;
+  er.uncoarsen_moves = sr.stats().uncoarsen_moves;
+  er.compaction_merges = sr.stats().compaction_merges;
   er.est_iteration = sr.plan.est_iteration_time;
   if (er.feasible) er.plan_json = plan_to_json(sr.plan);
   return er;
@@ -182,6 +194,7 @@ int main(int argc, char** argv) {
     bool gated = false;        ///< held to the 10x acceptance bar
     double cells_ratio = 0;    ///< exhaustive / pruned dp_cells
     double search_speedup = 0; ///< exhaustive / pruned search seconds
+    double wall_speedup = 0;   ///< exhaustive / pruned wall seconds
   };
   std::vector<ScenarioResult> results;
   bool all_plans_identical = true;
@@ -214,9 +227,9 @@ int main(int argc, char** argv) {
     const EngineResult& pr = r.engines[1];
     for (const EngineResult& er : r.engines) {
       std::printf(
-          "  %-10s search=%8.3fs cells=%10lld bounds=%8lld jobs_cut=%lld "
-          "est=%.6f\n",
-          er.label.c_str(), er.search_seconds,
+          "  %-10s wall=%8.3fs search=%8.3fs cells=%10lld bounds=%8lld "
+          "jobs_cut=%lld est=%.6f\n",
+          er.label.c_str(), er.wall_seconds, er.search_seconds,
           static_cast<long long>(er.dp_cells),
           static_cast<long long>(er.bound_queries),
           static_cast<long long>(er.jobs_pruned + er.jobs_dominated),
@@ -229,10 +242,12 @@ int main(int argc, char** argv) {
                                     : 0.0;
     r.search_speedup =
         pr.search_seconds > 0 ? ex.search_seconds / pr.search_seconds : 0.0;
+    r.wall_speedup =
+        pr.wall_seconds > 0 ? ex.wall_seconds / pr.wall_seconds : 0.0;
     std::printf("  plans identical: %s; cells ratio %.1fx; search speedup "
-                "%.1fx\n\n",
+                "%.1fx; wall speedup %.2fx\n\n",
                 r.plans_identical ? "yes" : "NO", r.cells_ratio,
-                r.search_speedup);
+                r.search_speedup, r.wall_speedup);
 
     all_plans_identical = all_plans_identical && r.plans_identical;
     // The acceptance bar: >= 10x fewer DP cells or >= 10x faster search at
@@ -270,6 +285,7 @@ int main(int argc, char** argv) {
     os << "      \"gated\": " << (r.gated ? "true" : "false") << ",\n";
     os << "      \"cells_ratio\": " << r.cells_ratio << ",\n";
     os << "      \"search_speedup\": " << r.search_speedup << ",\n";
+    os << "      \"wall_speedup\": " << r.wall_speedup << ",\n";
     os << "      \"engines\": [\n";
     for (std::size_t ei = 0; ei < r.engines.size(); ++ei) {
       const auto& er = r.engines[ei];
@@ -290,6 +306,11 @@ int main(int argc, char** argv) {
       os << "          \"incumbent_updates\": " << er.incumbent_updates
          << ",\n";
       os << "          \"shard_rounds\": " << er.shard_rounds << ",\n";
+      os << "          \"blocks\": " << er.blocks << ",\n";
+      os << "          \"coarsen_levels\": " << er.coarsen_levels << ",\n";
+      os << "          \"uncoarsen_moves\": " << er.uncoarsen_moves << ",\n";
+      os << "          \"compaction_merges\": " << er.compaction_merges
+         << ",\n";
       os << "          \"est_iteration\": " << er.est_iteration << "\n";
       os << "        }" << (ei + 1 < r.engines.size() ? "," : "") << "\n";
     }

@@ -20,7 +20,9 @@
 // acyclic: a non-convex subcomponent is exactly one that induces a cycle
 // among blocks, which would deadlock the sequential pipeline (Section III-B).
 // Each merge or move is checked locally against a maintained topological
-// order of the groups (see block.cpp), not by rebuilding the quotient.
+// order of the groups (see block.cpp), not by rebuilding the quotient. The
+// quotient itself is built from the components once per call and updated in
+// place by every merge and move.
 #pragma once
 
 #include <cstdint>
@@ -77,14 +79,32 @@ BlockPartition block_partition(const AtomicPartition& ap,
 
 namespace detail {
 
-/// Test hook: runs exactly what block_partition runs, but diffs every
-/// incremental cycle check against a full quotient rebuild and verifies the
-/// maintained topological order after it. Throws std::logic_error naming
-/// the step (coarsen, uncoarsen, refine) and check index of the first
-/// disagreement. O(n + E) per check; not for production use.
+/// What the checked entry audited, for tests that must show a case was
+/// exercised, not merely passed.
+struct BlockAudit {
+  std::int64_t views = 0;           ///< carried views diffed vs build_view()
+  std::int64_t picks[2] = {0, 0};   ///< indexed picks diffed vs the scan:
+                                    ///< [0] forward, [1] backward
+  std::int64_t tied_picks = 0;      ///< picks with another candidate of the
+                                    ///< same time (list position decides)
+  std::int64_t memory_rejects = 0;  ///< picks the memory budget refused
+  std::int64_t scanned = 0;         ///< comps the scan walked for the picks
+};
+
+/// Test hook: runs exactly what block_partition runs, with three oracles.
+/// Every incremental cycle check is diffed against a full quotient rebuild
+/// and the maintained topological order verified after it; the carried
+/// quotient (members, time, memory, arcs with edge counts, Kahn ranks) is
+/// diffed field by field against a fresh build_view() at every view (each
+/// coarsening level, compaction merge, refinement pass and finalize); and
+/// every movable-index pick of the balance refinement is diffed against
+/// the linear scan of the source block. Throws std::logic_error naming the
+/// step and index of the first disagreement. O(n + E) per check and view;
+/// not for production use. `audit`, if given, receives what was audited.
 BlockPartition block_partition_checked(const AtomicPartition& ap,
                                        const GraphProfiler& prof,
-                                       const BlockPartitionConfig& cfg);
+                                       const BlockPartitionConfig& cfg,
+                                       BlockAudit* audit = nullptr);
 
 }  // namespace detail
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <numeric>
 #include <string>
+#include <tuple>
 
 #include "graph/subgraph.h"
 #include "models/bert.h"
@@ -221,9 +222,12 @@ std::int64_t comp_edges(const AtomicPartition& ap) {
   return n;
 }
 
-/// Runs the checked entry (every incremental check diffed against a full
-/// quotient rebuild) in all step combinations, with and without a memory
-/// budget that rejects merges, and expects the plain entry's exact result.
+/// Runs the checked entry in all step combinations, with and without memory
+/// budgets that reject merges and refinement moves, and expects the plain
+/// entry's exact result. The checked entry diffs every incremental cycle
+/// check against a full quotient rebuild, the carried quotient against a
+/// fresh build_view() at every view, and every indexed refinement pick
+/// against the linear scan; each view it audited is counted in `audit`.
 void expect_checked_matches_plain(const Built& b, const std::string& name) {
   BlockPartitionConfig base;
   const BlockPartition plain = block_partition(b.ap, *b.prof, base);
@@ -231,7 +235,7 @@ void expect_checked_matches_plain(const Built& b, const std::string& name) {
   for (const Block& blk : plain.blocks)
     max_mem = std::max(max_mem, 4 * blk.param_bytes + blk.act_bytes);
   for (int k : {4, 32})
-    for (std::int64_t mem : {std::int64_t{0}, max_mem * 3 / 4})
+    for (std::int64_t mem : {std::int64_t{0}, max_mem * 3 / 4, max_mem})
       for (bool unc : {true, false})
         for (bool bal : {true, false}) {
           BlockPartitionConfig cfg;
@@ -244,8 +248,10 @@ void expect_checked_matches_plain(const Built& b, const std::string& name) {
                        " unc=" + std::to_string(unc) +
                        " bal=" + std::to_string(bal));
           BlockPartition checked;
-          ASSERT_NO_THROW(
-              checked = detail::block_partition_checked(b.ap, *b.prof, cfg));
+          detail::BlockAudit audit;
+          ASSERT_NO_THROW(checked = detail::block_partition_checked(
+                              b.ap, *b.prof, cfg, &audit));
+          EXPECT_GE(audit.views, 2);  // at least a coarsening level + finalize
           const BlockPartition want = block_partition(b.ap, *b.prof, cfg);
           EXPECT_EQ(checked.blocks, want.blocks);
           EXPECT_EQ(checked.block_of_comp, want.block_of_comp);
@@ -291,6 +297,74 @@ TEST(BlockCycleCheck, CheckWorkIsAFractionOfFullRebuilds) {
   EXPECT_LE(scanned * 20, full)
       << scanned << " comps scanned by " << n_checks << " checks; a full "
       << "rebuild per check would touch " << full;
+}
+
+// ---- carried quotient and movable index -----------------------------------
+
+TEST(BlockRefine, IndexPicksWhatTheScanPicks) {
+  // The checked entry diffs every indexed pick against the linear scan.
+  // The MoE's experts have equal times, so the scan's "first listed wins"
+  // tie-break decides many picks; a budget equal to the fullest block of
+  // the unconstrained partition makes refinement moves hit the memory
+  // check; both directions of the chain occur.
+  detail::BlockAudit total;
+  for (std::int64_t experts : {8, 16}) {
+    const Built b = prepare_moe(experts);
+    const BlockPartition free_bp =
+        block_partition(b.ap, *b.prof, BlockPartitionConfig{});
+    std::int64_t max_mem = 0;
+    for (const Block& blk : free_bp.blocks)
+      max_mem = std::max(max_mem, 4 * blk.param_bytes + blk.act_bytes);
+    for (int k : {8, 32})
+      for (std::int64_t mem : {std::int64_t{0}, max_mem}) {
+        BlockPartitionConfig cfg;
+        cfg.k = k;
+        cfg.device_memory = mem;
+        SCOPED_TRACE("E" + std::to_string(experts) + " k=" +
+                     std::to_string(k) + " mem=" + std::to_string(mem));
+        detail::BlockAudit audit;
+        BlockPartition checked;
+        ASSERT_NO_THROW(checked = detail::block_partition_checked(
+                            b.ap, *b.prof, cfg, &audit));
+        EXPECT_TRUE(checked == block_partition(b.ap, *b.prof, cfg));
+        for (int dir : {0, 1}) total.picks[dir] += audit.picks[dir];
+        total.tied_picks += audit.tied_picks;
+        total.memory_rejects += audit.memory_rejects;
+      }
+  }
+  EXPECT_GT(total.picks[0], 100);  // forward
+  EXPECT_GT(total.picks[1], 100);  // backward
+  EXPECT_GT(total.tied_picks, 100);
+  EXPECT_GT(total.memory_rejects, 0);
+}
+
+TEST(BlockRefine, WorkIsAFractionOfTheScan) {
+  // Machine-independent gate on Phase 2's work: one call builds the
+  // comp-level quotient once, and the movable index examines a small share
+  // of the comps the linear scan would walk for the same picks.
+  const Built b = prepare_moe(16);
+  const std::vector<std::string> names = {
+      "views_built",    "merges_proposed", "merges_applied",
+      "merges_rejected", "refine_moves",   "refine_comps_examined"};
+  std::vector<std::int64_t> work;
+  for (const std::string& n : names)
+    work.push_back(-obs::metrics().counter("partition.block." + n).get());
+  block_partition(b.ap, *b.prof, BlockPartitionConfig{});
+  for (std::size_t i = 0; i < names.size(); ++i)
+    work[i] += obs::metrics().counter("partition.block." + names[i]).get();
+  const auto [views, proposed, applied, rejected, moves, examined] =
+      std::tuple(work[0], work[1], work[2], work[3], work[4], work[5]);
+  EXPECT_EQ(views, 1);
+  EXPECT_EQ(proposed, applied + rejected);
+  EXPECT_GT(applied, 1000);
+
+  detail::BlockAudit audit;
+  detail::block_partition_checked(b.ap, *b.prof, BlockPartitionConfig{},
+                                  &audit);
+  ASSERT_GT(moves, 1000);
+  EXPECT_LE(examined * 20, audit.scanned)
+      << examined << " comps examined for " << moves << " moves; the scan "
+      << "walks " << audit.scanned;
 }
 
 }  // namespace

@@ -165,7 +165,9 @@ TEST_P(Fuzz, ConvexityPredicateMatchesOracle) {
 }
 
 /// The incremental cycle checks agree with a full quotient rebuild at every
-/// step (the checked entry throws otherwise) and change nothing. Memory
+/// step, the carried quotient with a fresh build_view() at every view, and
+/// the indexed refinement picks with the linear scan (the checked entry
+/// throws otherwise); checking changes nothing. Memory
 /// budgets below the largest block of `bp` reject merges and moves; the
 /// toggles reach uncoarsening and refinement from different states.
 void expect_checked_matches_plain(const AtomicPartition& ap,
@@ -186,7 +188,10 @@ void expect_checked_matches_plain(const AtomicPartition& ap,
                      std::to_string(mem) + " unc=" + std::to_string(unc) +
                      " bal=" + std::to_string(bal));
         BlockPartition checked;
-        ASSERT_NO_THROW(checked = detail::block_partition_checked(ap, prof, c));
+        detail::BlockAudit audit;
+        ASSERT_NO_THROW(
+            checked = detail::block_partition_checked(ap, prof, c, &audit));
+        EXPECT_GE(audit.views, 1);
         EXPECT_TRUE(checked == block_partition(ap, prof, c));
       }
 }

@@ -28,7 +28,11 @@ the sentinel guards the *deterministic* surface:
                 match to 1e-9 relative.
   search        scenarios matched by name: every engine must be feasible
                 and all three (exhaustive, pruned, sharded) must agree on
-                the plan. DP-cell counts, profile/bound queries and the
+                the plan. The Phase-2 block counters (blocks,
+                coarsen_levels, uncoarsen_moves, compaction_merges) must
+                be identical to the baseline for every engine, since
+                Phase 2 runs before the engine choice. DP-cell counts,
+                profile/bound queries and the
                 prune counters must be identical to the baseline for the
                 engines whose counters are scheduling-independent
                 (exhaustive, sharded-*); the unsharded pruned engine's
@@ -182,6 +186,10 @@ def check_comm_fabric(s, base, cur):
                 s.fail(f"{key}.{field}: {r[field]} != baseline {b[field]}")
 
 
+PHASE2_FIELDS = ("blocks", "coarsen_levels", "uncoarsen_moves",
+                 "compaction_merges")
+
+
 def check_search(s, base, cur):
     # Invariants on the current run: all engines feasible, and the pruned /
     # sharded engines must produce the exhaustive engine's plan bit for bit.
@@ -192,6 +200,10 @@ def check_search(s, base, cur):
         for e in sc.get("engines", []):
             s.expect(e.get("feasible") is True,
                      f"{key}/{e['label']}: engine found no feasible plan")
+        phase2 = {tuple(e.get(f) for f in PHASE2_FIELDS)
+                  for e in sc.get("engines", [])}
+        s.expect(len(phase2) <= 1,
+                 f"{key}: engines disagree on the Phase-2 block counters")
     if cur.get("quick") is False:
         # The 10x acceptance gate only means anything on the full-size
         # scenario; quick reruns cover the small scenarios.
@@ -218,6 +230,13 @@ def check_search(s, base, cur):
             if b is None:
                 s.note(f"{key}/{e['label']}: no baseline engine")
                 continue
+            # Phase 2 runs before the engine choice: its block counters are
+            # deterministic for every engine, the pruned one included.
+            for field in PHASE2_FIELDS:
+                s.expect(
+                    e.get(field) == b.get(field),
+                    f"{key}/{e['label']}.{field}: {e.get(field)} != "
+                    f"baseline {b.get(field)}")
             if e["label"] == "pruned":
                 # The unsharded incumbent engine's counters depend on cut
                 # timing across worker threads (a stale incumbent read only
