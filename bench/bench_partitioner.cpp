@@ -109,7 +109,7 @@ ConfigResult run_config(const TaskGraph& graph, const Geometry& g,
     req.budget.threads = threads;
     // This bench measures the exhaustive sweep (its counters are the
     // sentinel baseline); bench_search_scale covers the pruned engine.
-    req.prune.enabled = false;
+    req.prune = false;
     PartitionResult r = auto_partition(graph, req).plan;
     cr.feasible = r.feasible;
     cr.search_seconds = std::min(cr.search_seconds, r.stats.search_seconds);

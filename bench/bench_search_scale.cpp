@@ -1,17 +1,18 @@
-// Experiment E10 — bound-and-prune search at very large scale (PR 10).
+// Experiment E10 — bound-and-prune search at very large scale.
 //
 // The paper's motivating regime is a task graph of hundreds of thousands of
 // operations searched over a multi-node cluster; the synthetic MoE builder
 // (src/models/moe.h) reaches that magnitude honestly. This benchmark runs
 // the same (model, cluster, batch) search under three engines —
 //
-//   exhaustive   the PR 3 sweep (prune.enabled = false): every (n, S, MB)
-//                job runs its full stage DP; its dp_cells total is the
-//                search-space size and the comparison baseline;
-//   pruned       branch-and-bound with the live incumbent channel
-//                (defaults: memory floors, roofline/comm bounds, incumbent);
-//   sharded      the ClusterSpec-sharded searcher (4 simulated ranks,
-//                round-barrier incumbent sync over src/comm);
+//   exhaustive   the reference sweep (prune = false) at 4 threads: every
+//                (n, S, MB) job runs its full stage DP; its dp_cells total
+//                is the search-space size and the comparison baseline;
+//   pruned       branch-and-bound (memory floors, roofline/comm bounds,
+//                live incumbent) at 4 threads;
+//   pruned-t1    the same engine at threads = 1, i.e. the default
+//                SearchRequest; one thread makes its counters
+//                deterministic;
 //
 // — and emits BENCH_SEARCH.json: per-model DP-cell counts, prune counters,
 // the Phase-2 block counters (blocks, coarsening levels, uncoarsening and
@@ -66,7 +67,6 @@ struct EngineResult {
   std::int64_t columns_pruned = 0;
   std::int64_t paths_pruned = 0;
   std::int64_t incumbent_updates = 0;
-  int shard_rounds = 0;
   // Phase 2 (block partitioning) runs before the engine choice, so these
   // are the same for every engine of a scenario.
   int blocks = 0;
@@ -133,15 +133,13 @@ std::vector<Scenario> make_scenarios(bool quick) {
 }
 
 EngineResult run_engine(const TaskGraph& graph, const Scenario& sc,
-                        const std::string& label, bool prune, int shards,
-                        int threads) {
+                        const std::string& label, bool prune, int threads) {
   SearchRequest req;
   req.cluster.num_nodes = sc.nodes;
   req.cluster.devices_per_node = sc.devices_per_node;
   req.batch_size = sc.batch_size;
   req.budget.threads = threads;
-  req.prune.enabled = prune;
-  req.shard.shards = shards;
+  req.prune = prune;
 
   const SearchResult sr = auto_partition(graph, req);
   EngineResult er;
@@ -158,7 +156,6 @@ EngineResult run_engine(const TaskGraph& graph, const Scenario& sc,
   er.columns_pruned = sr.prune().columns_pruned;
   er.paths_pruned = sr.prune().paths_pruned;
   er.incumbent_updates = sr.prune().incumbent_updates;
-  er.shard_rounds = sr.prune().shard_rounds;
   er.blocks = sr.stats().blocks;
   er.coarsen_levels = sr.stats().coarsen_levels;
   er.uncoarsen_moves = sr.stats().uncoarsen_moves;
@@ -214,14 +211,11 @@ int main(int argc, char** argv) {
                 sc.devices_per_node, static_cast<long long>(sc.batch_size));
 
     r.engines.push_back(run_engine(bm.graph, sc, "exhaustive",
-                                   /*prune=*/false, /*shards=*/1,
-                                   /*threads=*/4));
+                                   /*prune=*/false, /*threads=*/4));
     r.engines.push_back(run_engine(bm.graph, sc, "pruned",
-                                   /*prune=*/true, /*shards=*/1,
-                                   /*threads=*/4));
-    r.engines.push_back(run_engine(bm.graph, sc, "sharded-4",
-                                   /*prune=*/true, /*shards=*/4,
-                                   /*threads=*/4));
+                                   /*prune=*/true, /*threads=*/4));
+    r.engines.push_back(run_engine(bm.graph, sc, "pruned-t1",
+                                   /*prune=*/true, /*threads=*/1));
 
     const EngineResult& ex = r.engines[0];
     const EngineResult& pr = r.engines[1];
@@ -305,7 +299,6 @@ int main(int argc, char** argv) {
       os << "          \"paths_pruned\": " << er.paths_pruned << ",\n";
       os << "          \"incumbent_updates\": " << er.incumbent_updates
          << ",\n";
-      os << "          \"shard_rounds\": " << er.shard_rounds << ",\n";
       os << "          \"blocks\": " << er.blocks << ",\n";
       os << "          \"coarsen_levels\": " << er.coarsen_levels << ",\n";
       os << "          \"uncoarsen_moves\": " << er.uncoarsen_moves << ",\n";

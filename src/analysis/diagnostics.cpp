@@ -38,7 +38,6 @@ const char* diag_code_name(DiagCode c) {
     case DiagCode::BadThreadCount: return "BadThreadCount";
     case DiagCode::BadBlockCount: return "BadBlockCount";
     case DiagCode::EmptyCluster: return "EmptyCluster";
-    case DiagCode::BadShardCount: return "BadShardCount";
     case DiagCode::BadCellBudget: return "BadCellBudget";
   }
   return "?";

@@ -53,7 +53,6 @@ enum class DiagCode : std::uint8_t {
   BadThreadCount,         ///< budget.threads < 0 (0 = env default is valid)
   BadBlockCount,          ///< num_blocks < 1
   EmptyCluster,           ///< cluster has no nodes or no devices per node
-  BadShardCount,          ///< shard.shards < 1 (or absurd)
   BadCellBudget,          ///< budget.max_dp_cells < 0
 };
 

@@ -13,11 +13,11 @@
 #include <stdexcept>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 #include "analysis/dataflow.h"
 #include "analysis/verifier.h"
 #include "comm/oracle.h"
-#include "comm/search_sync.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "partition/atomic.h"
@@ -438,7 +438,7 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
   // (no pipelining, no checkpointing, microbatch >= 1). Both floors are
   // admissible w.r.t. the stage_memory model, so tripping one proves every
   // (n, S, MB) job infeasible without profiling a single DP cell.
-  if (req.prune.enabled && req.prune.memory_bounds) {
+  if (req.prune) {
     ProfileResult state;
     for (const Value& v : ap->graph.values()) {
       if (v.kind == ValueKind::Param) {
@@ -464,7 +464,6 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
           " bytes/device of model state, only " + std::to_string(M) +
           " usable";
       res.stats.threads_used = resolve_search_threads(req.budget.threads);
-      res.stats.shards_used = req.shard.shards;
       res.stats.wall_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
@@ -484,12 +483,9 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
   // budget.threads, read one set of read-only profile tables, share one
   // incumbent-cost channel and (when set) one atomic cell budget, and are
   // aggregated in job order so the resulting *plan* is bit-identical at any
-  // thread count, any shard count, and pruned vs exhaustive
-  // (docs/ALGORITHMS.md §13).
+  // thread count and pruned vs exhaustive (docs/ALGORITHMS.md §13).
   const int threads = resolve_search_threads(req.budget.threads);
-  const int shards = req.shard.shards;
   res.stats.threads_used = threads;
-  res.stats.shards_used = shards;
   const auto t_search0 = std::chrono::steady_clock::now();
 
   {
@@ -501,31 +497,16 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
     pool = std::make_unique<ThreadPool>(static_cast<unsigned>(threads - 1));
   std::atomic<std::int64_t> shared_cells{0};
 
-  // Branch-and-bound state shared by the whole sweep.
-  const bool prune_on = req.prune.enabled;
-  const bool use_mem_bounds = prune_on && req.prune.memory_bounds;
-  const bool use_time_bounds = prune_on && req.prune.compute_bounds;
-  const bool use_incumbent = prune_on && req.prune.incumbent;
-  // Best iteration estimate published so far, as the bit pattern of a
-  // positive double (IEEE order matches uint64 order, so CAS-min works on
-  // the integer view).
+  // Branch-and-bound state shared by the whole sweep. Best iteration
+  // estimate published so far, as the bit pattern of a positive double
+  // (IEEE order matches uint64 order, so CAS-min works on the integer
+  // view). Live: every finished job lowers it at once.
   std::atomic<std::uint64_t> incumbent{
       std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity())};
   std::atomic<std::int64_t> incumbent_updates{0};
   std::atomic<std::int64_t> jobs_pruned{0};
-  // Sharded mode (shards > 1): jobs are dealt to simulated searcher ranks
-  // in rounds of `shards`; the incumbent advances only at the round
-  // barrier, where the ranks exchange round-best estimates over the
-  // simulated fabric (comm::SearchSync accrues the virtual cost). Freezing
-  // the incumbent within a round makes every prune counter deterministic
-  // at any thread count for a fixed shard count; with shards == 1 the
-  // incumbent is live (CAS-min on job completion), which prunes harder but
-  // leaves the counters scheduling-dependent. The plan is identical under
-  // both modes.
-  std::optional<comm::SearchSync> sync;
-  if (shards > 1) sync.emplace(shards);
   const auto publish_est = [&](double est) {
-    if (!use_incumbent || shards > 1) return;
+    if (!req.prune) return;
     const std::uint64_t bits = std::bit_cast<std::uint64_t>(est);
     std::uint64_t cur = incumbent.load(std::memory_order_relaxed);
     while (est < std::bit_cast<double>(cur)) {
@@ -597,13 +578,12 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
     // sums alone — the comm terms depend on the enclosing range's
     // boundaries, so only their nonnegativity is used (dropped).
     std::vector<JobBounds> jb(jobs.size());
-    if (use_mem_bounds || use_time_bounds) {
+    if (req.prune) {
       const int NU = seq.size();
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         const SweepJob& j = jobs[i];
         jb[i].bsize_min =
             std::max<std::int64_t>(1, BS / R / j.MB / (D - j.S + 1));
-        if (!use_time_bounds) continue;
         const auto& tp = seq.table(jb[i].bsize_min);
         jb[i].suffix.assign(static_cast<std::size_t>(NU) + 1, 0.0);
         double total = 0;
@@ -636,7 +616,7 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
       // floor already loses to the incumbent cannot produce the winner
       // (strictly — ties survive) and is skipped whole.
       const double est_scale = static_cast<double>(j.MB);
-      if (use_incumbent && use_time_bounds) {
+      if (req.prune) {
         const double I = std::bit_cast<double>(
             incumbent.load(std::memory_order_relaxed));
         if (est_scale * jb[i].job_lb > I) {
@@ -663,28 +643,19 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
       in.max_cells = req.budget.max_dp_cells;
       in.shared_cells = req.budget.max_dp_cells > 0 ? &shared_cells : nullptr;
       in.profile = sweep_fn;
-      if (prune_on) {
-        in.prune_structural = true;
-        if (use_mem_bounds || use_time_bounds) {
-          const std::int64_t bmin = jb[i].bsize_min;
-          const int S = j.S;
-          const int MB = j.MB;
-          const bool times = use_time_bounds;
-          in.bound = [&sweep_fn, bmin, MB, S, times](int lo,
-                                                     int hi) -> StageBound {
-            const StageProfile p = sweep_fn(lo, hi, bmin, MB, S);
-            return {times ? p.t_f + p.t_b : 0.0, p.mem};
-          };
-          in.prune_memory = use_mem_bounds;
-        }
-        if (use_incumbent) {
-          in.incumbent = &incumbent;
-          in.est_scale = est_scale;
-          if (use_time_bounds) {
-            in.suffix_bound = jb[i].suffix.data();
-            in.job_bound = jb[i].job_lb;
-          }
-        }
+      in.prune = req.prune;
+      if (in.prune) {
+        const std::int64_t bmin = jb[i].bsize_min;
+        const int S = j.S;
+        const int MB = j.MB;
+        in.bound = [&sweep_fn, bmin, MB, S](int lo, int hi) -> StageBound {
+          const StageProfile p = sweep_fn(lo, hi, bmin, MB, S);
+          return {p.t_f + p.t_b, p.mem};
+        };
+        in.incumbent = &incumbent;
+        in.est_scale = est_scale;
+        in.suffix_bound = jb[i].suffix.data();
+        in.job_bound = jb[i].job_lb;
       }
       StageDpSolution sol = form_stage_dp(in);
       sc.arg("feasible", static_cast<int>(sol.feasible));
@@ -697,45 +668,11 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
       }
       sols[i] = std::move(sol);
     };
-    if (shards <= 1) {
-      if (pool) {
-        pool->parallel_each(static_cast<std::int64_t>(jobs.size()), run_job);
-      } else {
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-          run_job(static_cast<std::int64_t>(i));
-      }
+    if (pool) {
+      pool->parallel_each(static_cast<std::int64_t>(jobs.size()), run_job);
     } else {
-      // Round-synchronized sharded search: job i belongs to searcher rank
-      // i % shards; each round runs one job per rank, then the ranks merge
-      // their round-best estimates (simulated ring allreduce) and the
-      // incumbent advances exactly once.
-      const std::size_t K = static_cast<std::size_t>(shards);
-      for (std::size_t r0 = 0; r0 < jobs.size(); r0 += K) {
-        const std::size_t cnt = std::min(jobs.size() - r0, K);
-        if (pool) {
-          pool->parallel_each(
-              static_cast<std::int64_t>(cnt),
-              [&](std::int64_t k) { run_job(static_cast<std::int64_t>(r0) + k); });
-        } else {
-          for (std::size_t k = 0; k < cnt; ++k)
-            run_job(static_cast<std::int64_t>(r0 + k));
-        }
-        ++res.stats.prune.shard_rounds;
-        if (use_incumbent) {
-          double round_best = std::numeric_limits<double>::infinity();
-          for (std::size_t i = r0; i < r0 + cnt; ++i)
-            if (!skipped[i] && sols[i].feasible)
-              round_best = std::min(round_best, ests[i]);
-          res.stats.prune.shard_sync_seconds += sync->allreduce_min();
-          const double I = std::bit_cast<double>(
-              incumbent.load(std::memory_order_relaxed));
-          if (round_best < I) {
-            incumbent.store(std::bit_cast<std::uint64_t>(round_best),
-                            std::memory_order_relaxed);
-            incumbent_updates.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
+      for (std::size_t i = 0; i < jobs.size(); ++i)
+        run_job(static_cast<std::int64_t>(i));
     }
 
     // Serial aggregation in job (S, MB) order, independent of completion
@@ -799,15 +736,9 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
     }
   }
   sweep_scope.reset();
-  if (sync && res.stats.prune.shard_rounds > 0) {
-    // Deterministic winner merge: every rank already derives the same
-    // aggregation below from the synchronized estimates, so the final
-    // exchange is one allgather of the per-rank winner ids.
-    res.stats.prune.shard_sync_seconds += sync->allgather_winner();
-  }
-  res.stats.prune.jobs_pruned = jobs_pruned.load(std::memory_order_relaxed);
-  res.stats.prune.incumbent_updates =
-      incumbent_updates.load(std::memory_order_relaxed);
+  PruneStats& ps = res.stats.prune;
+  ps.jobs_pruned = jobs_pruned.load(std::memory_order_relaxed);
+  ps.incumbent_updates = incumbent_updates.load(std::memory_order_relaxed);
   // Defensive: candidates are pushed in (n, S, MB) order above; keep the
   // documented ordering guarantee even if a future refactor perturbs it.
   std::sort(res.stats.candidates.begin(), res.stats.candidates.end(),
@@ -835,19 +766,16 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
         .add(res.stats.profile_queries_saved);
     m.gauge("partition.search_seconds").set(res.stats.search_seconds);
     m.gauge("partition.wall_seconds").set(res.stats.wall_seconds);
-    const PruneStats& ps = res.stats.prune;
-    m.counter("partition.prune.jobs_pruned").add(ps.jobs_pruned);
-    m.counter("partition.prune.jobs_dominated").add(ps.jobs_dominated);
-    m.counter("partition.prune.ranges_pruned").add(ps.ranges_pruned());
-    m.counter("partition.prune.columns_pruned").add(ps.columns_pruned);
-    m.counter("partition.prune.paths_pruned").add(ps.paths_pruned);
-    m.counter("partition.prune.bound_queries").add(ps.bound_queries);
-    m.counter("partition.prune.incumbent_updates").add(ps.incumbent_updates);
-    if (shards > 1) {
-      m.counter("partition.prune.shard_rounds").add(ps.shard_rounds);
-      m.gauge("partition.prune.shard_sync_seconds")
-          .set(ps.shard_sync_seconds);
-    }
+    const std::pair<const char*, std::int64_t> prune_counters[] = {
+        {"jobs_pruned", ps.jobs_pruned},
+        {"jobs_dominated", ps.jobs_dominated},
+        {"ranges_pruned", ps.ranges_pruned()},
+        {"columns_pruned", ps.columns_pruned},
+        {"paths_pruned", ps.paths_pruned},
+        {"bound_queries", ps.bound_queries},
+        {"incumbent_updates", ps.incumbent_updates}};
+    for (const auto& [name, v] : prune_counters)
+      m.counter(std::string("partition.prune.") + name).add(v);
     obs::Histogram& h = m.histogram("partition.candidate_est_iter");
     for (const CandidateTrace& c : res.stats.candidates)
       if (c.feasible) h.record(c.est_iteration);

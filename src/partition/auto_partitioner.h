@@ -45,11 +45,9 @@ struct CandidateTrace {
 };
 
 /// Branch-and-bound accounting of one search (all zeros on the exhaustive
-/// engine). Like the cell/query totals, most of these depend on incumbent
-/// timing and are therefore scheduling-dependent at threads > 1 with live
-/// incumbent sharing (shards == 1); in sharded mode the incumbent advances
-/// only at round barriers, making every counter deterministic at any
-/// thread count for a fixed shard count.
+/// engine). Like the cell/query totals, most of these depend on when the
+/// live incumbent advances, so they are deterministic at threads = 1 and
+/// scheduling-dependent at threads > 1; the plan is identical either way.
 struct PruneStats {
   std::int64_t jobs_pruned = 0;   ///< (S, MB) jobs skipped before their DP
   std::int64_t jobs_dominated = 0;///< jobs aborted mid-DP by the incumbent
@@ -59,8 +57,6 @@ struct PruneStats {
   std::int64_t paths_pruned = 0;   ///< prefix states dominated by the incumbent
   std::int64_t bound_queries = 0;  ///< lower-bound evaluations
   std::int64_t incumbent_updates = 0;  ///< successful incumbent lowerings
-  int shard_rounds = 0;            ///< synchronized rounds (sharded mode)
-  double shard_sync_seconds = 0;   ///< virtual fabric seconds spent syncing
 
   [[nodiscard]] std::int64_t ranges_pruned() const {
     return ranges_mem_pruned + ranges_bound_pruned;
@@ -80,7 +76,6 @@ struct SearchStats {
   std::int64_t profile_queries_saved = 0;
   int dp_invocations = 0;
   int threads_used = 1;      ///< resolved SearchBudget::threads
-  int shards_used = 1;       ///< resolved ShardOptions::shards
   /// Branch-and-bound counters (all zero on the exhaustive engine).
   PruneStats prune;
   double wall_seconds = 0;   ///< whole auto_partition call

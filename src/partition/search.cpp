@@ -36,10 +36,6 @@ std::vector<Diagnostic> SearchRequest::validate() const {
         "cluster must have at least one node and one device per node, got " +
             std::to_string(cluster.num_nodes) + " node(s) x " +
             std::to_string(cluster.devices_per_node) + " device(s)");
-  if (shard.shards < 1 || shard.shards > 4096)
-    err(DiagCode::BadShardCount,
-        "shard.shards must be in [1, 4096], got " +
-            std::to_string(shard.shards));
   return ds;
 }
 

@@ -1,14 +1,13 @@
 // The partition-search request/result API.
 //
-// `SearchRequest` is a typed request in three layers: what to partition
-// for (cluster, precision, optimizer, global batch), how hard to look
-// (SearchBudget), and how the branch-and-bound sweep may cut work
-// (PruneOptions) or split across simulated searcher ranks (ShardOptions).
+// `SearchRequest` is a typed request: what to partition for (cluster,
+// precision, optimizer, global batch), how hard to look (SearchBudget),
+// and whether the sweep may take branch-and-bound cuts (`prune`).
 // `SearchResult` pairs the winning plan with the search statistics,
 // including the prune counters.
 //
 // Invariant: the returned *plan* is bit-identical across every thread
-// count, every shard count, and pruned vs exhaustive mode. Pruning uses
+// count and pruned vs exhaustive mode. Pruning uses
 // admissible lower bounds and strictly dominated cuts only (see
 // docs/ALGORITHMS.md §13), so it can never remove the winner or perturb the
 // deterministic (n, S, MB) tie-break; only the work counters (cells
@@ -25,32 +24,6 @@
 #include "profiler/memory.h"
 
 namespace rannc {
-
-/// Which branch-and-bound cuts the sweep may take. Every cut preserves the
-/// winning plan exactly; the sub-switches exist so benchmarks and tests can
-/// attribute the savings (and reproduce the exhaustive engine with
-/// `enabled = false`).
-struct PruneOptions {
-  bool enabled = true;  ///< master switch; false = PR 3 exhaustive sweep
-  /// Skip stage ranges whose memory floor (profiled at the smallest
-  /// reachable per-replica microbatch) already exceeds device memory.
-  bool memory_bounds = true;
-  /// Roofline + comm lower bounds: per-job, per-column and per-range time
-  /// floors compared against the incumbent.
-  bool compute_bounds = true;
-  /// Share the best-so-far iteration estimate across the (S, MB) sweep so
-  /// dominated jobs are skipped or abort mid-DP.
-  bool incumbent = true;
-};
-
-/// Sharded search: the sweep's jobs are dealt round-robin to `shards`
-/// simulated searcher ranks which synchronize incumbents at round barriers
-/// over the comm fabric (comm/search_sync.h). Plans are bit-identical to
-/// the single-rank search; the barriers make every work counter
-/// deterministic at any thread count for a fixed shard count.
-struct ShardOptions {
-  int shards = 1;  ///< simulated searcher ranks; 1 = local (live incumbent)
-};
 
 /// How much work the search may spend.
 struct SearchBudget {
@@ -76,8 +49,10 @@ struct SearchRequest {
   /// false selects the Section IV-C ablation (DP over atomic components).
   bool use_coarsening = true;
   SearchBudget budget;
-  PruneOptions prune;
-  ShardOptions shard;
+  /// Branch-and-bound cuts: memory floors, roofline/comm time floors and a
+  /// live incumbent shared across the (S, MB) sweep. Every cut preserves
+  /// the winning plan exactly; false is the exhaustive reference engine.
+  bool prune = true;
 
   [[nodiscard]] std::int64_t usable_memory() const {
     return static_cast<std::int64_t>(
@@ -86,7 +61,7 @@ struct SearchRequest {
 
   /// Checks the request for obvious misuse; one diagnostic per violation
   /// (stable DiagCodes: BadBatchSize, BadMemoryMargin, BadThreadCount,
-  /// BadBlockCount, EmptyCluster, BadShardCount, BadCellBudget). Empty
+  /// BadBlockCount, EmptyCluster, BadCellBudget). Empty
   /// result = valid. auto_partition calls this at entry and throws
   /// std::invalid_argument listing every error.
   [[nodiscard]] std::vector<Diagnostic> validate() const;
@@ -102,8 +77,8 @@ struct SearchResult {
 };
 
 /// Runs the full RaNNC partitioning pipeline on `model` — the primary
-/// entry point. Branch-and-bound and sharding are governed by `req`;
-/// defaults give the pruned single-rank search.
+/// entry point. Branch-and-bound is governed by `req.prune`; defaults give
+/// the pruned search.
 SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req);
 
 namespace detail {

@@ -138,7 +138,7 @@ StageDpSolution form_stage_dp(const StageDpInput& in) {
     for (int b = s; b <= N - S + s; ++b) {
       // Structural cut: the answer reads only V[S][N][D], so the final
       // layer's other columns (and, below, device counts) are dead work.
-      if (in.prune_structural && s == S && b != N) {
+      if (in.prune && s == S && b != N) {
         ++sol.columns_pruned;
         continue;
       }
@@ -166,7 +166,7 @@ StageDpSolution form_stage_dp(const StageDpInput& in) {
               be.b = in.bound(bp, b);
               be.epoch = epoch;
             }
-            if (in.prune_memory && in.device_memory > 0 &&
+            if (in.prune && in.device_memory > 0 &&
                 be.b.mem > in.device_memory) {
               // The memory floor (profiled at the smallest reachable
               // microbatch) already overflows: no device count fits. The
@@ -189,7 +189,7 @@ StageDpSolution form_stage_dp(const StageDpInput& in) {
           }
           int dp_lo = s - 1;
           int dp_hi = d - 1;
-          if (in.prune_structural) {
+          if (in.prune) {
             // A cell whose prefix V[s-1][bp][dp] is infinite sets no
             // value, no bsize_clipped and no cut: skip the spans around
             // the prefix column's finite cells.

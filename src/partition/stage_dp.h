@@ -96,15 +96,14 @@ struct StageDpInput {
   /// the batched budget cadence so a job dominated by a sibling's newly
   /// published incumbent aborts mid-DP (`dominated`).
   double job_bound = 0;
-  /// Skip ranges whose `bound().mem` exceeds device_memory before the
-  /// (d, dp) loops run (memory is microbatch-monotone, so the floor is
-  /// admissible for every device count).
-  bool prune_memory = false;
-  /// Restrict the s == S layer to the only column/device count the answer
-  /// reads (b == N, d == D), and skip cells whose prefix V[s-1][bp][dp]
-  /// lies outside the span of that prefix column's finite cells (such a
-  /// cell can set no value, no clipped flag and no cut).
-  bool prune_structural = false;
+  /// Take the incumbent-free cuts. (a) Skip ranges whose `bound().mem`
+  /// exceeds device_memory before the (d, dp) loops run (memory is
+  /// microbatch-monotone, so the floor is admissible for every device
+  /// count). (b) Restrict the s == S layer to the only column/device count
+  /// the answer reads (b == N, d == D), and skip cells whose prefix
+  /// V[s-1][bp][dp] lies outside the span of that prefix column's finite
+  /// cells (such a cell can set no value, no clipped flag and no cut).
+  bool prune = false;
 };
 
 struct StageDpSolution {

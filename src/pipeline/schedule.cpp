@@ -257,8 +257,15 @@ std::vector<obs::CausalOp> causal_ops(const ScheduleResult& res) {
   return ops;
 }
 
-void apply_what_if(const obs::WhatIf& w, std::vector<StageTimes>& stages,
-                   int& microbatches) {
+obs::WhatIfResult evaluate_what_if(const obs::AttributionReport& rep,
+                                   const std::vector<StageTimes>& stages_in,
+                                   int microbatches, const obs::WhatIf& w) {
+  obs::WhatIfResult r;
+  r.spec = w;
+  r.name = obs::what_if_name(w);
+  r.baseline = rep.step_time;
+  r.estimate = obs::estimate_what_if(rep, w);
+  std::vector<StageTimes> stages = stages_in;
   const int S = static_cast<int>(stages.size());
   switch (w.kind) {
     case obs::WhatIf::Kind::StageComputeScale:
@@ -278,6 +285,8 @@ void apply_what_if(const obs::WhatIf& w, std::vector<StageTimes>& stages,
       if (w.microbatches > 0) microbatches = w.microbatches;
       break;
   }
+  r.ground_truth = simulate_gpipe(stages, microbatches).iteration_time;
+  return r;
 }
 
 std::string render_gantt(const ScheduleResult& res, int num_stages,

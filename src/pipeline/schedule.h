@@ -92,12 +92,14 @@ std::vector<obs::TimelineSpan> schedule_spans(const ScheduleResult& res);
 /// the direction of the dependency keeps obs below pipeline).
 std::vector<obs::CausalOp> causal_ops(const ScheduleResult& res);
 
-/// Applies a what-if perturbation to the simulator inputs in place:
-/// scales a stage's compute times, one or all boundary transfer times, or
-/// swaps the microbatch count. Re-running the simulator afterwards gives
-/// the ground truth the first-order estimator is validated against.
-void apply_what_if(const obs::WhatIf& w, std::vector<StageTimes>& stages,
-                   int& microbatches);
+/// Evaluates one what-if against the report `rep` of the GPipe schedule
+/// simulated from (`stages`, `microbatches`): the report's first-order
+/// estimate, and the ground truth from perturbing a copy of the simulator
+/// inputs (a stage's compute times, one or all boundary transfer times, or
+/// the microbatch count) and re-running simulate_gpipe.
+obs::WhatIfResult evaluate_what_if(const obs::AttributionReport& rep,
+                                   const std::vector<StageTimes>& stages,
+                                   int microbatches, const obs::WhatIf& w);
 
 /// Renders intervals as an ASCII Gantt chart, one row per stage.
 std::string render_gantt(const ScheduleResult& res, int num_stages,

@@ -61,7 +61,6 @@
 #include "comm/fabric.h"
 #include "comm/fault.h"
 #include "comm/oracle.h"
-#include "comm/search_sync.h"
 #include "pipeline/schedule.h"
 
 // ---- partitioning ----------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -180,23 +179,6 @@ void FaultPlan::apply_to(comm::Fabric& fabric) const {
 std::shared_ptr<const comm::MessageFaultInjector> FaultPlan::message_faults()
     const {
   return std::make_shared<const PlanMessageFaults>(events);
-}
-
-std::int64_t FaultPlan::timeouts_in(const std::string& channel,
-                                    std::int64_t lo, std::int64_t hi) const {
-  std::int64_t total = 0;
-  for (const FaultEvent& e : events)
-    if (e.kind == FaultKind::MsgTimeout && e.channel == channel &&
-        e.seq >= lo && e.seq < hi)
-      total += e.times;
-  return total;
-}
-
-std::vector<int> FaultPlan::failed_ranks_at(double t) const {
-  std::set<int> ranks;
-  for (const FaultEvent& e : events)
-    if (e.kind == FaultKind::RankFail && e.time <= t) ranks.insert(e.rank);
-  return {ranks.begin(), ranks.end()};
 }
 
 }  // namespace resilience

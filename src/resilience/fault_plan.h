@@ -77,15 +77,6 @@ struct FaultPlan {
   /// later edits to `events` do not affect it.
   [[nodiscard]] std::shared_ptr<const comm::MessageFaultInjector>
   message_faults() const;
-
-  /// Summed MsgTimeout `times` on `channel` for seq in [lo, hi) — how the
-  /// virtual-time simulator aggregates injected timeouts per step.
-  [[nodiscard]] std::int64_t timeouts_in(const std::string& channel,
-                                         std::int64_t lo,
-                                         std::int64_t hi) const;
-
-  /// Ranks named by RankFail events with time <= t, ascending and deduped.
-  [[nodiscard]] std::vector<int> failed_ranks_at(double t) const;
 };
 
 }  // namespace resilience

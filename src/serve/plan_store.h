@@ -17,11 +17,11 @@
 //   geom_sig — what remains: cluster geometry, global batch size, memory
 //     budget and the DP cell cap.
 //
-// SearchRequest::budget.threads and the whole PruneOptions / ShardOptions
-// blocks are deliberately excluded: plans are bit-identical across all of
-// them (the thread-count guarantee, extended by the admissible-bound proof
-// of docs/ALGORITHMS.md §13), so they must not split the cache — a sharded
-// search hits the entry an exhaustive one wrote, and vice versa.
+// SearchRequest::budget.threads and SearchRequest::prune are deliberately
+// excluded: plans are bit-identical across both (the thread-count
+// guarantee, extended by the admissible-bound proof of docs/ALGORITHMS.md
+// §13), so they must not split the cache — a pruned search hits the entry
+// an exhaustive one wrote, and vice versa.
 //
 // Format version 2 dropped the version-1 profile-memo payload; a version-1
 // entry is a miss like any other defect, and the next search rewrites it.

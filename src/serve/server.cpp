@@ -267,6 +267,13 @@ std::string PlanServer::stats_json() const {
 
 ServeRequest request_from_json(const json::Value& v,
                                const SearchRequest& defaults) {
+  // Strict schema: a misspelled or retired field must fail loudly rather
+  // than search at the default it was meant to override.
+  v.check_keys({"id", "cmd", "nodes", "devices_per_node", "batch_size",
+                "threads", "max_dp_cells", "prune", "model", "layers",
+                "hidden", "seq", "vocab", "heads", "depth", "width", "image",
+                "classes", "batch", "input_dim", "experts"},
+               "serve request");
   ServeRequest r;
   r.id = v.geti("id");
   r.model = spec_from_json(v);
@@ -278,8 +285,7 @@ ServeRequest request_from_json(const json::Value& v,
   r.search.budget.threads = v.geti32("threads", defaults.budget.threads);
   r.search.budget.max_dp_cells =
       v.geti("max_dp_cells", defaults.budget.max_dp_cells);
-  r.search.shard.shards = v.geti32("shards", defaults.shard.shards);
-  r.search.prune.enabled = v.getb("prune", defaults.prune.enabled);
+  r.search.prune = v.getb("prune", defaults.prune);
   return r;
 }
 

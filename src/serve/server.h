@@ -42,7 +42,7 @@ namespace rannc {
 namespace serve {
 
 /// One partition request: which model, and the search request (geometry,
-/// batch size, budget, pruning/sharding) to solve it for.
+/// batch size, budget, pruning) to solve it for.
 struct ServeRequest {
   std::int64_t id = 0;
   ModelSpec model;
@@ -57,8 +57,9 @@ struct ServeOptions {
   /// Persist search results to the store.
   bool persist = true;
   /// Baseline SearchRequest for wire requests: fields absent from the JSON
-  /// inherit from here (the daemon points this at its --shards/--no-prune/
-  /// ... CLI flags), fields present override it.
+  /// inherit from here (the daemon points this at its --threads/--no-prune/
+  /// ... CLI flags), fields present override it. Unknown fields are an
+  /// error.
   SearchRequest request_defaults;
   /// Test seam for the miss path; defaults to auto_partition. Injected
   /// fakes let the single-flight and shedding tests hold a leader search

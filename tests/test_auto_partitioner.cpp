@@ -126,7 +126,7 @@ TEST(AutoPartition, AblationVariantSearchesMoreAndEstimatesWorse) {
   BuiltModel m = build_bert(tiny_bert());
   SearchRequest cfg;
   cfg.batch_size = 64;
-  cfg.prune.enabled = false;  // measures the exhaustive search-space size
+  cfg.prune = false;  // measures the exhaustive search-space size
   PartitionResult with = auto_partition(m.graph, cfg).plan;
   cfg.use_coarsening = false;
   PartitionResult without = auto_partition(m.graph, cfg).plan;
@@ -142,7 +142,7 @@ TEST(AutoPartition, AblationAbortsOnBudget) {
   SearchRequest cfg;
   cfg.batch_size = 64;
   cfg.use_coarsening = false;
-  cfg.prune.enabled = false;  // pruning could finish inside the tiny budget
+  cfg.prune = false;  // pruning could finish inside the tiny budget
   cfg.budget.max_dp_cells = 100;  // emulates the paper's 24h timeout
   PartitionResult r = auto_partition(m.graph, cfg).plan;
   EXPECT_FALSE(r.feasible);

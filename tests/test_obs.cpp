@@ -525,22 +525,6 @@ TEST(Attribution, StragglerRankingByCompute) {
   EXPECT_EQ(rep.stragglers[1], 1);
 }
 
-/// Runs the estimator and the ground-truth re-simulation for one what-if.
-obs::WhatIfResult eval_what_if(const obs::AttributionReport& rep,
-                               const std::vector<StageTimes>& st, int mb,
-                               const obs::WhatIf& w) {
-  obs::WhatIfResult r;
-  r.spec = w;
-  r.name = obs::what_if_name(w);
-  r.baseline = rep.step_time;
-  r.estimate = obs::estimate_what_if(rep, w);
-  std::vector<StageTimes> st2 = st;
-  int mb2 = mb;
-  apply_what_if(w, st2, mb2);
-  r.ground_truth = simulate_gpipe(st2, mb2).iteration_time;
-  return r;
-}
-
 TEST(Attribution, WhatIfWithinFivePercentOfGroundTruth) {
   using K = obs::WhatIf::Kind;
   const obs::AttributionReport asym =
@@ -568,7 +552,7 @@ TEST(Attribution, WhatIfWithinFivePercentOfGroundTruth) {
   };
   ASSERT_GE(cases.size(), 6u);  // the acceptance bar: >= 6 perturbations
   for (const Case& c : cases) {
-    const obs::WhatIfResult r = eval_what_if(*c.rep, c.st, c.mb, c.w);
+    const obs::WhatIfResult r = evaluate_what_if(*c.rep, c.st, c.mb, c.w);
     EXPECT_DOUBLE_EQ(r.ground_truth, c.expect_truth) << r.name;
     EXPECT_LE(std::abs(r.estimate - r.ground_truth),
               0.05 * r.ground_truth)
@@ -651,7 +635,7 @@ TEST(Attribution, ReportJsonDeterministicAndWellFormed) {
                        static_cast<int>(plan.stages.size()), plan.microbatches);
     for (const obs::WhatIf& w : obs::default_what_ifs(rep))
       rep.what_ifs.push_back(
-          eval_what_if(rep, ev.stage_times, plan.microbatches, w));
+          evaluate_what_if(rep, ev.stage_times, plan.microbatches, w));
     docs.push_back(obs::report_json(rep));
   }
   EXPECT_EQ(docs[0], docs[1]);

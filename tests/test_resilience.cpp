@@ -173,13 +173,6 @@ TEST(FaultPlanJson, InjectorAndQueries) {
   EXPECT_FALSE(inj->should_timeout("fwd 0->1", 4, 2));  // times exhausted
   EXPECT_FALSE(inj->should_timeout("fwd 0->1", 5, 0));  // other message
   EXPECT_FALSE(inj->should_timeout("bwd 1->0", 4, 0));  // other channel
-
-  EXPECT_EQ(p.timeouts_in("fwd 0->1", 0, 8), 2);
-  EXPECT_EQ(p.timeouts_in("fwd 0->1", 5, 8), 0);
-  EXPECT_EQ(p.timeouts_in("fwd 1->2", 0, 8), 0);
-
-  EXPECT_TRUE(p.failed_ranks_at(0.1).empty());
-  EXPECT_EQ(p.failed_ranks_at(0.25), std::vector<int>{3});
 }
 
 // ---- fabric fault mechanisms -----------------------------------------------
@@ -358,7 +351,7 @@ TEST(RecoveryCoordinator, RecoverBeforePartitionIsAnError) {
 }
 
 // ---- SearchRequest::validate ------------------------------------------------
-// (BadShardCount / BadCellBudget: SearchPrune.ValidateRejectsBadShardAndCellBudget)
+// (BadCellBudget: SearchPrune.ValidateRejectsBadShardAndCellBudget)
 
 TEST(PartitionConfigValidate, CleanConfigHasNoDiagnostics) {
   EXPECT_TRUE(SearchRequest{}.validate().empty());

@@ -1,5 +1,5 @@
 // Tests for the parallel partition-search engine: bit-identical plans at
-// any thread and shard count, the per-microbatch profile tables against
+// any thread count, the per-microbatch profile tables against
 // their from-scratch oracle, the shared stage-DP cell budget under
 // concurrency, and the equal-stage_devs profile reuse inside form_stage_dp.
 #include <gtest/gtest.h>
@@ -31,7 +31,7 @@ BertConfig tiny_bert() {
   return c;
 }
 
-// ---- Plan determinism across thread and shard counts --------------------
+// ---- Plan determinism across thread counts ------------------------------
 
 void expect_plan_invariant(const TaskGraph& g, std::int64_t batch_size) {
   SearchRequest cfg;
@@ -39,27 +39,23 @@ void expect_plan_invariant(const TaskGraph& g, std::int64_t batch_size) {
   cfg.budget.threads = 1;
   // The dp_cells / candidate-count equalities below assume the exhaustive
   // sweep; the pruned engine's invariance is covered by test_search_prune.
-  cfg.prune.enabled = false;
+  cfg.prune = false;
   const PartitionResult base = auto_partition(g, cfg).plan;
   ASSERT_TRUE(base.feasible) << base.infeasible_reason;
   const std::string base_json = plan_to_json(base);
 
   for (int t : {1, 4}) {
-    for (int shards : {1, 4}) {
-      cfg.budget.threads = t;
-      cfg.shard.shards = shards;
-      const PartitionResult r = auto_partition(g, cfg).plan;
-      ASSERT_TRUE(r.feasible) << r.infeasible_reason;
-      EXPECT_EQ(r.stats.threads_used, t);
-      // Byte-identical plan JSON: same stages, devices, microbatches,
-      // replicas and profiled times regardless of thread or shard count.
-      EXPECT_EQ(plan_to_json(r), base_json)
-          << "threads=" << t << " shards=" << shards;
-      // The search totals are also invariant when no budget abort occurs.
-      EXPECT_EQ(r.stats.dp_cells_visited, base.stats.dp_cells_visited);
-      EXPECT_EQ(r.stats.profile_queries, base.stats.profile_queries);
-      EXPECT_EQ(r.stats.candidates.size(), base.stats.candidates.size());
-    }
+    cfg.budget.threads = t;
+    const PartitionResult r = auto_partition(g, cfg).plan;
+    ASSERT_TRUE(r.feasible) << r.infeasible_reason;
+    EXPECT_EQ(r.stats.threads_used, t);
+    // Byte-identical plan JSON: same stages, devices, microbatches,
+    // replicas and profiled times regardless of thread count.
+    EXPECT_EQ(plan_to_json(r), base_json) << "threads=" << t;
+    // The search totals are also invariant when no budget abort occurs.
+    EXPECT_EQ(r.stats.dp_cells_visited, base.stats.dp_cells_visited);
+    EXPECT_EQ(r.stats.profile_queries, base.stats.profile_queries);
+    EXPECT_EQ(r.stats.candidates.size(), base.stats.candidates.size());
   }
 }
 
@@ -164,7 +160,7 @@ TEST(SearchParallel, BudgetAbortIsDeterministicUnderThreads) {
   cfg.batch_size = 64;
   cfg.use_coarsening = false;  // the expensive ablation path
   cfg.budget.max_dp_cells = 100;
-  cfg.prune.enabled = false;  // pruning could finish inside the tiny budget
+  cfg.prune = false;  // pruning could finish inside the tiny budget
   for (int t : {1, 8}) {
     cfg.budget.threads = t;
     const PartitionResult r = auto_partition(m.graph, cfg).plan;

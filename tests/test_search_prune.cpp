@@ -1,8 +1,6 @@
-// Tests for the branch-and-bound partition search (PR 10): the pruned and
-// sharded engines must return plans bit-identical to the exhaustive sweep
-// at every thread and shard count, each prune sub-switch alone must
-// preserve that identity, the sharded counters must be deterministic, and
-// the stage-DP bound hooks must be provably admissibility-sensitive (an
+// Tests for the branch-and-bound partition search: the pruned engine must
+// return plans bit-identical to the exhaustive sweep at every thread count,
+// and the stage-DP bound hooks must be provably admissibility-sensitive (an
 // inadmissible bound visibly loses the optimum — the negative control that
 // keeps the identity tests honest).
 #include <gtest/gtest.h>
@@ -84,12 +82,11 @@ SearchRequest base_request(std::int64_t batch = 64) {
 
 SearchRequest exhaustive(const SearchRequest& req) {
   SearchRequest e = req;
-  e.prune.enabled = false;
-  e.shard.shards = 1;
+  e.prune = false;
   return e;
 }
 
-// ---- plan identity: exhaustive vs pruned vs sharded ----------------------
+// ---- plan identity: exhaustive vs pruned ---------------------------------
 
 TEST(SearchPrune, PlanIdentityMatrixAcrossThreadsAndShards) {
   for (const ZooModel& m : zoo()) {
@@ -99,44 +96,15 @@ TEST(SearchPrune, PlanIdentityMatrixAcrossThreadsAndShards) {
     const std::string want = plan_to_json(ex);
 
     for (int threads : {1, 4}) {
-      for (int shards : {1, 4}) {
-        SearchRequest req = base;
-        req.budget.threads = threads;
-        req.shard.shards = shards;
-        const SearchResult sr = auto_partition(m.built.graph, req);
-        ASSERT_TRUE(sr.feasible())
-            << m.name << " threads=" << threads << " shards=" << shards;
-        EXPECT_EQ(plan_to_json(sr.plan), want)
-            << m.name << " threads=" << threads << " shards=" << shards;
-        EXPECT_EQ(sr.stats().threads_used, threads);
-        EXPECT_EQ(sr.stats().shards_used, shards);
-      }
+      SearchRequest req = base;
+      req.budget.threads = threads;
+      const SearchResult sr = auto_partition(m.built.graph, req);
+      ASSERT_TRUE(sr.feasible()) << m.name << " threads=" << threads;
+      EXPECT_EQ(plan_to_json(sr.plan), want)
+          << m.name << " threads=" << threads;
+      EXPECT_EQ(sr.stats().threads_used, threads);
     }
   }
-}
-
-TEST(SearchPrune, EachPruneSwitchAlonePreservesThePlan) {
-  const BuiltModel m = build_bert(tiny_bert());
-  const SearchRequest base = base_request();
-  const std::string want =
-      plan_to_json(auto_partition(m.graph, exhaustive(base)).plan);
-
-  const auto run_with = [&](bool mem, bool comp, bool inc) {
-    SearchRequest req = base;
-    req.prune.enabled = true;
-    req.prune.memory_bounds = mem;
-    req.prune.compute_bounds = comp;
-    req.prune.incumbent = inc;
-    return auto_partition(m.graph, req);
-  };
-  EXPECT_EQ(plan_to_json(run_with(true, false, false).plan), want)
-      << "memory_bounds alone";
-  EXPECT_EQ(plan_to_json(run_with(false, true, false).plan), want)
-      << "compute_bounds alone";
-  EXPECT_EQ(plan_to_json(run_with(false, false, true).plan), want)
-      << "incumbent alone";
-  EXPECT_EQ(plan_to_json(run_with(true, true, true).plan), want)
-      << "all switches";
 }
 
 TEST(SearchPrune, PrunedSearchVisitsNoMoreCellsAndActuallyCuts) {
@@ -144,7 +112,7 @@ TEST(SearchPrune, PrunedSearchVisitsNoMoreCellsAndActuallyCuts) {
   const SearchRequest base = base_request();
 
   const SearchResult ex = auto_partition(m.graph, exhaustive(base));
-  SearchRequest pr = base;  // defaults: prune on, shards 1, threads 1
+  SearchRequest pr = base;  // defaults: prune on, threads 1
   const SearchResult bb = auto_partition(m.graph, pr);
 
   ASSERT_TRUE(ex.feasible());
@@ -209,7 +177,7 @@ TEST(SearchPrune, WinnerCandidateIsNeverPrunedAndKeepsItsEstimate) {
 /// candidates (bsize_clipped), or d_min advances where the exhaustive DP's
 /// does not and the optimum is lost for every later column and layer. These
 /// zoo geometries lost it by 1-11 % (and BERT @ 2x8 returned three
-/// different plans across threads x shards) before the fix.
+/// different plans across engine configurations) before the fix.
 TEST(SearchPrune, MemoryFloorKeepsTheOptimumOnLargeModels) {
   serve::ModelSpec gpt2, bert;
   gpt2.model = "gpt2";
@@ -232,55 +200,14 @@ TEST(SearchPrune, MemoryFloorKeepsTheOptimumOnLargeModels) {
           auto_partition(m.graph, exhaustive(base)).plan;
       ASSERT_TRUE(ex.feasible) << ex.infeasible_reason;
       const std::string want = plan_to_json(ex);
-      for (int mask = 0; mask < 8; ++mask) {
-        for (int threads : {1, 4}) {
-          for (int shards : {1, 4}) {
-            SearchRequest req = base;
-            req.prune.memory_bounds = (mask & 1) != 0;
-            req.prune.compute_bounds = (mask & 2) != 0;
-            req.prune.incumbent = (mask & 4) != 0;
-            req.budget.threads = threads;
-            req.shard.shards = shards;
-            EXPECT_EQ(plan_to_json(auto_partition(m.graph, req).plan), want)
-                << spec.model << " " << nodes << "x8 prune mask " << mask
-                << " threads=" << threads << " shards=" << shards;
-          }
-        }
+      for (int threads : {1, 4}) {
+        SearchRequest req = base;
+        req.budget.threads = threads;
+        EXPECT_EQ(plan_to_json(auto_partition(m.graph, req).plan), want)
+            << spec.model << " " << nodes << "x8 threads=" << threads;
       }
     }
   }
-}
-
-// ---- sharded-mode determinism --------------------------------------------
-
-TEST(SearchPrune, ShardedCountersAreThreadCountInvariant) {
-  const BuiltModel m = build_bert(tiny_bert());
-  SearchRequest req = base_request();
-  req.shard.shards = 4;
-
-  req.budget.threads = 1;
-  const SearchResult a = auto_partition(m.graph, req);
-  req.budget.threads = 4;
-  const SearchResult b = auto_partition(m.graph, req);
-  ASSERT_TRUE(a.feasible());
-  ASSERT_TRUE(b.feasible());
-
-  EXPECT_EQ(plan_to_json(a.plan), plan_to_json(b.plan));
-  // Frozen-incumbent rounds make every work counter deterministic.
-  EXPECT_EQ(a.stats().dp_cells_visited, b.stats().dp_cells_visited);
-  EXPECT_EQ(a.stats().profile_queries, b.stats().profile_queries);
-  EXPECT_EQ(a.prune().jobs_pruned, b.prune().jobs_pruned);
-  EXPECT_EQ(a.prune().jobs_dominated, b.prune().jobs_dominated);
-  EXPECT_EQ(a.prune().ranges_mem_pruned, b.prune().ranges_mem_pruned);
-  EXPECT_EQ(a.prune().ranges_bound_pruned, b.prune().ranges_bound_pruned);
-  EXPECT_EQ(a.prune().columns_pruned, b.prune().columns_pruned);
-  EXPECT_EQ(a.prune().paths_pruned, b.prune().paths_pruned);
-  EXPECT_EQ(a.prune().incumbent_updates, b.prune().incumbent_updates);
-  EXPECT_EQ(a.prune().shard_rounds, b.prune().shard_rounds);
-  // The simulated barrier allreduces spent (identical) virtual fabric time.
-  EXPECT_GT(a.prune().shard_rounds, 0);
-  EXPECT_GT(a.prune().shard_sync_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(a.prune().shard_sync_seconds, b.prune().shard_sync_seconds);
 }
 
 // ---- budget interplay ----------------------------------------------------
@@ -304,15 +231,11 @@ TEST(SearchPrune, PrunedSearchFinishesInsideTheExhaustiveCellDemand) {
 
 TEST(SearchPrune, ValidateRejectsBadShardAndCellBudget) {
   SearchRequest req = base_request();
-  req.shard.shards = 0;
   req.budget.max_dp_cells = -1;
   const std::vector<Diagnostic> diags = req.validate();
-  bool shard = false, cells = false;
-  for (const Diagnostic& d : diags) {
-    if (d.code == DiagCode::BadShardCount) shard = true;
+  bool cells = false;
+  for (const Diagnostic& d : diags)
     if (d.code == DiagCode::BadCellBudget) cells = true;
-  }
-  EXPECT_TRUE(shard);
   EXPECT_TRUE(cells);
   const BuiltModel m = build_mlp(deep_mlp());
   EXPECT_THROW(auto_partition(m.graph, req), std::invalid_argument);
@@ -393,8 +316,7 @@ TEST(StageDpBounds, AdmissibleBoundKeepsTheOptimum) {
   // winning solution bit-identical.
   StageDpInput armed = in;
   armed.bound = admissible_bound(u, in);
-  armed.prune_memory = true;
-  armed.prune_structural = true;
+  armed.prune = true;
   std::vector<double> suffix(static_cast<std::size_t>(in.num_units) + 1, 0.0);
   const RangeProfileFn profile = u.fn();
   for (int b = in.num_units - 1; b >= 0; --b) {
@@ -459,7 +381,7 @@ TEST(StageDpBounds, InadmissibleMemoryFloorLosesFeasibility) {
   ASSERT_TRUE(form_stage_dp(in).feasible);
 
   StageDpInput bad = in;
-  bad.prune_memory = true;
+  bad.prune = true;
   bad.bound = [&](int, int) {
     StageBound b;
     b.time = 0;
@@ -473,22 +395,18 @@ TEST(StageDpBounds, InadmissibleMemoryFloorLosesFeasibility) {
 
 // ---- plan-store keys across engine modes ----------------------------------
 
-TEST(SearchPrune, PlanStoreKeyIgnoresPruneShardAndThreads) {
+TEST(SearchPrune, PlanStoreKeyIgnoresPruneAndThreads) {
   const serve::Fingerprint fp =
       serve::fingerprint_graph(build_mlp(deep_mlp()).graph);
   const SearchRequest a = base_request();
 
   SearchRequest b = exhaustive(a);
   b.budget.threads = 8;
-  SearchRequest c = a;
-  c.shard.shards = 4;
-  c.prune.memory_bounds = false;
 
-  // Plans are bit-identical across these knobs, so a sharded served search
+  // Plans are bit-identical across these knobs, so a pruned served search
   // must hit the entry an exhaustive search wrote — which requires the
   // keys to collide exactly.
   EXPECT_EQ(serve::make_plan_key(fp, a), serve::make_plan_key(fp, b));
-  EXPECT_EQ(serve::make_plan_key(fp, a), serve::make_plan_key(fp, c));
 
   // A genuinely different geometry still splits the key.
   SearchRequest d = a;

@@ -629,4 +629,23 @@ TEST(ServeWire, RequestReplyRoundTrip) {
   EXPECT_EQ(json::parse(bye.reply).gets("status"), "ok");
 }
 
+TEST(ServeWire, UnknownKeyIsAnErrorNamingTheKey) {
+  PlanServer server(ServeOptions{});
+  // A misspelled field ("batchsize") and a retired one ("shards") must not
+  // silently search at the defaults.
+  for (const char* key : {"batchsize", "shards"}) {
+    const std::string line =
+        std::string(R"({"id": 11, "model": "mlp", "nodes": 1, ")") + key +
+        R"(": 16})";
+    const json::Value v = json::parse(server.serve_line(line).reply);
+    EXPECT_EQ(v.geti("id"), 11);
+    EXPECT_EQ(v.gets("status"), "error") << key;
+    EXPECT_NE(v.gets("error").find(std::string("'") + key + "'"),
+              std::string::npos)
+        << v.gets("error");
+  }
+  EXPECT_EQ(server.stats().errors, 2);
+  EXPECT_EQ(server.stats().misses, 0);
+}
+
 }  // namespace

@@ -27,20 +27,20 @@ the sentinel guards the *deterministic* surface:
                 analytic_s and simulated_s are pure virtual time and must
                 match to 1e-9 relative.
   search        scenarios matched by name: every engine must be feasible
-                and all three (exhaustive, pruned, sharded) must agree on
-                the plan. The Phase-2 block counters (blocks,
+                and all three (exhaustive, pruned, pruned-t1) must agree
+                on the plan. The Phase-2 block counters (blocks,
                 coarsen_levels, uncoarsen_moves, compaction_merges) must
                 be identical to the baseline for every engine, since
                 Phase 2 runs before the engine choice. DP-cell counts,
                 profile/bound queries and the
                 prune counters must be identical to the baseline for the
                 engines whose counters are scheduling-independent
-                (exhaustive, sharded-*); the unsharded pruned engine's
-                counters depend on incumbent-cut timing across threads,
-                so it is only required never to visit more cells than
-                exhaustive. The 10x cells/speedup gate is enforced on
-                full-size runs; a --quick rerun checks the small
-                scenarios instead.
+                (exhaustive, and pruned-t1 at one thread); the threaded
+                pruned engine's counters depend on incumbent-cut timing
+                across threads, so it is only required never to visit
+                more cells than exhaustive. The 10x cells/speedup gate is
+                enforced on full-size runs; a --quick rerun checks the
+                small scenarios instead.
 
 Rows/geometries/phases present only in the baseline (e.g. a --quick run
 covers a subset) are skipped with a note, never failed; invariant gates
@@ -191,8 +191,8 @@ PHASE2_FIELDS = ("blocks", "coarsen_levels", "uncoarsen_moves",
 
 
 def check_search(s, base, cur):
-    # Invariants on the current run: all engines feasible, and the pruned /
-    # sharded engines must produce the exhaustive engine's plan bit for bit.
+    # Invariants on the current run: all engines feasible, and both pruned
+    # engines must produce the exhaustive engine's plan bit for bit.
     for sc in cur.get("scenarios", []):
         key = f"search/{sc['name']}"
         s.expect(sc.get("plans_identical") is True,
@@ -237,26 +237,27 @@ def check_search(s, base, cur):
                     e.get(field) == b.get(field),
                     f"{key}/{e['label']}.{field}: {e.get(field)} != "
                     f"baseline {b.get(field)}")
+            # Pruning never does MORE work than the exhaustive sweep.
+            if e["label"] != "exhaustive" and ex is not None:
+                s.expect(e["dp_cells"] <= ex["dp_cells"],
+                         f"{key}/{e['label']}: visited more DP cells "
+                         f"({e['dp_cells']}) than exhaustive "
+                         f"({ex['dp_cells']})")
             if e["label"] == "pruned":
-                # The unsharded incumbent engine's counters depend on cut
+                # The threaded incumbent engine's counters depend on cut
                 # timing across worker threads (a stale incumbent read only
                 # prunes less), so exact counts vary run to run. The plan is
-                # still bit-identical (checked above); the only deterministic
-                # counter claim is that pruning never does MORE work.
-                if ex is not None:
-                    s.expect(e["dp_cells"] <= ex["dp_cells"],
-                             f"{key}/pruned: visited more DP cells "
-                             f"({e['dp_cells']}) than exhaustive "
-                             f"({ex['dp_cells']})")
+                # still bit-identical (checked above).
                 s.note(f"{key}/pruned: counters are cut-timing-dependent, "
                        "exact drift check skipped")
                 continue
-            # exhaustive (no cuts) and sharded-* (incumbent frozen within
-            # rounds) have scheduling-independent counters.
+            # exhaustive (no cuts) and pruned-t1 (one thread, so the
+            # incumbent advances in job order) have scheduling-independent
+            # counters.
             for field in ("dp_cells", "profile_queries", "bound_queries",
                           "jobs_pruned", "jobs_dominated", "ranges_pruned",
                           "columns_pruned", "paths_pruned",
-                          "incumbent_updates", "shard_rounds"):
+                          "incumbent_updates"):
                 s.expect(
                     e[field] == b[field],
                     f"{key}/{e['label']}.{field}: {e[field]} != "

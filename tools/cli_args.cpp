@@ -130,8 +130,6 @@ void register_search_flags(ArgParser& p, SearchOptions& o) {
   p.opt("--batch-size", &o.batch_size, "N", "global batch size");
   p.opt("--threads", &o.threads, "N",
         "search worker threads (0 = RANNC_THREADS env, else 1)");
-  p.opt("--shards", &o.shards, "N",
-        "simulated searcher ranks for the sharded sweep (1 = live mode)");
   p.opt("--max-dp-cells", &o.max_dp_cells, "N",
         "abort the search beyond this many DP cells (0 = unlimited)");
   p.opt("--blocks", &o.blocks, "N", "target coarsened block count");
@@ -148,12 +146,11 @@ void apply_search(const SearchOptions& o, SearchRequest& req) {
   if (o.devices_per_node) req.cluster.devices_per_node = o.devices_per_node;
   if (o.batch_size) req.batch_size = o.batch_size;
   req.budget.threads = o.threads;
-  if (o.shards) req.shard.shards = o.shards;
   if (o.max_dp_cells >= 0) req.budget.max_dp_cells = o.max_dp_cells;
   if (o.blocks) req.num_blocks = static_cast<int>(o.blocks);
   if (o.memory_margin > 0) req.memory_margin = o.memory_margin;
   if (o.no_coarsening) req.use_coarsening = false;
-  if (o.no_prune) req.prune.enabled = false;
+  if (o.no_prune) req.prune = false;
 }
 
 }  // namespace cli

@@ -83,7 +83,7 @@ void register_model_flags(ArgParser& p, ModelOptions& o);
 /// or empty --model. Thin wrapper over serve::build_model.
 BuiltModel build_model(const ModelOptions& o);
 
-/// Cluster geometry, search budget, and pruning/sharding knobs shared by
+/// Cluster geometry, search budget, and the pruning knob shared by
 /// every tool that runs the partition search (rannc-lint, rannc-sim,
 /// rannc-serve, ...). One flag group mapping 1:1 onto SearchRequest, so
 /// the tools accept identical spellings and build identical requests.
@@ -91,7 +91,6 @@ struct SearchOptions {
   int nodes = 0, devices_per_node = 0;
   std::int64_t batch_size = 0;
   int threads = 0;
-  int shards = 0;                  ///< 0 = keep SearchRequest default (1)
   std::int64_t max_dp_cells = -1;  ///< -1 = keep default; 0 = unlimited
   std::int64_t blocks = 0;
   double memory_margin = 0;

@@ -79,18 +79,9 @@ int run(const Options& o) {
 
   // What-if catalog: first-order estimates from the report, ground truth
   // by perturbing the simulator inputs and re-running the schedule.
-  for (const obs::WhatIf& w : obs::default_what_ifs(rep)) {
-    obs::WhatIfResult r;
-    r.spec = w;
-    r.name = obs::what_if_name(w);
-    r.baseline = rep.step_time;
-    r.estimate = obs::estimate_what_if(rep, w);
-    std::vector<StageTimes> st = ev.stage_times;
-    int mb = plan.microbatches;
-    apply_what_if(w, st, mb);
-    r.ground_truth = simulate_gpipe(st, mb).iteration_time;
-    rep.what_ifs.push_back(std::move(r));
-  }
+  for (const obs::WhatIf& w : obs::default_what_ifs(rep))
+    rep.what_ifs.push_back(
+        evaluate_what_if(rep, ev.stage_times, plan.microbatches, w));
 
   const std::string doc = obs::report_json(rep);
   {

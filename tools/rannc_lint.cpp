@@ -157,12 +157,7 @@ int run(const Options& o) {
               << pr.jobs_dominated << " dominated, " << pr.ranges_pruned()
               << " ranges cut, " << pr.columns_pruned << " columns, "
               << pr.paths_pruned << " paths, " << pr.incumbent_updates
-              << " incumbent updates";
-    if (r.stats.shards_used > 1)
-      std::cout << "; " << r.stats.shards_used << " shards, "
-                << pr.shard_rounds << " rounds, " << pr.shard_sync_seconds
-                << "s simulated sync";
-    std::cout << "\n";
+              << " incumbent updates\n";
     bad = bad || !r.feasible;
   }
 
