@@ -2,7 +2,10 @@
 // kernels used by the execution runtime and the three partitioning phases.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "rannc.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -14,28 +17,53 @@ struct KernelPath {
   ~KernelPath() { set_naive_kernels(false); }
 };
 
+/// Runs one benchmark's kernels on the calling thread alone when `solo`, as
+/// the training runtime does (its stage threads use a pool without
+/// workers); otherwise on the default kernel pool.
+struct KernelThreads {
+  explicit KernelThreads(bool solo) {
+    if (solo) set_kernel_pool(&pool);
+  }
+  ~KernelThreads() { set_kernel_pool(nullptr); }
+  ThreadPool pool{0};
+};
+
+// Forward C[m,n] = A[m,k] x B[k,n] and its grad_a dA[m,k] = G[m,n] x B^T,
+// both 2mkn flops. Args: m, k, n, naive (0 = blocked, 1 = naive reference
+// loops), solo (1 = one thread). The solo rows at BERT-tiny's shapes (seq
+// 64, hidden 384, FFN 1536) are the ones tools/bench_sentinel.py compares
+// per flop.
 void BM_MatMul(benchmark::State& state) {
-  const auto n = state.range(0);
-  KernelPath path(state.range(1) != 0);
-  Tensor a = Tensor::uniform(Shape{n, n}, 1.0f, 1);
-  Tensor b = Tensor::uniform(Shape{n, n}, 1.0f, 2);
+  const auto m = state.range(0), k = state.range(1), n = state.range(2);
+  KernelPath path(state.range(3) != 0);
+  KernelThreads threads(state.range(4) != 0);
+  Tensor a = Tensor::uniform(Shape{m, k}, 1.0f, 1);
+  Tensor b = Tensor::uniform(Shape{k, n}, 1.0f, 2);
   for (auto _ : state) benchmark::DoNotOptimize(matmul(a, b));
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
-// Second arg: 0 = blocked (production), 1 = naive reference loops.
-BENCHMARK(BM_MatMul)
-    ->Args({64, 0})->Args({128, 0})->Args({256, 0})->Args({512, 0})
-    ->Args({256, 1})->Args({512, 1});
 
 void BM_MatMulGradA(benchmark::State& state) {
-  const auto n = state.range(0);
-  KernelPath path(state.range(1) != 0);
-  Tensor g = Tensor::uniform(Shape{n, n}, 1.0f, 1);
-  Tensor b = Tensor::uniform(Shape{n, n}, 1.0f, 2);
+  const auto m = state.range(0), k = state.range(1), n = state.range(2);
+  KernelPath path(state.range(3) != 0);
+  KernelThreads threads(state.range(4) != 0);
+  Tensor g = Tensor::uniform(Shape{m, n}, 1.0f, 1);
+  Tensor b = Tensor::uniform(Shape{k, n}, 1.0f, 2);
   for (auto _ : state) benchmark::DoNotOptimize(matmul_grad_a(g, b));
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
-BENCHMARK(BM_MatMulGradA)->Args({256, 0})->Args({256, 1});
+
+void gemm_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"m", "k", "n", "naive", "solo"});
+  for (std::int64_t n : {64, 128, 256, 512}) b->Args({n, n, n, 0, 0});
+  b->Args({256, 256, 256, 1, 0});
+  for (const auto& [m, k, n] : {std::array<std::int64_t, 3>{64, 384, 384},
+                                {64, 384, 1536},
+                                {64, 1536, 384}})
+    b->Args({m, k, n, 0, 1});
+}
+BENCHMARK(BM_MatMul)->Apply(gemm_args);
+BENCHMARK(BM_MatMulGradA)->Apply(gemm_args);
 
 void BM_MatMulGradB(benchmark::State& state) {
   const auto n = state.range(0);

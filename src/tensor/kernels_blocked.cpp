@@ -5,6 +5,8 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -12,6 +14,8 @@
 #if defined(__AVX2__) && defined(__FMA__)
 #define RANNC_KERNELS_AVX2 1
 #include <immintrin.h>
+// AVX-512 variants are compiled per function and run only after a CPU check.
+#define RANNC_AVX512 __attribute__((target("avx512f")))
 #endif
 
 namespace rannc {
@@ -110,9 +114,17 @@ void gemm_rows(const float* A, const float* B, float* C, std::int64_t mt,
 //
 // Float products are exact in double, so any fixed lane structure gives the
 // same sum as a sequential double loop up to ~1e-16 relative — which rounds
-// to the same float essentially always. The lane structure below is fixed
-// (8 lanes, summed pairwise, scalar tail appended), so results never depend
-// on thread assignment.
+// to the same float essentially always, but not always. The lane structure
+// below is fixed on every build: lane t sums the terms j = t (mod 8) below
+// 8*floor(len/8) in ascending order, lane_tree combines the lanes the way
+// AVX2's hsum4(lo + hi) does, and the scalar tail is appended in order.
+
+/// ((L0+L4) + (L2+L6)) + ((L1+L5) + (L3+L7)): the reduction tree of
+/// hsum4(lo + hi) with lo = lanes 0..3 and hi = lanes 4..7.
+double lane_tree(double l0, double l1, double l2, double l3, double l4,
+                 double l5, double l6, double l7) {
+  return ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7));
+}
 
 #ifdef RANNC_KERNELS_AVX2
 
@@ -206,21 +218,6 @@ void axpy_f2d(double* __restrict acc, const float* __restrict x, double w,
 
 #else  // !RANNC_KERNELS_AVX2
 
-void dot4_rows(const float* __restrict g, const float* __restrict B,
-               std::int64_t n, std::int64_t ldb, float* __restrict out) {
-  for (std::int64_t q = 0; q < 4; ++q) {
-    const float* b = B + q * ldb;
-    double l[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    std::int64_t j = 0;
-    for (; j + 8 <= n; j += 8)
-      for (std::int64_t t = 0; t < 8; ++t)
-        l[t] += static_cast<double>(g[j + t]) * b[j + t];
-    double s = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
-    for (; j < n; ++j) s += static_cast<double>(g[j]) * b[j];
-    out[q] = static_cast<float>(s);
-  }
-}
-
 double dot_f2d(const float* __restrict a, const float* __restrict b,
                std::int64_t len) {
   double l[8] = {0, 0, 0, 0, 0, 0, 0, 0};
@@ -228,9 +225,15 @@ double dot_f2d(const float* __restrict a, const float* __restrict b,
   for (; j + 8 <= len; j += 8)
     for (std::int64_t t = 0; t < 8; ++t)
       l[t] += static_cast<double>(a[j + t]) * b[j + t];
-  double s = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+  double s = lane_tree(l[0], l[1], l[2], l[3], l[4], l[5], l[6], l[7]);
   for (; j < len; ++j) s += static_cast<double>(a[j]) * b[j];
   return s;
+}
+
+void dot4_rows(const float* __restrict g, const float* __restrict B,
+               std::int64_t n, std::int64_t ldb, float* __restrict out) {
+  for (std::int64_t q = 0; q < 4; ++q)
+    out[q] = static_cast<float>(dot_f2d(g, B + q * ldb, n));
 }
 
 void axpy_f2d(double* __restrict acc, const float* __restrict x, double w,
@@ -248,6 +251,35 @@ bool blocked_kernels_simd() {
 #else
   return false;
 #endif
+}
+
+namespace {
+
+std::atomic<bool> g_force_avx2{false};
+
+#ifdef RANNC_KERNELS_AVX2
+/// True when the AVX-512 variants run: an AVX2 build on an AVX-512 host,
+/// unless the test hook holds them off. The CPU is checked once.
+bool use_avx512() {
+  return blocked_kernels_avx512() &&
+         !g_force_avx2.load(std::memory_order_relaxed);
+}
+#endif
+
+}  // namespace
+
+bool blocked_kernels_avx512() {
+#ifdef RANNC_KERNELS_AVX2
+  static const bool host =
+      (__builtin_cpu_init(), __builtin_cpu_supports("avx512f"));
+  return host;
+#else
+  return false;
+#endif
+}
+
+void force_avx2_kernels(bool force) {
+  g_force_avx2.store(force, std::memory_order_relaxed);
 }
 
 // ---- matmul ----------------------------------------------------------------
@@ -269,9 +301,10 @@ void blocked_matmul(const float* A, const float* B, float* C, std::int64_t ba,
 
 // ---- matmul_grad_a: DA = G x B^T --------------------------------------------
 
-void blocked_matmul_grad_a(const float* G, const float* B, float* DA,
-                           std::int64_t bg, std::int64_t m, std::int64_t n,
-                           std::int64_t k, bool shared_b, ThreadPool& pool) {
+void blocked_matmul_grad_a_rows(const float* G, const float* B, float* DA,
+                                std::int64_t bg, std::int64_t m,
+                                std::int64_t n, std::int64_t k, bool shared_b,
+                                ThreadPool& pool) {
   // Parallel unit: a (batch, contiguous kk-chunk) pair. Looping kk outside
   // the m output rows keeps each group of B rows resident while all m dots
   // against it run, so B streams through cache once per chunk instead of
@@ -297,6 +330,292 @@ void blocked_matmul_grad_a(const float* G, const float* B, float* DA,
               static_cast<float>(dot_f2d(gmat + r * n, bmat + kk * n, n));
     }
   });
+}
+
+// The panel kernel performs the double operations of the row dots above, in
+// the same order, with the SIMD lanes running across outputs instead of
+// within one dot. The 8 lanes of a dot are independent sums, so it loops
+// over them outermost: lane t of a tile of outputs is a plain double GEMM of
+// length n8/8 (n8 = 8*floor(n/8)) over operands packed per lane,
+//
+//   Gp[t][tile][i][r] = G[row r][8i + t],   Bp[t][i][c] = B[col c][8i + t],
+//
+// accumulated from +0 in ascending i by an MR x NR register tile with one
+// FMA per term. The 8 lane tiles are then combined by lane_tree and the tail
+// j >= n8 is added in order, as dot_f2d does. G is converted once per row
+// block, B once per (row block, column panel, i-block); all packing goes to
+// a leased, bounded ScratchLease block, so no call allocates.
+
+namespace {
+
+constexpr std::int64_t kLaneBlock = 32;  // i-steps per packed B block
+
+/// Bound on the packed operands of one grad_a work unit, in doubles
+/// (512 KiB): longer G rows are split into row blocks that fit.
+constexpr std::int64_t kScratchDoubles = 64 * 1024;
+
+/// Scratch for the packed operands of one grad_a work unit. Blocks live on
+/// a process-wide free list: a unit leases one and returns it, so after the
+/// first step no call allocates, and the blocks alive are bounded by the
+/// number of units that ever ran at the same time.
+class ScratchLease {
+ public:
+  ScratchLease() {
+    Pool& p = pool();
+    std::lock_guard<std::mutex> lk(p.mu);
+    if (p.free.empty()) {
+      // Room to return every block made, so the destructor never allocates.
+      p.free.reserve(static_cast<std::size_t>(++p.made));
+      block_.reset(new Block);
+    } else {
+      block_ = std::move(p.free.back());
+      p.free.pop_back();
+    }
+  }
+  ~ScratchLease() {
+    Pool& p = pool();
+    std::lock_guard<std::mutex> lk(p.mu);
+    p.free.push_back(std::move(block_));
+  }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+  double* data() { return block_->d; }
+
+ private:
+  struct alignas(64) Block {
+    double d[kScratchDoubles];
+  };
+  struct Pool {
+    std::mutex mu;  // guards free and made
+    std::vector<std::unique_ptr<Block>> free;
+    std::int64_t made = 0;
+  };
+  static Pool& pool() {
+    static Pool p;
+    return p;
+  }
+  std::unique_ptr<Block> block_;
+};
+
+// Register tiles: micro(g, b, len, c, accumulate) runs
+//   c[r][q] (+)= sum over i < len of g[i*MR + r] * b[i*NR + q]
+// in ascending i, starting from +0 unless `accumulate`.
+
+#ifdef RANNC_KERNELS_AVX2
+
+struct GradATileAvx2 {
+  static constexpr std::int64_t kMR = 4, kNR = 12;
+  static void micro(const double* __restrict g, const double* __restrict b,
+                    std::int64_t len, double* __restrict c, bool accumulate) {
+    __m256d x[kMR][3];
+    for (int r = 0; r < kMR; ++r)
+      for (int v = 0; v < 3; ++v)
+        x[r][v] = accumulate ? _mm256_loadu_pd(c + r * kNR + 4 * v)
+                             : _mm256_setzero_pd();
+    for (std::int64_t i = 0; i < len; ++i, g += kMR, b += kNR) {
+      const __m256d b0 = _mm256_loadu_pd(b);
+      const __m256d b1 = _mm256_loadu_pd(b + 4);
+      const __m256d b2 = _mm256_loadu_pd(b + 8);
+      for (int r = 0; r < kMR; ++r) {
+        const __m256d gr = _mm256_broadcast_sd(g + r);
+        x[r][0] = _mm256_fmadd_pd(gr, b0, x[r][0]);
+        x[r][1] = _mm256_fmadd_pd(gr, b1, x[r][1]);
+        x[r][2] = _mm256_fmadd_pd(gr, b2, x[r][2]);
+      }
+    }
+    for (int r = 0; r < kMR; ++r)
+      for (int v = 0; v < 3; ++v)
+        _mm256_storeu_pd(c + r * kNR + 4 * v, x[r][v]);
+  }
+};
+
+struct GradATileAvx512 {
+  static constexpr std::int64_t kMR = 8, kNR = 24;
+  RANNC_AVX512 static void micro(const double* __restrict g,
+                                 const double* __restrict b, std::int64_t len,
+                                 double* __restrict c, bool accumulate) {
+    __m512d x[kMR][3];
+    for (int r = 0; r < kMR; ++r)
+      for (int v = 0; v < 3; ++v)
+        x[r][v] = accumulate ? _mm512_loadu_pd(c + r * kNR + 8 * v)
+                             : _mm512_setzero_pd();
+    for (std::int64_t i = 0; i < len; ++i, g += kMR, b += kNR) {
+      const __m512d b0 = _mm512_loadu_pd(b);
+      const __m512d b1 = _mm512_loadu_pd(b + 8);
+      const __m512d b2 = _mm512_loadu_pd(b + 16);
+      for (int r = 0; r < kMR; ++r) {
+        const __m512d gr = _mm512_set1_pd(g[r]);
+        x[r][0] = _mm512_fmadd_pd(gr, b0, x[r][0]);
+        x[r][1] = _mm512_fmadd_pd(gr, b1, x[r][1]);
+        x[r][2] = _mm512_fmadd_pd(gr, b2, x[r][2]);
+      }
+    }
+    for (int r = 0; r < kMR; ++r)
+      for (int v = 0; v < 3; ++v)
+        _mm512_storeu_pd(c + r * kNR + 8 * v, x[r][v]);
+  }
+};
+
+#else  // !RANNC_KERNELS_AVX2
+
+struct GradATilePortable {
+  static constexpr std::int64_t kMR = 4, kNR = 8;
+  static void micro(const double* __restrict g, const double* __restrict b,
+                    std::int64_t len, double* __restrict c, bool accumulate) {
+    double x[kMR * kNR];
+    for (std::int64_t q = 0; q < kMR * kNR; ++q) x[q] = accumulate ? c[q] : 0.0;
+    for (std::int64_t i = 0; i < len; ++i, g += kMR, b += kNR)
+      for (std::int64_t r = 0; r < kMR; ++r)
+        for (std::int64_t q = 0; q < kNR; ++q) x[r * kNR + q] += g[r] * b[q];
+    std::memcpy(c, x, sizeof(x));
+  }
+};
+
+#endif  // RANNC_KERNELS_AVX2
+
+/// Rows per row block so that one block's packed operands fit
+/// kScratchDoubles (a multiple of MR, at most m rounded up), or 0 when not
+/// even MR rows fit.
+template <class Tile>
+std::int64_t grad_a_block_rows(std::int64_t m, std::int64_t n) {
+  constexpr std::int64_t MR = Tile::kMR, NR = Tile::kNR;
+  const std::int64_t fixed = (8 * kLaneBlock + 7) * NR;  // Bp + tail
+  const std::int64_t per_row = (n & ~std::int64_t{7}) + 8 * NR;  // Gp + lanes
+  const std::int64_t fit = (kScratchDoubles - fixed) / per_row / MR * MR;
+  if (fit < MR) return 0;
+  const std::int64_t mp = (m + MR - 1) / MR * MR;
+  if (mp <= fit) return mp;
+  // Equal blocks, so the last one is not mostly padding.
+  const std::int64_t blocks = (mp + fit - 1) / fit;
+  return ((m + blocks - 1) / blocks + MR - 1) / MR * MR;
+}
+
+/// DA columns [c_begin, c_end) of one batch (G [m,n], B [k,n], DA [m,k]),
+/// row block by row block of `mc` rows.
+template <class Tile>
+void grad_a_panels(const float* G, const float* B, float* DA, std::int64_t m,
+                   std::int64_t n, std::int64_t k, std::int64_t c_begin,
+                   std::int64_t c_end, std::int64_t mc, double* scratch) {
+  constexpr std::int64_t MR = Tile::kMR, NR = Tile::kNR;
+  const std::int64_t n8 = n & ~std::int64_t{7};
+  const std::int64_t L = n8 / 8;
+  double* const gp = scratch;              // [8][tiles][L][MR]
+  double* const lanes = gp + mc * n8;      // [8][tiles][MR][NR]
+  double* const bp = lanes + 8 * mc * NR;  // [8][kLaneBlock][NR]
+  double* const bt = bp + 8 * kLaneBlock * NR;  // [n - n8][NR]
+  for (std::int64_t r0 = 0; r0 < m; r0 += mc) {
+    const std::int64_t rows = std::min(mc, m - r0);
+    const std::int64_t tiles = (rows + MR - 1) / MR;
+    for (std::int64_t tile = 0; tile < tiles; ++tile) {
+      const std::int64_t live = std::min(MR, rows - tile * MR);
+      const float* src = G + (r0 + tile * MR) * n;
+      for (std::int64_t i = 0; i < L; ++i) {
+        double* dst = gp + (tile * L + i) * MR;
+        for (std::int64_t t = 0; t < 8; ++t) {
+          double* d = dst + t * tiles * L * MR;
+          for (std::int64_t r = 0; r < live; ++r) d[r] = src[r * n + 8 * i + t];
+          for (std::int64_t r = live; r < MR; ++r) d[r] = 0.0;
+        }
+      }
+    }
+    for (std::int64_t c0 = c_begin; c0 < c_end; c0 += NR) {
+      const std::int64_t cols = std::min(NR, c_end - c0);
+      const float* bpanel = B + c0 * n;
+      if (L == 0) std::fill_n(lanes, 8 * tiles * MR * NR, 0.0);
+      for (std::int64_t i0 = 0; i0 < L; i0 += kLaneBlock) {
+        const std::int64_t len = std::min(kLaneBlock, L - i0);
+        for (std::int64_t i = 0; i < len; ++i)
+          for (std::int64_t t = 0; t < 8; ++t) {
+            double* d = bp + (t * len + i) * NR;
+            const float* src = bpanel + 8 * (i0 + i) + t;
+            for (std::int64_t c = 0; c < cols; ++c) d[c] = src[c * n];
+            for (std::int64_t c = cols; c < NR; ++c) d[c] = 0.0;
+          }
+        for (std::int64_t t = 0; t < 8; ++t)
+          for (std::int64_t tile = 0; tile < tiles; ++tile)
+            Tile::micro(gp + ((t * tiles + tile) * L + i0) * MR,
+                        bp + t * len * NR, len,
+                        lanes + (t * tiles + tile) * MR * NR, i0 > 0);
+      }
+      for (std::int64_t j = n8; j < n; ++j)
+        for (std::int64_t c = 0; c < NR; ++c)
+          bt[(j - n8) * NR + c] =
+              c < cols ? static_cast<double>(bpanel[c * n + j]) : 0.0;
+      for (std::int64_t tile = 0; tile < tiles; ++tile) {
+        const double* l[8];
+        for (std::int64_t t = 0; t < 8; ++t)
+          l[t] = lanes + (t * tiles + tile) * MR * NR;
+        const std::int64_t live = std::min(MR, rows - tile * MR);
+        for (std::int64_t r = 0; r < live; ++r) {
+          const std::int64_t row = r0 + tile * MR + r;
+          double s[NR];
+          for (std::int64_t c = 0; c < NR; ++c) {
+            const std::int64_t q = r * NR + c;
+            s[c] = lane_tree(l[0][q], l[1][q], l[2][q], l[3][q], l[4][q],
+                             l[5][q], l[6][q], l[7][q]);
+          }
+          for (std::int64_t j = n8; j < n; ++j) {
+            const double gv = G[row * n + j];
+            for (std::int64_t c = 0; c < NR; ++c)
+              s[c] += gv * bt[(j - n8) * NR + c];
+          }
+          for (std::int64_t c = 0; c < cols; ++c)
+            DA[row * k + c0 + c] = static_cast<float>(s[c]);
+        }
+      }
+    }
+  }
+}
+
+template <class Tile>
+void grad_a_tiled(const float* G, const float* B, float* DA, std::int64_t bg,
+                  std::int64_t m, std::int64_t n, std::int64_t k,
+                  bool shared_b, ThreadPool& pool) {
+  constexpr std::int64_t NR = Tile::kNR;
+  // With one B for all batches, the batches are just more rows.
+  if (shared_b) {
+    m *= bg;
+    bg = 1;
+  }
+  const std::int64_t mc = grad_a_block_rows<Tile>(m, n);
+  if (mc == 0) {  // rows too long for the scratch bound: same bits, row dots
+    blocked_matmul_grad_a_rows(G, B, DA, bg, m, n, k, shared_b, pool);
+    return;
+  }
+  // Parallel unit: a (batch, kUnitCols-column run) pair, narrow so that
+  // even one batch spreads over a pool. A thread packs G once per batch for
+  // all the consecutive units it runs, so on a pool without workers G is
+  // packed once per batch.
+  constexpr std::int64_t kUnitCols = 24;  // a multiple of every tile's NR
+  static_assert(kUnitCols % NR == 0);
+  const std::int64_t units = (k + kUnitCols - 1) / kUnitCols;
+  pool.parallel_for(0, bg * units, [&](std::int64_t u0, std::int64_t u1) {
+    ScratchLease scratch;
+    for (std::int64_t u = u0; u < u1;) {
+      const std::int64_t bi = u / units;
+      const std::int64_t last = std::min(u1, (bi + 1) * units);
+      const std::int64_t c0 = (u - bi * units) * kUnitCols;
+      const std::int64_t c1 = std::min(k, (last - bi * units) * kUnitCols);
+      grad_a_panels<Tile>(G + bi * m * n, B + (shared_b ? 0 : bi * k * n),
+                          DA + bi * m * k, m, n, k, c0, c1, mc, scratch.data());
+      u = last;
+    }
+  });
+}
+
+}  // namespace
+
+void blocked_matmul_grad_a(const float* G, const float* B, float* DA,
+                           std::int64_t bg, std::int64_t m, std::int64_t n,
+                           std::int64_t k, bool shared_b, ThreadPool& pool) {
+#ifdef RANNC_KERNELS_AVX2
+  if (use_avx512())
+    grad_a_tiled<GradATileAvx512>(G, B, DA, bg, m, n, k, shared_b, pool);
+  else
+    grad_a_tiled<GradATileAvx2>(G, B, DA, bg, m, n, k, shared_b, pool);
+#else
+  grad_a_tiled<GradATilePortable>(G, B, DA, bg, m, n, k, shared_b, pool);
+#endif
 }
 
 // ---- matmul_grad_b: DB = A^T x G --------------------------------------------
@@ -425,8 +744,91 @@ void gb4_float(const float* a, const float* const* g, float* d,
   });
 }
 
+// The exact route in AVX-512: the same float operations, 8 columns per
+// vector. rf(x + y) rounds to odd with embedded rounding instead of TwoSum:
+// x + y rounded down and rounded up are equal when the sum is exact, and
+// otherwise the odd one of the two is the sum rounded to odd. An exact sum
+// must take the round-to-nearest result, because rounding down turns
+// x + (-x) into -0; rounding up gives the round-to-nearest bits for every
+// exact sum, zeros included, so it is taken. The maskz forms with a full
+// mask are the plain operations.
+
+constexpr __mmask8 kAll8 = 0xff;
+
+RANNC_AVX512 __m512d widen512(__m256 x) {
+  return _mm512_maskz_cvtps_pd(kAll8, x);
+}
+
+RANNC_AVX512 __m256 narrow512(__m512d x) {
+  return _mm512_maskz_cvtpd_ps(kAll8, x);
+}
+
+RANNC_AVX512 __m256 exact_fused512(__m512d x, __m512d y) {
+  const __m512d rd = _mm512_maskz_add_round_pd(
+      kAll8, x, y, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  const __m512d ru = _mm512_maskz_add_round_pd(
+      kAll8, x, y, _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
+  const __mmask8 exact = _mm512_cmp_pd_mask(rd, ru, _CMP_EQ_OQ);
+  const __mmask8 ru_odd = _mm512_test_epi64_mask(_mm512_castpd_si512(ru),
+                                                 _mm512_set1_epi64(1));
+  return narrow512(_mm512_mask_blend_pd(exact | ru_odd, rd, ru));
+}
+
+/// d + (fma(a0,x0, a1*x1) + fma(a2,x2, a3*x3)) on the exact route.
+RANNC_AVX512 __m256 exact_group512(const __m512d* av, const __m256* x,
+                                   __m256 d) {
+  __m256 p[2];
+  for (int h = 0; h < 2; ++h) {
+    const __m512d q0 = _mm512_mul_pd(av[2 * h], widen512(x[2 * h]));
+    const __m512d q1 = _mm512_mul_pd(av[2 * h + 1], widen512(x[2 * h + 1]));
+    // rf(a1*x1), the product the float route rounds before its fma.
+    p[h] = exact_fused512(q0, widen512(narrow512(q1)));
+  }
+  const __m256 sum = narrow512(_mm512_add_pd(widen512(p[0]), widen512(p[1])));
+  return narrow512(_mm512_add_pd(widen512(d), widen512(sum)));
+}
+
+RANNC_AVX512 void gb4_exact512(const float* a, const float* const* g,
+                               float* d, std::int64_t n) {
+  const __m512d av[4] = {_mm512_set1_pd(a[0]), _mm512_set1_pd(a[1]),
+                         _mm512_set1_pd(a[2]), _mm512_set1_pd(a[3])};
+  __m256 x[4];
+  std::int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    for (int i = 0; i < 4; ++i) x[i] = _mm256_loadu_ps(g[i] + j);
+    _mm256_storeu_ps(d + j, exact_group512(av, x, _mm256_loadu_ps(d + j)));
+  }
+  if (j < n) {
+    const __m256i m = tail_mask(n - j);
+    for (int i = 0; i < 4; ++i) x[i] = _mm256_maskload_ps(g[i] + j, m);
+    _mm256_maskstore_ps(d + j, m,
+                        exact_group512(av, x, _mm256_maskload_ps(d + j, m)));
+  }
+}
+
+RANNC_AVX512 void gb1_exact512(float a, const float* g, float* d,
+                               std::int64_t n) {
+  const __m512d av = _mm512_set1_pd(a);
+  std::int64_t j = 0;
+  for (; j + 8 <= n; j += 8)
+    _mm256_storeu_ps(
+        d + j, exact_fused512(_mm512_mul_pd(av, widen512(_mm256_loadu_ps(g + j))),
+                              widen512(_mm256_loadu_ps(d + j))));
+  if (j < n) {
+    const __m256i m = tail_mask(n - j);
+    _mm256_maskstore_ps(
+        d + j, m,
+        exact_fused512(_mm512_mul_pd(av, widen512(_mm256_maskload_ps(g + j, m))),
+                       widen512(_mm256_maskload_ps(d + j, m))));
+  }
+}
+
 void gb4_exact(const float* a, const float* const* g, float* d,
                std::int64_t n) {
+  if (use_avx512()) {
+    gb4_exact512(a, g, d, n);
+    return;
+  }
   const __m256d av[4] = {_mm256_set1_pd(a[0]), _mm256_set1_pd(a[1]),
                          _mm256_set1_pd(a[2]), _mm256_set1_pd(a[3])};
   columns4<4>(g, d, n, [&](const __m128* x, __m128 dv) {
@@ -444,6 +846,10 @@ void gb1_float(float a, const float* g, float* d, std::int64_t n) {
 }
 
 void gb1_exact(float a, const float* g, float* d, std::int64_t n) {
+  if (use_avx512()) {
+    gb1_exact512(a, g, d, n);
+    return;
+  }
   const __m256d av = _mm256_set1_pd(a);
   columns4<1>(&g, d, n, [&](const __m128* x, __m128 dv) {
     return exact_fused(_mm256_mul_pd(av, _mm256_cvtps_pd(x[0])),

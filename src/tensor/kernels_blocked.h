@@ -9,16 +9,24 @@
 // fixed function of the problem shape only, every output element is
 // produced by exactly one unit, and the floating-point reduction order per
 // element never depends on how units are assigned to threads — results are
-// bit-identical at any thread-pool size. matmul_grad_a, conv2d and
-// conv2d_grad_x accumulate in double over the naive loops' per-element term
-// order, so they are additionally bit-identical to their naive references
-// (float products are exact in double). matmul_grad_b (float, pairwise-of-4
-// association) and conv2d_grad_w (lane-split double dot) differ from theirs
-// in the last bits.
+// bit-identical at any thread-pool size. conv2d and conv2d_grad_x
+// accumulate in double over the naive loops' per-element term order, so they
+// are additionally bit-identical to their naive references (float products
+// are exact in double). matmul_grad_a accumulates in double with one 8-lane
+// tree on every build: lane t sums the terms j = t (mod 8) below
+// 8*floor(n/8) in ascending order, the lanes combine as
+// ((L0+L4) + (L2+L6)) + ((L1+L5) + (L3+L7)), and the tail is added in order.
+// That differs from the naive sequential sum by ~1e-16 relative, so the two
+// almost always round to the same float, but not always. matmul_grad_b
+// (float, pairwise-of-4 association) and conv2d_grad_w (lane-split double
+// dot) differ from theirs in the last bits.
 //
 // This translation unit is compiled -O3 and, where the toolchain allows,
 // -mavx2 -mfma (see src/tensor/CMakeLists.txt and the
 // RANNC_PORTABLE_KERNELS option); plain-C fallbacks cover other targets.
+// AVX-512 variants of matmul_grad_a and of matmul_grad_b's exact route are
+// compiled per function and chosen by a run-time CPU check; they give the
+// AVX2 bits.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +40,34 @@ namespace detail {
 /// True when this build's blocked kernels use the AVX2+FMA paths.
 bool blocked_kernels_simd();
 
+/// True when this build and host have the AVX-512 variants of
+/// matmul_grad_a and of matmul_grad_b's exact route: an AVX2 build on a CPU
+/// with AVX-512F, checked once at run time. They run unless the test hook
+/// below holds them off.
+bool blocked_kernels_avx512();
+
+/// Test hook: while `force` is set, the AVX-512 variants are bypassed and
+/// the AVX2 ones run, so tests can compare the two bit for bit.
+void force_avx2_kernels(bool force);
+
 /// C[ba,m,n] = A[ba,m,k] x B[k,n or ba,k,n]; C need not be initialized.
 void blocked_matmul(const float* A, const float* B, float* C, std::int64_t ba,
                     std::int64_t m, std::int64_t k, std::int64_t n,
                     bool shared_b, ThreadPool& pool);
 
-/// DA[bg,m,k] = G[bg,m,n] x B^T (B is [k,n] or [bg,k,n]).
+/// DA[bg,m,k] = G[bg,m,n] x B^T (B is [k,n] or [bg,k,n]): register-tiled
+/// across outputs over lane-packed operands.
 void blocked_matmul_grad_a(const float* G, const float* B, float* DA,
                            std::int64_t bg, std::int64_t m, std::int64_t n,
                            std::int64_t k, bool shared_b, ThreadPool& pool);
+
+/// blocked_matmul_grad_a one dot at a time (a horizontal sum per output):
+/// the same lane structure and the same bits. It is the tests' oracle and
+/// the fallback for G rows too long for the panel kernel's scratch.
+void blocked_matmul_grad_a_rows(const float* G, const float* B, float* DA,
+                                std::int64_t bg, std::int64_t m,
+                                std::int64_t n, std::int64_t k, bool shared_b,
+                                ThreadPool& pool);
 
 /// DB = A^T x G. Shared rhs ([k,n], batches reduced) when shared_b, else
 /// per-batch [ba,k,n]. DB need not be initialized. Returns the number of

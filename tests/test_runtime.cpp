@@ -91,9 +91,11 @@ TEST(InitParams, DeterministicAndPyTorchLike) {
   for (const auto& [v, t] : p1)
     EXPECT_FLOAT_EQ(max_abs_diff(t, p2.at(v)), 0.0f);
   // Biases start at zero.
-  for (const Value& v : m.graph.values())
-    if (v.kind == ValueKind::Param && v.name.ends_with(".bias"))
+  for (const Value& v : m.graph.values()) {
+    if (v.kind == ValueKind::Param && v.name.ends_with(".bias")) {
       EXPECT_FLOAT_EQ(p1.at(v.id).max_abs(), 0.0f);
+    }
+  }
 }
 
 TEST(Trainer, LossDecreasesOnFixedBatch) {

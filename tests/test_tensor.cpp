@@ -321,7 +321,10 @@ TEST(KernelParity, MatmulFamilyMatchesNaiveOverCatalog) {
                            " n=" + std::to_string(c.n);
     EXPECT_LE(max_abs_diff(cn, cb), 1e-5f) << at;
     EXPECT_LE(max_abs_diff(dbn, dbb), 1e-5f) << at;
-    // grad_a double-accumulates in both paths: exactly equal, not just close.
+    // grad_a double-accumulates in both paths: the blocked lane tree and the
+    // naive sequential sum differ by ~1e-16 relative before rounding to
+    // float, which gives the same floats on this catalog (not guaranteed in
+    // general; the lane-tree oracle below pins the blocked bits).
     EXPECT_TRUE(bit_equal(dan, dab)) << at;
   }
 }
@@ -572,6 +575,10 @@ TEST(KernelParity, GradBMixedRoutesBitIdenticalAcrossThreadCounts) {
     if (detail::blocked_kernels_simd()) {
       EXPECT_GT(e1 - e0, 0);
       EXPECT_LT(e1 - e0, groups);
+      // The routing of this input is pinned: the kernel variant (AVX2 or
+      // AVX-512) changes the speed of the exact route, not which groups
+      // take it.
+      EXPECT_EQ(e1 - e0, 81);
     } else {
       EXPECT_EQ(e1 - e0, 0);
     }
@@ -581,6 +588,185 @@ TEST(KernelParity, GradBMixedRoutesBitIdenticalAcrossThreadCounts) {
         grad_b_route(av, gv, ba, m, k, n, b_shape.rank() == 2, Route::kFloat);
     EXPECT_TRUE(std::memcmp(fl.data(), db1.data(),
                             fl.size() * sizeof(float)) == 0);
+  }
+}
+
+// ---- matmul_grad_a: panel kernel vs row-dot oracle vs lane-tree oracle -----
+
+/// One grad_a output in plain scalar code, with the lane tree every build
+/// uses: lane t sums g[j]*b[j] over j = t (mod 8) below n8 = 8*floor(n/8) in
+/// ascending j, the lanes combine as ((L0+L4)+(L2+L6)) + ((L1+L5)+(L3+L7)),
+/// and the tail j >= n8 is added in order. Float products are exact in
+/// double, so multiply-then-add here equals the kernels' FMAs.
+float lane_tree_dot(const float* g, const float* b, std::int64_t n) {
+  double l[8] = {};
+  const std::int64_t n8 = n / 8 * 8;
+  for (std::int64_t j = 0; j < n8; ++j)
+    l[j % 8] += static_cast<double>(g[j]) * b[j];
+  double s = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+  for (std::int64_t j = n8; j < n; ++j) s += static_cast<double>(g[j]) * b[j];
+  return static_cast<float>(s);
+}
+
+/// Rows of uniform values, each row of one kind: plain, tiny (subnormal
+/// products), subnormal, signed zeros, +-2^100, or sprinkled with +-Inf and
+/// NaN.
+std::vector<float> special_rows(std::int64_t rows, std::int64_t cols,
+                                std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<float> unit(-1.0f, 1.0f);
+  std::vector<float> out(static_cast<std::size_t>(rows * cols));
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const int kind = static_cast<int>(rng() % 6);
+    for (std::int64_t c = 0; c < cols; ++c) {
+      float v = unit(rng);
+      if (kind == 1) v *= 1e-30f;
+      if (kind == 2) v *= 1e-39f;
+      if (kind == 3 && rng() % 2) v = (rng() % 2) ? -0.0f : 0.0f;
+      if (kind == 4 && rng() % 3 == 0) v = (rng() % 2) ? 0x1p100f : -0x1p100f;
+      if (kind == 5 && rng() % 7 == 0) {
+        const float odd[] = {INFINITY, -INFINITY, NAN};
+        v = odd[rng() % 3];
+      }
+      out[static_cast<std::size_t>(r * cols + c)] = v;
+    }
+  }
+  return out;
+}
+
+/// Bit equality, except that any two NaNs match: which NaN payload survives
+/// when two meet depends on operand order inside an instruction, not on the
+/// association the kernels pin.
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+  if (x.size() != y.size()) return false;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (std::isnan(x[i]) && std::isnan(y[i])) continue;
+    if (std::memcmp(&x[i], &y[i], sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+struct GradACase {
+  std::int64_t bg, m, n, k;
+  bool shared_b;
+};
+
+// Odd m/n/k, n < 8, n % 8 != 0, batched shared and unshared B, rows that
+// need several row blocks (n = 1537), and rows too long for the panel
+// kernel's scratch on every build (n = 16001, where it falls back to the
+// row dots).
+const std::vector<GradACase> kGradACatalog = {
+    {1, 1, 1, 1, true},     {1, 3, 5, 7, true},      {2, 7, 13, 9, true},
+    {3, 9, 8, 5, false},    {2, 17, 70, 29, false},  {4, 5, 16, 31, true},
+    {1, 33, 385, 130, true}, {2, 11, 3, 26, false},  {1, 70, 1537, 30, true},
+    {1, 2, 16001, 3, true},  {6, 64, 64, 64, false},  {1, 64, 384, 50, true},
+};
+
+std::vector<float> grad_a_with(
+    const GradACase& c, const std::vector<float>& g, const std::vector<float>& b,
+    ThreadPool& pool, bool rows) {
+  std::vector<float> da(static_cast<std::size_t>(c.bg * c.m * c.k),
+                        std::nanf(""));
+  (rows ? detail::blocked_matmul_grad_a_rows : detail::blocked_matmul_grad_a)(
+      g.data(), b.data(), da.data(), c.bg, c.m, c.n, c.k, c.shared_b, pool);
+  return da;
+}
+
+std::string grad_a_case_name(const GradACase& c) {
+  return "bg=" + std::to_string(c.bg) + " m=" + std::to_string(c.m) +
+         " n=" + std::to_string(c.n) + " k=" + std::to_string(c.k) +
+         " shared_b=" + std::to_string(c.shared_b);
+}
+
+TEST(KernelParity, GradAPanelKernelMatchesOraclesBitForBit) {
+  ThreadPool solo(0), wide(3);
+  std::uint32_t seed = 1;
+  for (const GradACase& c : kGradACatalog) {
+    const std::vector<float> g = special_rows(c.bg * c.m, c.n, seed++);
+    const std::vector<float> b =
+        special_rows((c.shared_b ? 1 : c.bg) * c.k, c.n, seed++);
+    const std::string at = grad_a_case_name(c);
+    std::vector<float> tree(static_cast<std::size_t>(c.bg * c.m * c.k));
+    for (std::int64_t bi = 0; bi < c.bg; ++bi)
+      for (std::int64_t r = 0; r < c.m; ++r)
+        for (std::int64_t kk = 0; kk < c.k; ++kk)
+          tree[static_cast<std::size_t>((bi * c.m + r) * c.k + kk)] =
+              lane_tree_dot(g.data() + (bi * c.m + r) * c.n,
+                            b.data() + ((c.shared_b ? 0 : bi) * c.k + kk) * c.n,
+                            c.n);
+    const auto rows = grad_a_with(c, g, b, solo, true);
+    EXPECT_TRUE(same_bits(tree, rows)) << at;
+    for (ThreadPool* pool : {&solo, &wide})
+      EXPECT_TRUE(same_bits(tree, grad_a_with(c, g, b, *pool, false)))
+          << at << " threads=" << pool->size();
+  }
+}
+
+/// Runs `fn` with the AVX-512 variants held off, then restores them.
+template <typename Fn>
+auto with_avx2(Fn fn) {
+  detail::force_avx2_kernels(true);
+  auto out = fn();
+  detail::force_avx2_kernels(false);
+  return out;
+}
+
+TEST(KernelParity, GradAAvx512MatchesAvx2BitForBit) {
+  if (!detail::blocked_kernels_avx512())
+    GTEST_SKIP() << "this host or build has no AVX-512 variants";
+  ThreadPool solo(0), wide(3);
+  std::uint32_t seed = 100;
+  for (const GradACase& c : kGradACatalog) {
+    const std::vector<float> g = special_rows(c.bg * c.m, c.n, seed++);
+    const std::vector<float> b =
+        special_rows((c.shared_b ? 1 : c.bg) * c.k, c.n, seed++);
+    for (ThreadPool* pool : {&solo, &wide}) {
+      const auto wide512 = grad_a_with(c, g, b, *pool, false);
+      const auto avx2 =
+          with_avx2([&] { return grad_a_with(c, g, b, *pool, false); });
+      EXPECT_TRUE(same_bits(wide512, avx2))
+          << grad_a_case_name(c) << " threads=" << pool->size();
+    }
+  }
+}
+
+TEST(KernelParity, GradBExactRouteAvx512MatchesAvx2BitForBit) {
+  if (!detail::blocked_kernels_avx512())
+    GTEST_SKIP() << "this host or build has no AVX-512 variants";
+  const MmCase cases[] = {
+      {1, 4, 3, 8, true},    {1, 7, 5, 13, true},   {2, 9, 4, 21, true},
+      {3, 6, 3, 6, false},   {2, 11, 2, 35, false}, {1, 1, 2, 3, true},
+      {2, 16, 6, 64, false}, {4, 5, 7, 1, true},    {1, 13, 3, 17, false},
+  };
+  ThreadPool pool(2);
+  std::uint32_t seed = 500;
+  for (const MmCase& c : cases) {
+    for (int rep = 0; rep < 8; ++rep, ++seed) {
+      const std::vector<float> a = magnitude_rows(c.ba * c.m, c.k, seed);
+      const std::vector<float> g = magnitude_rows(c.ba * c.m, c.n, seed + 1000);
+      for (bool shared : {c.shared_b, !c.shared_b}) {
+        const std::string at = "ba=" + std::to_string(c.ba) +
+                               " m=" + std::to_string(c.m) +
+                               " k=" + std::to_string(c.k) +
+                               " n=" + std::to_string(c.n) +
+                               " shared_b=" + std::to_string(shared) +
+                               " seed=" + std::to_string(seed);
+        const auto ex512 =
+            grad_b_route(a, g, c.ba, c.m, c.k, c.n, shared, Route::kExact);
+        const auto ex2 = with_avx2([&] {
+          return grad_b_route(a, g, c.ba, c.m, c.k, c.n, shared, Route::kExact);
+        });
+        EXPECT_TRUE(bit_equal(ex512, ex2)) << at;
+        // Routing does not depend on the ISA: the same row groups go exact.
+        std::vector<float> db(ex512.size());
+        const auto routed = [&] {
+          return detail::blocked_matmul_grad_b(a.data(), g.data(), db.data(),
+                                               c.ba, c.m, c.k, c.n, shared,
+                                               pool);
+        };
+        EXPECT_EQ(routed(), with_avx2(routed)) << at;
+      }
+    }
   }
 }
 

@@ -5,11 +5,13 @@ Usage:
     bench_sentinel.py --build-dir build [--quick] [--baseline-dir .]
                       [--work-dir DIR] [--skip NAME ...]
 
-Re-runs the five benchmark suites (bench_partitioner, bench_serve,
-bench_runtime, bench_comm_fabric, bench_search_scale) and compares their
-fresh JSON output against the committed
-BENCH_{PARTITIONER,SERVE,RUNTIME,COMM_FABRIC,SEARCH}.json baselines. Wall-clock timings are machine-dependent and never compared;
-the sentinel guards the *deterministic* surface:
+Re-runs the six benchmark suites (bench_partitioner, bench_serve,
+bench_runtime, bench_comm_fabric, bench_search_scale, bench_kernels) and
+compares their fresh JSON output against the committed
+BENCH_{PARTITIONER,SERVE,RUNTIME,COMM_FABRIC,SEARCH,KERNELS}.json
+baselines. Wall-clock timings are machine-dependent and never compared
+with a baseline's; the sentinel guards the *deterministic* surface, plus
+kernel throughput ratios taken within one run:
 
   partitioner   geometries matched by (name, batch_size): task counts,
                 feasibility, plans_identical, and the search-work counters
@@ -41,6 +43,12 @@ the sentinel guards the *deterministic* surface:
                 more cells than exhaustive. The 10x cells/speedup gate is
                 enforced on full-size runs; a --quick rerun checks the
                 small scenarios instead.
+  kernels       google-benchmark rows of bench_kernels at BERT-tiny's GEMM
+                shapes, one thread (BM_MatMul and BM_MatMulGradA with
+                solo:1): on the same run, matmul_grad_a's time per flop
+                must be at most 1.5x forward matmul's at every shape (best
+                of three repetitions each). Every such shape in the
+                baseline must be in the current run.
 
 Rows/geometries/phases present only in the baseline (e.g. a --quick run
 covers a subset) are skipped with a note, never failed; invariant gates
@@ -57,7 +65,8 @@ import os
 import subprocess
 import sys
 
-BENCHES = ["partitioner", "serve", "runtime", "comm_fabric", "search"]
+BENCHES = ["partitioner", "serve", "runtime", "comm_fabric", "search",
+           "kernels"]
 REL_TOL = 1e-9
 
 
@@ -264,12 +273,54 @@ def check_search(s, base, cur):
                     f"baseline {b[field]}")
 
 
+GRAD_A_OVER_MATMUL_MAX = 1.5
+KERNEL_FILTER = "^BM_MatMul(GradA)?/.*/solo:1$"
+
+
+def solo_gemm_rates(doc):
+    """{(kernel, (m, k, n)): best flop rate} over the solo GEMM rows of a
+    google-benchmark JSON document (repetitions and aggregates folded)."""
+    rates = {}
+    for b in doc.get("benchmarks", []):
+        if b.get("run_type", "iteration") != "iteration":
+            continue
+        parts = b.get("run_name", b["name"]).split("/")
+        args = dict(p.split(":", 1) for p in parts[1:] if ":" in p)
+        if parts[0] not in ("BM_MatMul", "BM_MatMulGradA") or \
+                args.get("solo") != "1" or "items_per_second" not in b:
+            continue
+        key = (parts[0], (int(args["m"]), int(args["k"]), int(args["n"])))
+        rates[key] = max(rates.get(key, 0.0), b["items_per_second"])
+    return rates
+
+
+def check_kernels(s, base, cur):
+    rates = solo_gemm_rates(cur)
+    base_shapes = {shape for _, shape in solo_gemm_rates(base)}
+    shapes = {shape for _, shape in rates}
+    for shape in sorted(base_shapes - shapes):
+        s.fail(f"kernels: shape m={shape[0]} k={shape[1]} n={shape[2]} "
+               "missing from the current run")
+    for shape in sorted(shapes):
+        key = f"kernels/m={shape[0]} k={shape[1]} n={shape[2]}"
+        fwd = rates.get(("BM_MatMul", shape))
+        ga = rates.get(("BM_MatMulGradA", shape))
+        if not fwd or not ga:
+            s.fail(f"{key}: matmul or matmul_grad_a row missing")
+            continue
+        ratio = fwd / ga  # grad_a time per flop over matmul's
+        s.expect(ratio <= GRAD_A_OVER_MATMUL_MAX,
+                 f"{key}: matmul_grad_a takes {ratio:.2f}x forward matmul's "
+                 f"time per flop (limit {GRAD_A_OVER_MATMUL_MAX}x)")
+
+
 CHECKS = {
     "partitioner": check_partitioner,
     "serve": check_serve,
     "runtime": check_runtime,
     "comm_fabric": check_comm_fabric,
     "search": check_search,
+    "kernels": check_kernels,
 }
 
 
@@ -284,9 +335,14 @@ def run_bench(name, build_dir, work_dir, quick):
         raise RuntimeError(f"benchmark binary not found: {exe}")
     out_path = os.path.join(work_dir, f"BENCH_{name.upper()}.json")
     cmd = [exe]
-    if quick:
+    if name == "kernels":  # google-benchmark flags, the same in quick mode
+        cmd += [f"--benchmark_filter={KERNEL_FILTER}",
+                "--benchmark_repetitions=3",
+                f"--benchmark_out={out_path}",
+                "--benchmark_out_format=json"]
+    elif quick:
         cmd.append("--quick")
-    if name != "comm_fabric":  # comm_fabric writes to its cwd, no --out
+    if name not in ("comm_fabric", "kernels"):  # comm_fabric writes to cwd
         cmd += ["--out", out_path]
     if name == "runtime":
         # The benchmark's 5x speedup gate is wall-clock-dependent; the
