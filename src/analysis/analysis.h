@@ -1,6 +1,6 @@
 // Umbrella entry point for the static-analysis layer: one call that runs
 // the structural verifier, the shape/dtype re-inference pass and the
-// dataflow checks in dependency order. `tools/rannc-lint` and the test
+// dataflow checks in dependency order. `rannc lint` and the test
 // suite go through this; callers needing a single pass include the
 // specific header instead.
 #pragma once

@@ -5,18 +5,6 @@
 
 namespace rannc {
 
-std::vector<DefUse> def_use_chains(const TaskGraph& g) {
-  std::vector<DefUse> out(g.num_values());
-  for (const Value& v : g.values()) {
-    DefUse& du = out[static_cast<std::size_t>(v.id)];
-    du.value = v.id;
-    du.def = v.producer;
-    du.uses = v.consumers;
-    std::sort(du.uses.begin(), du.uses.end());
-  }
-  return out;
-}
-
 std::vector<LiveInterval> liveness_intervals(const TaskGraph& g) {
   const auto last_step = static_cast<TaskId>(g.num_tasks()) - 1;
   std::vector<LiveInterval> out(g.num_values());
@@ -103,42 +91,6 @@ bool ReachabilityIndex::reaches(TaskId from, TaskId to) const {
     }
   }
   return false;
-}
-
-std::vector<TaskId> ReachabilityIndex::descendants(TaskId t) const {
-  std::vector<char> visited(adj_.num_tasks(), 0);
-  std::deque<TaskId> queue{t};
-  std::vector<TaskId> out;
-  while (!queue.empty()) {
-    const TaskId cur = queue.front();
-    queue.pop_front();
-    for (TaskId s : adj_.succ(cur)) {
-      if (visited[static_cast<std::size_t>(s)]) continue;
-      visited[static_cast<std::size_t>(s)] = 1;
-      out.push_back(s);
-      queue.push_back(s);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<TaskId> ReachabilityIndex::ancestors(TaskId t) const {
-  std::vector<char> visited(adj_.num_tasks(), 0);
-  std::deque<TaskId> queue{t};
-  std::vector<TaskId> out;
-  while (!queue.empty()) {
-    const TaskId cur = queue.front();
-    queue.pop_front();
-    for (TaskId p : adj_.pred(cur)) {
-      if (visited[static_cast<std::size_t>(p)]) continue;
-      visited[static_cast<std::size_t>(p)] = 1;
-      out.push_back(p);
-      queue.push_back(p);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 bool ReachabilityIndex::convex(const std::vector<char>& member) const {

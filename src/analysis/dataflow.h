@@ -1,13 +1,13 @@
-// Classic dataflow analyses over TaskGraph: def-use chains, per-value
-// liveness intervals, dead-task detection, a static activation-memory
-// bound, and reachability/convexity queries.
+// Classic dataflow analyses over TaskGraph: per-value liveness intervals,
+// dead-task detection, a static activation-memory bound, and
+// reachability/convexity queries.
 //
 // These are the reusable substrate the partitioner-side validators build
 // on: liveness feeds a lower bound on any executor's activation memory
 // (cross-checkable against src/profiler/memory's estimates), dead-task
 // detection flags graph regions that waste partition budget, and
-// ReachabilityIndex centralises the ancestor/descendant and convexity
-// queries that plan validation needs.
+// ReachabilityIndex centralises the reachability and convexity queries
+// that plan validation needs.
 #pragma once
 
 #include <cstdint>
@@ -18,17 +18,6 @@
 #include "graph/task_graph.h"
 
 namespace rannc {
-
-/// Def-use chain of one value: its defining task (kNoTask for model inputs
-/// and parameters) and every use in ascending task order.
-struct DefUse {
-  ValueId value = -1;
-  TaskId def = kNoTask;
-  std::vector<TaskId> uses;
-};
-
-/// One chain per value, indexed by value id.
-std::vector<DefUse> def_use_chains(const TaskGraph& g);
 
 /// Half-open liveness interval of one value over the topological schedule.
 /// A value is live from the step that defines it (0 for inputs/params,
@@ -59,9 +48,9 @@ std::vector<Diagnostic> report_dead_tasks(const TaskGraph& g);
 /// inputs are excluded, matching ProfileResult::act_bytes.
 std::int64_t peak_activation_bytes(const TaskGraph& g);
 
-/// Task-level reachability, ancestor/descendant and convexity queries over
-/// one graph, sharing a single TaskAdjacency build. Used by the plan
-/// validator and by lint; O(V+E) per query.
+/// Task-level reachability and convexity queries over one graph, sharing
+/// a single TaskAdjacency build. Used by the plan validator and by lint;
+/// O(V+E) per query.
 class ReachabilityIndex {
  public:
   explicit ReachabilityIndex(const TaskGraph& g);
@@ -70,11 +59,6 @@ class ReachabilityIndex {
 
   /// True iff a directed path from `from` to `to` exists (from == to: true).
   [[nodiscard]] bool reaches(TaskId from, TaskId to) const;
-
-  /// All tasks reachable from t (excluding t), ascending.
-  [[nodiscard]] std::vector<TaskId> descendants(TaskId t) const;
-  /// All tasks that reach t (excluding t), ascending.
-  [[nodiscard]] std::vector<TaskId> ancestors(TaskId t) const;
 
   /// Convexity of a task subset (see graph/subgraph.h); `member` is a
   /// per-task membership mask.

@@ -4,7 +4,7 @@
 // checks) reports findings as Diagnostic records instead of throwing, so a
 // single run can surface *all* problems in a graph and so negative-path
 // tests can assert on precise diagnostic codes. Rendering is human-readable
-// and stable: `rannc-lint` prints exactly what render() produces.
+// and stable: `rannc lint` prints exactly what render() produces.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +50,7 @@ enum class DiagCode : std::uint8_t {
   // ---- search request (SearchRequest::validate, partition/search.cpp) ----
   BadBatchSize,           ///< batch_size <= 0
   BadMemoryMargin,        ///< memory_margin outside (0, 1]
-  BadThreadCount,         ///< budget.threads < 0 (0 = env default is valid)
+  BadThreadCount,         ///< budget.threads < 0 or > kMaxSearchThreads
   BadBlockCount,          ///< num_blocks < 1
   EmptyCluster,           ///< cluster has no nodes or no devices per node
   BadCellBudget,          ///< budget.max_dp_cells < 0

@@ -363,21 +363,6 @@ double Fabric::ring_allreduce(const std::vector<Rank>& ring,
   return ring_phase(ring, chunk, 2 * (r - 1));
 }
 
-double Fabric::reduce_scatter(const std::vector<Rank>& ring,
-                              std::int64_t bytes) {
-  const int r = static_cast<int>(ring.size());
-  if (r <= 1 || bytes <= 0) return finish_max(ring);
-  const double chunk = static_cast<double>(bytes) / static_cast<double>(r);
-  return ring_phase(ring, chunk, r - 1);
-}
-
-double Fabric::allgather(const std::vector<Rank>& ring, std::int64_t bytes) {
-  const int r = static_cast<int>(ring.size());
-  if (r <= 1 || bytes <= 0) return finish_max(ring);
-  const double chunk = static_cast<double>(bytes) / static_cast<double>(r);
-  return ring_phase(ring, chunk, r - 1);
-}
-
 double Fabric::broadcast(const std::vector<Rank>& ranks, Rank root,
                          std::int64_t bytes) {
   const int r = static_cast<int>(ranks.size());

@@ -154,10 +154,6 @@ class Fabric {
   double p2p(Rank src, Rank dst, std::int64_t bytes);
   /// Ring all-reduce: 2*(r-1) steps of bytes/r chunks around `ring`.
   double ring_allreduce(const std::vector<Rank>& ring, std::int64_t bytes);
-  /// First half of the ring all-reduce: (r-1) reduce-scatter steps.
-  double reduce_scatter(const std::vector<Rank>& ring, std::int64_t bytes);
-  /// Second half of the ring all-reduce: (r-1) allgather steps.
-  double allgather(const std::vector<Rank>& ring, std::int64_t bytes);
   /// Binomial-tree broadcast of the full payload from `root`.
   double broadcast(const std::vector<Rank>& ranks, Rank root,
                    std::int64_t bytes);

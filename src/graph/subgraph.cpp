@@ -55,14 +55,6 @@ CutValues cut_values(const TaskGraph& g, const std::vector<TaskId>& tasks) {
   return cut_values(g, member);
 }
 
-std::int64_t cut_activation_bytes(const TaskGraph& g, const CutValues& cut) {
-  std::int64_t bytes = 0;
-  for (ValueId v : cut.inputs)
-    if (g.value(v).kind != ValueKind::Param) bytes += g.value(v).bytes();
-  for (ValueId v : cut.outputs) bytes += g.value(v).bytes();
-  return bytes;
-}
-
 bool is_convex(const TaskAdjacency& adj, const std::vector<char>& member) {
   // BFS from every boundary-exit node, staying outside the set. If we can
   // re-enter the set, there is a path alpha -> gamma -> beta with gamma

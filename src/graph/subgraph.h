@@ -53,10 +53,6 @@ CutValues cut_values(const TaskGraph& g, const std::vector<char>& member);
 /// Convenience overload building the membership mask from a task list.
 CutValues cut_values(const TaskGraph& g, const std::vector<TaskId>& tasks);
 
-/// Total bytes of *activation* (non-param) boundary values. Parameters are
-/// resident on the owning device and never communicated between stages.
-std::int64_t cut_activation_bytes(const TaskGraph& g, const CutValues& cut);
-
 /// A subset u of a DAG is convex iff no path alpha -> gamma -> beta exists
 /// with alpha, beta in u and gamma outside u (paper Section III-B). A stage
 /// containing a non-convex subcomponent can deadlock the pipeline.

@@ -107,13 +107,6 @@ std::vector<ValueId> TaskGraph::input_values() const {
   return out;
 }
 
-std::vector<ValueId> TaskGraph::param_values() const {
-  std::vector<ValueId> out;
-  for (const Value& v : values_)
-    if (v.kind == ValueKind::Param) out.push_back(v.id);
-  return out;
-}
-
 std::vector<ValueId> TaskGraph::output_values() const {
   std::vector<ValueId> out;
   for (const Value& v : values_)

@@ -80,7 +80,6 @@ class TaskGraph {
   [[nodiscard]] std::size_t num_values() const { return values_.size(); }
 
   [[nodiscard]] std::vector<ValueId> input_values() const;
-  [[nodiscard]] std::vector<ValueId> param_values() const;
   [[nodiscard]] std::vector<ValueId> output_values() const;
 
   /// Task ids in a topological order (== insertion order by construction).

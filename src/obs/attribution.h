@@ -135,7 +135,7 @@ std::string what_if_name(const WhatIf& w);
 /// (critical-path arithmetic; see ALGORITHMS.md section 12).
 double estimate_what_if(const AttributionReport& rep, const WhatIf& w);
 
-/// The default catalog (>= 6 perturbations) used by rannc-explain:
+/// The default catalog (>= 6 perturbations) used by rannc explain:
 /// anchor/straggler compute scaling, first-edge and global comm scaling,
 /// halved and doubled microbatch counts.
 std::vector<WhatIf> default_what_ifs(const AttributionReport& rep);

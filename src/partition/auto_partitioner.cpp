@@ -389,7 +389,7 @@ int resolve_search_threads(int threads_knob) {
   if (threads_knob > 0) return threads_knob;
   if (const char* e = std::getenv("RANNC_THREADS")) {
     const long v = std::strtol(e, nullptr, 10);
-    if (v > 0) return static_cast<int>(std::min<long>(v, 256));
+    if (v > 0) return static_cast<int>(std::min<long>(v, kMaxSearchThreads));
   }
   return 1;
 }

@@ -20,9 +20,10 @@ std::vector<Diagnostic> SearchRequest::validate() const {
     err(DiagCode::BadMemoryMargin,
         "memory_margin must be in (0, 1], got " +
             std::to_string(memory_margin));
-  if (budget.threads < 0)
+  if (budget.threads < 0 || budget.threads > kMaxSearchThreads)
     err(DiagCode::BadThreadCount,
-        "budget.threads must be >= 0 (0 = RANNC_THREADS env default), got " +
+        "budget.threads must be in [0, " + std::to_string(kMaxSearchThreads) +
+            "] (0 = RANNC_THREADS env default), got " +
             std::to_string(budget.threads));
   if (budget.max_dp_cells < 0)
     err(DiagCode::BadCellBudget,

@@ -26,6 +26,11 @@
 namespace rannc {
 
 /// How much work the search may spend.
+/// Upper bound on search worker threads, for an explicit budget.threads
+/// and for the RANNC_THREADS default alike: both can come from outside the
+/// program, and the pool starts its workers eagerly.
+inline constexpr int kMaxSearchThreads = 256;
+
 struct SearchBudget {
   /// Global DP cell cap shared by every stage-DP invocation of the sweep
   /// (0 = unlimited), a safety cap for the Section IV-C ablation whose DP
@@ -33,7 +38,8 @@ struct SearchBudget {
   /// whether it is exhausted depends only on the total demand: the
   /// aborted-vs-completed outcome is identical at any thread count.
   std::int64_t max_dp_cells = 0;
-  /// Worker threads for the sweep. 0 = RANNC_THREADS env, else 1.
+  /// Worker threads for the sweep, at most kMaxSearchThreads.
+  /// 0 = RANNC_THREADS env (capped at kMaxSearchThreads), else 1.
   int threads = 0;
 };
 

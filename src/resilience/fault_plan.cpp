@@ -1,7 +1,6 @@
 #include "resilience/fault_plan.h"
 
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -149,12 +148,7 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
 }
 
 FaultPlan FaultPlan::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in)
-    throw std::invalid_argument("fault plan: cannot read '" + path + "'");
-  std::ostringstream os;
-  os << in.rdbuf();
-  return from_json(os.str());
+  return from_json(json::read_file(path));
 }
 
 void FaultPlan::apply_to(comm::Fabric& fabric) const {

@@ -439,7 +439,7 @@ float PipelineTrainer::step(const std::vector<TensorMap>& microbatches) {
     std::rethrow_exception(error);
   }
   // Publish per-stage causal attribution inputs: cumulative compute/comm
-  // seconds and boundary bytes, keyed by stage index so rannc-explain and
+  // seconds and boundary bytes, keyed by stage index so rannc explain and
   // the bench sentinel can correlate measured runtime against the
   // simulated schedule without parsing logs.
   obs::metrics().counter("runtime.steps").add(1);

@@ -75,12 +75,4 @@ float Trainer::step(const std::vector<TensorMap>& microbatches) {
   return static_cast<float>(loss_sum / static_cast<double>(microbatches.size()));
 }
 
-float Trainer::evaluate(const TensorMap& inputs) const {
-  TensorMap values = params_;
-  for (const auto& [v, t] : inputs) values[v] = t;
-  ForwardCache cache;
-  interp_.forward(interp_.graph().topo_order(), values, cache);
-  return values.at(loss_value_).at(0);
-}
-
 }  // namespace rannc

@@ -25,9 +25,6 @@ class Trainer {
   /// Returns the mean loss across microbatches.
   float step(const std::vector<TensorMap>& microbatches);
 
-  /// Forward only; returns the loss for the given inputs.
-  float evaluate(const TensorMap& inputs) const;
-
   [[nodiscard]] TensorMap& params() { return params_; }
   [[nodiscard]] const TaskGraph& graph() const { return interp_.graph(); }
 

@@ -2,7 +2,7 @@
 //
 // A partition request names a model *family* plus shape parameters rather
 // than shipping a serialized graph — the daemon owns the builders (the
-// same ones every rannc-* tool exposes behind --model) and rebuilds the
+// same ones every rannc command exposes behind --model) and rebuilds the
 // graph on first sight. ModelSpec is that request surface: one flat struct
 // covering every family, 0/empty meaning "builder default", with a
 // canonical signature string used as the daemon's graph-cache key and

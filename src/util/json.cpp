@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -283,6 +285,14 @@ bool Value::getb(const std::string& key, bool dflt) const {
 }
 
 Value parse(const std::string& text) { return Parser(text).document(); }
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::invalid_argument("cannot read '" + path + "'");
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
 
 std::string compact(const std::string& text) {
   std::string out;

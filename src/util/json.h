@@ -1,7 +1,7 @@
 // The repo's one JSON reader: a minimal document model behind every parse
 // of external input — serve wire requests, plan-store entries,
-// plan_from_json (rannc-lint --plan), FaultPlan::from_json (rannc-sim
-// --faults) and rannc-explain --diff. This is a strict parser for the full
+// plan_from_json (rannc lint --plan), FaultPlan::from_json (rannc sim
+// --faults) and rannc explain --diff. This is a strict parser for the full
 // JSON grammar (objects, arrays, strings with escapes, numbers, booleans,
 // null) that rejects trailing garbage and numbers a double cannot hold;
 // numbers keep their raw spelling so std::int64_t values round-trip
@@ -73,6 +73,11 @@ class Value {
 /// that overflow or underflow a double (1e999, 1e-320), and on documents
 /// nested deeper than an internal sanity bound.
 Value parse(const std::string& text);
+
+/// Reads the whole file at `path` (a document for parse() or for a typed
+/// reader such as plan_from_json). Throws std::invalid_argument naming the
+/// path when it cannot be read.
+std::string read_file(const std::string& path);
 
 /// Removes all whitespace outside string literals — turns any JSON
 /// document into a single line for newline-delimited protocols.

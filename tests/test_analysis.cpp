@@ -1,7 +1,7 @@
 // Tests for src/analysis: the structural verifier (positive paths on every
 // model builder plus one negative path per diagnostic code), the shape/dtype
-// re-inference pass, and the dataflow analyses (def-use, liveness, dead
-// tasks, activation bound, reachability/convexity).
+// re-inference pass, and the dataflow analyses (liveness, dead tasks,
+// activation bound, reachability/convexity).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -260,18 +260,6 @@ TEST(ShapeInference, FlagsMalformedOperand) {
 
 // ---- dataflow ---------------------------------------------------------------
 
-TEST(Dataflow, DefUseChains) {
-  const TaskGraph g = make_chain();
-  const auto duc = def_use_chains(g);
-  ASSERT_EQ(duc.size(), 4u);
-  EXPECT_EQ(duc[0].def, kNoTask);
-  EXPECT_EQ(duc[0].uses, (std::vector<TaskId>{0}));
-  EXPECT_EQ(duc[2].def, 0);
-  EXPECT_EQ(duc[2].uses, (std::vector<TaskId>{1}));
-  EXPECT_EQ(duc[3].def, 1);
-  EXPECT_TRUE(duc[3].uses.empty());
-}
-
 TEST(Dataflow, LivenessIntervals) {
   const TaskGraph g = make_chain();
   const auto live = liveness_intervals(g);
@@ -323,8 +311,6 @@ TEST(Dataflow, ReachabilityAndConvexity) {
   EXPECT_TRUE(reach.reaches(0, 3));
   EXPECT_FALSE(reach.reaches(1, 2));  // parallel branches
   EXPECT_FALSE(reach.reaches(3, 0));
-  EXPECT_EQ(reach.descendants(0), (std::vector<TaskId>{1, 2, 3}));
-  EXPECT_EQ(reach.ancestors(3), (std::vector<TaskId>{0, 1, 2}));
   // {0,3} skips the branch tasks -> non-convex; agree with is_convex.
   const std::vector<TaskId> hole{0, 3};
   const std::vector<TaskId> full{0, 1, 2, 3};

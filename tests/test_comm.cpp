@@ -72,18 +72,6 @@ TEST(Fabric, UncontendedRingAllreduceWithin5PercentOfClosedForm) {
   }
 }
 
-TEST(Fabric, ReduceScatterPlusAllgatherEqualsAllreduce) {
-  ClusterSpec c;
-  const std::int64_t bytes = 8 << 20;
-  const std::vector<int> ring{0, 1, 2, 3, 4, 5};
-  Fabric whole(c);
-  const double ar = whole.ring_allreduce(ring, bytes);
-  Fabric halves(c);
-  halves.reduce_scatter(ring, bytes);
-  const double total = halves.allgather(ring, bytes);
-  EXPECT_DOUBLE_EQ(total, ar);
-}
-
 TEST(Fabric, BroadcastBinomialTreeUncontended) {
   ClusterSpec c;
   const std::int64_t bytes = 4 << 20;
@@ -158,8 +146,6 @@ std::vector<double> workload_signature() {
            {{0, 8, 1e6}, {1, 16, 2e6}, {2, 8, 3.5e5}, {9, 1, 7e5}}))
     sig.push_back(x);
   sig.push_back(f.broadcast({0, 3, 9, 17, 25}, 9, 1 << 20));
-  sig.push_back(f.reduce_scatter({0, 1, 2, 3}, 999983));
-  sig.push_back(f.allgather({4, 5, 6, 7}, 999983));
   for (int r = 0; r < f.num_ranks(); ++r) sig.push_back(f.clock(r));
   return sig;
 }

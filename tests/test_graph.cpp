@@ -50,7 +50,6 @@ TEST(TaskGraph, BuilderLinksProducersAndConsumers) {
 TEST(TaskGraph, InputParamOutputQueries) {
   TaskGraph g = tiny_graph();
   EXPECT_EQ(g.input_values().size(), 1u);
-  EXPECT_EQ(g.param_values().size(), 1u);
   ASSERT_EQ(g.output_values().size(), 1u);
   EXPECT_TRUE(g.value(g.output_values()[0]).is_output);
   EXPECT_EQ(g.num_params(), 8 * 16);
@@ -116,14 +115,6 @@ TEST(CutValues, OutputMarkedValueIsAlwaysACutOutput) {
   EXPECT_TRUE(cut.inputs.size() == 1);  // just x
   ASSERT_EQ(cut.outputs.size(), 1u);
   EXPECT_EQ(cut.outputs[0], d.vd);
-}
-
-TEST(CutValues, ActivationBytesExcludeParams) {
-  TaskGraph g = tiny_graph();
-  const CutValues cut = cut_values(g, std::vector<TaskId>{0});
-  // inputs: x (activation) and w (param); outputs: mm.out.
-  const std::int64_t bytes = cut_activation_bytes(g, cut);
-  EXPECT_EQ(bytes, 4 * 8 * 4 + 4 * 16 * 4);  // x + mm.out, not w
 }
 
 TEST(Convexity, DiamondBranchesAreConvex) {

@@ -616,7 +616,7 @@ TEST(Attribution, UncontendedTransferHasZeroQueue) {
 TEST(Attribution, ReportJsonDeterministicAndWellFormed) {
   // Same partition searched with different thread counts must produce a
   // byte-identical attribution report (the CI re-checks this across
-  // RANNC_THREADS via rannc-explain; this is the in-process version).
+  // RANNC_THREADS via rannc explain; this is the in-process version).
   BertConfig bc;
   bc.hidden = 128;
   bc.layers = 2;

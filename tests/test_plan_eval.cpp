@@ -1,8 +1,8 @@
 // Tests for the one plan evaluator (partition/plan_eval.h): evaluate_plan
 // reproduces the search's own estimate bit for bit from the plan fields
 // alone, replay_plan_comm issues exactly the documented traffic, and the
-// attribution report built on evaluate_plan's schedule (rannc-explain)
-// explains the same step time that rannc-trace reports.
+// attribution report built on evaluate_plan's schedule (rannc explain)
+// explains the same step time that rannc trace reports.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -159,7 +159,7 @@ TEST(PlanEval, ReplayPinsTransfersOfAThreeStagePlan) {
 }
 
 TEST(PlanEval, ExplainStepTimeIsTheEvaluatedMakespan) {
-  // rannc-explain's CI geometry: a multi-stage ResNet-50 plan whose
+  // rannc explain's CI geometry: a multi-stage ResNet-50 plan whose
   // boundary sends are folded into t_f / t_b by the search.
   serve::ModelSpec ms = spec("resnet");
   ms.depth = 50;

@@ -169,8 +169,8 @@ TEST(PlanJson, EmptyStagesArray) {
 }
 
 TEST(JsonReaders, RejectEveryMalformedInput) {
-  // Each case is input from outside the program (rannc-lint --plan,
-  // rannc-sim --faults, a rannc-serve request). Each must be rejected with
+  // Each case is input from outside the program (rannc lint --plan,
+  // rannc sim --faults, a rannc serve request). Each must be rejected with
   // the documented std::invalid_argument: never read as a silently wrong
   // value, never escape as another exception type.
   const struct {

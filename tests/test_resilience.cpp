@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -379,11 +380,19 @@ TEST(PartitionConfigValidate, BadMemoryMargin) {
 }
 
 TEST(PartitionConfigValidate, BadThreadCount) {
-  SearchRequest req;
-  req.budget.threads = -1;
-  const auto ds = req.validate();
-  ASSERT_EQ(ds.size(), 1u);
-  EXPECT_EQ(ds[0].code, DiagCode::BadThreadCount);
+  // Above the cap too: the pool starts every worker eagerly, so an
+  // unbounded count from a flag or a wire request must be refused here.
+  for (const int threads : {-1, kMaxSearchThreads + 1,
+                            std::numeric_limits<int>::max()}) {
+    SearchRequest req;
+    req.budget.threads = threads;
+    const auto ds = req.validate();
+    ASSERT_EQ(ds.size(), 1u) << threads;
+    EXPECT_EQ(ds[0].code, DiagCode::BadThreadCount) << threads;
+  }
+  SearchRequest at_cap;
+  at_cap.budget.threads = kMaxSearchThreads;
+  EXPECT_TRUE(at_cap.validate().empty());
 }
 
 TEST(PartitionConfigValidate, BadBlockCount) {

@@ -624,6 +624,19 @@ TEST(ServeWire, RequestReplyRoundTrip) {
   EXPECT_FALSE(bad.shutdown);
   EXPECT_EQ(json::parse(bad.reply).gets("status"), "error");
 
+  // A thread count past kMaxSearchThreads is refused by request
+  // validation, before any pool is built. (A new geometry: a cached plan
+  // would be a hit without searching. Just past the cap, so a broken
+  // check costs this test 256 threads, not 2^31.)
+  const json::Value many = json::parse(
+      server
+          .serve_line(R"({"id": 12, "model": "mlp", "nodes": 1, )"
+                      R"("devices_per_node": 4, "threads": 257})")
+          .reply);
+  EXPECT_EQ(many.gets("status"), "error");
+  EXPECT_NE(many.gets("error").find("budget.threads"), std::string::npos)
+      << many.gets("error");
+
   const auto bye = server.serve_line(R"({"id": 10, "cmd": "shutdown"})");
   EXPECT_TRUE(bye.shutdown);
   EXPECT_EQ(json::parse(bye.reply).gets("status"), "ok");

@@ -3,8 +3,7 @@
 #include <iostream>
 #include <stdexcept>
 
-namespace rannc {
-namespace cli {
+namespace rannc::cli {
 
 void ArgParser::section(const std::string& title) {
   entries_.push_back({Kind::Section, title, "", "", nullptr});
@@ -35,15 +34,24 @@ void ArgParser::opt(const std::string& name, double* dst,
   entries_.push_back({Kind::Double, name, value, help, dst});
 }
 
+void ArgParser::operand(std::string* dst, const std::string& name) {
+  entries_.push_back({Kind::Operand, name, "", "", dst});
+}
+
 const ArgParser::Entry* ArgParser::find(const std::string& name) const {
   for (const Entry& e : entries_)
-    if (e.kind != Kind::Section && e.name == name) return &e;
+    if (e.kind != Kind::Section && e.kind != Kind::Operand && e.name == name)
+      return &e;
   return nullptr;
 }
 
 void ArgParser::print_usage(std::ostream& os) const {
-  os << "Usage: " << prog_ << " [options]\n" << summary_ << "\n";
+  os << "Usage: " << prog_ << " [options]";
+  for (const Entry& e : entries_)
+    if (e.kind == Kind::Operand) os << ' ' << e.name;
+  os << "\n" << summary_ << "\n";
   for (const Entry& e : entries_) {
+    if (e.kind == Kind::Operand) continue;
     if (e.kind == Kind::Section) {
       os << e.name << ":\n";
       continue;
@@ -57,6 +65,10 @@ void ArgParser::print_usage(std::ostream& os) const {
 }
 
 ArgParser::Status ArgParser::parse(int argc, char** argv) const {
+  std::vector<const Entry*> operands;
+  for (const Entry& e : entries_)
+    if (e.kind == Kind::Operand) operands.push_back(&e);
+  std::size_t filled = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--help" || a == "-h") {
@@ -64,6 +76,10 @@ ArgParser::Status ArgParser::parse(int argc, char** argv) const {
       return Status::Help;
     }
     const Entry* e = find(a);
+    if (!e && a.rfind('-', 0) != 0 && filled < operands.size()) {
+      *static_cast<std::string*>(operands[filled++]->dst) = a;
+      continue;
+    }
     if (!e) {
       std::cerr << prog_ << ": unknown argument '" << a
                 << "' (try --help)\n";
@@ -86,14 +102,15 @@ ArgParser::Status ArgParser::parse(int argc, char** argv) const {
         case Kind::Int64:
           *static_cast<std::int64_t*>(e->dst) = std::stoll(v);
           break;
-        case Kind::Int:
-          *static_cast<int*>(e->dst) = static_cast<int>(std::stoll(v));
+        case Kind::Int:  // out of int's range throws, like out of int64's
+          *static_cast<int*>(e->dst) = std::stoi(v);
           break;
         case Kind::Double:
           *static_cast<double*>(e->dst) = std::stod(v);
           break;
         case Kind::Switch:
         case Kind::Section:
+        case Kind::Operand:
           break;
       }
     } catch (const std::exception&) {
@@ -101,10 +118,15 @@ ArgParser::Status ArgParser::parse(int argc, char** argv) const {
       return Status::Error;
     }
   }
+  if (filled < operands.size()) {
+    std::cerr << prog_ << ": missing operand " << operands[filled]->name
+              << " (try --help)\n";
+    return Status::Error;
+  }
   return Status::Ok;
 }
 
-void register_model_flags(ArgParser& p, ModelOptions& o) {
+void register_model_flags(ArgParser& p, serve::ModelSpec& o) {
   p.section("Model (0/unset = the builder's default)");
   p.opt("--model", &o.model, "name", "mlp | bert | gpt2 | t5 | resnet | moe");
   p.opt("--layers", &o.layers, "N", "transformer layers");
@@ -120,8 +142,6 @@ void register_model_flags(ArgParser& p, ModelOptions& o) {
   p.opt("--input-dim", &o.input_dim, "N", "mlp input dimension");
   p.opt("--experts", &o.experts, "N", "moe experts per layer");
 }
-
-BuiltModel build_model(const ModelOptions& o) { return serve::build_model(o); }
 
 void register_search_flags(ArgParser& p, SearchOptions& o) {
   p.section("Cluster / search (0/unset = request default)");
@@ -153,5 +173,4 @@ void apply_search(const SearchOptions& o, SearchRequest& req) {
   if (o.no_prune) req.prune = false;
 }
 
-}  // namespace cli
-}  // namespace rannc
+}  // namespace rannc::cli

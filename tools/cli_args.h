@@ -1,27 +1,27 @@
-// Shared command-line handling for the rannc-* tools.
+// Command-line handling for the `rannc` tool.
 //
-// ArgParser is a deliberately small typed-flag parser: every tool
+// ArgParser is a deliberately small typed-flag parser: every command
 // registers its flags once (name, destination, value name, help line) and
 // gets consistent behaviour for free — `--help`/`-h` prints a grouped
 // usage page, an unknown flag or a missing value is a diagnosed error, and
-// numeric values are range-checked by std::stoll instead of silently
-// truncated.
+// numeric values are range-checked (a value outside the destination's
+// type is a bad value) instead of silently truncated.
 //
-// The model/cluster flag groups every tool shares (which model builder to
-// run and how to shape it, plus the cluster geometry and search thread
-// count) live here too, so `rannc-lint`, `rannc-trace` and `rannc-sim`
-// accept identical spellings and build identical graphs.
+// The model/cluster flag groups the commands share (which model builder
+// to run and how to shape it, plus the cluster geometry and search thread
+// count) live here too, so every command accepts identical spellings and
+// builds identical graphs and requests.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "rannc.h"
 
-namespace rannc {
-namespace cli {
+namespace rannc::cli {
 
 class ArgParser {
  public:
@@ -50,17 +50,20 @@ class ArgParser {
   void opt(const std::string& name, double* dst, const std::string& value,
            const std::string& help);
 
-  /// Parses argv into the registered destinations. Prints its own
+  /// A required positional operand; operands fill in registration order.
+  void operand(std::string* dst, const std::string& name);
+
+  /// Parses argv[1..argc) into the registered destinations. Prints its own
   /// diagnostics (and the usage page for Help) to stderr.
   Status parse(int argc, char** argv) const;
 
   void print_usage(std::ostream& os) const;
 
  private:
-  enum class Kind { Section, Switch, String, Int64, Int, Double };
+  enum class Kind { Section, Switch, String, Int64, Int, Double, Operand };
   struct Entry {
     Kind kind;
-    std::string name;   // "--flag", or the section title
+    std::string name;   // "--flag", the section title, or the operand name
     std::string value;  // operand name shown in help
     std::string help;
     void* dst = nullptr;
@@ -71,22 +74,16 @@ class ArgParser {
   std::vector<Entry> entries_;
 };
 
-/// Shape parameters of the built-in model builders. The struct (and the
-/// builder dispatch) lives in src/serve — the daemon's request vocabulary
-/// and the tools' --model flags are the same surface by construction.
-using ModelOptions = serve::ModelSpec;
+/// Registers --model plus the per-family shape flags into `p`. The shape
+/// struct (and the builder dispatch, serve::build_model) lives in
+/// src/serve: the daemon's request vocabulary and the --model flags are
+/// the same surface by construction.
+void register_model_flags(ArgParser& p, serve::ModelSpec& o);
 
-/// Registers --model plus the per-family shape flags into `p`.
-void register_model_flags(ArgParser& p, ModelOptions& o);
-
-/// Builds the selected model; throws std::invalid_argument for an unknown
-/// or empty --model. Thin wrapper over serve::build_model.
-BuiltModel build_model(const ModelOptions& o);
-
-/// Cluster geometry, search budget, and the pruning knob shared by
-/// every tool that runs the partition search (rannc-lint, rannc-sim,
-/// rannc-serve, ...). One flag group mapping 1:1 onto SearchRequest, so
-/// the tools accept identical spellings and build identical requests.
+/// Cluster geometry, search budget, and the pruning knob shared by every
+/// command that runs the partition search. One flag group mapping 1:1
+/// onto SearchRequest, so the commands accept identical spellings and
+/// build identical requests.
 struct SearchOptions {
   int nodes = 0, devices_per_node = 0;
   std::int64_t batch_size = 0;
@@ -104,5 +101,23 @@ void register_search_flags(ArgParser& p, SearchOptions& o);
 /// Overlays the explicitly-set fields onto a SearchRequest.
 void apply_search(const SearchOptions& o, SearchRequest& req);
 
-}  // namespace cli
-}  // namespace rannc
+/// The flag groups `rannc` registers for a command before the command's
+/// own group; filled by the parse, read by the command's body.
+struct Inputs {
+  serve::ModelSpec model;
+  SearchOptions search;
+};
+
+/// A command's body, run after a successful parse; returns the exit code.
+using Body = std::function<int()>;
+
+/// The commands (tools/<command>.cpp). Each registers its own flag group
+/// into `p` and returns its body.
+Body lint_command(ArgParser& p, const Inputs& in);
+Body trace_command(ArgParser& p, const Inputs& in);
+Body explain_command(ArgParser& p, const Inputs& in);
+Body diff_command(ArgParser& p, const Inputs& in);
+Body sim_command(ArgParser& p, const Inputs& in);
+Body serve_command(ArgParser& p, const Inputs& in);
+
+}  // namespace rannc::cli

@@ -1,4 +1,4 @@
-// rannc-explain — causal performance attribution CLI.
+// rannc explain — causal performance attribution.
 //
 // Runs the partition search for a builder model, scores the winning plan
 // with evaluate_plan — the GPipe schedule the search optimized, boundary
@@ -16,15 +16,17 @@
 //   * a what-if catalog: first-order estimates validated against
 //     ground-truth re-simulation.
 //
-//   rannc-explain --model bert --layers 8 --out explain.json
-//   rannc-explain --diff a.json b.json [--tol 1e-9]
+//   rannc explain --model bert --layers 8 --out explain.json
+//   rannc explain --diff a.json b.json [--tol 1e-9]
 //
 // Every input is deterministic virtual time, so the JSON report is
 // byte-identical across runs and RANNC_THREADS values; CI diffs it.
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,24 +34,21 @@
 #include "rannc.h"
 #include "util/json.h"
 
+namespace rannc::cli {
 namespace {
 
-using namespace rannc;
-
 struct Options {
-  cli::ModelOptions model;
-  cli::SearchOptions search;
   std::string out_file = "explain.json";
   bool table = false;
   bool quiet = false;
 };
 
-int run(const Options& o) {
+int run(const Inputs& in, const Options& o) {
   obs::set_thread_name("main");
-  const BuiltModel m = cli::build_model(o.model);
+  const BuiltModel m = serve::build_model(in.model);
 
   SearchRequest req;
-  cli::apply_search(o.search, req);
+  apply_search(in.search, req);
   const PartitionResult plan = auto_partition(m.graph, req).plan;
   if (!plan.feasible) {
     RANNC_LOG_ERROR("partition infeasible (" << plan.infeasible_reason
@@ -63,7 +62,7 @@ int run(const Options& o) {
       obs::attribute(causal_ops(ev.schedule), S, plan.microbatches);
   {
     std::ostringstream subject;
-    subject << o.model.model << " S=" << S << " MB=" << plan.microbatches
+    subject << in.model.model << " S=" << S << " MB=" << plan.microbatches
             << " nodes=" << req.cluster.num_nodes << "x"
             << req.cluster.devices_per_node;
     rep.subject = subject.str();
@@ -83,14 +82,11 @@ int run(const Options& o) {
     rep.what_ifs.push_back(
         evaluate_what_if(rep, ev.stage_times, plan.microbatches, w));
 
-  const std::string doc = obs::report_json(rep);
   {
     std::ofstream out(o.out_file, std::ios::binary);
-    out << doc;
-    if (!out) {
-      RANNC_LOG_ERROR("cannot write report file '" << o.out_file << "'");
-      return 2;
-    }
+    out << obs::report_json(rep);
+    if (!out)
+      throw std::runtime_error("cannot write report file '" + o.out_file + "'");
   }
   if (!o.quiet) {
     std::cout << obs::report_table(rep);
@@ -102,14 +98,6 @@ int run(const Options& o) {
 }
 
 // ---- --diff: structural comparison of two reports --------------------------
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read '" + path + "'");
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
 
 /// Recursively compares two parsed reports; numbers within relative
 /// tolerance `tol` are equal. Appends one line per mismatch (bounded).
@@ -169,13 +157,18 @@ void diff_values(const json::Value& a, const json::Value& b,
   }
 }
 
-int run_diff(const std::string& file_a, const std::string& file_b, double tol) {
-  const json::Value a = json::parse(read_file(file_a));
-  const json::Value b = json::parse(read_file(file_b));
+struct DiffOptions {
+  std::string file_a, file_b;
+  double tol = 0.0;  // default: exact (reports are byte-deterministic)
+};
+
+int run_diff(const DiffOptions& o) {
+  const json::Value a = json::parse(json::read_file(o.file_a));
+  const json::Value b = json::parse(json::read_file(o.file_b));
   std::vector<std::string> mismatches;
-  diff_values(a, b, "report", tol, mismatches);
+  diff_values(a, b, "report", o.tol, mismatches);
   if (mismatches.empty()) {
-    std::cout << "reports match (tol " << tol << ")\n";
+    std::cout << "reports match (tol " << o.tol << ")\n";
     return 0;
   }
   std::cout << mismatches.size() << " mismatch(es):\n";
@@ -185,47 +178,24 @@ int run_diff(const std::string& file_a, const std::string& file_b, double tol) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // `--diff a.json b.json [--tol X]` is a separate sub-mode with positional
-  // operands the flag parser does not model; handle it up front.
-  if (argc >= 2 && std::string(argv[1]) == "--diff") {
-    if (argc < 4) {
-      std::cerr << "usage: rannc-explain --diff A.json B.json [--tol REL]\n";
-      return 2;
-    }
-    double tol = 0.0;  // default: exact (reports are byte-deterministic)
-    if (argc >= 6 && std::string(argv[4]) == "--tol") tol = std::stod(argv[5]);
-    try {
-      return run_diff(argv[2], argv[3], tol);
-    } catch (const std::exception& e) {
-      std::cerr << "rannc-explain --diff: " << e.what() << "\n";
-      return 2;
-    }
-  }
-
-  Options o;
-  cli::ArgParser p("rannc-explain",
-                   "Runs the partition search plus a virtual-time replay and "
-                   "writes a causal attribution report (critical path, "
-                   "conservation-checked time buckets, per-link contention, "
-                   "what-if estimates). Sub-mode: --diff A.json B.json "
-                   "[--tol REL] compares two reports.");
-  cli::register_model_flags(p, o.model);
-  cli::register_search_flags(p, o.search);
+Body explain_command(ArgParser& p, const Inputs& in) {
+  auto o = std::make_shared<Options>();
   p.section("Outputs");
-  p.opt("--out", &o.out_file, "FILE",
+  p.opt("--out", &o->out_file, "FILE",
         "attribution report JSON (default explain.json)");
-  p.flag("--table", &o.table, "print the ASCII table even with --quiet");
-  p.flag("--quiet", &o.quiet, "suppress the table/summary on stdout");
-  if (p.parse(argc, argv) != cli::ArgParser::Status::Ok) return 2;
-  if (o.model.model.empty()) {
-    p.print_usage(std::cerr);
-    return 2;
-  }
-  try {
-    return run(o);
-  } catch (const std::exception& e) {
-    RANNC_LOG_ERROR("rannc-explain: " << e.what());
-    return 2;
-  }
+  p.flag("--table", &o->table, "print the ASCII table even with --quiet");
+  p.flag("--quiet", &o->quiet, "suppress the table/summary on stdout");
+  return [o, &in] { return run(in, *o); };
 }
+
+Body diff_command(ArgParser& p, const Inputs&) {
+  auto o = std::make_shared<DiffOptions>();
+  p.operand(&o->file_a, "A.json");
+  p.operand(&o->file_b, "B.json");
+  p.section("Comparison");
+  p.opt("--tol", &o->tol, "REL",
+        "relative tolerance for numbers (default 0: exact)");
+  return [o] { return run_diff(*o); };
+}
+
+}  // namespace rannc::cli

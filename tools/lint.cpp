@@ -1,41 +1,38 @@
-// rannc-lint — static analysis CLI over the built-in model builders and
+// rannc lint — static analysis over the built-in model builders and
 // partition plans.
 //
-//   rannc-lint --model bert --layers 4 --hidden 256
+//   rannc lint --model bert --layers 4 --hidden 256
 //       builds the graph and runs the full analysis suite (structural
 //       verifier, shape/dtype re-inference, dead-task detection), printing
 //       every diagnostic plus a dataflow summary (liveness-based peak
 //       activation bytes, cross-checked against the profiler's total).
 //
-//   rannc-lint --model bert --layers 4 --plan plan.json
-//       additionally validates a plan JSON against the model's graph. By
-//       default the graph is atomic-rebuilt (constant-chain cloning), which
-//       is the graph auto_partition's task ids refer to; --raw-graph
-//       validates against the builder graph instead.
+//   rannc lint --model bert --layers 4 --plan plan.json
+//       additionally validates a plan JSON against the model's graph,
+//       atomic-rebuilt (constant-chain cloning) as auto_partition does, so
+//       the plan's task ids resolve.
 //
 // Exit codes: 0 = clean, 1 = diagnostics with errors or plan violations,
 // 2 = usage error.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli_args.h"
 #include "rannc.h"
+#include "util/json.h"
 
+namespace rannc::cli {
 namespace {
 
-using namespace rannc;
-
 struct Options {
-  cli::ModelOptions model;
-  cli::SearchOptions search;
   std::string plan_file;
   std::string dot_file;
   bool partition = false;
-  bool raw_graph = false;
   bool liveness = false;
   bool fingerprint = false;
   bool quiet = false;
@@ -52,8 +49,8 @@ std::string human_bytes(std::int64_t b) {
   return os.str();
 }
 
-int run(const Options& o) {
-  const BuiltModel m = cli::build_model(o.model);
+int run(const Inputs& in, const Options& o) {
+  const BuiltModel m = serve::build_model(in.model);
   const TaskGraph& g = m.graph;
 
   if (o.fingerprint) {
@@ -63,7 +60,7 @@ int run(const Options& o) {
   }
 
   if (!o.quiet)
-    std::cout << "model " << o.model.model << ": " << g.num_tasks()
+    std::cout << "model " << in.model.model << ": " << g.num_tasks()
               << " tasks, " << g.num_values() << " values, " << g.num_params()
               << " parameters\n";
 
@@ -109,26 +106,13 @@ int run(const Options& o) {
   }
 
   if (!o.plan_file.empty()) {
-    std::ifstream in(o.plan_file);
-    if (!in) {
-      RANNC_LOG_ERROR("cannot open plan file '" << o.plan_file << "'");
-      return 2;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    PartitionResult plan = plan_from_json(buf.str());
+    PartitionResult plan = plan_from_json(json::read_file(o.plan_file));
     // auto_partition's task ids refer to the atomic-rebuilt graph (constant
     // chains cloned per consumer); rebuild it the same deterministic way.
-    std::shared_ptr<const TaskGraph> plan_graph;
-    if (o.raw_graph) {
-      plan_graph = std::make_shared<const TaskGraph>(g);
-    } else {
-      auto ap = std::make_shared<AtomicPartition>(atomic_partition(g));
-      plan_graph = std::shared_ptr<const TaskGraph>(ap, &ap->graph);
-    }
-    plan.graph = plan_graph;
+    auto ap = std::make_shared<AtomicPartition>(atomic_partition(g));
+    plan.graph = std::shared_ptr<const TaskGraph>(ap, &ap->graph);
     SearchRequest req;
-    cli::apply_search(o.search, req);
+    apply_search(in.search, req);
     const auto violations = validate_plan(plan, req);
     for (const PlanViolation& v : violations)
       std::cout << "plan violation: " << v.what << '\n';
@@ -141,7 +125,7 @@ int run(const Options& o) {
 
   if (o.partition) {
     SearchRequest req;
-    cli::apply_search(o.search, req);
+    apply_search(in.search, req);
     const SearchResult sr = auto_partition(g, req);
     const PartitionResult& r = sr.plan;
     std::cout << describe(r);
@@ -170,36 +154,20 @@ int run(const Options& o) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Options o;
-  cli::ArgParser p("rannc-lint",
-                   "Static analysis over the built-in models; optionally "
-                   "validates a plan JSON or runs the partition search.");
-  cli::register_model_flags(p, o.model);
-  cli::register_search_flags(p, o.search);
+Body lint_command(ArgParser& p, const Inputs& in) {
+  auto o = std::make_shared<Options>();
   p.section("Actions");
-  p.flag("--partition", &o.partition,
+  p.flag("--partition", &o->partition,
          "run auto_partition and print the plan + search stats");
-  p.opt("--plan", &o.plan_file, "FILE",
+  p.opt("--plan", &o->plan_file, "FILE",
         "validate a plan JSON against the model graph");
-  p.flag("--raw-graph", &o.raw_graph,
-         "validate the plan against the builder graph (default: "
-         "atomic-rebuilt)");
-  p.flag("--liveness", &o.liveness,
+  p.flag("--liveness", &o->liveness,
          "print per-value liveness & memory summary");
-  p.flag("--fingerprint", &o.fingerprint,
+  p.flag("--fingerprint", &o->fingerprint,
          "print the canonical serve-cache fingerprint of the graph");
-  p.opt("--dot", &o.dot_file, "FILE", "write a Graphviz rendering");
-  p.flag("--quiet", &o.quiet, "print diagnostics only");
-  if (p.parse(argc, argv) != cli::ArgParser::Status::Ok) return 2;
-  if (o.model.model.empty()) {
-    p.print_usage(std::cerr);
-    return 2;
-  }
-  try {
-    return run(o);
-  } catch (const std::exception& e) {
-    RANNC_LOG_ERROR("rannc-lint: " << e.what());
-    return 2;
-  }
+  p.opt("--dot", &o->dot_file, "FILE", "write a Graphviz rendering");
+  p.flag("--quiet", &o->quiet, "print diagnostics only");
+  return [o, &in] { return run(in, *o); };
 }
+
+}  // namespace rannc::cli

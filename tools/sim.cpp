@@ -1,11 +1,11 @@
-// rannc-sim — fault-replay CLI: partitions a builder model, then replays
+// rannc sim — fault replay: partitions a builder model, then replays
 // training steps in virtual time under a JSON fault schedule (see
 // src/resilience/fault_plan.h for the format). Message timeouts are
 // absorbed by the simulated retry policy, device fail-stops trigger the
 // elastic-recovery path (cluster shrink, warm re-partition, shard
 // migration), and the run continues on the recovered plan.
 //
-//   rannc-sim --model bert --layers 8 --faults tools/fault_plans/smoke.json
+//   rannc sim --model bert --layers 8 --faults tools/fault_plans/smoke.json
 //             --steps 4 --trace sim.json --plan-out final_plan.json
 //
 // All timing is virtual: the trace (pid 2 schedule lanes + the
@@ -14,22 +14,19 @@
 //
 // Exit codes: 0 = run completed (with or without recovery), 1 = aborted
 // (unrecoverable failure or no feasible plan), 2 = usage error.
-#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "cli_args.h"
 #include "rannc.h"
 
+namespace rannc::cli {
 namespace {
 
-using namespace rannc;
-
 struct Options {
-  cli::ModelOptions model;
-  cli::SearchOptions search;
   std::string faults_file;
   int steps = 4;
   int max_attempts = 3;
@@ -39,17 +36,19 @@ struct Options {
   bool quiet = false;
 };
 
-int run(const Options& o) {
+int run(const Inputs& in, const Options& o) {
+  if (o.faults_file.empty())
+    throw std::invalid_argument("--faults FILE is required (try --help)");
   obs::set_thread_name("main");
   obs::TraceRecorder rec;
   obs::set_recorder(&rec);
 
-  const BuiltModel m = cli::build_model(o.model);
+  const BuiltModel m = serve::build_model(in.model);
   const resilience::FaultPlan faults =
       resilience::FaultPlan::load(o.faults_file);
 
   SearchRequest req;
-  cli::apply_search(o.search, req);
+  apply_search(in.search, req);
 
   resilience::SimOptions so;
   so.steps = o.steps;
@@ -87,24 +86,19 @@ int run(const Options& o) {
   }
 
   obs::set_recorder(nullptr);
-  if (!rec.write_json_file(o.trace_file)) {
-    RANNC_LOG_ERROR("cannot write trace file '" << o.trace_file << "'");
-    return 2;
-  }
+  if (!rec.write_json_file(o.trace_file))
+    throw std::runtime_error("cannot write trace file '" + o.trace_file + "'");
   if (!o.quiet)
     std::cout << "wrote " << o.trace_file << " (" << rec.event_count()
               << " events)\n";
   if (!o.metrics_file.empty() &&
-      !obs::metrics().write_json_file(o.metrics_file)) {
-    RANNC_LOG_ERROR("cannot write metrics file '" << o.metrics_file << "'");
-    return 2;
-  }
+      !obs::metrics().write_json_file(o.metrics_file))
+    throw std::runtime_error("cannot write metrics file '" + o.metrics_file +
+                             "'");
   if (!o.plan_file.empty()) {
     std::ofstream out(o.plan_file);
-    if (!out) {
-      RANNC_LOG_ERROR("cannot write plan file '" << o.plan_file << "'");
-      return 2;
-    }
+    if (!out)
+      throw std::runtime_error("cannot write plan file '" + o.plan_file + "'");
     out << plan_to_json(res.final_plan);
     if (!o.quiet) std::cout << "wrote " << o.plan_file << '\n';
   }
@@ -113,34 +107,20 @@ int run(const Options& o) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Options o;
-  cli::ArgParser p("rannc-sim",
-                   "Replays a partitioned training run in virtual time "
-                   "under a JSON fault schedule, exercising retry, rollback "
-                   "and elastic recovery.");
-  cli::register_model_flags(p, o.model);
-  cli::register_search_flags(p, o.search);
+Body sim_command(ArgParser& p, const Inputs& in) {
+  auto o = std::make_shared<Options>();
   p.section("Simulation");
-  p.opt("--faults", &o.faults_file, "FILE", "fault schedule JSON (required)");
-  p.opt("--steps", &o.steps, "N", "training steps to replay (default 4)");
-  p.opt("--max-attempts", &o.max_attempts, "N",
+  p.opt("--faults", &o->faults_file, "FILE", "fault schedule JSON (required)");
+  p.opt("--steps", &o->steps, "N", "training steps to replay (default 4)");
+  p.opt("--max-attempts", &o->max_attempts, "N",
         "recv attempts before a rollback (default 3)");
   p.section("Outputs");
-  p.opt("--trace", &o.trace_file, "FILE",
+  p.opt("--trace", &o->trace_file, "FILE",
         "Chrome trace-event JSON (default sim_trace.json)");
-  p.opt("--metrics", &o.metrics_file, "FILE", "metrics snapshot JSON");
-  p.opt("--plan-out", &o.plan_file, "FILE", "final (post-recovery) plan JSON");
-  p.flag("--quiet", &o.quiet, "suppress the summary on stdout");
-  if (p.parse(argc, argv) != cli::ArgParser::Status::Ok) return 2;
-  if (o.model.model.empty() || o.faults_file.empty()) {
-    p.print_usage(std::cerr);
-    return 2;
-  }
-  try {
-    return run(o);
-  } catch (const std::exception& e) {
-    RANNC_LOG_ERROR("rannc-sim: " << e.what());
-    return 2;
-  }
+  p.opt("--metrics", &o->metrics_file, "FILE", "metrics snapshot JSON");
+  p.opt("--plan-out", &o->plan_file, "FILE", "final (post-recovery) plan JSON");
+  p.flag("--quiet", &o->quiet, "suppress the summary on stdout");
+  return [o, &in] { return run(in, *o); };
 }
+
+}  // namespace rannc::cli

@@ -1,4 +1,4 @@
-// rannc-trace — observability CLI: runs a builder model through the
+// rannc trace — observability command: runs a builder model through the
 // partition search and a simulated execution of the winning plan, and
 // writes both observability artifacts:
 //
@@ -13,23 +13,23 @@
 //   metrics.json  counters/gauges/histograms snapshot (dp cells, profile
 //                 queries, bubble fraction, per-link busy fractions, ...)
 //
-//   rannc-trace --model bert --layers 8 --trace trace.json --metrics metrics.json
+//   rannc trace --model bert --layers 8 --trace trace.json
+//               --metrics metrics.json
 //
 // The virtual-time (pid 2/3) events are deterministic: bit-identical across
 // runs and RANNC_THREADS values.
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "cli_args.h"
 #include "rannc.h"
 
+namespace rannc::cli {
 namespace {
 
-using namespace rannc;
-
 struct Options {
-  cli::ModelOptions model;
-  cli::SearchOptions search;
   std::string trace_file = "trace.json";
   std::string metrics_file = "metrics.json";
   bool quiet = false;
@@ -56,15 +56,15 @@ void replay_fabric(obs::TraceRecorder& rec, const PartitionResult& plan,
   fabric.set_recorder(nullptr);
 }
 
-int run(const Options& o) {
+int run(const Inputs& in, const Options& o) {
   obs::set_thread_name("main");
   obs::TraceRecorder rec;
   obs::set_recorder(&rec);
 
-  const BuiltModel m = cli::build_model(o.model);
+  const BuiltModel m = serve::build_model(in.model);
 
   SearchRequest req;
-  cli::apply_search(o.search, req);
+  apply_search(in.search, req);
   const PartitionResult plan = auto_partition(m.graph, req).plan;
   if (!o.quiet) std::cout << describe(plan);
 
@@ -86,14 +86,11 @@ int run(const Options& o) {
   }
 
   obs::set_recorder(nullptr);
-  if (!rec.write_json_file(o.trace_file)) {
-    RANNC_LOG_ERROR("cannot write trace file '" << o.trace_file << "'");
-    return 2;
-  }
-  if (!obs::metrics().write_json_file(o.metrics_file)) {
-    RANNC_LOG_ERROR("cannot write metrics file '" << o.metrics_file << "'");
-    return 2;
-  }
+  if (!rec.write_json_file(o.trace_file))
+    throw std::runtime_error("cannot write trace file '" + o.trace_file + "'");
+  if (!obs::metrics().write_json_file(o.metrics_file))
+    throw std::runtime_error("cannot write metrics file '" + o.metrics_file +
+                             "'");
   if (!o.quiet)
     std::cout << "wrote " << o.trace_file << " (" << rec.event_count()
               << " events) and " << o.metrics_file << "\n";
@@ -102,28 +99,15 @@ int run(const Options& o) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Options o;
-  cli::ArgParser p("rannc-trace",
-                   "Runs the partition search plus a virtual-time replay of "
-                   "the winning plan and writes trace/metrics JSON.");
-  cli::register_model_flags(p, o.model);
-  cli::register_search_flags(p, o.search);
+Body trace_command(ArgParser& p, const Inputs& in) {
+  auto o = std::make_shared<Options>();
   p.section("Outputs");
-  p.opt("--trace", &o.trace_file, "FILE",
+  p.opt("--trace", &o->trace_file, "FILE",
         "Chrome trace-event JSON (default trace.json)");
-  p.opt("--metrics", &o.metrics_file, "FILE",
+  p.opt("--metrics", &o->metrics_file, "FILE",
         "metrics snapshot JSON (default metrics.json)");
-  p.flag("--quiet", &o.quiet, "suppress the summary on stdout");
-  if (p.parse(argc, argv) != cli::ArgParser::Status::Ok) return 2;
-  if (o.model.model.empty()) {
-    p.print_usage(std::cerr);
-    return 2;
-  }
-  try {
-    return run(o);
-  } catch (const std::exception& e) {
-    RANNC_LOG_ERROR("rannc-trace: " << e.what());
-    return 2;
-  }
+  p.flag("--quiet", &o->quiet, "suppress the summary on stdout");
+  return [o, &in] { return run(in, *o); };
 }
+
+}  // namespace rannc::cli

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate rannc-trace / rannc-explain outputs against the checked-in
+"""Validate rannc trace / rannc explain outputs against the checked-in
 JSON schemas.
 
 Usage:
@@ -23,7 +23,7 @@ cumulative `sweep_progress` counter series is required instead: present,
 non-empty, and per search counting jobs_done 1, 2, 3, ... in timestamp
 order with dp_cells and profile_queries non-decreasing.
 
-With --explain the single argument is a rannc-explain attribution report,
+With --explain the single argument is a rannc explain attribution report,
 validated against tools/explain_schema.json plus semantic checks: every
 stage's buckets fold to the step time *bit-exactly* (the serializer emits
 max_digits10 doubles, so the C++ conservation guarantee survives the JSON
