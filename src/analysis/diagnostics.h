@@ -50,7 +50,7 @@ enum class DiagCode : std::uint8_t {
   // ---- search request (SearchRequest::validate, partition/search.cpp) ----
   BadBatchSize,           ///< batch_size <= 0
   BadMemoryMargin,        ///< memory_margin outside (0, 1]
-  BadThreadCount,         ///< budget.threads < 0 or > kMaxSearchThreads
+  BadThreadCount,         ///< budget.threads < 0 or > kMaxThreads
   BadBlockCount,          ///< num_blocks < 1
   EmptyCluster,           ///< cluster has no nodes or no devices per node
   BadCellBudget,          ///< budget.max_dp_cells < 0

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "analysis/shape_inference.h"
+#include "obs/trace.h"
 
 namespace rannc {
 
@@ -192,7 +193,8 @@ std::vector<Diagnostic> verify_graph(const TaskGraph& g) {
   return out;
 }
 
-void verify_or_throw(const TaskGraph& g) {
+VerifiedGraph::VerifiedGraph(const TaskGraph& g) : g_(&g) {
+  obs::Scope sc("verify");
   std::vector<Diagnostic> ds = verify_graph(g);
   if (!has_errors(ds)) {
     const std::vector<Diagnostic> shape_ds = infer_shapes(g);
@@ -202,5 +204,7 @@ void verify_or_throw(const TaskGraph& g) {
     throw std::logic_error("graph '" + g.name() + "' failed verification:\n" +
                            render(ds));
 }
+
+void verify_or_throw(const TaskGraph& g) { (void)VerifiedGraph(g); }
 
 }  // namespace rannc

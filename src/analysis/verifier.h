@@ -24,9 +24,28 @@ namespace rannc {
 /// cascade.
 std::vector<Diagnostic> verify_graph(const TaskGraph& g);
 
-/// Convenience for call sites that want the seed behaviour: throws
-/// std::logic_error with all rendered diagnostics when verify_graph (plus
-/// shape re-inference, see analysis/shape_inference.h) reports any error.
+/// A graph that passed verify_graph and shape re-inference
+/// (analysis/shape_inference.h): well formed, and every recorded shape and
+/// dtype is the one its inputs imply. auto_partition and
+/// serve::fingerprint_graph take one, so a caller that keeps it (the plan
+/// server) verifies each graph once, however many searches it serves.
+///
+/// Holds a non-owning pointer: the graph must outlive this object and stay
+/// unmodified. The converting constructor is implicit so that passing a
+/// TaskGraph to those consumers verifies it on the way in.
+class VerifiedGraph {
+ public:
+  /// Runs both checks inside an obs "verify" span; throws std::logic_error
+  /// listing every diagnostic when either reports an error.
+  VerifiedGraph(const TaskGraph& g);  // NOLINT(google-explicit-constructor)
+
+  [[nodiscard]] const TaskGraph& graph() const { return *g_; }
+
+ private:
+  const TaskGraph* g_;
+};
+
+/// The check alone: throws as VerifiedGraph's constructor does.
 void verify_or_throw(const TaskGraph& g);
 
 }  // namespace rannc

@@ -136,34 +136,6 @@ std::int64_t TaskGraph::param_bytes() const {
   return n;
 }
 
-void TaskGraph::validate() const {
-  for (const Task& t : tasks_) {
-    if (t.output < 0) throw std::logic_error("task without output: " + t.name);
-    const Value& out = value(t.output);
-    if (out.producer != t.id)
-      throw std::logic_error("producer link broken for " + t.name);
-    for (ValueId in : t.inputs) {
-      const Value& v = value(in);
-      if (v.kind == ValueKind::Intermediate && v.producer >= t.id)
-        throw std::logic_error("task consumes later-produced value: " + t.name);
-    }
-  }
-  for (const Value& v : values_) {
-    if (v.kind == ValueKind::Intermediate && v.producer == kNoTask)
-      throw std::logic_error("orphan intermediate value: " + v.name);
-    for (TaskId c : v.consumers) {
-      bool found = false;
-      for (ValueId in : task(c).inputs)
-        if (in == v.id) found = true;
-      if (!found) throw std::logic_error("consumer link broken for " + v.name);
-    }
-  }
-  bool has_output = false;
-  for (const Value& v : values_) has_output |= v.is_output;
-  if (!tasks_.empty() && !has_output)
-    throw std::logic_error("graph has tasks but no marked output");
-}
-
 std::string TaskGraph::to_dot() const {
   std::ostringstream os;
   os << "digraph \"" << name_ << "\" {\n  rankdir=TB;\n";

@@ -90,9 +90,6 @@ class TaskGraph {
   /// Total bytes of trainable parameters.
   [[nodiscard]] std::int64_t param_bytes() const;
 
-  /// Structural consistency check; throws std::logic_error on violation.
-  void validate() const;
-
   /// Graphviz DOT rendering (tasks as boxes, values as ellipses).
   [[nodiscard]] std::string to_dot() const;
 

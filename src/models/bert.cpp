@@ -163,7 +163,6 @@ BuiltModel build_bert(const BertConfig& cfg) {
   g.mark_output(loss);
   end_layer();
 
-  g.validate();
   return m;
 }
 

@@ -137,7 +137,6 @@ BuiltModel build_gpt2(const Gpt2Config& cfg) {
   g.mark_output(loss);
   end_layer();
 
-  g.validate();
   return m;
 }
 

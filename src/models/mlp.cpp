@@ -57,7 +57,6 @@ BuiltModel build_mlp(const MlpConfig& cfg) {
   g.mark_output(loss);
   m.layers.back().end = static_cast<TaskId>(g.num_tasks());
 
-  g.validate();
   return m;
 }
 

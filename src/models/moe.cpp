@@ -170,7 +170,6 @@ BuiltModel build_moe(const MoeConfig& cfg) {
   g.mark_output(loss);
   end_layer();
 
-  g.validate();
   return m;
 }
 

@@ -156,7 +156,6 @@ BuiltModel build_resnet(const ResNetConfig& cfg) {
   g.mark_output(loss);
   end_layer();
 
-  g.validate();
   return m;
 }
 

@@ -184,7 +184,6 @@ BuiltModel build_t5(const T5Config& cfg) {
   g.mark_output(loss);
   end_layer();
 
-  g.validate();
   return m;
 }
 

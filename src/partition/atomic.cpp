@@ -75,13 +75,7 @@ class Rebuilder {
       ValueId new_out = materialize(v.id, comp);
       part_.graph.mark_output(new_out);
     }
-    // Finalize component task lists (already appended via record()).
-    for (AtomicComponent& c : part_.comps) {
-      // tasks were appended in increasing id order by construction
-      (void)c;
-    }
     part_.num_cloned_tasks = instantiations_ - distinct_instantiated_;
-    part_.graph.validate();
     return std::move(part_);
   }
 

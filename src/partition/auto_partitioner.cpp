@@ -387,38 +387,26 @@ std::vector<std::vector<TaskId>> partition_units(const AtomicPartition& ap,
 
 int resolve_search_threads(int threads_knob) {
   if (threads_knob > 0) return threads_knob;
-  if (const char* e = std::getenv("RANNC_THREADS")) {
-    const long v = std::strtol(e, nullptr, 10);
-    if (v > 0) return static_cast<int>(std::min<long>(v, kMaxSearchThreads));
-  }
-  return 1;
+  return parse_thread_count(std::getenv("RANNC_THREADS")).value_or(1);
 }
 
-SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
+SearchResult auto_partition(const VerifiedGraph& model,
+                            const SearchRequest& req) {
   const auto t0 = std::chrono::steady_clock::now();
   SearchResult out;
   PartitionResult& res = out.plan;
   obs::Scope sc_all("auto_partition");
 
-  // Request gate, symmetric with the graph verifier below: reject nonsense
-  // knobs with every violation listed, not just the first.
+  // Request gate, symmetric with the graph verifier: reject nonsense knobs
+  // with every violation listed, not just the first.
   if (std::vector<Diagnostic> ds = req.validate(); has_errors(ds))
     throw std::invalid_argument("invalid SearchRequest:\n" + render(ds));
-
-  // Static-analysis gate (src/analysis): a malformed graph or a builder
-  // shape bug silently skews the roofline profile, block balance and stage
-  // DP, so reject it before any partitioning work. O(V+E) — negligible
-  // next to the search itself.
-  {
-    obs::Scope sc("verify");
-    verify_or_throw(model);
-  }
 
   // Phase 1: atomic-level partitioning.
   std::shared_ptr<AtomicPartition> ap;
   {
     obs::Scope sc("phase1:atomic_partition");
-    ap = std::make_shared<AtomicPartition>(atomic_partition(model));
+    ap = std::make_shared<AtomicPartition>(atomic_partition(model.graph()));
     sc.arg("components", ap->comps.size());
   }
   GraphProfiler prof(ap->graph, req.cluster.device, req.precision);

@@ -78,7 +78,7 @@ struct SearchStats {
   int threads_used = 1;      ///< resolved SearchBudget::threads
   /// Branch-and-bound counters (all zero on the exhaustive engine).
   PruneStats prune;
-  double wall_seconds = 0;   ///< whole auto_partition call
+  double wall_seconds = 0;   ///< auto_partition call, after verification
   double search_seconds = 0; ///< Phase-3 sweep only (subset of wall_seconds)
   /// Every (S, MB) examined, in deterministic (nodes, stages, microbatches)
   /// order regardless of which worker thread finished first. When the

@@ -20,9 +20,9 @@ std::vector<Diagnostic> SearchRequest::validate() const {
     err(DiagCode::BadMemoryMargin,
         "memory_margin must be in (0, 1], got " +
             std::to_string(memory_margin));
-  if (budget.threads < 0 || budget.threads > kMaxSearchThreads)
+  if (budget.threads < 0 || budget.threads > kMaxThreads)
     err(DiagCode::BadThreadCount,
-        "budget.threads must be in [0, " + std::to_string(kMaxSearchThreads) +
+        "budget.threads must be in [0, " + std::to_string(kMaxThreads) +
             "] (0 = RANNC_THREADS env default), got " +
             std::to_string(budget.threads));
   if (budget.max_dp_cells < 0)

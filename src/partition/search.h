@@ -19,18 +19,15 @@
 #include <vector>
 
 #include "analysis/diagnostics.h"
+#include "analysis/verifier.h"
 #include "cluster/cluster_spec.h"
 #include "partition/auto_partitioner.h"
 #include "profiler/memory.h"
+#include "util/thread_pool.h"
 
 namespace rannc {
 
 /// How much work the search may spend.
-/// Upper bound on search worker threads, for an explicit budget.threads
-/// and for the RANNC_THREADS default alike: both can come from outside the
-/// program, and the pool starts its workers eagerly.
-inline constexpr int kMaxSearchThreads = 256;
-
 struct SearchBudget {
   /// Global DP cell cap shared by every stage-DP invocation of the sweep
   /// (0 = unlimited), a safety cap for the Section IV-C ablation whose DP
@@ -38,8 +35,8 @@ struct SearchBudget {
   /// whether it is exhausted depends only on the total demand: the
   /// aborted-vs-completed outcome is identical at any thread count.
   std::int64_t max_dp_cells = 0;
-  /// Worker threads for the sweep, at most kMaxSearchThreads.
-  /// 0 = RANNC_THREADS env (capped at kMaxSearchThreads), else 1.
+  /// Worker threads for the sweep, at most kMaxThreads (util/thread_pool.h).
+  /// 0 = RANNC_THREADS env (capped at kMaxThreads), else 1.
   int threads = 0;
 };
 
@@ -84,8 +81,12 @@ struct SearchResult {
 
 /// Runs the full RaNNC partitioning pipeline on `model` — the primary
 /// entry point. Branch-and-bound is governed by `req.prune`; defaults give
-/// the pruned search.
-SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req);
+/// the pruned search. Passing a TaskGraph verifies it on the way in
+/// (analysis::VerifiedGraph): a malformed graph or a builder shape bug
+/// would silently skew the roofline profile, block balance and stage DP,
+/// so it throws std::logic_error before any partitioning work.
+SearchResult auto_partition(const VerifiedGraph& model,
+                            const SearchRequest& req);
 
 namespace detail {
 

@@ -5,9 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "analysis/shape_inference.h"
-#include "analysis/verifier.h"
-
 namespace rannc {
 namespace serve {
 
@@ -56,7 +53,6 @@ constexpr std::uint64_t kTagInput = 0xA11CE001;
 constexpr std::uint64_t kTagParam = 0xA11CE002;
 constexpr std::uint64_t kTagTask = 0xA11CE003;
 constexpr std::uint64_t kTagOutput = 0xA11CE004;
-constexpr std::uint64_t kTagInferFail = 0xA11CE005;
 
 }  // namespace
 
@@ -88,36 +84,21 @@ Fingerprint parse_fingerprint(const std::string& hex) {
   return fp;
 }
 
-Fingerprint fingerprint_graph(const TaskGraph& g) {
-  const std::vector<Diagnostic> ds = verify_graph(g);
-  if (has_errors(ds))
-    throw std::invalid_argument("fingerprint: graph is malformed: " +
-                                render(ds[0]));
-
-  const std::size_t nv = g.num_values();
-  std::vector<std::uint64_t> label(nv, 0);
-  // Shapes/dtypes as this pass *believes* them: recorded at the graph
-  // boundary (inputs and parameters are ground truth the caller supplies),
-  // re-inferred everywhere else so recorded intermediate metadata cannot
-  // influence any label downstream.
-  std::vector<Shape> shape(nv);
-  std::vector<DType> dtype(nv, DType::F32);
+Fingerprint fingerprint_graph(const VerifiedGraph& verified) {
+  const TaskGraph& g = verified.graph();
+  std::vector<std::uint64_t> label(g.num_values(), 0);
 
   // Graph inputs are fed positionally, so their ordinal is semantic.
   std::uint64_t input_ordinal = 0;
   for (const Value& v : g.values()) {
     const auto idx = static_cast<std::size_t>(v.id);
     if (v.kind == ValueKind::Input) {
-      shape[idx] = v.shape;
-      dtype[idx] = v.dtype;
       label[idx] = Hasher(kTagInput)
                        .add(input_ordinal++)
                        .add_shape(v.shape)
                        .add(static_cast<std::uint64_t>(v.dtype))
                        .digest();
     } else if (v.kind == ValueKind::Param) {
-      shape[idx] = v.shape;
-      dtype[idx] = v.dtype;
       label[idx] = Hasher(kTagParam)
                        .add_shape(v.shape)
                        .add(static_cast<std::uint64_t>(v.dtype))
@@ -139,35 +120,12 @@ Fingerprint fingerprint_graph(const TaskGraph& g) {
       h.add_bytes(k).add(std::bit_cast<std::uint64_t>(v));
 
     h.add(t.inputs.size());
-    std::vector<Shape> in_shapes;
-    std::vector<DType> in_dtypes;
-    in_shapes.reserve(t.inputs.size());
-    in_dtypes.reserve(t.inputs.size());
-    for (ValueId in : t.inputs) {
-      const auto i = static_cast<std::size_t>(in);
-      h.add(label[i]);
-      in_shapes.push_back(shape[i]);
-      in_dtypes.push_back(dtype[i]);
-    }
+    for (ValueId in : t.inputs) h.add(label[static_cast<std::size_t>(in)]);
 
+    // Verified: the recorded output metadata is what the inputs imply.
     const Value& out = g.value(t.output);
-    const InferredOutput inf =
-        infer_output(t.kind, in_shapes, in_dtypes, t.attrs, out.shape);
-    const auto oi = static_cast<std::size_t>(t.output);
-    if (inf.ok) {
-      shape[oi] = inf.shape;
-      dtype[oi] = inf.dtype;
-      h.add_shape(inf.shape).add(static_cast<std::uint64_t>(inf.dtype));
-    } else {
-      // Operands incompatible with the op: fall back to the recorded
-      // metadata, tagged so a failing graph never collides with a clean one.
-      shape[oi] = out.shape;
-      dtype[oi] = out.dtype;
-      h.add(kTagInferFail)
-          .add_shape(out.shape)
-          .add(static_cast<std::uint64_t>(out.dtype));
-    }
-    label[oi] = h.digest();
+    h.add_shape(out.shape).add(static_cast<std::uint64_t>(out.dtype));
+    label[static_cast<std::size_t>(t.output)] = h.digest();
   }
 
   // Combine into a multiset digest: two independent per-label mixes feed

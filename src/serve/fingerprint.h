@@ -3,10 +3,10 @@
 // The plan store and the serving daemon key cached partition results by
 // graph *identity*: two submissions must share a cache entry exactly when
 // the partitioner would treat them identically. That rules out hashing the
-// builder's in-memory representation directly — node names, insertion
-// order of independent tasks, and builder-recorded output metadata are all
-// presentation details the search never depends on. The fingerprint
-// therefore hashes only semantic facts:
+// builder's in-memory representation directly — node names and the
+// insertion order of independent tasks are presentation details the
+// search never depends on. The fingerprint therefore hashes only semantic
+// facts:
 //
 //  - op kinds and their attributes,
 //  - topology, via Weisfeiler–Lehman-style value labels: each value's
@@ -15,10 +15,12 @@
 //    referencing ids or insertion order of independent subgraphs,
 //  - input positions (the caller feeds inputs positionally, so input order
 //    is semantic; parameters are an unordered bag reached by edges),
-//  - shapes and dtypes of intermediates *re-derived* by
-//    analysis::infer_output from the inputs — a corrupted recorded shape
-//    cannot skew the fingerprint (it only matters where it is the op's
-//    parameter, i.e. Reshape, exactly mirroring the inference contract).
+//  - every value's recorded shape and dtype.
+//
+// Only verified graphs are fingerprinted (analysis::VerifiedGraph), so the
+// recorded intermediate shapes and dtypes are exactly those the inputs
+// imply: a graph whose recorded metadata disagrees with shape inference is
+// rejected, never given an identity.
 //
 // The result is invariant across process runs, RANNC_THREADS, and any
 // renaming/reordering that preserves semantics — and changes whenever an
@@ -28,7 +30,7 @@
 #include <cstdint>
 #include <string>
 
-#include "graph/task_graph.h"
+#include "analysis/verifier.h"
 
 namespace rannc {
 namespace serve {
@@ -46,11 +48,10 @@ struct Fingerprint {
 /// std::invalid_argument on anything else.
 Fingerprint parse_fingerprint(const std::string& hex);
 
-/// Computes the canonical fingerprint. The graph must be structurally
-/// valid (analysis::verify_graph clean) — labels are derived by walking
-/// producer links, which is meaningless on a malformed graph — otherwise
-/// throws std::invalid_argument with the first diagnostic.
-Fingerprint fingerprint_graph(const TaskGraph& g);
+/// Computes the canonical fingerprint. Passing a TaskGraph verifies it
+/// first and throws std::logic_error (VerifiedGraph's) when it is
+/// malformed; a caller that keeps the VerifiedGraph pays no second check.
+Fingerprint fingerprint_graph(const VerifiedGraph& g);
 
 }  // namespace serve
 }  // namespace rannc

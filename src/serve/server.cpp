@@ -37,6 +37,11 @@ PlanServer::PlanServer(ServeOptions opts) : opts_(std::move(opts)) {
 
 PlanServer::~PlanServer() = default;
 
+PlanServer::GraphEntry::GraphEntry(BuiltModel b)
+    : built(std::move(b)),
+      verified(built.graph),
+      fp(fingerprint_graph(verified)) {}
+
 std::shared_ptr<const PlanServer::GraphEntry> PlanServer::graph_for(
     const ModelSpec& spec) {
   const std::string sig = canonical_sig(spec);
@@ -44,12 +49,10 @@ std::shared_ptr<const PlanServer::GraphEntry> PlanServer::graph_for(
     std::lock_guard<std::mutex> lk(graphs_mu_);
     if (auto it = graphs_.find(sig); it != graphs_.end()) return it->second;
   }
-  // Build outside the lock — builders can take milliseconds and must not
-  // stall concurrent hits. A racing duplicate build produces an identical
-  // entry; first insert wins.
-  auto ge = std::make_shared<GraphEntry>();
-  ge->built = build_model(spec);
-  ge->fp = fingerprint_graph(ge->built.graph);
+  // Build and verify outside the lock — both can take milliseconds and
+  // must not stall concurrent hits. A racing duplicate build produces an
+  // identical entry; first insert wins.
+  auto ge = std::make_shared<const GraphEntry>(build_model(spec));
   std::lock_guard<std::mutex> lk(graphs_mu_);
   return graphs_.emplace(sig, std::move(ge)).first->second;
 }
@@ -68,8 +71,8 @@ PlanServer::Outcome PlanServer::run_search(
     {
       obs::Scope span("serve.search", "serve");
       if (span.active()) span.arg("key", key_stem(key));
-      sr = opts_.search_fn ? opts_.search_fn(ge->built.graph, req)
-                           : auto_partition(ge->built.graph, req);
+      sr = opts_.search_fn ? opts_.search_fn(ge->verified, req)
+                           : auto_partition(ge->verified, req);
     }
     const PartitionResult& result = sr.plan;
     auto cp = std::make_shared<CachedPlan>();

@@ -2,7 +2,8 @@
 //
 // One long-lived object answering partition requests, layered as
 //
-//   L0  graph cache      canonical ModelSpec sig -> built graph+fingerprint
+//   L0  graph cache      canonical ModelSpec sig -> built, verified graph
+//                        + fingerprint (each model verified once)
 //   L1  plan cache       PlanKey -> plan JSON, in memory
 //   L2  plan store       PlanKey -> plan JSON, on disk
 //   L3  search           auto_partition (parallel, branch-and-bound); a
@@ -64,7 +65,7 @@ struct ServeOptions {
   /// Test seam for the miss path; defaults to auto_partition. Injected
   /// fakes let the single-flight and shedding tests hold a leader search
   /// open deterministically instead of racing real searches.
-  std::function<SearchResult(const TaskGraph&, const SearchRequest&)>
+  std::function<SearchResult(const VerifiedGraph&, const SearchRequest&)>
       search_fn;
 };
 
@@ -127,8 +128,14 @@ class PlanServer {
   [[nodiscard]] std::string stats_json() const;
 
  private:
+  /// Immovable: `verified` points into `built`.
   struct GraphEntry {
+    explicit GraphEntry(BuiltModel b);
+    GraphEntry(const GraphEntry&) = delete;
+    GraphEntry& operator=(const GraphEntry&) = delete;
+
     BuiltModel built;
+    VerifiedGraph verified;
     Fingerprint fp;
   };
   struct CachedPlan {

@@ -105,11 +105,8 @@ ThreadPool& kernel_pool() {
   // RANNC_THREADS=n caps kernel parallelism at n threads including the
   // caller (matching ThreadPool::global's convention of workers + caller).
   static ThreadPool* env_pool = [] {
-    const char* env = std::getenv("RANNC_THREADS");
-    if (!env) return static_cast<ThreadPool*>(nullptr);
-    const int n = std::atoi(env);
-    if (n <= 0) return static_cast<ThreadPool*>(nullptr);
-    return new ThreadPool(static_cast<unsigned>(n - 1));
+    const auto n = parse_thread_count(std::getenv("RANNC_THREADS"));
+    return n ? new ThreadPool(static_cast<unsigned>(*n - 1)) : nullptr;
   }();
   return env_pool ? *env_pool : ThreadPool::global();
 }

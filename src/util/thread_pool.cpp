@@ -1,11 +1,20 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 
 #include "obs/trace.h"
 
 namespace rannc {
+
+std::optional<int> parse_thread_count(const char* text) {
+  if (!text) return std::nullopt;
+  char* end = nullptr;
+  const long long n = std::strtoll(text, &end, 10);  // saturates on overflow
+  if (end == text || *end != '\0' || n <= 0) return std::nullopt;
+  return static_cast<int>(std::min<long long>(n, kMaxThreads));
+}
 
 struct ThreadPool::ActiveJob {
   const std::function<void(std::int64_t, std::int64_t)>* fn = nullptr;

@@ -10,10 +10,21 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
 namespace rannc {
+
+/// Upper bound on the threads a pool may be asked for from outside the
+/// program (the RANNC_THREADS environment variable, a search budget, a
+/// serve flag or wire request): pools start every worker eagerly.
+inline constexpr int kMaxThreads = 256;
+
+/// Parses a RANNC_THREADS value: a positive decimal count, capped at
+/// kMaxThreads. Null, empty, non-numeric (trailing characters included),
+/// zero and negative text give nullopt, meaning unset.
+std::optional<int> parse_thread_count(const char* text);
 
 class ThreadPool {
  public:

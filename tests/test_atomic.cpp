@@ -3,6 +3,7 @@
 // of constant chains that feed multiple components.
 #include <gtest/gtest.h>
 
+#include "analysis/verifier.h"
 #include "graph/subgraph.h"
 #include "models/bert.h"
 #include "models/mlp.h"
@@ -70,6 +71,7 @@ TEST(AtomicPartition, SharedConstantChainIsClonedPerConsumer) {
   for (const Task& t : ap.graph.tasks())
     if (t.kind == OpKind::Transpose) ++transposes;
   EXPECT_EQ(transposes, 2);
+  EXPECT_TRUE(verify_graph(ap.graph).empty());
 }
 
 TEST(AtomicPartition, DeepConstantChainClonedWhole) {
@@ -87,6 +89,7 @@ TEST(AtomicPartition, DeepConstantChainClonedWhole) {
   AtomicPartition ap = atomic_partition(g);
   EXPECT_EQ(ap.graph.num_tasks(), 7u);  // 2x(transpose+scale) + 2 mm + add
   EXPECT_EQ(ap.num_cloned_tasks, 2u);
+  EXPECT_TRUE(verify_graph(ap.graph).empty());
 }
 
 TEST(AtomicPartition, OriginTaskMapsClonesBack) {

@@ -72,7 +72,9 @@ TEST(DataParallel, GradientAccumulationRescuesActivationPressure) {
   BuiltModel m = test_bert();
   // Enough for model state but not for the full per-device batch at once.
   BaselinePlan p = plan_data_parallel(m, small_cluster(96), Precision::FP32, 512);
-  if (p.feasible) EXPECT_GT(p.microbatches, 1);
+  if (p.feasible) {
+    EXPECT_GT(p.microbatches, 1);
+  }
 }
 
 TEST(Megatron, RejectsNonTransformer) {

@@ -8,6 +8,7 @@
 #include "models/mlp.h"
 #include "models/resnet.h"
 #include "models/t5.h"
+#include "serve/model_zoo.h"
 
 namespace rannc {
 namespace {
@@ -147,42 +148,25 @@ TEST(Mlp, BatchDimensionBakedIn) {
 
 class ModelValidation : public ::testing::TestWithParam<int> {};
 
+// Builders do not check their own output: the analysis suite (structural
+// verifier, shape re-inference, dead tasks) must find no error in it.
 TEST_P(ModelValidation, AllBuildersProduceValidGraphs) {
-  switch (GetParam()) {
-    case 0: {
-      BertConfig c;
-      c.hidden = 128;
-      c.layers = 2;
-      c.seq_len = 16;
-      c.vocab = 64;
-      EXPECT_NO_THROW(build_bert(c).graph.validate());
-      break;
-    }
-    case 1: {
-      ResNetConfig c;
-      c.depth = 50;
-      c.image_size = 32;
-      EXPECT_NO_THROW(build_resnet(c).graph.validate());
-      break;
-    }
-    case 2: {
-      Gpt2Config c;
-      c.hidden = 64;
-      c.layers = 2;
-      c.seq_len = 16;
-      c.vocab = 64;
-      EXPECT_NO_THROW(build_gpt2(c).graph.validate());
-      break;
-    }
-    case 3: {
-      MlpConfig c;
-      EXPECT_NO_THROW(build_mlp(c).graph.validate());
-      break;
-    }
-  }
+  const serve::ModelSpec specs[] = {
+      {.model = "bert", .layers = 2, .hidden = 128, .seq = 16, .vocab = 64},
+      {.model = "resnet", .depth = 50, .image = 32},
+      {.model = "gpt2", .layers = 2, .hidden = 64, .seq = 16, .vocab = 64},
+      {.model = "mlp"},
+      {.model = "t5", .layers = 2, .hidden = 64, .seq = 16, .vocab = 64},
+      {.model = "moe", .layers = 2, .hidden = 64, .seq = 16, .vocab = 64,
+       .experts = 4},
+  };
+  const serve::ModelSpec& spec = specs[GetParam()];
+  const auto ds = lint_graph(serve::build_model(spec).graph);
+  EXPECT_EQ(count_errors(ds), 0u) << serve::canonical_sig(spec) << ":\n"
+                                  << render(ds);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModels, ModelValidation, ::testing::Range(0, 4));
+INSTANTIATE_TEST_SUITE_P(AllModels, ModelValidation, ::testing::Range(0, 6));
 
 // Regression gate for builder shape/attr bugs: the independent shape
 // re-inference of src/analysis must agree with every recorded shape, at two

@@ -19,6 +19,7 @@
 #include "partition/search.h"
 #include "partition/block.h"
 #include "profiler/graph_profiler.h"
+#include "serve/fingerprint.h"
 
 namespace rannc {
 namespace {
@@ -93,7 +94,6 @@ TaskGraph random_graph(std::uint32_t seed, int depth = 8, int width = 4) {
     acc = g.add_task("join" + std::to_string(j++), OpKind::Add,
                      {acc, frontier[i]}, Shape{dim, dim});
   g.mark_output(acc);
-  g.validate();
   return g;
 }
 
@@ -277,7 +277,8 @@ TEST_P(Fuzz, RandomGraphsPassTheVerifier) {
 
 /// Each corruption applied to a random well-formed graph must yield exactly
 /// the diagnostic the verifier documents for it — negative-path coverage for
-/// every structural check, on arbitrary topologies.
+/// every structural check, on arbitrary topologies — and both consumers of
+/// a graph, the search and the serve fingerprint, must refuse it.
 TEST_P(Fuzz, CorruptedGraphsYieldTheExpectedDiagnostic) {
   const std::uint32_t seed = GetParam();
   struct Corruption {
@@ -352,6 +353,10 @@ TEST_P(Fuzz, CorruptedGraphsYieldTheExpectedDiagnostic) {
         << "seed " << seed << ": corruption expected to yield "
         << diag_code_name(c.expected) << " but produced:\n"
         << render(ds);
+    EXPECT_THROW((void)serve::fingerprint_graph(g), std::logic_error)
+        << diag_code_name(c.expected);
+    EXPECT_THROW((void)auto_partition(g, SearchRequest{}), std::logic_error)
+        << diag_code_name(c.expected);
   }
 }
 

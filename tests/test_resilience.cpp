@@ -382,7 +382,7 @@ TEST(PartitionConfigValidate, BadMemoryMargin) {
 TEST(PartitionConfigValidate, BadThreadCount) {
   // Above the cap too: the pool starts every worker eagerly, so an
   // unbounded count from a flag or a wire request must be refused here.
-  for (const int threads : {-1, kMaxSearchThreads + 1,
+  for (const int threads : {-1, kMaxThreads + 1,
                             std::numeric_limits<int>::max()}) {
     SearchRequest req;
     req.budget.threads = threads;
@@ -391,7 +391,7 @@ TEST(PartitionConfigValidate, BadThreadCount) {
     EXPECT_EQ(ds[0].code, DiagCode::BadThreadCount) << threads;
   }
   SearchRequest at_cap;
-  at_cap.budget.threads = kMaxSearchThreads;
+  at_cap.budget.threads = kMaxThreads;
   EXPECT_TRUE(at_cap.validate().empty());
 }
 

@@ -81,21 +81,23 @@ bool eventually(F&& pred, int timeout_ms = 10000) {
 }
 
 /// Two independent elementwise branches joined by an Add — small enough to
-/// mutate precisely, rich enough to exercise ordering and topology.
+/// mutate precisely, rich enough to exercise ordering and topology. Every
+/// value has shape `shape` and dtype `dtype`.
 TaskGraph two_branch(bool swap_task_insertion = false,
-                     const std::string& tag = "") {
+                     const std::string& tag = "", const Shape& shape = {4, 8},
+                     DType dtype = DType::F32) {
   TaskGraph g("m" + tag);
-  const ValueId a = g.add_input("a" + tag, Shape{4, 8});
-  const ValueId b = g.add_input("b" + tag, Shape{4, 8});
+  const ValueId a = g.add_input("a" + tag, shape, dtype);
+  const ValueId b = g.add_input("b" + tag, shape, dtype);
   ValueId ra = -1, rb = -1;
   if (swap_task_insertion) {
-    rb = g.add_task("t" + tag, OpKind::Tanh, {b}, Shape{4, 8});
-    ra = g.add_task("r" + tag, OpKind::Relu, {a}, Shape{4, 8});
+    rb = g.add_task("t" + tag, OpKind::Tanh, {b}, shape, dtype);
+    ra = g.add_task("r" + tag, OpKind::Relu, {a}, shape, dtype);
   } else {
-    ra = g.add_task("r" + tag, OpKind::Relu, {a}, Shape{4, 8});
-    rb = g.add_task("t" + tag, OpKind::Tanh, {b}, Shape{4, 8});
+    ra = g.add_task("r" + tag, OpKind::Relu, {a}, shape, dtype);
+    rb = g.add_task("t" + tag, OpKind::Tanh, {b}, shape, dtype);
   }
-  const ValueId s = g.add_task("s" + tag, OpKind::Add, {ra, rb}, Shape{4, 8});
+  const ValueId s = g.add_task("s" + tag, OpKind::Add, {ra, rb}, shape, dtype);
   g.mark_output(s);
   return g;
 }
@@ -161,14 +163,13 @@ TEST(Fingerprint, InsertionOrderOfIndependentTasksDoesNotMatter) {
 TEST(Fingerprint, RecordedIntermediateMetadataCannotSkew) {
   // The exact skew the ShapeMismatch/DTypeMismatch diagnostics catch:
   // builder-recorded intermediate metadata diverging from re-inference.
-  // The fingerprint must be computed from re-inference, so it is immune.
-  const Fingerprint clean = serve::fingerprint_graph(two_branch());
+  // Such a graph is refused an identity rather than hashed.
   TaskGraph g1 = two_branch();
   g1.value_mut(g1.task(0).output).shape = Shape{3, 5, 7};
-  EXPECT_EQ(serve::fingerprint_graph(g1), clean);
+  EXPECT_THROW((void)serve::fingerprint_graph(g1), std::logic_error);
   TaskGraph g2 = two_branch();
   g2.value_mut(g2.task(0).output).dtype = DType::I64;
-  EXPECT_EQ(serve::fingerprint_graph(g2), clean);
+  EXPECT_THROW((void)serve::fingerprint_graph(g2), std::logic_error);
 }
 
 TEST(Fingerprint, SemanticMutationsChangeIt) {
@@ -179,16 +180,12 @@ TEST(Fingerprint, SemanticMutationsChangeIt) {
     g.task_mut(0).kind = OpKind::Gelu;
     EXPECT_NE(serve::fingerprint_graph(g), clean);
   }
-  {  // input shape
-    TaskGraph g = two_branch();
-    g.value_mut(g.input_values()[0]).shape = Shape{4, 16};
-    EXPECT_NE(serve::fingerprint_graph(g), clean);
-  }
-  {  // input dtype
-    TaskGraph g = two_branch();
-    g.value_mut(g.input_values()[0]).dtype = DType::F16;
-    EXPECT_NE(serve::fingerprint_graph(g), clean);
-  }
+  // shape and dtype: the same graph built valid at another one
+  EXPECT_NE(serve::fingerprint_graph(two_branch(false, "", Shape{4, 16})),
+            clean);
+  EXPECT_NE(serve::fingerprint_graph(
+                two_branch(false, "", Shape{4, 8}, DType::F16)),
+            clean);
   {  // attributes
     TaskGraph g = two_branch();
     g.task_mut(0).attrs.set("axis", std::int64_t{1});
@@ -230,7 +227,7 @@ TEST(Fingerprint, DistinctModelsDiffer) {
 TEST(Fingerprint, MalformedGraphThrows) {
   TaskGraph g = two_branch();
   g.task_mut(1).id = 0;
-  EXPECT_THROW(serve::fingerprint_graph(g), std::invalid_argument);
+  EXPECT_THROW(serve::fingerprint_graph(g), std::logic_error);
 }
 
 // ---- plan store ------------------------------------------------------------
@@ -392,6 +389,31 @@ TEST(PlanServerTest, StatsJsonCarriesLatencyQuantiles) {
   EXPECT_GE(miss->getd("p99"), miss->getd("p50"));
 }
 
+TEST(PlanServerTest, ColdThenSiblingMissVerifiesTheGraphOnce) {
+  // The graph cache keeps each model's VerifiedGraph: a sibling geometry
+  // misses the plan cache and searches again, but does not verify again.
+  PlanServer server(ServeOptions{});
+  ServeRequest sibling = mlp_request();
+  sibling.search.cluster.devices_per_node = 4;
+  obs::TraceRecorder rec;
+  obs::set_recorder(&rec);
+  const ServeResponse cold_resp = server.handle(mlp_request());
+  const ServeResponse sibling_resp = server.handle(sibling);
+  obs::set_recorder(nullptr);
+  ASSERT_EQ(cold_resp.status, ServeResponse::Status::Miss) << cold_resp.error;
+  ASSERT_EQ(sibling_resp.status, ServeResponse::Status::Miss)
+      << sibling_resp.error;
+
+  int verify = 0, searches = 0;
+  for (const obs::TraceEvent& e : rec.snapshot()) {
+    if (e.ph != 'X') continue;
+    verify += e.name == "verify";
+    searches += e.name == "auto_partition";
+  }
+  EXPECT_EQ(searches, 2);
+  EXPECT_EQ(verify, 1);
+}
+
 TEST(PlanServerTest, DiskWarmRestartHitsWithIdenticalPlan) {
   const auto dir = fresh_dir("restart");
   std::string first_plan;
@@ -524,7 +546,7 @@ TEST(PlanServerTest, ConcurrentDuplicatesCoalesceOntoOneSearch) {
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
   ServeOptions o;
-  o.search_fn = [gate](const TaskGraph& g, const SearchRequest& req) {
+  o.search_fn = [gate](const VerifiedGraph& g, const SearchRequest& req) {
     gate.wait();  // hold the leader's search open
     return auto_partition(g, req);
   };
@@ -562,7 +584,7 @@ TEST(PlanServerTest, MissesBeyondTheQueueBoundAreShed) {
   std::shared_future<void> gate = release.get_future().share();
   ServeOptions o;
   o.max_queue = 1;
-  o.search_fn = [gate](const TaskGraph& g, const SearchRequest& req) {
+  o.search_fn = [gate](const VerifiedGraph& g, const SearchRequest& req) {
     gate.wait();
     return auto_partition(g, req);
   };
@@ -624,7 +646,7 @@ TEST(ServeWire, RequestReplyRoundTrip) {
   EXPECT_FALSE(bad.shutdown);
   EXPECT_EQ(json::parse(bad.reply).gets("status"), "error");
 
-  // A thread count past kMaxSearchThreads is refused by request
+  // A thread count past kMaxThreads is refused by request
   // validation, before any pool is built. (A new geometry: a cached plan
   // would be a hit without searching. Just past the cap, so a broken
   // check costs this test 256 threads, not 2^31.)

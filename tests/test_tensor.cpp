@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -101,6 +102,18 @@ TEST(ThreadPool, ParallelEachWorksWithoutWorkers) {
     ++hits[static_cast<std::size_t>(i)];
   });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+// The RANNC_THREADS parser both the kernel pool and the search use. Only
+// the text is parsed: no pool is built, so a broken cap costs nothing.
+TEST(ThreadPool, ParseThreadCountCapsAndRejects) {
+  EXPECT_EQ(parse_thread_count("5"), 5);
+  EXPECT_EQ(parse_thread_count("256"), kMaxThreads);
+  EXPECT_EQ(parse_thread_count("100000"), kMaxThreads);
+  EXPECT_EQ(parse_thread_count("99999999999999999999"), kMaxThreads);
+  for (const char* unset : {"0", "-3", "", "garbage", "4x"})
+    EXPECT_EQ(parse_thread_count(unset), std::nullopt) << unset;
+  EXPECT_EQ(parse_thread_count(nullptr), std::nullopt);
 }
 
 TEST(MatMul, SmallReference) {

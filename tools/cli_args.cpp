@@ -95,24 +95,27 @@ ArgParser::Status ArgParser::parse(int argc, char** argv) const {
     }
     const std::string v = argv[++i];
     try {
+      // A number must use the whole value: "2x" is bad, not 2.
+      std::size_t used = v.size();
       switch (e->kind) {
         case Kind::String:
           *static_cast<std::string*>(e->dst) = v;
           break;
         case Kind::Int64:
-          *static_cast<std::int64_t*>(e->dst) = std::stoll(v);
+          *static_cast<std::int64_t*>(e->dst) = std::stoll(v, &used);
           break;
         case Kind::Int:  // out of int's range throws, like out of int64's
-          *static_cast<int*>(e->dst) = std::stoi(v);
+          *static_cast<int*>(e->dst) = std::stoi(v, &used);
           break;
         case Kind::Double:
-          *static_cast<double*>(e->dst) = std::stod(v);
+          *static_cast<double*>(e->dst) = std::stod(v, &used);
           break;
         case Kind::Switch:
         case Kind::Section:
         case Kind::Operand:
           break;
       }
+      if (used != v.size()) throw std::invalid_argument(v);
     } catch (const std::exception&) {
       std::cerr << prog_ << ": bad value '" << v << "' for '" << a << "'\n";
       return Status::Error;

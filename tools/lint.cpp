@@ -55,7 +55,8 @@ int run(const Inputs& in, const Options& o) {
 
   if (o.fingerprint) {
     // Cache identity for the serve layer: the canonical semantic hash,
-    // invariant to names/insertion order and any recorded-metadata skew.
+    // invariant to names and insertion order (throws on a graph that fails
+    // verification).
     std::cout << "fingerprint: " << serve::fingerprint_graph(g).hex() << '\n';
   }
 

@@ -46,9 +46,9 @@ struct Options {
 
 int run(const Inputs& in, const Options& o) {
   // Transport threads start eagerly: bound them like search threads.
-  if (o.workers < 1 || o.workers > kMaxSearchThreads || o.max_queue < 1)
+  if (o.workers < 1 || o.workers > kMaxThreads || o.max_queue < 1)
     throw std::invalid_argument("--workers must be in [1, " +
-                                std::to_string(kMaxSearchThreads) +
+                                std::to_string(kMaxThreads) +
                                 "] and --max-queue >= 1");
   serve::ServeOptions so;
   so.store_dir = o.store_dir;
