@@ -1,11 +1,11 @@
 // Runtime raw-speed benchmark: end-to-end training steps/sec on the same
 // loss-parity models the equivalence suite trains, comparing the seed
-// configuration (naive reference kernels, eager deep-clone snapshots) with
-// the fast path (blocked/SIMD kernels, arena allocation, copy-on-write
-// snapshots). Emits BENCH_RUNTIME.json and gates on the tentpole claim:
-// fast-path step throughput >= `--gate`x (default 5x) the naive path on
-// every model, with blocked results bit-identical across thread counts and
-// final losses matching the naive run within the loss-parity threshold.
+// configuration (naive reference kernels, no arena) with the fast path
+// (blocked/SIMD kernels, arena allocation). Emits BENCH_RUNTIME.json and
+// gates on the tentpole claim: fast-path step throughput >= `--gate`x
+// (default 5x) the naive path on every model, with blocked results
+// bit-identical across thread counts and final losses matching the naive
+// run within the loss-parity threshold.
 //
 // Usage: bench_runtime [--quick] [--out FILE] [--gate X]
 //   --quick   fewer measured steps (CI smoke); gate still evaluated
@@ -35,7 +35,6 @@ using namespace rannc;
 
 struct RunConfig {
   bool naive = false;   // reference kernels instead of blocked
-  bool eager = false;   // deep-clone snapshots instead of CoW
   bool arena = true;    // slab pooling on
 };
 
@@ -169,7 +168,6 @@ RunResult run_case(const ModelCase& c, const RunConfig& rc, int steps,
   PipelineOptions popt;
   popt.opt = oc;
   popt.seed = 42;
-  popt.eager_snapshots = rc.eager;
   PipelineTrainer pipeline(c.model.graph, c.stage_tasks, popt);
 
   RunResult r;
@@ -229,7 +227,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("== Runtime raw speed: naive seed path vs blocked+arena+CoW ==\n");
+  std::printf("== Runtime raw speed: naive seed path vs blocked+arena ==\n");
   std::printf("SIMD blocked kernels: %s\n\n",
               detail::blocked_kernels_simd() ? "AVX2+FMA" : "portable C");
 
@@ -237,8 +235,8 @@ int main(int argc, char** argv) {
   cases.push_back(make_mlp_case());
   cases.push_back(make_bert_case());
 
-  const RunConfig naive_cfg{/*naive=*/true, /*eager=*/true, /*arena=*/false};
-  const RunConfig fast_cfg{/*naive=*/false, /*eager=*/false, /*arena=*/true};
+  const RunConfig naive_cfg{/*naive=*/true, /*arena=*/false};
+  const RunConfig fast_cfg{/*naive=*/false, /*arena=*/true};
 
   double min_speedup = 1e30;
   bool parity_ok = true, threads_ok = true;

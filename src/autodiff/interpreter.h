@@ -58,10 +58,11 @@ class Interpreter {
   /// weight transposes). Parameters are fixed for the duration of a training
   /// step, so each memoized task runs once per step and every later
   /// microbatch reuses the result — a pure permutation of unchanged data,
-  /// bit-identical to recomputing it. Callers MUST invalidate whenever
-  /// parameters may change (optimizer step, rollback, state import); as a
-  /// second line of defense an entry is only reused while the input tensor
-  /// still aliases the exact buffer it was computed from. Thread-safe.
+  /// bit-identical to recomputing it. An entry is reused while its input
+  /// keeps the data pointer it was computed from, and an in-place optimizer
+  /// step keeps that pointer while changing the bytes, so callers MUST
+  /// invalidate whenever parameters may change (after every optimizer
+  /// step). Thread-safe.
   void set_param_memo(bool on) { param_memo_ = on; }
   void invalidate_param_memo() {
     std::lock_guard<std::mutex> lk(memo_mu_);

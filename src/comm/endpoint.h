@@ -12,10 +12,8 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 
-#include "comm/fault.h"
 #include "comm/oracle.h"
 #include "runtime/channel.h"
 
@@ -44,21 +42,9 @@ class FabricEndpoint {
 
   std::optional<T> recv() { return recv(nullptr, 0.0); }
 
-  /// Receive with fault/timeout semantics. When a `MessageFaultInjector`
-  /// is attached (see `set_fault_injector`) it is consulted before the
-  /// channel is touched: an injected fault returns nullopt with
-  /// `RecvStatus::Timeout` without consuming the message, so the caller's
-  /// retry loop re-attempts the *same* message (attempt numbers increase).
-  /// `timeout_s > 0` additionally bounds the real wait on the channel.
-  /// Delivered messages advance the per-endpoint sequence number and reset
-  /// the attempt counter.
+  /// Receive reporting how the wait ended (see RecvStatus). `timeout_s > 0`
+  /// bounds the real wait on the channel; 0 blocks until data or close.
   std::optional<T> recv(RecvStatus* status, double timeout_s = 0.0) {
-    if (injector_ &&
-        injector_->should_timeout(channel_name_, recv_seq_, attempt_)) {
-      ++attempt_;
-      if (status) *status = RecvStatus::Timeout;
-      return std::nullopt;
-    }
     std::optional<T> item;
     if (timeout_s > 0) {
       RecvStatus st = RecvStatus::Closed;
@@ -70,28 +56,11 @@ class FabricEndpoint {
       if (status) *status = item ? RecvStatus::Ok : RecvStatus::Closed;
       if (!item) return item;
     }
-    ++recv_seq_;
-    attempt_ = 0;
     accrue(*item, recv_seconds_, recv_bytes_);
     return item;
   }
 
-  /// Attaches a deterministic message-fault oracle; `name` is the logical
-  /// channel name the injector keys on. nullptr detaches.
-  void set_fault_injector(
-      std::shared_ptr<const MessageFaultInjector> injector,
-      std::string name) {
-    injector_ = std::move(injector);
-    channel_name_ = std::move(name);
-  }
-
   void close() { ch_.close(); }
-
-  /// Reopens a closed endpoint (see Channel::reopen). Sequence and attempt
-  /// counters are preserved: delivery counts up to an abort are themselves
-  /// deterministic, so fault-injector keys stay reproducible across a
-  /// rollback-and-retry.
-  void reopen() { ch_.reopen(); }
 
   // Send-side counters are written only by the sending thread and
   // recv-side only by the receiving thread; read them after those threads
@@ -115,11 +84,6 @@ class FabricEndpoint {
   BytesFn bytes_of_;
   double send_seconds_ = 0, recv_seconds_ = 0;
   std::int64_t sent_bytes_ = 0, recv_bytes_ = 0;
-  // Fault-injection state; touched only by the receiving thread.
-  std::shared_ptr<const MessageFaultInjector> injector_;
-  std::string channel_name_;
-  std::int64_t recv_seq_ = 0;
-  int attempt_ = 0;
 };
 
 }  // namespace comm

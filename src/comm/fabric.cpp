@@ -37,58 +37,6 @@ Fabric::Fabric(const ClusterSpec& spec) : spec_(spec) {
   received_.assign(static_cast<std::size_t>(R), 0);
   busy_.assign(links_.size(), 0.0);
   busy_until_.assign(links_.size(), 0.0);
-  link_faults_.assign(links_.size(), {});
-  fail_time_.assign(static_cast<std::size_t>(R), kInf);
-}
-
-void Fabric::add_link_fault(LinkId l, double start, double end,
-                            double factor) {
-  if (l < 0 || l >= num_links())
-    throw std::out_of_range("Fabric: fault link out of range");
-  if (!(start >= 0) || !std::isfinite(end) || end <= start)
-    throw std::invalid_argument("Fabric: fault window must be finite with end > start");
-  if (factor < 0 || factor > 1)
-    throw std::invalid_argument("Fabric: fault factor must be in [0, 1]");
-  link_faults_[static_cast<std::size_t>(l)].push_back({start, end, factor});
-  ++num_fault_windows_;
-}
-
-void Fabric::add_link_fault(const std::string& link_name, double start,
-                            double end, double factor) {
-  for (LinkId l = 0; l < num_links(); ++l)
-    if (links_[static_cast<std::size_t>(l)].name == link_name)
-      return add_link_fault(l, start, end, factor);
-  throw std::invalid_argument("Fabric: unknown link '" + link_name + "'");
-}
-
-void Fabric::set_rank_fail(Rank r, double t) {
-  check_rank(r);
-  if (!(t >= 0))
-    throw std::invalid_argument("Fabric: fail-stop time must be >= 0");
-  auto& ft = fail_time_[static_cast<std::size_t>(r)];
-  ft = std::min(ft, t);
-}
-
-void Fabric::clear_faults() {
-  for (auto& w : link_faults_) w.clear();
-  num_fault_windows_ = 0;
-  std::fill(fail_time_.begin(), fail_time_.end(), kInf);
-}
-
-double Fabric::link_factor(LinkId l, double t) const {
-  double f = 1.0;
-  for (const FaultWindow& w : link_faults_[static_cast<std::size_t>(l)])
-    if (w.start <= t && t < w.end) f = std::min(f, w.factor);
-  return f;
-}
-
-double Fabric::next_link_boundary(LinkId l, double t) const {
-  double b = kInf;
-  for (const FaultWindow& w : link_faults_[static_cast<std::size_t>(l)]) {
-    if (w.start > t) b = std::min(b, w.start);
-    if (w.end > t) b = std::min(b, w.end);
-  }
-  return b;
 }
 
 double Fabric::max_clock() const {
@@ -143,8 +91,6 @@ std::vector<double> Fabric::run_step(const std::vector<Transfer>& transfers) {
   struct St {
     double activate = 0;   ///< virtual time bytes start flowing
     double remaining = 0;  ///< bytes left
-    double doom = 0;       ///< earliest fail-stop among src/dst (+inf)
-    Rank doom_rank = 0;    ///< rank whose fail-stop sets `doom`
     LinkId path[4] = {0, 0, 0, 0};
     int npath = 0;
     bool done = false;
@@ -164,13 +110,7 @@ std::vector<double> Fabric::run_step(const std::vector<Transfer>& transfers) {
                           clock_[static_cast<std::size_t>(t.dst)]) +
                  lat;
     s.remaining = std::max(0.0, t.bytes);
-    const double fs = fail_time_[static_cast<std::size_t>(t.src)];
-    const double fd = fail_time_[static_cast<std::size_t>(t.dst)];
-    s.doom = std::min(fs, fd);
-    s.doom_rank = fs <= fd ? t.src : t.dst;
     s.npath = path_of(t.src, t.dst, s.path);
-    if (s.doom <= s.activate)
-      throw DeviceFailure(s.doom_rank, s.doom);
     if (s.remaining <= kByteEps) {  // latency-only message
       s.done = true;
       finish[i] = s.activate;
@@ -196,22 +136,16 @@ std::vector<double> Fabric::run_step(const std::vector<Transfer>& transfers) {
     rec_->counter(obs::Domain::SimFabric, l, "bw_share", ts * 1e6,
                   "\"bytes_per_s\":" + obs::json_double(share));
   };
-  // Each iteration finishes >= 1 transfer, jumps to the next activation,
-  // or crosses a fault-window boundary, so the loop is bounded by
-  // 2n + 2*windows events; the cap is a pure float-pathology backstop.
-  for (std::size_t iter = 0;
-       open > 0 && iter < 2 * n + 2 * num_fault_windows_ + 64; ++iter) {
+  // Each iteration finishes >= 1 transfer or jumps to the next activation,
+  // so the loop is bounded by 2n events; the cap is a pure float-pathology
+  // backstop.
+  for (std::size_t iter = 0; open > 0 && iter < 2 * n + 64; ++iter) {
     std::fill(active_on.begin(), active_on.end(), 0);
     bool any_active = false;
     double next_activation = kInf;
-    double next_doom = kInf;
     for (std::size_t i = 0; i < n; ++i) {
       const St& s = st[i];
       if (s.done) continue;
-      // A fail-stop reached while the batch is still open kills the run
-      // deterministically at exactly the registered virtual time.
-      if (s.doom <= now) throw DeviceFailure(s.doom_rank, s.doom);
-      next_doom = std::min(next_doom, s.doom);
       if (s.activate <= now) {
         any_active = true;
         for (int k = 0; k < s.npath; ++k)
@@ -223,37 +157,28 @@ std::vector<double> Fabric::run_step(const std::vector<Transfer>& transfers) {
     if (rec_ != nullptr) {
       for (std::size_t l = 0; l < links_.size(); ++l) {
         const double share =
-            active_on[l] > 0
-                ? links_[l].bandwidth *
-                      link_factor(static_cast<LinkId>(l), now) / active_on[l]
-                : 0.0;
+            active_on[l] > 0 ? links_[l].bandwidth / active_on[l] : 0.0;
         emit_share(static_cast<LinkId>(l), now, share);
       }
     }
     if (!any_active) {
-      now = std::min(next_activation, next_doom);
+      now = next_activation;
       continue;
     }
-    double next = std::min(next_activation, next_doom);
+    double next = next_activation;
     for (std::size_t i = 0; i < n; ++i) {
       const St& s = st[i];
       if (s.done || s.activate > now) continue;
       double r = kInf;
       for (int k = 0; k < s.npath; ++k) {
         const std::size_t l = static_cast<std::size_t>(s.path[k]);
-        r = std::min(r, links_[l].bandwidth *
-                            link_factor(static_cast<LinkId>(l), now) /
+        r = std::min(r, links_[l].bandwidth /
                             static_cast<double>(active_on[l]));
-        if (num_fault_windows_ > 0)
-          next = std::min(
-              next, next_link_boundary(static_cast<LinkId>(l), now));
       }
       rate[i] = r;
-      // r == 0 models a full outage: the transfer stalls until a window
-      // boundary (always finite) re-opens the link.
       if (r > 0) next = std::min(next, now + s.remaining / r);
     }
-    if (!std::isfinite(next)) break;  // defensive; windows are finite
+    if (!std::isfinite(next)) break;  // defensive: zero-bandwidth links
     const double dt = next - now;
     for (std::size_t l = 0; l < links_.size(); ++l)
       if (active_on[l] > 0) {
@@ -286,7 +211,7 @@ std::vector<double> Fabric::run_step(const std::vector<Transfer>& transfers) {
         emit_share(static_cast<LinkId>(l), now, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
       const Transfer& t = transfers[i];
-      // Uncontended, fault-free flow time and the slowest path link (the
+      // Uncontended flow time and the slowest path link (the
       // first on ties — deterministic): the causal baseline the
       // attribution layer charges contention queuing against.
       double min_bw = kInf;

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "cluster/cluster_spec.h"
-#include "comm/fault.h"
 #include "obs/attribution.h"
 #include "obs/trace.h"
 
@@ -68,9 +67,7 @@ class Fabric {
     return received_[static_cast<std::size_t>(r)];
   }
 
-  /// Rewinds all clocks and byte counters to zero. Registered faults are
-  /// kept (they are a schedule in virtual time, not accumulated state);
-  /// use clear_faults() to drop them.
+  /// Rewinds all clocks and byte counters to zero.
   void reset();
 
   /// Advances every rank clock to at least `t` — idle virtual time between
@@ -78,28 +75,6 @@ class Fabric {
   /// schedule time and fabric time share one axis. Transfers issued
   /// afterwards activate no earlier than `t`. Never rewinds.
   void advance_clocks(double t);
-
-  // -- deterministic fault injection (driven by src/resilience) -----------
-  /// Registers a bandwidth-degradation window on link `l`: while
-  /// `start <= t < end` the link's effective bandwidth is
-  /// `bandwidth * factor`. `factor` 0 models a full outage — transfers on
-  /// the link stall until the window closes. Windows may overlap; the
-  /// smallest overlapping factor wins. `end` must be finite.
-  void add_link_fault(LinkId l, double start, double end, double factor);
-  /// Convenience overload resolving the link by its name (e.g.
-  /// "nic-out:0"); throws std::invalid_argument on an unknown name.
-  void add_link_fault(const std::string& link_name, double start, double end,
-                      double factor);
-  /// Registers a fail-stop: any transfer touching rank `r` whose virtual
-  /// activity reaches time `t` throws DeviceFailure — including transfers
-  /// cut mid-flight. The earliest registered time wins.
-  void set_rank_fail(Rank r, double t);
-  /// Fail-stop time of `r`, or +inf when none is registered.
-  [[nodiscard]] double rank_fail_time(Rank r) const {
-    return fail_time_[static_cast<std::size_t>(r)];
-  }
-  /// Drops every registered link fault and fail-stop.
-  void clear_faults();
 
   /// Attaches a recorder: every transfer becomes a complete span on its
   /// egress link's SimFabric track, and per-link bandwidth-share counter
@@ -114,8 +89,8 @@ class Fabric {
   }
 
   /// One completed transfer, as appended to the transfer log. `activate`
-  /// is the flow start (after link latency), `nominal` the uncontended,
-  /// fault-free flow seconds (bytes / slowest-path-link bandwidth); the
+  /// is the flow start (after link latency), `nominal` the uncontended
+  /// flow seconds (bytes / slowest-path-link bandwidth); the
   /// difference between the actual flow time and `nominal` is contention
   /// queuing, attributed to `bottleneck`.
   struct TransferRecord {
@@ -161,12 +136,6 @@ class Fabric {
  private:
   /// Writes the link path src -> dst into `out[4]`; returns its length.
   int path_of(Rank src, Rank dst, LinkId out[4]) const;
-  /// Effective bandwidth multiplier of link `l` at virtual time `t` (min
-  /// over overlapping fault windows, 1 when none).
-  [[nodiscard]] double link_factor(LinkId l, double t) const;
-  /// Earliest fault-window boundary on link `l` strictly after `t`
-  /// (+inf when none).
-  [[nodiscard]] double next_link_boundary(LinkId l, double t) const;
   double ring_phase(const std::vector<Rank>& ring, double chunk_bytes,
                     int steps);
   [[nodiscard]] double finish_max(const std::vector<Rank>& ranks) const;
@@ -181,14 +150,6 @@ class Fabric {
   /// batches whose virtual intervals overlap (per-rank clocks allow that
   /// across run_step calls) are not double-counted.
   std::vector<double> busy_, busy_until_;
-  /// Per-link bandwidth-degradation windows (unsorted; evaluated by min
-  /// factor over overlaps) and per-rank fail-stop times (+inf = healthy).
-  struct FaultWindow {
-    double start = 0, end = 0, factor = 1;
-  };
-  std::vector<std::vector<FaultWindow>> link_faults_;
-  std::vector<double> fail_time_;
-  std::size_t num_fault_windows_ = 0;
   obs::TraceRecorder* rec_ = nullptr;
   bool log_enabled_ = false;
   std::vector<TransferRecord> log_;

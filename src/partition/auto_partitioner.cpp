@@ -471,7 +471,7 @@ SearchResult auto_partition(const VerifiedGraph& model,
   // budget.threads, read one set of read-only profile tables, share one
   // incumbent-cost channel and (when set) one atomic cell budget, and are
   // aggregated in job order so the resulting *plan* is bit-identical at any
-  // thread count and pruned vs exhaustive (docs/ALGORITHMS.md §13).
+  // thread count and pruned vs exhaustive (docs/ALGORITHMS.md §12).
   const int threads = resolve_search_threads(req.budget.threads);
   res.stats.threads_used = threads;
   const auto t_search0 = std::chrono::steady_clock::now();
@@ -557,7 +557,7 @@ SearchResult auto_partition(const VerifiedGraph& model,
     std::vector<double> ests(jobs.size(), 0);
     std::vector<char> skipped(jobs.size(), 0);
 
-    // Admissible per-job lower bounds (docs/ALGORITHMS.md §13). Every DP
+    // Admissible per-job lower bounds (docs/ALGORITHMS.md §12). Every DP
     // cell of job (S, MB) profiles at a per-replica microbatch >=
     // bsize_min = BS / R / MB / (D - S + 1) (integer division is antitone
     // in stage_devs, which maxes out at D - S + 1), and times/memory are

@@ -8,7 +8,7 @@
 // gradient all-reduce. That is the estimate the search optimizes
 // (PartitionResult::est_iteration_time is evaluate_plan's iteration_time),
 // and every tool, example and test that scores or replays a plan goes
-// through these two functions (docs/ALGORITHMS.md §9, §12).
+// through these two functions (docs/ALGORITHMS.md §11).
 #pragma once
 
 #include <vector>
@@ -40,9 +40,8 @@ PlanEvaluation evaluate_plan(const PartitionResult& plan,
 /// forward and a backward p2p of comm_out_bytes between the lead ranks of
 /// each pair of adjacent stages (replica 0), then one gradient all-reduce
 /// ring per stage across its devices of every pipeline replica. Devices of
-/// one replica are contiguous with the stages laid out in order. Throws
-/// comm::DeviceFailure when a transfer touches a failed rank. Recorder,
-/// transfer log and faults are whatever the caller set on the fabric.
+/// one replica are contiguous with the stages laid out in order. Recorder
+/// and transfer log are whatever the caller set on the fabric.
 void replay_plan_comm(comm::Fabric& fabric, const PartitionResult& plan);
 
 }  // namespace rannc

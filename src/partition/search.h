@@ -9,7 +9,7 @@
 // Invariant: the returned *plan* is bit-identical across every thread
 // count and pruned vs exhaustive mode. Pruning uses
 // admissible lower bounds and strictly dominated cuts only (see
-// docs/ALGORITHMS.md §13), so it can never remove the winner or perturb the
+// docs/ALGORITHMS.md §12), so it can never remove the winner or perturb the
 // deterministic (n, S, MB) tie-break; only the work counters (cells
 // visited, queries, prune totals) change.
 #pragma once

@@ -16,12 +16,11 @@
 //   models      BERT / GPT-2 / T5 / ResNet / MLP reference builders
 //   profiler    per-op cost model, graph profiler, memory estimator
 //   cluster     cluster topology and closed-form communication models
-//   comm        discrete-event fabric (contention, faults), endpoints
+//   comm        discrete-event fabric (contention), endpoints
 //   pipeline    GPipe / 1F1B schedule simulators
 //   partition   the automatic partitioner (paper Algorithms 1 & 2)
 //   baselines   Megatron-LM / GPipe-Model / PipeDream comparisons
 //   runtime     single-device trainer and the pipelined trainer
-//   resilience  fault plans, elastic recovery, fault-replay simulator
 //   serve       graph fingerprints, durable plan store, PlanServer
 #pragma once
 
@@ -59,7 +58,6 @@
 // ---- communication and schedules -------------------------------------------
 #include "comm/endpoint.h"
 #include "comm/fabric.h"
-#include "comm/fault.h"
 #include "comm/oracle.h"
 #include "pipeline/schedule.h"
 
@@ -82,11 +80,6 @@
 // ---- runtime ---------------------------------------------------------------
 #include "runtime/pipeline_runtime.h"
 #include "runtime/trainer.h"
-
-// ---- resilience ------------------------------------------------------------
-#include "resilience/fault_plan.h"
-#include "resilience/recovery.h"
-#include "resilience/sim.h"
 
 // ---- serving ---------------------------------------------------------------
 #include "serve/fingerprint.h"

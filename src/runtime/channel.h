@@ -20,7 +20,7 @@ namespace rannc {
 /// Outcome of a receive attempt on a channel or endpoint.
 enum class RecvStatus {
   Ok,       ///< an item was delivered
-  Timeout,  ///< the wait deadline expired (or a fault was injected)
+  Timeout,  ///< the wait deadline expired
   Closed,   ///< the channel is closed and drained
 };
 
@@ -54,7 +54,7 @@ class Channel {
 
   /// Bounded-wait receive: like recv(), but gives up after `timeout` and
   /// reports how the wait ended so callers can distinguish a slow peer
-  /// (Timeout — retryable) from a dead one (Closed).
+  /// (Timeout) from a dead one (Closed).
   std::optional<T> recv_for(std::chrono::duration<double> timeout,
                             RecvStatus* status) {
     std::unique_lock<std::mutex> lk(mu_);
@@ -75,15 +75,6 @@ class Channel {
     return item;
   }
 
-  /// Reopens a closed channel for another epoch of use, discarding any
-  /// undelivered items. Only safe once every thread of the previous epoch
-  /// has stopped touching the channel.
-  void reopen() {
-    std::lock_guard<std::mutex> lk(mu_);
-    closed_ = false;
-    queue_.clear();
-  }
-
   /// Marks the channel closed and wakes every blocked sender/receiver.
   /// Idempotent; already-queued items stay receivable.
   void close() {
@@ -93,14 +84,9 @@ class Channel {
     cv_space_.notify_all();
   }
 
-  [[nodiscard]] bool closed() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return closed_;
-  }
-
  private:
   std::size_t capacity_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_data_;
   std::condition_variable cv_space_;
   std::deque<T> queue_;

@@ -95,36 +95,4 @@ void Optimizer::step(TensorMap& params, const TensorMap& grads) {
   }
 }
 
-OptStateMap Optimizer::export_state() const {
-  OptStateMap out;
-  out.reserve(state_.size());
-  for (const auto& [v, s] : state_)
-    out.emplace(v, ParamOptState{s.m.clone(), s.v.clone()});
-  return out;
-}
-
-void Optimizer::import_state(const OptStateMap& state, std::int64_t t) {
-  state_.clear();
-  for (const auto& [v, s] : state) {
-    if (!s.m.defined() || !s.v.defined()) continue;
-    state_.emplace(v, ParamOptState{s.m.clone(), s.v.clone()});
-  }
-  t_ = t;
-}
-
-OptStateMap Optimizer::snapshot_state() const {
-  return state_;  // Tensor copies are shallow; step() copy-on-writes them
-}
-
-void Optimizer::adopt_state(OptStateMap state, std::int64_t t) {
-  state_ = std::move(state);
-  for (auto it = state_.begin(); it != state_.end();) {
-    if (!it->second.m.defined() || !it->second.v.defined())
-      it = state_.erase(it);
-    else
-      ++it;
-  }
-  t_ = t;
-}
-
 }  // namespace rannc

@@ -18,10 +18,8 @@ struct OptimizerConfig {
   float eps = 1e-8f;
 };
 
-/// Per-parameter optimizer state: Adam first/second moments (undefined
-/// tensors for SGD, which is stateless). The currency of transactional
-/// rollback and of elastic re-sharding — state maps can be merged across
-/// stage shards and split along a new stage layout.
+/// Per-parameter optimizer state: Adam first/second moments. SGD is
+/// stateless and keeps no entries.
 struct ParamOptState {
   Tensor m, v;
 };
@@ -30,12 +28,12 @@ using OptStateMap = std::unordered_map<ValueId, ParamOptState>;
 /// Stateful optimizer for one shard of parameters. Deterministic: update
 /// order follows ascending ValueId.
 ///
-/// Updates are copy-on-write: a parameter or moment tensor whose buffer is
-/// aliased elsewhere (a snapshot holding it) is not mutated — the update
-/// lands in a fresh arena buffer and the map entry is repointed. The
-/// arithmetic is the same either way, so in-place and CoW steps produce
-/// bit-identical values; a shallow snapshot taken before `step` keeps the
-/// pre-step bytes.
+/// Updates are in place unless a parameter or moment tensor's buffer is
+/// aliased elsewhere (say, a caller still holding `gather_params()`): then
+/// the alias is not mutated — the update lands in a fresh arena buffer and
+/// the map entry is repointed (copy-on-write). The arithmetic is the same
+/// either way, so in-place and CoW steps produce bit-identical values, and
+/// an alias taken before `step` keeps the pre-step bytes.
 class Optimizer {
  public:
   explicit Optimizer(OptimizerConfig cfg) : cfg_(cfg) {}
@@ -48,24 +46,8 @@ class Optimizer {
   /// The optimizer's step count (bias-correction time for Adam).
   [[nodiscard]] std::int64_t step_count() const { return t_; }
 
-  /// Deep copy of the per-parameter state. Safe to hold across `step`
-  /// calls (moments are cloned, not aliased).
-  [[nodiscard]] OptStateMap export_state() const;
-
-  /// Replaces the state with a deep copy of `state` (only entries with a
-  /// defined moment tensor are kept) and sets the step count to `t`.
-  /// Restoring an exported snapshot rewinds the optimizer bit-exactly.
-  void import_state(const OptStateMap& state, std::int64_t t);
-
-  /// Shallow (aliasing) copy of the state — O(1) per tensor. Because `step`
-  /// is copy-on-write, the snapshot keeps the pre-step bytes while the
-  /// optimizer moves on; cheap counterpart of `export_state`.
-  [[nodiscard]] OptStateMap snapshot_state() const;
-
-  /// Adopts `state` by move without cloning (entries with undefined moments
-  /// are dropped) and sets the step count to `t`. Rollback counterpart of
-  /// `snapshot_state`: restores the exact snapshot buffers.
-  void adopt_state(OptStateMap state, std::int64_t t);
+  /// The per-parameter state. Entries are updated in place by `step`.
+  [[nodiscard]] const OptStateMap& state() const { return state_; }
 
  private:
   OptimizerConfig cfg_;

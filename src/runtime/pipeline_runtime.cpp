@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -56,13 +55,6 @@ PipelineTrainer::PipelineTrainer(const TaskGraph& g,
     if (v < 0) throw std::invalid_argument("stages do not cover the graph");
 
   TensorMap all_params = init_params(g, options_.seed);
-  if (options_.initial_params) {
-    // Elastic resume: adopt surviving weights over the seeded init.
-    for (const auto& [v, t] : *options_.initial_params) {
-      auto it = all_params.find(v);
-      if (it != all_params.end()) it->second = t.clone();
-    }
-  }
   stages_.reserve(static_cast<std::size_t>(S));
   for (int s = 0; s < S; ++s) {
     stages_.emplace_back(options_.opt);
@@ -137,10 +129,6 @@ PipelineTrainer::PipelineTrainer(const TaskGraph& g,
                   std::to_string(e->to);
     e->bwd_name = "bwd " + std::to_string(e->to) + "->" +
                   std::to_string(e->from);
-    if (options_.fault_injector) {
-      e->fwd->set_fault_injector(options_.fault_injector, e->fwd_name);
-      e->bwd->set_fault_injector(options_.fault_injector, e->bwd_name);
-    }
     stages_[static_cast<std::size_t>(e->from)].out_edges.push_back(e.get());
     stages_[static_cast<std::size_t>(e->to)].in_edges.push_back(e.get());
     edges_.push_back(std::move(e));
@@ -149,15 +137,6 @@ PipelineTrainer::PipelineTrainer(const TaskGraph& g,
               stage_of_task[static_cast<std::size_t>(
                   g.value(loss_value_).producer)])]
       .owns_loss = true;
-
-  if (options_.initial_opt_state) {
-    for (Stage& st : stages_) {
-      OptStateMap shard;
-      for (const auto& [v, s] : *options_.initial_opt_state)
-        if (st.params.count(v)) shard.emplace(v, s);
-      st.opt.import_state(shard, options_.initial_opt_step);
-    }
-  }
 }
 
 TensorMap PipelineTrainer::gather_params() const {
@@ -167,22 +146,7 @@ TensorMap PipelineTrainer::gather_params() const {
   return all;
 }
 
-OptStateMap PipelineTrainer::gather_opt_state() const {
-  OptStateMap all;
-  for (const Stage& st : stages_)
-    for (auto& [v, s] : st.opt.export_state()) all.emplace(v, std::move(s));
-  return all;
-}
-
-std::int64_t PipelineTrainer::opt_step_count() const {
-  std::int64_t t = 0;
-  for (const Stage& st : stages_)
-    t = std::max(t, st.opt.step_count());
-  return t;
-}
-
 void PipelineTrainer::abort_pipeline() {
-  aborted_.store(true);
   for (auto& e : edges_) {
     e->fwd->close();
     e->bwd->close();
@@ -228,25 +192,15 @@ void PipelineTrainer::run_stage(Stage& stage,
   };
   std::vector<Ctx> ctxs(static_cast<std::size_t>(MB));
 
-  // Receive with the configured retry discipline. Timeouts (bounded waits
-  // expiring or injected message faults) are retried with exponential
-  // backoff — accounted into the report, not slept — until the attempt
-  // budget runs out; a closed channel means a peer aborted.
-  const RetryPolicy& rp = options_.retry;
-  const int max_attempts = std::max(1, rp.max_attempts);
-  const auto recv_retry =
-      [&](Endpoint& ep, const std::string& name) -> std::optional<TensorMap> {
-    double backoff = rp.backoff_base_s;
-    for (int a = 0; a < max_attempts; ++a) {
-      RecvStatus st = RecvStatus::Closed;
-      std::optional<TensorMap> m = ep.recv(&st, rp.recv_timeout_s);
-      if (st == RecvStatus::Ok) return m;
-      if (st == RecvStatus::Closed) return std::nullopt;
-      stage.report.retries += 1;
-      stage.report.backoff_seconds += backoff;
-      backoff *= rp.backoff_factor;
-    }
-    throw StageTimeoutError(stage.index, name, max_attempts);
+  // A closed channel means a peer aborted; an expired bounded wait fails
+  // the step.
+  const auto receive = [&](Endpoint& ep, const std::string& name) {
+    RecvStatus st = RecvStatus::Closed;
+    std::optional<TensorMap> m = ep.recv(&st, options_.recv_timeout_s);
+    if (st == RecvStatus::Timeout)
+      throw StageTimeoutError(stage.index, name, options_.recv_timeout_s);
+    if (!m) throw PipelineAborted{};
+    return std::move(*m);
   };
 
   // ---- forward flush -------------------------------------------------------
@@ -256,11 +210,9 @@ void PipelineTrainer::run_stage(Stage& stage,
     TensorMap values = stage.params;
     for (ValueId v : stage.input_values)
       values[v] = microbatches[static_cast<std::size_t>(j)].at(v);
-    for (Edge* e : stage.in_edges) {
-      std::optional<TensorMap> m = recv_retry(*e->fwd, e->fwd_name);
-      if (!m) throw PipelineAborted{};
-      for (auto& [v, t] : *m) values[v] = std::move(t);
-    }
+    for (Edge* e : stage.in_edges)
+      for (auto& [v, t] : receive(*e->fwd, e->fwd_name))
+        values[v] = std::move(t);
     if (options_.recompute) {
       // Keep only what is needed to re-run the forward pass.
       ctx.boundary = values;
@@ -289,11 +241,9 @@ void PipelineTrainer::run_stage(Stage& stage,
     TensorMap grads;
     if (stage.owns_loss)
       grads.emplace(loss_value_, Tensor::full(Shape{}, seed_grad));
-    for (Edge* e : stage.out_edges) {
-      std::optional<TensorMap> gm = recv_retry(*e->bwd, e->bwd_name);
-      if (!gm) throw PipelineAborted{};
-      for (auto& [v, t] : *gm) accumulate_grad(grads, v, std::move(t));
-    }
+    for (Edge* e : stage.out_edges)
+      for (auto& [v, t] : receive(*e->bwd, e->bwd_name))
+        accumulate_grad(grads, v, std::move(t));
     if (options_.recompute) {
       ctx.values = std::move(ctx.boundary);
       ForwardCache cache;
@@ -329,54 +279,21 @@ void PipelineTrainer::run_stage(Stage& stage,
 }
 
 float PipelineTrainer::step(const std::vector<TensorMap>& microbatches) {
+  // A failed step may have applied some stages' optimizer steps and not
+  // others, and its endpoints stay closed: nothing consistent to resume.
+  if (failed_)
+    throw std::logic_error("trainer unusable after a failed step");
   if (microbatches.empty()) return 0;
-  if (aborted_.exchange(false)) {
-    // The previous step was aborted; reopen the endpoints so this one can
-    // run (stale in-flight messages are discarded, counters preserved).
-    for (auto& e : edges_) {
-      e->fwd->reopen();
-      e->bwd->reopen();
-    }
-  }
-
-  // Transactional snapshot. Copy-on-write (the default) just aliases every
-  // buffer: the optimizer's CoW step leaves shared buffers untouched, so the
-  // snapshot stays bit-exact without a single copy — rollback moves the
-  // original buffers back. Eager mode keeps the deep-clone discipline.
-  struct StageSnapshot {
-    TensorMap params;
-    OptStateMap opt_state;
-    std::int64_t opt_step = 0;
-  };
-  std::vector<StageSnapshot> snapshot;
-  if (options_.transactional) {
-    snapshot.reserve(stages_.size());
-    for (const Stage& st : stages_) {
-      StageSnapshot s;
-      if (options_.eager_snapshots) {
-        for (const auto& [v, t] : st.params) s.params.emplace(v, t.clone());
-        s.opt_state = st.opt.export_state();
-      } else {
-        s.params = st.params;                   // shallow
-        s.opt_state = st.opt.snapshot_state();  // shallow
-      }
-      s.opt_step = st.opt.step_count();
-      snapshot.push_back(std::move(s));
-    }
-  }
 
   double loss_sum = 0;
   std::exception_ptr error;
   std::mutex error_mu;
-  std::size_t done = 0;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
   std::vector<std::thread> threads;
   threads.reserve(stages_.size());
   for (std::size_t si = 0; si < stages_.size(); ++si) {
     Stage& st = stages_[si];
     threads.emplace_back([this, si, &st, &microbatches, &loss_sum, &error,
-                          &error_mu, &done, &done_mu, &done_cv] {
+                          &error_mu] {
       obs::set_thread_name("stage-" + std::to_string(si));
       try {
         obs::Scope sc(
@@ -393,49 +310,16 @@ float PipelineTrainer::step(const std::vector<TensorMap>& microbatches) {
                                           << " failed; aborting pipeline");
         abort_pipeline();
       }
-      {
-        std::lock_guard<std::mutex> lk(done_mu);
-        ++done;
-      }
-      done_cv.notify_one();
     });
-  }
-  bool deadline_hit = false;
-  if (options_.step_deadline_s > 0) {
-    std::unique_lock<std::mutex> lk(done_mu);
-    if (!done_cv.wait_for(
-            lk, std::chrono::duration<double>(options_.step_deadline_s),
-            [&] { return done == stages_.size(); })) {
-      deadline_hit = true;
-      lk.unlock();
-      RANNC_LOG_ERROR("pipeline step exceeded deadline of "
-                      << options_.step_deadline_s << "s; aborting pipeline");
-      abort_pipeline();
-    }
   }
   for (std::thread& t : threads) t.join();
   collect_comm_reports();
-  if (deadline_hit && !error)
-    error = std::make_exception_ptr(StepDeadlineError(
-        "pipeline step exceeded deadline of " +
-        std::to_string(options_.step_deadline_s) + "s"));
   Arena::global().end_epoch();
-  interp_.invalidate_param_memo();  // optimizer steps replaced the params
+  // The optimizer updated the params in place: same data pointers, new
+  // bytes, so the pointer-keyed memo must not serve them again.
+  interp_.invalidate_param_memo();
   if (error) {
-    if (options_.transactional) {
-      for (std::size_t s = 0; s < stages_.size(); ++s) {
-        stages_[s].params = std::move(snapshot[s].params);
-        if (options_.eager_snapshots)
-          stages_[s].opt.import_state(snapshot[s].opt_state,
-                                      snapshot[s].opt_step);
-        else
-          stages_[s].opt.adopt_state(std::move(snapshot[s].opt_state),
-                                     snapshot[s].opt_step);
-      }
-      RANNC_LOG_WARN(
-          "pipeline step failed; rolled parameters and optimizer state back "
-          "to the last completed step");
-    }
+    failed_ = true;
     std::rethrow_exception(error);
   }
   // Publish per-stage causal attribution inputs: cumulative compute/comm

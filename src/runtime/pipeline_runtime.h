@@ -14,7 +14,6 @@
 // are themselves deterministic here).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -32,20 +31,6 @@
 
 namespace rannc {
 
-/// Retry discipline for boundary receives. A receive that times out (either
-/// a bounded channel wait expiring or an injected message fault) is retried
-/// up to `max_attempts` total attempts with exponential backoff. Backoff is
-/// *accounted, not slept*: the delay accrues to `StageReport::
-/// backoff_seconds` deterministically, so retry behaviour is identical
-/// across hosts and thread interleavings.
-struct RetryPolicy {
-  int max_attempts = 1;          ///< total delivery attempts per message
-  double backoff_base_s = 1e-3;  ///< simulated delay before the 1st retry
-  double backoff_factor = 2.0;   ///< multiplier per subsequent retry
-  /// Wall-clock bound on each channel wait; 0 blocks until data or close.
-  double recv_timeout_s = 0;
-};
-
 struct PipelineOptions {
   OptimizerConfig opt;
   std::uint64_t seed = 1;
@@ -58,43 +43,12 @@ struct PipelineOptions {
   /// comm time is reported next to measured compute time. Stage `s` is
   /// pinned to device `s` for link-class selection.
   std::optional<ClusterSpec> cluster;
-
-  // -- resilience -----------------------------------------------------------
-  /// Receive retry/backoff discipline for every boundary endpoint.
-  RetryPolicy retry;
-  /// Bound on the wall-clock duration of one `step` call; when it expires
-  /// the pipeline is aborted and `step` throws StepDeadlineError. 0 means
-  /// unbounded.
-  double step_deadline_s = 0;
-  /// Transactional steps: on any failure, parameters and optimizer state
-  /// roll back to their values at the start of the failed step before the
-  /// error is rethrown, so a recovery layer can resume from the last
-  /// completed optimizer step.
-  bool transactional = true;
-  /// Transactional snapshots are copy-on-write by default: the per-step
-  /// snapshot aliases the parameter/state buffers (O(1) per tensor) and the
-  /// optimizer repoints rather than mutates shared buffers, so the
-  /// snapshot's bytes survive untouched until rollback. Setting this keeps
-  /// the original eager discipline (deep-clone every shard at the start of
-  /// every step) — useful as a baseline; both modes roll back bit-exactly
-  /// and train bit-identically.
-  bool eager_snapshots = false;
-  /// Deterministic message-fault oracle attached to every boundary
-  /// endpoint (channels named "fwd <from>-><to>" / "bwd <to>-><from>").
-  std::shared_ptr<const comm::MessageFaultInjector> fault_injector;
-  /// Elastic resume: parameter values to adopt (by ValueId, deep-copied)
-  /// instead of fresh `seed` initialization; absent ids fall back to the
-  /// seeded init so a shrunk relaunch can reuse surviving weights.
-  std::shared_ptr<const TensorMap> initial_params;
-  /// Elastic resume: optimizer state to seed stage optimizers with (each
-  /// stage imports the entries of its own parameter shard) at step
-  /// `initial_opt_step`.
-  std::shared_ptr<const OptStateMap> initial_opt_state;
-  std::int64_t initial_opt_step = 0;
-  /// Test/fault-injection seam: called as (stage, microbatch) at the start
-  /// of every forward microbatch, from the stage's own thread. Lets a
-  /// harness stall a stage to exercise the step deadline. Must be
-  /// thread-safe.
+  /// Wall-clock bound on each boundary receive; a wait that expires fails
+  /// the step with StageTimeoutError. 0 blocks until data or close.
+  double recv_timeout_s = 0;
+  /// Test seam: called as (stage, microbatch) at the start of every
+  /// forward microbatch, from the stage's own thread. Lets a harness stall
+  /// or fail a stage. Must be thread-safe.
   std::function<void(int, int)> stage_hook;
 };
 
@@ -104,27 +58,21 @@ struct StageReport {
   double comm_seconds = 0;     ///< simulated fabric transfer time
   std::int64_t bytes_in = 0;   ///< boundary payload received
   std::int64_t bytes_out = 0;  ///< boundary payload sent
-  std::int64_t retries = 0;    ///< boundary receives retried after timeout
-  double backoff_seconds = 0;  ///< simulated exponential-backoff delay
 };
 
-/// A stage exhausted `RetryPolicy::max_attempts` waiting for one message.
+/// A stage waited longer than `PipelineOptions::recv_timeout_s` for one
+/// boundary message.
 class StageTimeoutError : public std::runtime_error {
  public:
-  StageTimeoutError(int stage, const std::string& channel, int attempts)
+  StageTimeoutError(int stage, const std::string& channel, double timeout_s)
       : std::runtime_error("stage " + std::to_string(stage) + ": receive on " +
                            channel + " timed out after " +
-                           std::to_string(attempts) + " attempts"),
+                           std::to_string(timeout_s) + "s"),
         stage_(stage) {}
   [[nodiscard]] int stage() const { return stage_; }
 
  private:
   int stage_;
-};
-
-/// `PipelineOptions::step_deadline_s` expired before all stages finished.
-class StepDeadlineError : public std::runtime_error {
-  using std::runtime_error::runtime_error;
 };
 
 class PipelineTrainer {
@@ -136,10 +84,10 @@ class PipelineTrainer {
 
   /// One synchronous pipeline step over the given microbatches; returns the
   /// mean loss. If any stage throws, the remaining stages are unblocked by
-  /// closing the fabric endpoints and the first exception is rethrown;
-  /// under `PipelineOptions::transactional` (the default) parameters and
-  /// optimizer state are first rolled back to their pre-step values, so a
-  /// failed step is a no-op on training state.
+  /// closing the fabric endpoints and the first exception is rethrown.
+  /// Some stages may already have applied their optimizer step by then,
+  /// so a failed step leaves the trainer unusable: every later `step`
+  /// throws std::logic_error.
   float step(const std::vector<TensorMap>& microbatches);
 
   [[nodiscard]] std::size_t num_stages() const { return stages_.size(); }
@@ -149,11 +97,6 @@ class PipelineTrainer {
   }
   /// All parameters across stages, merged into one map (shallow copies).
   [[nodiscard]] TensorMap gather_params() const;
-  /// Optimizer state across stages, merged (deep copies) — together with
-  /// `opt_step_count` this is everything a successor trainer needs to
-  /// resume training after elastic re-partitioning.
-  [[nodiscard]] OptStateMap gather_opt_state() const;
-  [[nodiscard]] std::int64_t opt_step_count() const;
   /// Cumulative compute/comm report for stage `s`. Comm time is accrued
   /// only when `PipelineOptions::cluster` is set.
   [[nodiscard]] const StageReport& stage_report(std::size_t s) const {
@@ -167,8 +110,8 @@ class PipelineTrainer {
     std::vector<ValueId> values;
     std::unique_ptr<Endpoint> fwd;
     std::unique_ptr<Endpoint> bwd;
-    /// Channel names ("fwd <from>-><to>" / "bwd <to>-><from>") used as
-    /// fault-injector keys and in timeout diagnostics.
+    /// Channel names ("fwd <from>-><to>" / "bwd <to>-><from>") used in
+    /// timeout diagnostics.
     std::string fwd_name, bwd_name;
   };
   struct Stage {
@@ -194,9 +137,8 @@ class PipelineTrainer {
   std::vector<Stage> stages_;
   std::vector<std::unique_ptr<Edge>> edges_;
   ValueId loss_value_ = -1;
-  /// Set by abort_pipeline; the next step() reopens the endpoints so a
-  /// rolled-back trainer can retry.
-  std::atomic<bool> aborted_{false};
+  /// Set when a step fails; every later step() throws.
+  bool failed_ = false;
 };
 
 }  // namespace rannc

@@ -20,7 +20,7 @@
 // SearchRequest::budget.threads and SearchRequest::prune are deliberately
 // excluded: plans are bit-identical across both (the thread-count
 // guarantee, extended by the admissible-bound proof of docs/ALGORITHMS.md
-// §13), so they must not split the cache — a pruned search hits the entry
+// §12), so they must not split the cache — a pruned search hits the entry
 // an exhaustive one wrote, and vice versa.
 //
 // Format version 2 dropped the version-1 profile-memo payload; a version-1

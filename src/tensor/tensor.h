@@ -32,9 +32,9 @@ class Tensor {
   [[nodiscard]] const Shape& shape() const { return shape_; }
   [[nodiscard]] std::int64_t numel() const { return shape_.numel(); }
   [[nodiscard]] bool defined() const { return data_ != nullptr; }
-  /// True when another Tensor (or snapshot) aliases this buffer. The
-  /// optimizer uses this for copy-on-write updates: a shared buffer is
-  /// left untouched and the update lands in a fresh arena slab.
+  /// True when another Tensor aliases this buffer. The optimizer uses this
+  /// for copy-on-write updates: a shared buffer is left untouched and the
+  /// update lands in a fresh arena slab.
   [[nodiscard]] bool is_shared() const { return data_.use_count() > 1; }
 
   [[nodiscard]] float* data() { return data_.get(); }

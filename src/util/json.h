@@ -1,7 +1,6 @@
 // The repo's one JSON reader: a minimal document model behind every parse
 // of external input — serve wire requests, plan-store entries,
-// plan_from_json (rannc lint --plan), FaultPlan::from_json (rannc sim
-// --faults) and rannc explain --diff. This is a strict parser for the full
+// plan_from_json (rannc lint --plan) and rannc explain --diff. This is a strict parser for the full
 // JSON grammar (objects, arrays, strings with escapes, numbers, booleans,
 // null) that rejects trailing garbage and numbers a double cannot hold;
 // numbers keep their raw spelling so std::int64_t values round-trip

@@ -241,6 +241,70 @@ TEST(SearchPrune, ValidateRejectsBadShardAndCellBudget) {
   EXPECT_THROW(auto_partition(m.graph, req), std::invalid_argument);
 }
 
+TEST(SearchRequestValidate, CleanConfigHasNoDiagnostics) {
+  EXPECT_TRUE(SearchRequest{}.validate().empty());
+}
+
+TEST(SearchRequestValidate, BadBatchSize) {
+  SearchRequest req;
+  req.batch_size = 0;
+  const auto ds = req.validate();
+  ASSERT_EQ(ds.size(), 1u);
+  EXPECT_EQ(ds[0].code, DiagCode::BadBatchSize);
+  EXPECT_EQ(ds[0].severity, Severity::Error);
+}
+
+TEST(SearchRequestValidate, BadMemoryMargin) {
+  SearchRequest req;
+  req.memory_margin = 0.0;
+  auto ds = req.validate();
+  ASSERT_EQ(ds.size(), 1u);
+  EXPECT_EQ(ds[0].code, DiagCode::BadMemoryMargin);
+  req.memory_margin = 1.5;
+  ds = req.validate();
+  ASSERT_EQ(ds.size(), 1u);
+  EXPECT_EQ(ds[0].code, DiagCode::BadMemoryMargin);
+}
+
+TEST(SearchRequestValidate, BadThreadCount) {
+  // Above the cap too: the pool starts every worker eagerly, so an
+  // unbounded count from a flag or a wire request must be refused here.
+  for (const int threads : {-1, kMaxThreads + 1,
+                            std::numeric_limits<int>::max()}) {
+    SearchRequest req;
+    req.budget.threads = threads;
+    const auto ds = req.validate();
+    ASSERT_EQ(ds.size(), 1u) << threads;
+    EXPECT_EQ(ds[0].code, DiagCode::BadThreadCount) << threads;
+  }
+  SearchRequest at_cap;
+  at_cap.budget.threads = kMaxThreads;
+  EXPECT_TRUE(at_cap.validate().empty());
+}
+
+TEST(SearchRequestValidate, BadBlockCount) {
+  SearchRequest req;
+  req.num_blocks = 0;
+  const auto ds = req.validate();
+  ASSERT_EQ(ds.size(), 1u);
+  EXPECT_EQ(ds[0].code, DiagCode::BadBlockCount);
+}
+
+TEST(SearchRequestValidate, EmptyCluster) {
+  SearchRequest req;
+  req.cluster.num_nodes = 0;
+  const auto ds = req.validate();
+  ASSERT_EQ(ds.size(), 1u);
+  EXPECT_EQ(ds[0].code, DiagCode::EmptyCluster);
+}
+
+TEST(SearchRequestValidate, GatesAutoPartition) {
+  const BuiltModel m = build_mlp(deep_mlp());
+  SearchRequest req;
+  req.batch_size = -4;
+  EXPECT_THROW(auto_partition(m.graph, req), std::invalid_argument);
+}
+
 // ---- stage-DP bound hooks: admissibility sensitivity ----------------------
 
 /// Synthetic ramp workload for direct form_stage_dp probing.

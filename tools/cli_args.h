@@ -117,7 +117,6 @@ Body lint_command(ArgParser& p, const Inputs& in);
 Body trace_command(ArgParser& p, const Inputs& in);
 Body explain_command(ArgParser& p, const Inputs& in);
 Body diff_command(ArgParser& p, const Inputs& in);
-Body sim_command(ArgParser& p, const Inputs& in);
 Body serve_command(ArgParser& p, const Inputs& in);
 
 }  // namespace rannc::cli

@@ -18,6 +18,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -52,12 +53,19 @@ std::string human_bytes(std::int64_t b) {
 int run(const Inputs& in, const Options& o) {
   const BuiltModel m = serve::build_model(in.model);
   const TaskGraph& g = m.graph;
+  // Verified once, on first use, for both the fingerprint and the search
+  // (throws on a graph that fails verification).
+  std::optional<VerifiedGraph> verified;
+  const auto verified_graph = [&]() -> const VerifiedGraph& {
+    if (!verified) verified.emplace(g);
+    return *verified;
+  };
 
   if (o.fingerprint) {
     // Cache identity for the serve layer: the canonical semantic hash,
-    // invariant to names and insertion order (throws on a graph that fails
-    // verification).
-    std::cout << "fingerprint: " << serve::fingerprint_graph(g).hex() << '\n';
+    // invariant to names and insertion order.
+    std::cout << "fingerprint: "
+              << serve::fingerprint_graph(verified_graph()).hex() << '\n';
   }
 
   if (!o.quiet)
@@ -127,7 +135,7 @@ int run(const Inputs& in, const Options& o) {
   if (o.partition) {
     SearchRequest req;
     apply_search(in.search, req);
-    const SearchResult sr = auto_partition(g, req);
+    const SearchResult sr = auto_partition(verified_graph(), req);
     const PartitionResult& r = sr.plan;
     std::cout << describe(r);
     std::cout << "search: " << r.stats.threads_used << " thread(s), "

@@ -5,8 +5,8 @@
 // name is "rannc <command>"), --help, the required --model, and the catch
 // of std::exception as exit code 2. A command supplies only its own flag
 // group and body. Exit codes: 0 = success, 1 = the command's own failure
-// (diagnostics, infeasible plan, aborted run, mismatching reports), 2 =
-// usage or input error.
+// (diagnostics, infeasible plan, mismatching reports), 2 = usage or input
+// error.
 #include <cstring>
 #include <exception>
 #include <iostream>
@@ -47,10 +47,6 @@ const Command kCommands[] = {
      "causal attribution report (critical path, conservation-checked time "
      "buckets, per-link contention, what-if estimates).",
      true, true, cli::explain_command},
-    {"sim", nullptr,
-     "Replays a partitioned training run in virtual time under a JSON fault "
-     "schedule, exercising retry, rollback and elastic recovery.",
-     true, true, cli::sim_command},
     {"serve", nullptr,
      "Long-lived partition service: newline-delimited JSON requests on "
      "stdin, one reply line each on stdout.",
