@@ -5,6 +5,7 @@
 // uncontended (the fabric degenerates to the closed form), > 1 where
 // co-located ranks share a NIC — the effect the closed-form model of
 // `src/cluster/cluster_spec.cpp` cannot represent.
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -36,31 +37,22 @@ std::string to_json(const Row& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace rannc;
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-
-  ClusterSpec analytic;  // paper testbed: 4 nodes x 8 V100
-  ClusterSpec fabric = analytic;
-  fabric.comm_model = CommModel::Fabric;
-
-  const std::vector<std::int64_t> sizes =
-      quick ? std::vector<std::int64_t>{1 << 20, 64 << 20}
-            : std::vector<std::int64_t>{1 << 10, 1 << 14, 1 << 18, 1 << 22,
-                                        1 << 26, 1LL << 28};
-  const std::vector<int> rank_counts =
-      quick ? std::vector<int>{8, 32} : std::vector<int>{2, 4, 8, 16, 32};
+  const ClusterSpec c;  // paper testbed: 4 nodes x 8 V100
 
   std::vector<Row> rows;
-  for (std::int64_t bytes : sizes) {
+  for (std::int64_t bytes : {std::int64_t{1} << 10, std::int64_t{1} << 14,
+                             std::int64_t{1} << 18, std::int64_t{1} << 22,
+                             std::int64_t{1} << 26, std::int64_t{1} << 28}) {
     for (const bool spans : {false, true}) {
-      rows.push_back({"p2p", bytes, 2, spans,
-                      comm_p2p_time(analytic, bytes, !spans),
-                      comm_p2p_time(fabric, bytes, !spans)});
-      for (int ranks : rank_counts)
-        rows.push_back({"allreduce", bytes, ranks, spans,
-                        comm_allreduce_time(analytic, bytes, ranks, spans),
-                        comm_allreduce_time(fabric, bytes, ranks, spans)});
+      rows.push_back({"p2p", bytes, 2, spans, p2p_time(c, bytes, !spans),
+                      comm::simulated_p2p_time(c, bytes, !spans)});
+      for (int ranks : {2, 4, 8, 16, 32})
+        rows.push_back(
+            {"allreduce", bytes, ranks, spans,
+             allreduce_time(c, bytes, ranks, spans),
+             comm::simulated_allreduce_time(c, bytes, ranks, spans)});
     }
   }
 

@@ -7,7 +7,6 @@
 // bars. Absolute samples/s depend on the device model; the claims under
 // test are the *shape*: who trains what, and who is faster.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "rannc.h"
@@ -37,17 +36,11 @@ int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
 
   ClusterSpec cluster;  // paper testbed: 4 nodes x 8 V100-32GB
-  // RANNC_COMM_MODEL=fabric swaps the closed-form comm estimates for the
-  // discrete-event fabric simulation (src/comm) in every planner.
-  const char* comm_env = std::getenv("RANNC_COMM_MODEL");
-  if (comm_env && std::string(comm_env) == "fabric")
-    cluster.comm_model = CommModel::Fabric;
   const std::int64_t BS = 256;
 
   std::printf("== Fig. 4: enlarged BERT pre-training throughput "
-              "(samples/s, batch %lld, %d GPUs, comm model: %s) ==\n\n",
-              static_cast<long long>(BS), cluster.total_devices(),
-              cluster.comm_model == CommModel::Fabric ? "fabric" : "analytic");
+              "(samples/s, batch %lld, %d GPUs) ==\n\n",
+              static_cast<long long>(BS), cluster.total_devices());
   std::printf("%-6s %-6s %-8s | %-9s %-10s %-11s %-10s %-10s | %-22s %-12s\n",
               "hidden", "layers", "params", "DataPar", "Megatron",
               "Megatron+A", "GPipe-H", "PD-2BW", "RaNNC", "RaNNC+AMP");

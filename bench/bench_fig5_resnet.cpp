@@ -6,7 +6,6 @@
 //     (torchgpipe: manual 8-stage balance, 64 microbatches) vs RaNNC
 // Megatron-LM and GPipe-Hybrid are inapplicable to ResNet (Section IV-A).
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "rannc.h"
@@ -25,15 +24,10 @@ std::string cell(const rannc::BaselinePlan& p, std::int64_t bs) {
 int main() {
   using namespace rannc;
   ClusterSpec four_nodes;               // 32 GPUs
-  const char* comm_env = std::getenv("RANNC_COMM_MODEL");
-  if (comm_env && std::string(comm_env) == "fabric")
-    four_nodes.comm_model = CommModel::Fabric;
   ClusterSpec one_node = four_nodes.single_node();  // 8 GPUs
 
   std::printf("== Fig. 5: enlarged ResNet training throughput "
-              "(samples/s, comm model: %s) ==\n\n",
-              four_nodes.comm_model == CommModel::Fabric ? "fabric"
-                                                         : "analytic");
+              "(samples/s) ==\n\n");
 
   for (int depth : {50, 101, 152}) {
     ResNetConfig rc;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "comm/oracle.h"
 #include "profiler/graph_profiler.h"
 
 namespace rannc {
@@ -46,7 +45,7 @@ BaselinePlan plan_data_parallel(const BuiltModel& model,
         (prec == Precision::Mixed ? 0.5 : 1.0));
     plan.iteration_time =
         static_cast<double>(accum) * (p.t_fwd + p.t_bwd) +
-        comm_allreduce_time(cluster, grad_bytes, devices, cluster.num_nodes > 1);
+        allreduce_time(cluster, grad_bytes, devices, cluster.num_nodes > 1);
     return plan;
   }
   plan.reason = "model does not fit one device (OOM)";

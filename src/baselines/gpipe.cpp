@@ -4,7 +4,6 @@
 
 #include "baselines/layer_stages.h"
 #include "baselines/staged_eval.h"
-#include "comm/oracle.h"
 
 namespace rannc {
 
@@ -41,8 +40,8 @@ BaselinePlan plan_gpipe_hybrid(const BuiltModel& model,
           simulate_gpipe(ev.times, static_cast<int>(MB));
       double max_ar = 0;
       for (std::int64_t pb : ev.param_bytes)
-        max_ar = std::max(max_ar, comm_allreduce_time(cluster, pb, replicas,
-                                                 cluster.num_nodes > 1));
+        max_ar = std::max(max_ar, allreduce_time(cluster, pb, replicas,
+                                                  cluster.num_nodes > 1));
       const double iter = sched.iteration_time + max_ar;
       if (!best.feasible || iter < best.iteration_time) {
         best.feasible = true;

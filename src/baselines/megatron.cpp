@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "comm/oracle.h"
 #include "profiler/graph_profiler.h"
 #include "profiler/memory.h"
 
@@ -53,7 +52,7 @@ BaselinePlan plan_megatron(const BuiltModel& model, const ClusterSpec& cluster,
     const auto ar_bytes = static_cast<std::int64_t>(
         static_cast<double>(bsize * model.seq_len * model.hidden * 4) * act_f);
     const bool tp_spans_nodes = p > cluster.devices_per_node;
-    const double ar_one = comm_allreduce_time(cluster, ar_bytes, p, tp_spans_nodes);
+    const double ar_one = allreduce_time(cluster, ar_bytes, p, tp_spans_nodes);
     const double ar_fwd = (2.0 * static_cast<double>(encoder_layers) + 1.0) * ar_one;
     const double ar_bwd = ar_fwd;
 
@@ -88,7 +87,7 @@ BaselinePlan plan_megatron(const BuiltModel& model, const ClusterSpec& cluster,
         p);
     const double iter =
         t_f + t_b +
-        comm_allreduce_time(cluster, grad_bytes, dp, cluster.num_nodes > 1);
+        allreduce_time(cluster, grad_bytes, dp, cluster.num_nodes > 1);
 
     if (!best.feasible || iter < best.iteration_time) {
       best.feasible = true;

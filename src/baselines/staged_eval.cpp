@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "comm/oracle.h"
-
 namespace rannc {
 
 std::int64_t StagedEval::max_mem() const {
@@ -30,9 +28,9 @@ StagedEval eval_stages(const GraphProfiler& prof, const ClusterSpec& cluster,
     const ProfileResult& p =
         prof.profile(stages[static_cast<std::size_t>(i)], bsize);
     const double comm_out =
-        i + 1 < S ? comm_partitioner_time(cluster, p.boundary_out_bytes) : 0;
+        i + 1 < S ? partitioner_comm_time(cluster, p.boundary_out_bytes) : 0;
     const double comm_in =
-        i > 0 ? comm_partitioner_time(cluster, p.boundary_in_bytes) : 0;
+        i > 0 ? partitioner_comm_time(cluster, p.boundary_in_bytes) : 0;
     StageTimes& st = ev.times[static_cast<std::size_t>(i)];
     st.t_f = p.t_fwd + comm_out;
     st.t_b = p.t_bwd + (checkpointing ? p.t_fwd : 0) + comm_in;

@@ -3,6 +3,12 @@
 // Models the paper's testbed (Section IV-A): 4 compute nodes, each with
 // 8 V100s connected by NVLink (25-50 GB/s between GPU pairs), nodes
 // connected by 100 Gb/s InfiniBand.
+//
+// The closed forms below are the only communication cost estimate: the
+// partitioner, plan evaluation, the baseline planners and the pipeline
+// runtime all call them. The discrete-event fabric in `src/comm` models
+// link contention, but only to replay a chosen plan and to compare against
+// these formulas (`bench_comm_fabric`).
 #pragma once
 
 #include <cstdint>
@@ -10,11 +16,6 @@
 #include "profiler/device_spec.h"
 
 namespace rannc {
-
-/// Which communication cost oracle estimate functions should use:
-/// the closed-form ring/p2p formulas below, or the discrete-event
-/// simulated fabric in `src/comm` (link contention, NIC sharing).
-enum class CommModel { Analytic, Fabric };
 
 struct ClusterSpec {
   int num_nodes = 4;
@@ -24,7 +25,6 @@ struct ClusterSpec {
   double intra_lat = 5.0e-6;   ///< seconds
   double inter_bw = 12.5e9;    ///< InfiniBand 100 Gb/s = 12.5 GB/s
   double inter_lat = 15.0e-6;
-  CommModel comm_model = CommModel::Analytic;
 
   [[nodiscard]] int total_devices() const {
     return num_nodes * devices_per_node;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 namespace rannc {
@@ -288,29 +289,30 @@ double Fabric::ring_allreduce(const std::vector<Rank>& ring,
   return ring_phase(ring, chunk, 2 * (r - 1));
 }
 
-double Fabric::broadcast(const std::vector<Rank>& ranks, Rank root,
-                         std::int64_t bytes) {
-  const int r = static_cast<int>(ranks.size());
-  if (r <= 1 || bytes <= 0) return finish_max(ranks);
-  // Binomial tree: in each round every rank that has the payload forwards
-  // it to one that does not; rounds = ceil(log2 r).
-  std::vector<Rank> order;
-  order.reserve(static_cast<std::size_t>(r));
-  order.push_back(root);
-  for (Rank x : ranks)
-    if (x != root) order.push_back(x);
-  int have = 1;
-  std::vector<Transfer> ts;
-  while (have < r) {
-    ts.clear();
-    for (int i = 0; i < have && have + i < r; ++i)
-      ts.push_back({order[static_cast<std::size_t>(i)],
-                    order[static_cast<std::size_t>(have + i)],
-                    static_cast<double>(bytes)});
-    run_step(ts);
-    have += static_cast<int>(ts.size());
+double simulated_p2p_time(const ClusterSpec& c, std::int64_t bytes,
+                          bool same_node) {
+  if (same_node && c.devices_per_node < 2) return p2p_time(c, bytes, true);
+  if (!same_node && c.num_nodes < 2) return p2p_time(c, bytes, false);
+  Fabric f(c);
+  return f.p2p(0, same_node ? 1 : c.devices_per_node, bytes);
+}
+
+double simulated_allreduce_time(const ClusterSpec& c, std::int64_t bytes,
+                                int ranks, bool spans_nodes) {
+  if (ranks <= 1 || bytes <= 0) return 0.0;
+  if (ranks > c.total_devices())
+    return allreduce_time(c, bytes, ranks, spans_nodes);
+  std::vector<Rank> ring(static_cast<std::size_t>(ranks));
+  if (spans_nodes && c.num_nodes > 1) {
+    const int nodes = std::min(c.num_nodes, ranks);
+    for (int i = 0; i < ranks; ++i)
+      ring[static_cast<std::size_t>(i)] =
+          (i % nodes) * c.devices_per_node + i / nodes;
+  } else {
+    std::iota(ring.begin(), ring.end(), 0);
   }
-  return finish_max(ranks);
+  Fabric f(c);
+  return f.ring_allreduce(ring, bytes);
 }
 
 void attribute_fabric(obs::AttributionReport& rep, const Fabric& fabric) {

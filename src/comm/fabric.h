@@ -12,6 +12,12 @@
 // all-reduces from RaNNC's mostly intra-node stage boundaries (Table 1 /
 // Fig. 4 of the paper).
 //
+// The fabric is a simulator, not an estimator: the partitioner, the
+// baseline planners and the runtime price traffic only with the closed
+// forms. It replays a chosen plan's traffic (`replay_plan_comm`, behind
+// `rannc trace` and `rannc explain`) and measures how far contention takes
+// collectives from the closed forms (`bench_comm_fabric`).
+//
 // Everything here runs in *virtual* time: no wall clocks, no host-thread
 // timing. Results are bit-exact deterministic regardless of host
 // scheduling, which the test suite verifies by racing simulations across
@@ -129,9 +135,6 @@ class Fabric {
   double p2p(Rank src, Rank dst, std::int64_t bytes);
   /// Ring all-reduce: 2*(r-1) steps of bytes/r chunks around `ring`.
   double ring_allreduce(const std::vector<Rank>& ring, std::int64_t bytes);
-  /// Binomial-tree broadcast of the full payload from `root`.
-  double broadcast(const std::vector<Rank>& ranks, Rank root,
-                   std::int64_t bytes);
 
  private:
   /// Writes the link path src -> dst into `out[4]`; returns its length.
@@ -154,6 +157,22 @@ class Fabric {
   bool log_enabled_ = false;
   std::vector<TransferRecord> log_;
 };
+
+/// Simulated time of one `bytes` send on a fresh fabric of `c`: device 0
+/// to device 1 (`same_node`) or to the first device of node 1. A topology
+/// that cannot express the request (one device per node, or one node)
+/// returns the closed form `p2p_time`.
+double simulated_p2p_time(const ClusterSpec& c, std::int64_t bytes,
+                          bool same_node);
+
+/// Simulated ring all-reduce of `bytes` across `ranks` devices on a fresh
+/// fabric of `c`. A node-spanning group places members round-robin across
+/// nodes (data-parallel replicas live on different nodes), so co-located
+/// members share their node's NIC — the contention the closed form cannot
+/// see. A non-spanning group is consecutive devices from rank 0. More
+/// ranks than the cluster holds returns the closed form `allreduce_time`.
+double simulated_allreduce_time(const ClusterSpec& c, std::int64_t bytes,
+                                int ranks, bool spans_nodes);
 
 /// Folds the fabric's transfer log and per-link busy accounting into an
 /// attribution report (adapter over obs::attach_links; enable the log

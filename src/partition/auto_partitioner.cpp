@@ -17,7 +17,6 @@
 
 #include "analysis/dataflow.h"
 #include "analysis/verifier.h"
-#include "comm/oracle.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "partition/atomic.h"
@@ -164,10 +163,10 @@ class UnitSequence {
       t.comm_in.resize(n + 1);
       for (std::size_t k = 0; k <= n; ++k) {
         const int pos = static_cast<int>(k);
-        t.comm_out[k] = comm_partitioner_time(
+        t.comm_out[k] = partitioner_comm_time(
             cluster, static_cast<std::int64_t>(
                          cross_out(pos) * static_cast<double>(bsize) * af));
-        t.comm_in[k] = comm_partitioner_time(
+        t.comm_in[k] = partitioner_comm_time(
             cluster, static_cast<std::int64_t>(
                          cross_in(pos) * static_cast<double>(bsize) * af));
       }
@@ -257,7 +256,7 @@ RangeProfileFn make_profile_fn(const UnitSequence& seq,
 
 /// The slow oracle of make_profile_fn (detail::SweepProfiles): the same
 /// formula with no shared table, so every query rebuilds its microbatch's
-/// prefix sums and calls comm_partitioner_time itself.
+/// prefix sums and calls partitioner_comm_time itself.
 RangeProfileFn make_oracle_profile_fn(const UnitSequence& seq,
                                       const GraphProfiler& prof,
                                       const ClusterSpec& cluster,
@@ -285,8 +284,8 @@ RangeProfileFn make_oracle_profile_fn(const UnitSequence& seq,
     const double out_bytes = seq.cross_out(hi) * static_cast<double>(bsize) * af;
     const double in_bytes = seq.cross_in(lo) * static_cast<double>(bsize) * af;
     StageProfile p;
-    p.t_f = tf_c + comm_partitioner_time(cluster, static_cast<std::int64_t>(out_bytes));
-    p.t_b = tb_c + comm_partitioner_time(cluster, static_cast<std::int64_t>(in_bytes));
+    p.t_f = tf_c + partitioner_comm_time(cluster, static_cast<std::int64_t>(out_bytes));
+    p.t_b = tb_c + partitioner_comm_time(cluster, static_cast<std::int64_t>(in_bytes));
     if (num_stages > 1 && !summed_estimates) p.t_b += tf_c;
     p.mem = range_memory(seq, lo, hi, bsize, af, in_bytes, prec, opt,
                          microbatches, num_stages, summed_estimates);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "comm/oracle.h"
-
 namespace rannc {
 
 PlanEvaluation evaluate_plan(const PartitionResult& plan,
@@ -19,7 +17,7 @@ PlanEvaluation evaluate_plan(const PartitionResult& plan,
         (req.precision == Precision::Mixed ? 0.5 : 1.0));
     ev.allreduce_seconds = std::max(
         ev.allreduce_seconds,
-        comm_allreduce_time(req.cluster, grad_bytes, sp.devices * R, R > 1));
+        allreduce_time(req.cluster, grad_bytes, sp.devices * R, R > 1));
   }
   ev.schedule = simulate_gpipe(ev.stage_times, plan.microbatches);
   ev.iteration_time = ev.schedule.iteration_time + ev.allreduce_seconds;

@@ -94,7 +94,7 @@ namespace detail {
 /// Phases 1-2 of auto_partition(model, req) and builds the per-microbatch
 /// profile tables exactly as the sweep does. `oracle` evaluates the same
 /// formula with no shared table: it rebuilds that microbatch's prefix sums
-/// on the spot, calls comm_partitioner_time per query and applies
+/// on the spot, calls partitioner_comm_time per query and applies
 /// stage_memory. The two must agree bit for bit.
 class SweepProfiles {
  public:

@@ -15,8 +15,8 @@
 //   autodiff    forward/backward interpreter over task graphs
 //   models      BERT / GPT-2 / T5 / ResNet / MLP reference builders
 //   profiler    per-op cost model, graph profiler, memory estimator
-//   cluster     cluster topology and closed-form communication models
-//   comm        discrete-event fabric (contention), endpoints
+//   cluster     cluster topology and the closed-form communication costs
+//   comm        discrete-event fabric: replays a plan's traffic (contention)
 //   pipeline    GPipe / 1F1B schedule simulators
 //   partition   the automatic partitioner (paper Algorithms 1 & 2)
 //   baselines   Megatron-LM / GPipe-Model / PipeDream comparisons
@@ -56,9 +56,7 @@
 #include "profiler/memory.h"
 
 // ---- communication and schedules -------------------------------------------
-#include "comm/endpoint.h"
 #include "comm/fabric.h"
-#include "comm/oracle.h"
 #include "pipeline/schedule.h"
 
 // ---- partitioning ----------------------------------------------------------

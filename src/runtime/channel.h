@@ -17,7 +17,7 @@
 
 namespace rannc {
 
-/// Outcome of a receive attempt on a channel or endpoint.
+/// Outcome of a receive attempt on a channel.
 enum class RecvStatus {
   Ok,       ///< an item was delivered
   Timeout,  ///< the wait deadline expired

@@ -20,7 +20,7 @@ namespace rannc {
 namespace {
 
 /// Internal control-flow signal: a peer stage failed and closed the
-/// fabric endpoints; unwind this stage quietly.
+/// boundary channels; unwind this stage quietly.
 struct PipelineAborted {};
 
 std::int64_t tensor_map_bytes(const TensorMap& m) {
@@ -105,26 +105,16 @@ PipelineTrainer::PipelineTrainer(const TaskGraph& g,
       }
     }
   }
-  // Boundary traffic runs through fabric endpoints; stage s is pinned to
-  // device s, so the link class of an edge follows the node boundary of
-  // the cluster (when one is configured).
-  std::shared_ptr<const FabricCostOracle> oracle;
-  int dpn = 0;
-  if (options_.cluster) {
-    oracle = make_comm_oracle(*options_.cluster);
-    dpn = options_.cluster->devices_per_node;
-  }
+  // Stage s is pinned to device s, so the link class of an edge follows
+  // the node boundary of the cluster (when one is configured).
+  const int dpn = options_.cluster ? options_.cluster->devices_per_node : 0;
   for (auto& [key, vals] : edge_values) {
     auto e = std::make_unique<Edge>();
     e->from = key.first;
     e->to = key.second;
+    e->same_node = dpn <= 0 || (e->from / dpn == e->to / dpn);
     std::sort(vals.begin(), vals.end());
     e->values = std::move(vals);
-    const bool same_node = dpn <= 0 || (e->from / dpn == e->to / dpn);
-    e->fwd = std::make_unique<Endpoint>(256, oracle, same_node,
-                                        tensor_map_bytes);
-    e->bwd = std::make_unique<Endpoint>(256, oracle, same_node,
-                                        tensor_map_bytes);
     e->fwd_name = "fwd " + std::to_string(e->from) + "->" +
                   std::to_string(e->to);
     e->bwd_name = "bwd " + std::to_string(e->to) + "->" +
@@ -148,9 +138,17 @@ TensorMap PipelineTrainer::gather_params() const {
 
 void PipelineTrainer::abort_pipeline() {
   for (auto& e : edges_) {
-    e->fwd->close();
-    e->bwd->close();
+    e->fwd.close();
+    e->bwd.close();
   }
+}
+
+void PipelineTrainer::accrue(Tally& t, const TensorMap& m,
+                             bool same_node) const {
+  if (!options_.cluster) return;
+  const std::int64_t b = tensor_map_bytes(m);
+  t.seconds += p2p_time(*options_.cluster, b, same_node);
+  t.bytes += b;
 }
 
 void PipelineTrainer::collect_comm_reports() {
@@ -163,12 +161,12 @@ void PipelineTrainer::collect_comm_reports() {
     Stage& from = stages_[static_cast<std::size_t>(e->from)];
     Stage& to = stages_[static_cast<std::size_t>(e->to)];
     // fwd flows from->to (activations), bwd flows to->from (gradients).
-    from.report.comm_seconds += e->fwd->send_seconds() + e->bwd->recv_seconds();
-    from.report.bytes_out += e->fwd->sent_bytes();
-    from.report.bytes_in += e->bwd->recv_bytes();
-    to.report.comm_seconds += e->fwd->recv_seconds() + e->bwd->send_seconds();
-    to.report.bytes_in += e->fwd->recv_bytes();
-    to.report.bytes_out += e->bwd->sent_bytes();
+    from.report.comm_seconds += e->fwd_sent.seconds + e->bwd_recv.seconds;
+    from.report.bytes_out += e->fwd_sent.bytes;
+    from.report.bytes_in += e->bwd_recv.bytes;
+    to.report.comm_seconds += e->fwd_recv.seconds + e->bwd_sent.seconds;
+    to.report.bytes_in += e->fwd_recv.bytes;
+    to.report.bytes_out += e->bwd_sent.bytes;
   }
 }
 
@@ -194,13 +192,22 @@ void PipelineTrainer::run_stage(Stage& stage,
 
   // A closed channel means a peer aborted; an expired bounded wait fails
   // the step.
-  const auto receive = [&](Endpoint& ep, const std::string& name) {
+  const auto receive = [&](Channel<TensorMap>& ch, Tally& tally,
+                           bool same_node, const std::string& name) {
     RecvStatus st = RecvStatus::Closed;
-    std::optional<TensorMap> m = ep.recv(&st, options_.recv_timeout_s);
+    const std::chrono::duration<double> timeout(options_.recv_timeout_s);
+    std::optional<TensorMap> m =
+        timeout.count() > 0 ? ch.recv_for(timeout, &st) : ch.recv();
     if (st == RecvStatus::Timeout)
       throw StageTimeoutError(stage.index, name, options_.recv_timeout_s);
     if (!m) throw PipelineAborted{};
+    accrue(tally, *m, same_node);
     return std::move(*m);
+  };
+  const auto send = [&](Channel<TensorMap>& ch, Tally& tally, bool same_node,
+                        TensorMap m) {
+    accrue(tally, m, same_node);
+    if (!ch.send(std::move(m))) throw PipelineAborted{};
   };
 
   // ---- forward flush -------------------------------------------------------
@@ -211,7 +218,8 @@ void PipelineTrainer::run_stage(Stage& stage,
     for (ValueId v : stage.input_values)
       values[v] = microbatches[static_cast<std::size_t>(j)].at(v);
     for (Edge* e : stage.in_edges)
-      for (auto& [v, t] : receive(*e->fwd, e->fwd_name))
+      for (auto& [v, t] :
+           receive(e->fwd, e->fwd_recv, e->same_node, e->fwd_name))
         values[v] = std::move(t);
     if (options_.recompute) {
       // Keep only what is needed to re-run the forward pass.
@@ -222,7 +230,7 @@ void PipelineTrainer::run_stage(Stage& stage,
     for (Edge* e : stage.out_edges) {
       TensorMap m;
       for (ValueId v : e->values) m.emplace(v, values.at(v));
-      if (!e->fwd->send(std::move(m))) throw PipelineAborted{};
+      send(e->fwd, e->fwd_sent, e->same_node, std::move(m));
     }
     if (stage.owns_loss && loss_out)
       *loss_out += values.at(loss_value_).at(0);
@@ -242,7 +250,8 @@ void PipelineTrainer::run_stage(Stage& stage,
     if (stage.owns_loss)
       grads.emplace(loss_value_, Tensor::full(Shape{}, seed_grad));
     for (Edge* e : stage.out_edges)
-      for (auto& [v, t] : receive(*e->bwd, e->bwd_name))
+      for (auto& [v, t] :
+           receive(e->bwd, e->bwd_recv, e->same_node, e->bwd_name))
         accumulate_grad(grads, v, std::move(t));
     if (options_.recompute) {
       ctx.values = std::move(ctx.boundary);
@@ -260,7 +269,7 @@ void PipelineTrainer::run_stage(Stage& stage,
         else  // value off the loss path: send explicit zeros for lockstep
           gm.emplace(v, Tensor::zeros(interp_.graph().value(v).shape));
       }
-      if (!e->bwd->send(std::move(gm))) throw PipelineAborted{};
+      send(e->bwd, e->bwd_sent, e->same_node, std::move(gm));
     }
     TensorMap& pg = mb_grads[static_cast<std::size_t>(j)];
     for (auto& [v, t] : grads)
@@ -280,7 +289,7 @@ void PipelineTrainer::run_stage(Stage& stage,
 
 float PipelineTrainer::step(const std::vector<TensorMap>& microbatches) {
   // A failed step may have applied some stages' optimizer steps and not
-  // others, and its endpoints stay closed: nothing consistent to resume.
+  // others, and its channels stay closed: nothing consistent to resume.
   if (failed_)
     throw std::logic_error("trainer unusable after a failed step");
   if (microbatches.empty()) return 0;
@@ -300,7 +309,7 @@ float PipelineTrainer::step(const std::vector<TensorMap>& microbatches) {
             [si] { return "run_stage " + std::to_string(si); }, "runtime");
         run_stage(st, microbatches, st.owns_loss ? &loss_sum : nullptr);
       } catch (const PipelineAborted&) {
-        // A peer already failed and closed the endpoints; nothing to record.
+        // A peer already failed and closed the channels; nothing to record.
       } catch (...) {
         {
           std::lock_guard<std::mutex> lk(error_mu);

@@ -25,7 +25,6 @@
 
 #include "autodiff/interpreter.h"
 #include "cluster/cluster_spec.h"
-#include "comm/endpoint.h"
 #include "runtime/channel.h"
 #include "runtime/optimizer.h"
 
@@ -37,11 +36,11 @@ struct PipelineOptions {
   /// Gradient checkpointing: stages keep only their cut inputs per
   /// microbatch and recompute the forward during backward.
   bool recompute = false;
-  /// When set, boundary traffic flows through fabric endpoints: every
-  /// message is costed by the cluster's communication oracle (analytic or
-  /// simulated fabric, per `cluster->comm_model`) and per-stage simulated
-  /// comm time is reported next to measured compute time. Stage `s` is
-  /// pinned to device `s` for link-class selection.
+  /// When set, every boundary message is priced with the closed form
+  /// `p2p_time(*cluster, bytes, same_node)` on both its sending and its
+  /// receiving stage, and per-stage comm time and bytes are reported next
+  /// to measured compute time. Stage `s` is pinned to device `s`, so an
+  /// edge crosses nodes when its stages sit on different nodes.
   std::optional<ClusterSpec> cluster;
   /// Wall-clock bound on each boundary receive; a wait that expires fails
   /// the step with StageTimeoutError. 0 blocks until data or close.
@@ -55,7 +54,7 @@ struct PipelineOptions {
 /// Cumulative per-stage execution report (across all `step` calls).
 struct StageReport {
   double compute_seconds = 0;  ///< measured wall-clock in fwd/bwd kernels
-  double comm_seconds = 0;     ///< simulated fabric transfer time
+  double comm_seconds = 0;     ///< closed-form boundary transfer time
   std::int64_t bytes_in = 0;   ///< boundary payload received
   std::int64_t bytes_out = 0;  ///< boundary payload sent
 };
@@ -84,7 +83,7 @@ class PipelineTrainer {
 
   /// One synchronous pipeline step over the given microbatches; returns the
   /// mean loss. If any stage throws, the remaining stages are unblocked by
-  /// closing the fabric endpoints and the first exception is rethrown.
+  /// closing the boundary channels and the first exception is rethrown.
   /// Some stages may already have applied their optimizer step by then,
   /// so a failed step leaves the trainer unusable: every later `step`
   /// throws std::logic_error.
@@ -104,12 +103,19 @@ class PipelineTrainer {
   }
 
  private:
-  using Endpoint = comm::FabricEndpoint<TensorMap>;
+  /// Priced traffic through one side of a channel. Written only by the
+  /// thread on that side; read after the stage threads joined.
+  struct Tally {
+    double seconds = 0;
+    std::int64_t bytes = 0;
+  };
   struct Edge {
     int from = 0, to = 0;
+    bool same_node = true;
     std::vector<ValueId> values;
-    std::unique_ptr<Endpoint> fwd;
-    std::unique_ptr<Endpoint> bwd;
+    Channel<TensorMap> fwd{256};  ///< activations, from -> to
+    Channel<TensorMap> bwd{256};  ///< gradients, to -> from
+    Tally fwd_sent, fwd_recv, bwd_sent, bwd_recv;
     /// Channel names ("fwd <from>-><to>" / "bwd <to>-><from>") used in
     /// timeout diagnostics.
     std::string fwd_name, bwd_name;
@@ -129,6 +135,8 @@ class PipelineTrainer {
 
   void run_stage(Stage& stage, const std::vector<TensorMap>& microbatches,
                  double* loss_out);
+  /// Adds one message to `t` when a cluster is configured.
+  void accrue(Tally& t, const TensorMap& m, bool same_node) const;
   void abort_pipeline();
   void collect_comm_reports();
 

@@ -64,8 +64,6 @@ std::string profile_sig(const SearchRequest& req) {
   f("ilat", req.cluster.intra_lat);
   f("xbw", req.cluster.inter_bw);
   f("xlat", req.cluster.inter_lat);
-  os << ",comm=" << (req.cluster.comm_model == CommModel::Fabric ? "fabric"
-                                                                 : "analytic");
   return os.str();
 }
 

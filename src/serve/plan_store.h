@@ -12,8 +12,8 @@
 // The key splits the SearchRequest into two signatures on purpose:
 //
 //   profile_sig — everything that enters StageProfile values: precision,
-//     optimizer, block partitioning knobs, device roofline numbers, fabric
-//     bandwidth/latency, comm model.
+//     optimizer, block partitioning knobs, device roofline numbers, link
+//     bandwidth/latency.
 //   geom_sig — what remains: cluster geometry, global batch size, memory
 //     budget and the DP cell cap.
 //

@@ -1,6 +1,6 @@
 #include "util/arena.h"
 
-#include <cstdlib>
+#include <cstddef>
 #include <new>
 
 #include "obs/metrics.h"
@@ -58,8 +58,6 @@ int class_of(std::int64_t numel, int min_log2, int max_log2) {
 
 Arena::Arena() {
   classes_.resize(static_cast<std::size_t>(kMaxClassLog2) + 1);
-  const char* env = std::getenv("RANNC_ARENA");
-  if (env && env[0] == '0' && env[1] == '\0') enabled_.store(false);
 }
 
 Arena& Arena::global() {

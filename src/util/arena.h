@@ -15,9 +15,9 @@
 //     metrics and advances the epoch counter. Slabs are returned to the
 //     pool on release (shared_ptr deleter), so a steady-state training step
 //     allocates nothing fresh after the first epoch.
-//   * Disabling the arena (RANNC_ARENA=0 or `set_enabled(false)`) keeps the
-//     header/alignment contract but frees slabs eagerly; headers record
-//     which policy allocated them, so toggling mid-process is safe.
+//   * Disabling the arena (`set_enabled(false)`) keeps the header/alignment
+//     contract but frees slabs eagerly; headers record which policy
+//     allocated them, so toggling mid-process is safe.
 //
 // Thread-safe: free lists are mutex-guarded, statistics are atomics.
 #pragma once
@@ -34,8 +34,7 @@ namespace rannc {
 class Arena {
  public:
   /// Process-wide arena used by Tensor storage. Never destroyed (slabs may
-  /// outlive static destruction order), initialized on first use;
-  /// RANNC_ARENA=0 in the environment starts it disabled.
+  /// outlive static destruction order), initialized on first use.
   static Arena& global();
 
   /// A 64-byte-aligned buffer of at least `numel` floats. The deleter

@@ -20,20 +20,20 @@ TEST(ClusterSpec, SingleNodeSlice) {
   EXPECT_EQ(one.devices_per_node, c.devices_per_node);
 }
 
-TEST(CommModel, P2pLatencyPlusBandwidth) {
+TEST(ClosedFormComm, P2pLatencyPlusBandwidth) {
   ClusterSpec c;
   const double t = p2p_time(c, 25'000'000'000LL, true);
   EXPECT_NEAR(t, c.intra_lat + 1.0, 1e-9);  // 25 GB over 25 GB/s
   EXPECT_GT(p2p_time(c, 1 << 20, false), p2p_time(c, 1 << 20, true));
 }
 
-TEST(CommModel, AllreduceZeroForTrivialCases) {
+TEST(ClosedFormComm, AllreduceZeroForTrivialCases) {
   ClusterSpec c;
   EXPECT_DOUBLE_EQ(allreduce_time(c, 1 << 20, 1, false), 0.0);
   EXPECT_DOUBLE_EQ(allreduce_time(c, 0, 8, false), 0.0);
 }
 
-TEST(CommModel, AllreduceScalesWithRanksFactor) {
+TEST(ClosedFormComm, AllreduceScalesWithRanksFactor) {
   ClusterSpec c;
   const std::int64_t bytes = 100 << 20;
   const double t2 = allreduce_time(c, bytes, 2, false);
@@ -43,13 +43,13 @@ TEST(CommModel, AllreduceScalesWithRanksFactor) {
   EXPECT_LT(t8, 2.0 * t2);
 }
 
-TEST(CommModel, InterNodeAllreduceSlower) {
+TEST(ClosedFormComm, InterNodeAllreduceSlower) {
   ClusterSpec c;
   const std::int64_t bytes = 100 << 20;
   EXPECT_GT(allreduce_time(c, bytes, 8, true), allreduce_time(c, bytes, 8, false));
 }
 
-TEST(CommModel, PartitionerEstimateUsesIntraNodeBandwidth) {
+TEST(ClosedFormComm, PartitionerEstimateUsesIntraNodeBandwidth) {
   // Paper footnote 3: the partitioner estimates with intra-node bandwidth.
   ClusterSpec c;
   EXPECT_DOUBLE_EQ(partitioner_comm_time(c, 1 << 20),

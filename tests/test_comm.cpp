@@ -1,8 +1,8 @@
 // Tests for the discrete-event communication fabric (`src/comm`): parity
 // with the closed-form cost models when uncontended, contention
 // monotonicity on shared links, byte conservation, bit-exact determinism
-// under host-thread races, and the closable-channel / fabric-endpoint
-// plumbing the pipeline runtime rides on.
+// under host-thread races, and the closable channel the pipeline runtime
+// rides on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,9 +10,7 @@
 #include <vector>
 
 #include "cluster/cluster_spec.h"
-#include "comm/endpoint.h"
 #include "comm/fabric.h"
-#include "comm/oracle.h"
 #include "runtime/channel.h"
 
 namespace rannc {
@@ -70,16 +68,6 @@ TEST(Fabric, UncontendedRingAllreduceWithin5PercentOfClosedForm) {
     const double ana = allreduce_time(c, bytes, 4, true);
     EXPECT_NEAR(sim, ana, 0.05 * ana);
   }
-}
-
-TEST(Fabric, BroadcastBinomialTreeUncontended) {
-  ClusterSpec c;
-  const std::int64_t bytes = 4 << 20;
-  Fabric f(c);
-  // 8 ranks on one node -> 3 rounds, each one latency + payload.
-  const double t = f.broadcast({0, 1, 2, 3, 4, 5, 6, 7}, 0, bytes);
-  const double round = c.intra_lat + static_cast<double>(bytes) / c.intra_bw;
-  EXPECT_NEAR(t, 3 * round, 1e-9);
 }
 
 TEST(Fabric, NicContentionIsMonotone) {
@@ -145,27 +133,27 @@ std::vector<double> workload_signature() {
   for (double x : f.run_step(
            {{0, 8, 1e6}, {1, 16, 2e6}, {2, 8, 3.5e5}, {9, 1, 7e5}}))
     sig.push_back(x);
-  sig.push_back(f.broadcast({0, 3, 9, 17, 25}, 9, 1 << 20));
+  sig.push_back(f.ring_allreduce({9, 0, 3, 17, 25}, 1 << 20));
   for (int r = 0; r < f.num_ranks(); ++r) sig.push_back(f.clock(r));
   return sig;
 }
 
 TEST(Fabric, BitExactDeterminismAcrossThreadInterleavings) {
   const std::vector<double> expected = workload_signature();
-  // Race many simulations (plus the shared fabric-oracle memo cache)
-  // across host threads: virtual time must not observe host scheduling.
-  ClusterSpec fc;
-  fc.comm_model = CommModel::Fabric;
-  const double oracle_expected = comm_allreduce_time(fc, 1 << 22, 16, true);
+  // Race many simulations across host threads: virtual time must not
+  // observe host scheduling.
+  const ClusterSpec c;
+  const double sim_expected =
+      comm::simulated_allreduce_time(c, 1 << 22, 16, true);
   std::vector<std::vector<double>> got(8);
-  std::vector<double> oracle_got(8);
+  std::vector<double> sim_got(8);
   std::vector<std::thread> threads;
   for (int i = 0; i < 8; ++i)
     threads.emplace_back([&, i] {
       for (int rep = 0; rep < 5; ++rep) {
         got[static_cast<std::size_t>(i)] = workload_signature();
-        oracle_got[static_cast<std::size_t>(i)] =
-            comm_allreduce_time(fc, 1 << 22, 16, true);
+        sim_got[static_cast<std::size_t>(i)] =
+            comm::simulated_allreduce_time(c, 1 << 22, 16, true);
       }
     });
   for (auto& t : threads) t.join();
@@ -174,62 +162,55 @@ TEST(Fabric, BitExactDeterminismAcrossThreadInterleavings) {
     for (std::size_t k = 0; k < expected.size(); ++k)
       EXPECT_EQ(got[static_cast<std::size_t>(i)][k], expected[k])
           << "thread " << i << " slot " << k;
-    EXPECT_EQ(oracle_got[static_cast<std::size_t>(i)], oracle_expected);
+    EXPECT_EQ(sim_got[static_cast<std::size_t>(i)], sim_expected);
   }
 }
 
-// ---- oracle dispatch -------------------------------------------------------
+// ---- simulated collective times -----------------------------------------
 
-TEST(Oracle, AnalyticFlagMatchesClosedForms) {
-  ClusterSpec c;  // comm_model defaults to Analytic
-  EXPECT_DOUBLE_EQ(comm_p2p_time(c, 1 << 20, true), p2p_time(c, 1 << 20, true));
-  EXPECT_DOUBLE_EQ(comm_allreduce_time(c, 1 << 20, 8, true),
-                   allreduce_time(c, 1 << 20, 8, true));
-  EXPECT_DOUBLE_EQ(comm_partitioner_time(c, 1 << 20),
-                   partitioner_comm_time(c, 1 << 20));
-  EXPECT_STREQ(make_comm_oracle(c)->name(), "analytic");
-}
-
-TEST(Oracle, FabricOracleUncontendedParity) {
+TEST(SimulatedComm, UncontendedParity) {
   ClusterSpec c;
-  c.comm_model = CommModel::Fabric;
-  EXPECT_STREQ(make_comm_oracle(c)->name(), "fabric");
   const std::int64_t bytes = 64 << 20;
   // 8 consecutive ranks = one node = uncontended ring.
-  const double sim = comm_allreduce_time(c, bytes, 8, false);
+  const double sim = comm::simulated_allreduce_time(c, bytes, 8, false);
   const double ana = allreduce_time(c, bytes, 8, false);
   EXPECT_NEAR(sim, ana, 0.05 * ana);
-  EXPECT_DOUBLE_EQ(comm_p2p_time(c, bytes, true), p2p_time(c, bytes, true));
-  EXPECT_DOUBLE_EQ(comm_p2p_time(c, bytes, false), p2p_time(c, bytes, false));
+  EXPECT_DOUBLE_EQ(comm::simulated_p2p_time(c, bytes, true),
+                   p2p_time(c, bytes, true));
+  EXPECT_DOUBLE_EQ(comm::simulated_p2p_time(c, bytes, false),
+                   p2p_time(c, bytes, false));
 }
 
-TEST(Oracle, FabricPenalizesSharedNicOnSpanningAllreduce) {
+TEST(SimulatedComm, PenalizesSharedNicOnSpanningAllreduce) {
   ClusterSpec c;
-  c.comm_model = CommModel::Fabric;
   const std::int64_t bytes = 64 << 20;
   // 32 ranks round-robin over 4 nodes: 8 ring transfers share each NIC
   // per step, which the closed form cannot see.
-  const double sim = comm_allreduce_time(c, bytes, 32, true);
+  const double sim = comm::simulated_allreduce_time(c, bytes, 32, true);
   const double ana = allreduce_time(c, bytes, 32, true);
   EXPECT_GT(sim, ana);
   // More co-located ranks per node -> more NIC sharing -> slower than a
   // one-rank-per-node ring of the same span.
-  const double spread = comm_allreduce_time(c, bytes, 4, true);
+  const double spread = comm::simulated_allreduce_time(c, bytes, 4, true);
   EXPECT_GT(sim, spread);
 }
 
-TEST(Oracle, FabricBroadcastPositiveAndMonotoneInSize) {
-  ClusterSpec c;
-  c.comm_model = CommModel::Fabric;
-  auto oracle = make_comm_oracle(c);
-  const double small = oracle->broadcast(1 << 16, 8, false);
-  const double large = oracle->broadcast(1 << 24, 8, false);
-  EXPECT_GT(small, 0.0);
-  EXPECT_GT(large, small);
-  EXPECT_DOUBLE_EQ(oracle->broadcast(1 << 20, 1, false), 0.0);
+TEST(SimulatedComm, DegenerateTopologiesFallBackToClosedForms) {
+  ClusterSpec one_per_node;
+  one_per_node.devices_per_node = 1;
+  EXPECT_EQ(comm::simulated_p2p_time(one_per_node, 1 << 20, true),
+            p2p_time(one_per_node, 1 << 20, true));
+  const ClusterSpec one_node = ClusterSpec{}.single_node();
+  EXPECT_EQ(comm::simulated_p2p_time(one_node, 1 << 20, false),
+            p2p_time(one_node, 1 << 20, false));
+  // More ranks than devices: no placement exists.
+  EXPECT_EQ(comm::simulated_allreduce_time(one_node, 1 << 20, 16, false),
+            allreduce_time(one_node, 1 << 20, 16, false));
+  EXPECT_EQ(comm::simulated_allreduce_time(one_node, 1 << 20, 1, false), 0.0);
+  EXPECT_EQ(comm::simulated_allreduce_time(one_node, 0, 8, false), 0.0);
 }
 
-// ---- closable channel + fabric endpoint ------------------------------------
+// ---- closable channel ----------------------------------------------------
 
 TEST(Channel, CloseUnblocksReceiverWithNullopt) {
   Channel<int> ch(4);
@@ -259,29 +240,6 @@ TEST(Channel, DrainsQueuedItemsAfterClose) {
   EXPECT_EQ(ch.recv(), 1);
   EXPECT_EQ(ch.recv(), 2);
   EXPECT_EQ(ch.recv(), std::nullopt);
-}
-
-TEST(FabricEndpoint, AccruesSimulatedTimeAndBytes) {
-  ClusterSpec c;
-  auto bytes_of = [](const std::vector<float>& v) {
-    return static_cast<std::int64_t>(v.size() * sizeof(float));
-  };
-  comm::FabricEndpoint<std::vector<float>> ep(4, make_comm_oracle(c),
-                                              /*same_node=*/true, bytes_of);
-  ASSERT_TRUE(ep.send(std::vector<float>(1024)));
-  ASSERT_TRUE(ep.recv().has_value());
-  EXPECT_EQ(ep.sent_bytes(), 4096);
-  EXPECT_EQ(ep.recv_bytes(), 4096);
-  EXPECT_DOUBLE_EQ(ep.send_seconds(), p2p_time(c, 4096, true));
-  EXPECT_DOUBLE_EQ(ep.recv_seconds(), p2p_time(c, 4096, true));
-}
-
-TEST(FabricEndpoint, NullOracleIsPlainChannel) {
-  comm::FabricEndpoint<int> ep(4, nullptr, true, nullptr);
-  ASSERT_TRUE(ep.send(7));
-  EXPECT_EQ(ep.recv(), 7);
-  EXPECT_EQ(ep.sent_bytes(), 0);
-  EXPECT_DOUBLE_EQ(ep.send_seconds(), 0.0);
 }
 
 }  // namespace

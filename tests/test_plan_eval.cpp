@@ -51,54 +51,50 @@ TEST(PlanEval, MatchesSearchEstimateBitForBit) {
     const BuiltModel m = serve::build_model(ms);
     for (int nodes : {1, 2, 4})
       for (Precision prec : {Precision::FP32, Precision::Mixed})
-        for (CommModel cm : {CommModel::Analytic, CommModel::Fabric})
-          for (bool coarsen : {true, false}) {
-            if (!coarsen && !ablate) continue;
-            SearchRequest req;
-            req.cluster.num_nodes = nodes;
-            req.cluster.comm_model = cm;
-            req.precision = prec;
-            req.use_coarsening = coarsen;
-            // Bounds the ablation on the larger models; an exhausted budget
-            // is an infeasible plan and is skipped.
-            req.budget.max_dp_cells = 2'000'000;
-            req.budget.threads = 4;
-            const PartitionResult plan = auto_partition(m.graph, req).plan;
-            if (!plan.feasible) continue;
-            ++feasible;
-            const std::string where = serve::canonical_sig(ms) + " nodes=" +
-                                      std::to_string(nodes) + " mixed=" +
-                                      std::to_string(prec == Precision::Mixed) +
-                                      " fabric=" +
-                                      std::to_string(cm == CommModel::Fabric) +
-                                      " coarsen=" + std::to_string(coarsen);
-            // From the plan fields alone, as deployed: the JSON copy
-            // carries no graph and no search state.
-            const PlanEvaluation ev =
-                evaluate_plan(plan_from_json(plan_to_json(plan)), req);
-            EXPECT_TRUE(ev.iteration_time == plan.est_iteration_time)
-                << where << ": " << ev.iteration_time << " vs "
-                << plan.est_iteration_time;
-            EXPECT_TRUE(ev.iteration_time ==
-                        ev.schedule.iteration_time + ev.allreduce_seconds)
-                << where;
-            // With coarsening the sweep profiled the very stages the plan
-            // holds, so the winning candidate's estimate is the same number.
-            if (coarsen) {
-              bool found = false;
-              for (const CandidateTrace& c : plan.stats.candidates)
-                if (c.feasible && c.nodes == plan.nodes_used &&
-                    c.stages == static_cast<int>(plan.stages.size()) &&
-                    c.microbatches == plan.microbatches) {
-                  found = true;
-                  EXPECT_TRUE(c.est_iteration == plan.est_iteration_time)
-                      << where;
-                }
-              EXPECT_TRUE(found) << where;
-            }
+        for (bool coarsen : {true, false}) {
+          if (!coarsen && !ablate) continue;
+          SearchRequest req;
+          req.cluster.num_nodes = nodes;
+          req.precision = prec;
+          req.use_coarsening = coarsen;
+          // Bounds the ablation on the larger models; an exhausted budget
+          // is an infeasible plan and is skipped.
+          req.budget.max_dp_cells = 2'000'000;
+          req.budget.threads = 4;
+          const PartitionResult plan = auto_partition(m.graph, req).plan;
+          if (!plan.feasible) continue;
+          ++feasible;
+          const std::string where = serve::canonical_sig(ms) + " nodes=" +
+                                    std::to_string(nodes) + " mixed=" +
+                                    std::to_string(prec == Precision::Mixed) +
+                                    " coarsen=" + std::to_string(coarsen);
+          // From the plan fields alone, as deployed: the JSON copy
+          // carries no graph and no search state.
+          const PlanEvaluation ev =
+              evaluate_plan(plan_from_json(plan_to_json(plan)), req);
+          EXPECT_TRUE(ev.iteration_time == plan.est_iteration_time)
+              << where << ": " << ev.iteration_time << " vs "
+              << plan.est_iteration_time;
+          EXPECT_TRUE(ev.iteration_time ==
+                      ev.schedule.iteration_time + ev.allreduce_seconds)
+              << where;
+          // With coarsening the sweep profiled the very stages the plan
+          // holds, so the winning candidate's estimate is the same number.
+          if (coarsen) {
+            bool found = false;
+            for (const CandidateTrace& c : plan.stats.candidates)
+              if (c.feasible && c.nodes == plan.nodes_used &&
+                  c.stages == static_cast<int>(plan.stages.size()) &&
+                  c.microbatches == plan.microbatches) {
+                found = true;
+                EXPECT_TRUE(c.est_iteration == plan.est_iteration_time)
+                    << where;
+              }
+            EXPECT_TRUE(found) << where;
           }
+        }
   }
-  EXPECT_GE(feasible, 100);
+  EXPECT_GE(feasible, 50);
 }
 
 TEST(PlanEval, ReplayPinsTransfersOfAThreeStagePlan) {

@@ -3,18 +3,21 @@
 // single-device training (the paper's loss-parity validation, Section IV-B).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
-#include "comm/endpoint.h"
 #include "models/mlp.h"
 #include "obs/metrics.h"
 #include "runtime/pipeline_runtime.h"
 #include "runtime/trainer.h"
 #include "tensor/ops.h"
+#include "util/arena.h"
 #include "util/thread_pool.h"
 
 namespace rannc {
@@ -178,7 +181,7 @@ TEST(PipelineTrainer, RejectsIncompleteCover) {
 TEST(PipelineTrainer, StageFailureUnblocksPeersAndRethrows) {
   // A stage that throws (here: stage 0, on a microbatch missing its graph
   // inputs) must not leave downstream stages blocked in recv() forever:
-  // the fabric endpoints are closed and the first exception is rethrown.
+  // the boundary channels are closed and the first exception is rethrown.
   BuiltModel m = build_mlp(test_mlp());
   PipelineTrainer pipeline(m.graph, chunk_stages(m.graph, 3),
                            PipelineOptions{});
@@ -216,14 +219,13 @@ TEST(PipelineTrainer, ReportsSimulatedCommAndMeasuredComputeTime) {
   PipelineOptions plain;
   plain.opt = oc;
   plain.seed = 7;
-  PipelineOptions fabric = plain;
-  fabric.cluster = ClusterSpec{};  // stage s pinned to device s
-  fabric.cluster->comm_model = CommModel::Fabric;
+  PipelineOptions priced = plain;
+  priced.cluster = ClusterSpec{};  // stage s pinned to device s
 
   PipelineTrainer a(m.graph, chunk_stages(m.graph, 3), plain);
-  PipelineTrainer b(m.graph, chunk_stages(m.graph, 3), fabric);
+  PipelineTrainer b(m.graph, chunk_stages(m.graph, 3), priced);
   const auto mbs = make_microbatches(m.graph, 2, 99);
-  // The fabric only accounts for traffic; it must not change the numbers.
+  // Pricing only accounts for traffic; it must not change the numbers.
   EXPECT_FLOAT_EQ(a.step(mbs), b.step(mbs));
 
   std::int64_t total_in = 0, total_out = 0;
@@ -372,21 +374,98 @@ TEST(Optimizer, CopyOnWriteStepPreservesSnapshotAndMatchesInPlace) {
   EXPECT_TRUE(maps_bit_equal(ref_params, cow_params));
 }
 
-TEST(Endpoint, TensorHandoffIsZeroCopy) {
-  // Inter-stage boundary traffic moves tensor handles, not bytes: the
-  // consumer receives the producer's buffer.
-  comm::FabricEndpoint<TensorMap> ep(4, nullptr, true, [](const TensorMap&) {
-    return static_cast<std::int64_t>(0);
-  });
-  Tensor t = Tensor::uniform(Shape{256}, 1.0f, 9);
-  const float* produced = t.data();
-  TensorMap m;
-  m.emplace(0, std::move(t));
-  ASSERT_TRUE(ep.send(std::move(m)));
-  RecvStatus st = RecvStatus::Closed;
-  auto got = ep.recv(&st, 0);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->at(0).data(), produced);
+/// Boundary payload bytes per stage-pair edge of `stages`: every value
+/// produced in one stage and consumed in another, counted once per
+/// consuming stage. Gradient messages carry the same values back.
+std::map<std::pair<int, int>, std::int64_t> edge_bytes(
+    const TaskGraph& g, const std::vector<std::vector<TaskId>>& stages) {
+  std::vector<int> stage_of(g.num_tasks(), -1);
+  for (std::size_t s = 0; s < stages.size(); ++s)
+    for (TaskId t : stages[s])
+      stage_of[static_cast<std::size_t>(t)] = static_cast<int>(s);
+  std::map<std::pair<int, int>, std::int64_t> bytes;
+  for (const Value& v : g.values()) {
+    if (v.producer == kNoTask) continue;
+    const int from = stage_of[static_cast<std::size_t>(v.producer)];
+    std::set<int> to;
+    for (TaskId c : v.consumers)
+      if (stage_of[static_cast<std::size_t>(c)] != from)
+        to.insert(stage_of[static_cast<std::size_t>(c)]);
+    for (int s : to)
+      bytes[{from, s}] +=
+          v.shape.numel() * static_cast<std::int64_t>(sizeof(float));
+  }
+  return bytes;
+}
+
+TEST(PipelineTrainer, CommSecondsAreInOrderP2pSums) {
+  // Every message adds p2p_time(cluster, bytes, same_node) on its sending
+  // and on its receiving stage. One device per node makes every boundary
+  // cross nodes; two per node keeps 0->1 inside node 0 and moves 1->2
+  // across. The reports must equal the in-order sums bit for bit.
+  BuiltModel m = build_mlp(test_mlp());
+  const auto stages = chunk_stages(m.graph, 3);
+  const auto bytes = edge_bytes(m.graph, stages);
+  ASSERT_EQ(bytes.size(), 2u);
+  const int MB = 2, steps = 2;
+  for (const int dpn : {1, 2}) {
+    PipelineOptions po;
+    po.seed = 3;
+    po.cluster = ClusterSpec{};
+    po.cluster->devices_per_node = dpn;
+    const ClusterSpec& c = *po.cluster;
+    PipelineTrainer t(m.graph, stages, po);
+    for (int k = 0; k < steps; ++k)
+      t.step(make_microbatches(m.graph, MB, 40 + static_cast<unsigned>(k)));
+
+    std::vector<double> want_s(3, 0.0);
+    std::vector<std::int64_t> want_in(3, 0), want_out(3, 0);
+    for (const auto& [edge, b] : bytes) {
+      const auto [from, to] = edge;
+      const bool same_node = from / dpn == to / dpn;
+      ASSERT_NE(p2p_time(c, b, true), p2p_time(c, b, false));
+      // One direction of the edge over every message of every step; the
+      // activations and the gradients carry the same bytes.
+      double one_way = 0;
+      for (int k = 0; k < steps * MB; ++k)
+        one_way += p2p_time(c, b, same_node);
+      want_s[static_cast<std::size_t>(from)] += one_way + one_way;
+      want_s[static_cast<std::size_t>(to)] += one_way + one_way;
+      want_out[static_cast<std::size_t>(from)] += steps * MB * b;
+      want_in[static_cast<std::size_t>(from)] += steps * MB * b;
+      want_out[static_cast<std::size_t>(to)] += steps * MB * b;
+      want_in[static_cast<std::size_t>(to)] += steps * MB * b;
+    }
+    for (std::size_t s = 0; s < 3; ++s) {
+      const StageReport& r = t.stage_report(s);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.comm_seconds),
+                std::bit_cast<std::uint64_t>(want_s[s]))
+          << "dpn=" << dpn << " stage " << s << ": " << r.comm_seconds
+          << " vs " << want_s[s];
+      EXPECT_EQ(r.bytes_in, want_in[s]) << "dpn=" << dpn << " stage " << s;
+      EXPECT_EQ(r.bytes_out, want_out[s]) << "dpn=" << dpn << " stage " << s;
+    }
+  }
+}
+
+TEST(PipelineTrainer, BoundaryHandoffIsZeroCopy) {
+  // Inter-stage traffic moves tensor handles, not bytes: a partitioned
+  // step allocates exactly as many tensors as the unpartitioned one, so no
+  // boundary activation or gradient is copied on its way between stages.
+  BuiltModel m = build_mlp(test_mlp());
+  const auto mbs = make_microbatches(m.graph, 2, 17);
+  std::vector<std::int64_t> allocs;
+  for (const int S : {1, 2, 3}) {
+    PipelineOptions po;
+    po.cluster = ClusterSpec{};
+    PipelineTrainer t(m.graph, chunk_stages(m.graph, S), po);
+    const std::int64_t before = Arena::global().stats().allocs;
+    t.step(mbs);
+    allocs.push_back(Arena::global().stats().allocs - before);
+  }
+  EXPECT_GT(allocs[0], 0);
+  EXPECT_EQ(allocs[1], allocs[0]);
+  EXPECT_EQ(allocs[2], allocs[0]);
 }
 
 }  // namespace

@@ -105,47 +105,43 @@ TEST(SearchParallel, ResolveThreadsPrecedence) {
 
 /// Every table-backed profile equals the oracle (the same formula with no
 /// shared table) bit for bit: random ranges, every microbatch size the
-/// sweep can query, single- and multi-stage memory, both comm models and
-/// both unit granularities.
+/// sweep can query, single- and multi-stage memory and both unit
+/// granularities.
 TEST(ProfileTables, MatchOracleBitForBit) {
   BertConfig bc = tiny_bert();
   bc.layers = 2;
   const BuiltModel m = build_bert(bc);
   std::mt19937 rng(7);
-  for (const CommModel comm : {CommModel::Analytic, CommModel::Fabric}) {
-    for (const bool coarsen : {true, false}) {
-      SearchRequest req;
-      req.cluster.num_nodes = 2;
-      req.cluster.devices_per_node = 4;
-      req.cluster.comm_model = comm;
-      req.batch_size = 64;
-      req.use_coarsening = coarsen;
-      const detail::SweepProfiles sp(m.graph, req);
-      const int n = sp.num_units();
-      ASSERT_GT(n, 1);
-      ASSERT_FALSE(sp.bsizes().empty());
-      std::uniform_int_distribution<int> pick(0, n);
-      for (const std::int64_t bsize : sp.bsizes()) {
-        for (int q = 0; q < 8; ++q) {
-          int lo = pick(rng), hi = pick(rng);
-          if (lo == hi) continue;
-          if (lo > hi) std::swap(lo, hi);
-          for (const auto& [mb, stages] : {std::pair{1, 1}, std::pair{4, 3}}) {
-            const StageProfile got = sp.table(lo, hi, bsize, mb, stages);
-            const StageProfile want = sp.oracle(lo, hi, bsize, mb, stages);
-            const std::string where =
-                "comm=" + std::to_string(static_cast<int>(comm)) +
-                " coarsen=" + std::to_string(coarsen) + " range=(" +
-                std::to_string(lo) + "," + std::to_string(hi) +
-                "] bsize=" + std::to_string(bsize);
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.t_f),
-                      std::bit_cast<std::uint64_t>(want.t_f))
-                << where;
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.t_b),
-                      std::bit_cast<std::uint64_t>(want.t_b))
-                << where;
-            EXPECT_EQ(got.mem, want.mem) << where;
-          }
+  for (const bool coarsen : {true, false}) {
+    SearchRequest req;
+    req.cluster.num_nodes = 2;
+    req.cluster.devices_per_node = 4;
+    req.batch_size = 64;
+    req.use_coarsening = coarsen;
+    const detail::SweepProfiles sp(m.graph, req);
+    const int n = sp.num_units();
+    ASSERT_GT(n, 1);
+    ASSERT_FALSE(sp.bsizes().empty());
+    std::uniform_int_distribution<int> pick(0, n);
+    for (const std::int64_t bsize : sp.bsizes()) {
+      for (int q = 0; q < 8; ++q) {
+        int lo = pick(rng), hi = pick(rng);
+        if (lo == hi) continue;
+        if (lo > hi) std::swap(lo, hi);
+        for (const auto& [mb, stages] : {std::pair{1, 1}, std::pair{4, 3}}) {
+          const StageProfile got = sp.table(lo, hi, bsize, mb, stages);
+          const StageProfile want = sp.oracle(lo, hi, bsize, mb, stages);
+          const std::string where =
+              "coarsen=" + std::to_string(coarsen) + " range=(" +
+              std::to_string(lo) + "," + std::to_string(hi) +
+              "] bsize=" + std::to_string(bsize);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.t_f),
+                    std::bit_cast<std::uint64_t>(want.t_f))
+              << where;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.t_b),
+                    std::bit_cast<std::uint64_t>(want.t_b))
+              << where;
+          EXPECT_EQ(got.mem, want.mem) << where;
         }
       }
     }

@@ -795,7 +795,6 @@ TEST(Arena, BuffersAre64ByteAlignedWithSufficientCapacity) {
 
 TEST(Arena, ReusesReleasedSlabs) {
   Arena& arena = Arena::global();
-  if (!arena.enabled()) GTEST_SKIP() << "arena disabled via RANNC_ARENA=0";
   const float* p1;
   {
     Tensor t(Shape{512});
@@ -811,7 +810,6 @@ TEST(Arena, ReusesReleasedSlabs) {
 
 TEST(Arena, EndEpochCountsAndTrimDropsIdleSlabs) {
   Arena& arena = Arena::global();
-  if (!arena.enabled()) GTEST_SKIP() << "arena disabled via RANNC_ARENA=0";
   { Tensor t(Shape{2048}); }  // leaves one idle slab pooled
   EXPECT_GT(arena.stats().pooled_bytes, 0);
   const auto e0 = arena.stats().epochs;
