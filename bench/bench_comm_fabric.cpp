@@ -5,9 +5,10 @@
 // uncontended (the fabric degenerates to the closed form), > 1 where
 // co-located ranks share a NIC — the effect the closed-form model of
 // `src/cluster/cluster_spec.cpp` cannot represent.
+//
+// Usage: bench_comm_fabric   (no arguments; the sweep is its 72 rows)
 #include <cstdint>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "rannc.h"
@@ -23,22 +24,14 @@ struct Row {
   double simulated;
 };
 
-std::string to_json(const Row& r) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "  {\"op\": \"%s\", \"bytes\": %lld, \"ranks\": %d, "
-                "\"spans_nodes\": %s, \"analytic_s\": %.9g, "
-                "\"simulated_s\": %.9g, \"ratio\": %.4f}",
-                r.op, static_cast<long long>(r.bytes), r.ranks,
-                r.spans_nodes ? "true" : "false", r.analytic, r.simulated,
-                r.analytic > 0 ? r.simulated / r.analytic : 1.0);
-  return buf;
-}
-
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rannc;
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s\n", argv[0]);
+    return 2;
+  }
   const ClusterSpec c;  // paper testbed: 4 nodes x 8 V100
 
   std::vector<Row> rows;
@@ -56,16 +49,20 @@ int main() {
     }
   }
 
-  std::string json = "[\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    json += to_json(rows[i]);
-    json += i + 1 < rows.size() ? ",\n" : "\n";
+  json::Writer w;
+  w.begin_array();
+  for (const Row& r : rows) {
+    w.begin_object().field("op", r.op).field("bytes", r.bytes);
+    w.field("ranks", r.ranks).field("spans_nodes", r.spans_nodes);
+    w.field("analytic_s", r.analytic).field("simulated_s", r.simulated);
+    w.field("ratio", r.analytic > 0 ? r.simulated / r.analytic : 1.0);
+    w.end_object();
   }
-  json += "]\n";
-  std::fputs(json.c_str(), stdout);
+  w.end_array();
+  std::fputs(w.str().c_str(), stdout);
 
   if (std::FILE* f = std::fopen("BENCH_COMM_FABRIC.json", "w")) {
-    std::fputs(json.c_str(), f);
+    std::fputs(w.str().c_str(), f);
     std::fclose(f);
     std::fprintf(stderr, "wrote BENCH_COMM_FABRIC.json (%zu rows)\n",
                  rows.size());

@@ -316,44 +316,30 @@ int main(int argc, char** argv) {
     RANNC_LOG_ERROR("cannot open " << out_path << " for writing");
     return 1;
   }
-  os << "{\n";
-  os << "  \"bench\": \"partitioner_search\",\n";
-  os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
-  os << "  \"reps\": " << reps << ",\n";
-  os << "  \"hardware_concurrency\": " << hw << ",\n";
-  os << "  \"geometries\": [\n";
-  for (std::size_t gi = 0; gi < results.size(); ++gi) {
-    const auto& gr = results[gi];
+  json::Writer w;
+  w.begin_object().field("bench", "partitioner_search").field("quick", quick);
+  w.field("reps", reps).field("hardware_concurrency", hw);
+  w.key("geometries").begin_array();
+  for (const GeomResult& gr : results) {
     const double base = gr.configs.front().search_seconds;
-    os << "    {\n";
-    os << "      \"name\": " << obs::json_string(gr.name) << ",\n";
-    os << "      \"batch_size\": " << gr.batch_size << ",\n";
-    os << "      \"tasks\": " << gr.tasks << ",\n";
-    os << "      \"plans_identical\": "
-       << (gr.plans_identical ? "true" : "false") << ",\n";
-    os << "      \"configs\": [\n";
-    for (std::size_t ci = 0; ci < gr.configs.size(); ++ci) {
-      const auto& cr = gr.configs[ci];
-      os << "        {\n";
-      os << "          \"label\": " << obs::json_string(cr.label) << ",\n";
-      os << "          \"threads\": " << cr.threads << ",\n";
-      os << "          \"feasible\": " << (cr.feasible ? "true" : "false")
-         << ",\n";
-      os << "          \"search_seconds\": " << cr.search_seconds << ",\n";
-      os << "          \"wall_seconds\": " << cr.wall_seconds << ",\n";
-      os << "          \"dp_cells\": " << cr.dp_cells << ",\n";
-      os << "          \"profile_queries\": " << cr.profile_queries << ",\n";
-      os << "          \"profile_queries_saved\": " << cr.profile_queries_saved
-         << ",\n";
-      os << "          \"speedup_vs_t1\": "
-         << (cr.search_seconds > 0 ? base / cr.search_seconds : 0.0) << "\n";
-      os << "        }" << (ci + 1 < gr.configs.size() ? "," : "") << "\n";
+    w.begin_object().field("name", gr.name).field("batch_size", gr.batch_size);
+    w.field("tasks", gr.tasks).field("plans_identical", gr.plans_identical);
+    w.key("configs").begin_array();
+    for (const ConfigResult& cr : gr.configs) {
+      w.begin_object().field("label", cr.label).field("threads", cr.threads);
+      w.field("feasible", cr.feasible);
+      w.field("search_seconds", cr.search_seconds);
+      w.field("wall_seconds", cr.wall_seconds).field("dp_cells", cr.dp_cells);
+      w.field("profile_queries", cr.profile_queries);
+      w.field("profile_queries_saved", cr.profile_queries_saved);
+      w.field("speedup_vs_t1",
+              cr.search_seconds > 0 ? base / cr.search_seconds : 0.0);
+      w.end_object();
     }
-    os << "      ]\n";
-    os << "    }" << (gi + 1 < results.size() ? "," : "") << "\n";
+    w.end_array().end_object();
   }
-  os << "  ]\n";
-  os << "}\n";
+  w.end_array().end_object();
+  os << w.str();
   os.close();
   std::printf("\nwrote %s\n", out_path.c_str());
   return 0;

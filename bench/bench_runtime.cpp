@@ -198,15 +198,12 @@ RunResult run_case(const ModelCase& c, const RunConfig& rc, int steps,
   return r;
 }
 
-std::string json_run(const RunResult& r) {
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "{\"steps_per_sec\": %.3f, \"ms_per_step\": %.2f, "
-                "\"fresh_bytes_per_step\": %.0f, \"arena_hit_rate\": %.4f, "
-                "\"final_loss\": %.6f}",
-                r.steps_per_sec, r.ms_per_step, r.fresh_bytes_per_step,
-                r.arena_hit_rate, static_cast<double>(r.final_loss));
-  return buf;
+void write_run(json::Writer& w, const char* name, const RunResult& r) {
+  w.key(name).begin_object().field("steps_per_sec", r.steps_per_sec);
+  w.field("ms_per_step", r.ms_per_step);
+  w.field("fresh_bytes_per_step", r.fresh_bytes_per_step);
+  w.field("arena_hit_rate", r.arena_hit_rate);
+  w.field("final_loss", r.final_loss).end_object();
 }
 
 }  // namespace
@@ -240,7 +237,10 @@ int main(int argc, char** argv) {
 
   double min_speedup = 1e30;
   bool parity_ok = true, threads_ok = true;
-  std::string models_json;
+  json::Writer w;
+  w.begin_object().field("schema", "rannc.bench_runtime.v1");
+  w.field("simd", detail::blocked_kernels_simd()).field("quick", quick);
+  w.key("models").begin_array();
   for (const ModelCase& c : cases) {
     const int naive_steps = quick ? 1 : 3;
     const int fast_steps = quick ? 4 : 15;
@@ -281,32 +281,20 @@ int main(int argc, char** argv) {
                 speedup, static_cast<double>(loss_diff),
                 bit_identical ? "bit-identical" : "MISMATCH");
 
-    if (!models_json.empty()) models_json += ",\n";
-    char head[256];
-    std::snprintf(head, sizeof head,
-                  "    {\"name\": \"%s\", \"stages\": %zu, "
-                  "\"microbatches\": %d,\n",
-                  c.name.c_str(), c.stage_tasks.size(), c.microbatches);
-    char tail[256];
-    std::snprintf(tail, sizeof tail,
-                  ",\n     \"speedup\": %.3f, \"max_loss_diff\": %.3e, "
-                  "\"thread_bit_identical\": %s}",
-                  speedup, static_cast<double>(loss_diff),
-                  bit_identical ? "true" : "false");
-    models_json += std::string(head) + "     \"naive\": " + json_run(naive) +
-                   ",\n     \"fast\": " + json_run(fast) + tail;
+    w.begin_object().field("name", c.name);
+    w.field("stages", c.stage_tasks.size());
+    w.field("microbatches", c.microbatches);
+    write_run(w, "naive", naive);
+    write_run(w, "fast", fast);
+    w.field("speedup", speedup).field("max_loss_diff", loss_diff);
+    w.field("thread_bit_identical", bit_identical).end_object();
   }
 
   const bool gate_ok = gate <= 0 || min_speedup >= gate;
   const bool pass = gate_ok && parity_ok && threads_ok;
+  w.end_array().field("min_speedup", min_speedup).field("gate", gate);
   std::ofstream f(out);
-  f << "{\n  \"schema\": \"rannc.bench_runtime.v1\",\n"
-    << "  \"simd\": " << (detail::blocked_kernels_simd() ? "true" : "false")
-    << ",\n  \"quick\": " << (quick ? "true" : "false") << ",\n"
-    << "  \"models\": [\n" << models_json << "\n  ],\n"
-    << "  \"min_speedup\": " << min_speedup << ",\n"
-    << "  \"gate\": " << gate << ",\n"
-    << "  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
+  f << w.field("pass", pass).end_object().str();
   f.close();
 
   std::printf("min speedup %.2fx (gate %.1fx) -> %s\n", min_speedup, gate,

@@ -259,59 +259,39 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
-  os << "{\n";
-  os << "  \"bench\": \"search_scale\",\n";
-  os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
-  os << "  \"all_plans_identical\": "
-     << (all_plans_identical ? "true" : "false") << ",\n";
-  os << "  \"gate_10x\": " << (gate_10x ? "true" : "false") << ",\n";
-  os << "  \"scenarios\": [\n";
-  for (std::size_t si = 0; si < results.size(); ++si) {
-    const auto& r = results[si];
-    os << "    {\n";
-    os << "      \"name\": " << obs::json_string(r.name) << ",\n";
-    os << "      \"tasks\": " << r.tasks << ",\n";
-    os << "      \"nodes\": " << r.nodes << ",\n";
-    os << "      \"devices_per_node\": " << r.devices_per_node << ",\n";
-    os << "      \"batch_size\": " << r.batch_size << ",\n";
-    os << "      \"plans_identical\": "
-       << (r.plans_identical ? "true" : "false") << ",\n";
-    os << "      \"gated\": " << (r.gated ? "true" : "false") << ",\n";
-    os << "      \"cells_ratio\": " << r.cells_ratio << ",\n";
-    os << "      \"search_speedup\": " << r.search_speedup << ",\n";
-    os << "      \"wall_speedup\": " << r.wall_speedup << ",\n";
-    os << "      \"engines\": [\n";
-    for (std::size_t ei = 0; ei < r.engines.size(); ++ei) {
-      const auto& er = r.engines[ei];
-      os << "        {\n";
-      os << "          \"label\": " << obs::json_string(er.label) << ",\n";
-      os << "          \"feasible\": " << (er.feasible ? "true" : "false")
-         << ",\n";
-      os << "          \"search_seconds\": " << er.search_seconds << ",\n";
-      os << "          \"wall_seconds\": " << er.wall_seconds << ",\n";
-      os << "          \"dp_cells\": " << er.dp_cells << ",\n";
-      os << "          \"profile_queries\": " << er.profile_queries << ",\n";
-      os << "          \"bound_queries\": " << er.bound_queries << ",\n";
-      os << "          \"jobs_pruned\": " << er.jobs_pruned << ",\n";
-      os << "          \"jobs_dominated\": " << er.jobs_dominated << ",\n";
-      os << "          \"ranges_pruned\": " << er.ranges_pruned << ",\n";
-      os << "          \"columns_pruned\": " << er.columns_pruned << ",\n";
-      os << "          \"paths_pruned\": " << er.paths_pruned << ",\n";
-      os << "          \"incumbent_updates\": " << er.incumbent_updates
-         << ",\n";
-      os << "          \"blocks\": " << er.blocks << ",\n";
-      os << "          \"coarsen_levels\": " << er.coarsen_levels << ",\n";
-      os << "          \"uncoarsen_moves\": " << er.uncoarsen_moves << ",\n";
-      os << "          \"compaction_merges\": " << er.compaction_merges
-         << ",\n";
-      os << "          \"est_iteration\": " << er.est_iteration << "\n";
-      os << "        }" << (ei + 1 < r.engines.size() ? "," : "") << "\n";
+  json::Writer w;
+  w.begin_object().field("bench", "search_scale").field("quick", quick);
+  w.field("all_plans_identical", all_plans_identical);
+  w.field("gate_10x", gate_10x).key("scenarios").begin_array();
+  for (const auto& r : results) {
+    w.begin_object().field("name", r.name).field("tasks", r.tasks);
+    w.field("nodes", r.nodes).field("devices_per_node", r.devices_per_node);
+    w.field("batch_size", r.batch_size);
+    w.field("plans_identical", r.plans_identical).field("gated", r.gated);
+    w.field("cells_ratio", r.cells_ratio);
+    w.field("search_speedup", r.search_speedup);
+    w.field("wall_speedup", r.wall_speedup).key("engines").begin_array();
+    for (const auto& er : r.engines) {
+      w.begin_object().field("label", er.label).field("feasible", er.feasible);
+      w.field("search_seconds", er.search_seconds);
+      w.field("wall_seconds", er.wall_seconds).field("dp_cells", er.dp_cells);
+      w.field("profile_queries", er.profile_queries);
+      w.field("bound_queries", er.bound_queries);
+      w.field("jobs_pruned", er.jobs_pruned);
+      w.field("jobs_dominated", er.jobs_dominated);
+      w.field("ranges_pruned", er.ranges_pruned);
+      w.field("columns_pruned", er.columns_pruned);
+      w.field("paths_pruned", er.paths_pruned);
+      w.field("incumbent_updates", er.incumbent_updates);
+      w.field("blocks", er.blocks).field("coarsen_levels", er.coarsen_levels);
+      w.field("uncoarsen_moves", er.uncoarsen_moves);
+      w.field("compaction_merges", er.compaction_merges);
+      w.field("est_iteration", er.est_iteration).end_object();
     }
-    os << "      ]\n";
-    os << "    }" << (si + 1 < results.size() ? "," : "") << "\n";
+    w.end_array().end_object();
   }
-  os << "  ]\n";
-  os << "}\n";
+  w.end_array().end_object();
+  os << w.str();
   os.close();
   std::printf("wrote %s\n", out_path.c_str());
 

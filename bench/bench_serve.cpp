@@ -161,19 +161,14 @@ void print_phase(const char* name, const PhaseStats& p) {
       percentile(p.hit_us, 0.99), mean(p.miss_us));
 }
 
-void emit_phase(std::ofstream& os, const char* name, const PhaseStats& p,
-                bool last) {
-  os << "    \"" << name << "\": {\n";
-  os << "      \"requests\": " << p.requests << ",\n";
-  os << "      \"hits\": " << p.hits << ",\n";
-  os << "      \"misses\": " << p.misses << ",\n";
-  os << "      \"disk_hits\": " << p.disk_hits << ",\n";
-  os << "      \"hit_rate\": " << p.hit_rate() << ",\n";
-  os << "      \"hit_p50_us\": " << percentile(p.hit_us, 0.50) << ",\n";
-  os << "      \"hit_p99_us\": " << percentile(p.hit_us, 0.99) << ",\n";
-  os << "      \"hit_mean_us\": " << mean(p.hit_us) << ",\n";
-  os << "      \"miss_mean_us\": " << mean(p.miss_us) << "\n";
-  os << "    }" << (last ? "" : ",") << "\n";
+void write_phase(json::Writer& w, const char* name, const PhaseStats& p) {
+  w.key(name).begin_object().field("requests", p.requests);
+  w.field("hits", p.hits).field("misses", p.misses);
+  w.field("disk_hits", p.disk_hits).field("hit_rate", p.hit_rate());
+  w.field("hit_p50_us", percentile(p.hit_us, 0.50));
+  w.field("hit_p99_us", percentile(p.hit_us, 0.99));
+  w.field("hit_mean_us", mean(p.hit_us)).field("miss_mean_us", mean(p.miss_us));
+  w.end_object();
 }
 
 }  // namespace
@@ -271,20 +266,15 @@ int main(int argc, char** argv) {
     RANNC_LOG_ERROR("cannot open " << out_path << " for writing");
     return 1;
   }
-  os << "{\n";
-  os << "  \"bench\": \"serve\",\n";
-  os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
-  os << "  \"zipf_s\": 1.2,\n";
-  os << "  \"distinct_keys\": " << zoo.size() << ",\n";
-  os << "  \"trace_len\": " << trace.size() << ",\n";
-  os << "  \"phases\": {\n";
-  emit_phase(os, "cold_warm", cold, false);
-  emit_phase(os, "restart", restart, false);
-  emit_phase(os, "rerun", rerun, true);
-  os << "  },\n";
-  os << "  \"warm_hit_p99_us\": " << warm_p99 << ",\n";
-  os << "  \"gate_warm_p99_le_1ms\": " << (gate_ok ? "true" : "false") << "\n";
-  os << "}\n";
+  json::Writer w;
+  w.begin_object().field("bench", "serve").field("quick", quick);
+  w.field("zipf_s", 1.2).field("distinct_keys", zoo.size());
+  w.field("trace_len", trace.size()).key("phases").begin_object();
+  write_phase(w, "cold_warm", cold);
+  write_phase(w, "restart", restart);
+  write_phase(w, "rerun", rerun);
+  w.end_object().field("warm_hit_p99_us", warm_p99);
+  os << w.field("gate_warm_p99_le_1ms", gate_ok).end_object().str();
   os.close();
   std::printf("wrote %s\n", out_path.c_str());
 

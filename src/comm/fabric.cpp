@@ -134,8 +134,9 @@ std::vector<double> Fabric::run_step(const std::vector<Transfer>& transfers) {
                                                 double share) {
     if (share == last_emitted[static_cast<std::size_t>(l)]) return;
     last_emitted[static_cast<std::size_t>(l)] = share;
-    rec_->counter(obs::Domain::SimFabric, l, "bw_share", ts * 1e6,
-                  "\"bytes_per_s\":" + obs::json_double(share));
+    json::Writer args(json::Layout::Compact);
+    args.begin_object().field("bytes_per_s", share).end_object();
+    rec_->counter(obs::Domain::SimFabric, l, "bw_share", ts * 1e6, args.str());
   };
   // Each iteration finishes >= 1 transfer or jumps to the next activation,
   // so the loop is bounded by 2n events; the cap is a pure float-pathology
@@ -230,16 +231,16 @@ std::vector<double> Fabric::run_step(const std::vector<Transfer>& transfers) {
       if (log_enabled_)
         log_.push_back({t.src, t.dst, t.bytes, st[i].activate, finish[i],
                         nominal, bottleneck});
-      if (rec_ != nullptr)
+      if (rec_ != nullptr) {
+        json::Writer args(json::Layout::Compact);
+        args.begin_object().field("src", t.src).field("dst", t.dst);
+        args.field("bytes", t.bytes).field("nominal_s", nominal).end_object();
         rec_->complete(obs::Domain::SimFabric, st[i].path[0],
                        "xfer r" + std::to_string(t.src) + "->r" +
                            std::to_string(t.dst),
                        "fabric", st[i].activate * 1e6,
-                       (finish[i] - st[i].activate) * 1e6,
-                       "\"src\":" + std::to_string(t.src) +
-                           ",\"dst\":" + std::to_string(t.dst) +
-                           ",\"bytes\":" + obs::json_double(t.bytes) +
-                           ",\"nominal_s\":" + obs::json_double(nominal));
+                       (finish[i] - st[i].activate) * 1e6, args.str());
+      }
     }
   }
 

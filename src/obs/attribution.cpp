@@ -6,7 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/trace.h"  // json_double / json_string
+#include "util/json.h"
 
 namespace rannc {
 namespace obs {
@@ -30,7 +30,7 @@ double overlap(double lo1, double hi1, double lo2, double hi2) {
   return hi > lo ? hi - lo : 0.0;
 }
 
-/// Fixed-width "%.6f" (tables only; JSON uses json_double).
+/// Fixed-width "%.6f" (tables only; JSON uses json::number).
 std::string fixed6(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6f", v);
@@ -274,98 +274,74 @@ std::vector<WhatIf> default_what_ifs(const AttributionReport& rep) {
 
 namespace {
 
-void buckets_json(std::ostringstream& os, const StageBuckets& b) {
-  os << "{\"compute\": " << json_double(b.compute)
-     << ", \"comm\": " << json_double(b.comm)
-     << ", \"queue\": " << json_double(b.queue)
-     << ", \"bubble\": " << json_double(b.bubble)
-     << ", \"total\": " << json_double(b.total) << "}";
+void write_buckets(json::Writer& w, const StageBuckets& b) {
+  w.begin_object().field("compute", b.compute).field("comm", b.comm);
+  w.field("queue", b.queue).field("bubble", b.bubble).field("total", b.total);
+  w.end_object();
 }
 
 }  // namespace
 
 std::string report_json(const AttributionReport& rep) {
-  std::ostringstream os;
-  os << "{\n  \"schema\": \"rannc.explain.v1\",\n  \"subject\": "
-     << json_string(rep.subject) << ",\n  \"num_stages\": " << rep.num_stages
-     << ",\n  \"microbatches\": " << rep.microbatches
-     << ",\n  \"step_time\": " << json_double(rep.step_time)
-     << ",\n  \"anchor_stage\": " << rep.anchor_stage << ",\n  \"step\": ";
-  buckets_json(os, rep.step);
-  os << ",\n  \"stages\": [";
+  json::Writer w;
+  w.begin_object().field("schema", "rannc.explain.v1");
+  w.field("subject", rep.subject).field("num_stages", rep.num_stages);
+  w.field("microbatches", rep.microbatches).field("step_time", rep.step_time);
+  w.field("anchor_stage", rep.anchor_stage).key("step");
+  write_buckets(w, rep.step);
+  w.key("stages").begin_array();
   for (std::size_t s = 0; s < rep.stages.size(); ++s) {
-    os << (s ? "," : "") << "\n    {\"stage\": " << s << ", \"buckets\": ";
-    buckets_json(os, rep.stages[s]);
-    os << "}";
+    w.begin_object().field("stage", s).key("buckets");
+    write_buckets(w, rep.stages[s]);
+    w.end_object();
   }
-  os << (rep.stages.empty() ? "" : "\n  ") << "],\n  \"critical_path\": {\n"
-     << "    \"makespan\": " << json_double(rep.path.makespan)
-     << ",\n    \"terminal_stage\": " << rep.path.terminal_stage
-     << ",\n    \"compute_total\": " << json_double(rep.path.compute_total)
-     << ",\n    \"comm_total\": " << json_double(rep.path.comm_total)
-     << ",\n    \"compute_by_stage\": [";
-  for (std::size_t s = 0; s < rep.path.compute_by_stage.size(); ++s)
-    os << (s ? ", " : "") << json_double(rep.path.compute_by_stage[s]);
-  os << "],\n    \"comm_by_edge\": [";
-  for (std::size_t e = 0; e < rep.path.comm_by_edge.size(); ++e)
-    os << (e ? ", " : "") << json_double(rep.path.comm_by_edge[e]);
-  os << "],\n    \"segments\": [";
-  for (std::size_t i = 0; i < rep.path.segments.size(); ++i) {
-    const PathSegment& sg = rep.path.segments[i];
-    os << (i ? "," : "") << "\n      {\"kind\": \""
-       << (sg.kind == PathSegment::Kind::Compute ? "compute" : "comm")
-       << "\", \"stage\": " << sg.stage
-       << ", \"microbatch\": " << sg.microbatch << ", \"backward\": "
-       << (sg.backward ? "true" : "false");
-    if (sg.kind == PathSegment::Kind::Comm)
-      os << ", \"from_stage\": " << sg.from_stage;
-    os << ", \"start\": " << json_double(sg.start)
-       << ", \"end\": " << json_double(sg.end) << "}";
+  const CriticalPath& cp = rep.path;
+  w.end_array().key("critical_path").begin_object();
+  w.field("makespan", cp.makespan).field("terminal_stage", cp.terminal_stage);
+  w.field("compute_total", cp.compute_total);
+  w.field("comm_total", cp.comm_total).key("compute_by_stage").begin_array();
+  for (const double t : cp.compute_by_stage) w.value(t);
+  w.end_array().key("comm_by_edge").begin_array();
+  for (const double t : cp.comm_by_edge) w.value(t);
+  w.end_array().key("segments").begin_array();
+  for (const PathSegment& sg : cp.segments) {
+    const bool comm = sg.kind == PathSegment::Kind::Comm;
+    w.begin_object().field("kind", comm ? "comm" : "compute");
+    w.field("stage", sg.stage).field("microbatch", sg.microbatch);
+    w.field("backward", sg.backward);
+    if (comm) w.field("from_stage", sg.from_stage);
+    w.field("start", sg.start).field("end", sg.end).end_object();
   }
-  os << (rep.path.segments.empty() ? "" : "\n    ")
-     << "]\n  },\n  \"stragglers\": [";
-  for (std::size_t i = 0; i < rep.stragglers.size(); ++i)
-    os << (i ? ", " : "") << rep.stragglers[i];
-  os << "],\n  \"links\": [";
-  for (std::size_t i = 0; i < rep.links.size(); ++i) {
-    const LinkAttribution& l = rep.links[i];
-    os << (i ? "," : "") << "\n    {\"name\": " << json_string(l.name)
-       << ", \"transfers\": " << l.transfers
-       << ", \"bytes\": " << json_double(l.bytes)
-       << ", \"wire\": " << json_double(l.wire)
-       << ", \"queue\": " << json_double(l.queue)
-       << ", \"active\": " << json_double(l.active)
-       << ", \"busy\": " << json_double(l.busy) << "}";
+  w.end_array().end_object().key("stragglers").begin_array();
+  for (const int s : rep.stragglers) w.value(s);
+  w.end_array().key("links").begin_array();
+  for (const LinkAttribution& l : rep.links) {
+    w.begin_object().field("name", l.name).field("transfers", l.transfers);
+    w.field("bytes", l.bytes).field("wire", l.wire).field("queue", l.queue);
+    w.field("active", l.active).field("busy", l.busy).end_object();
   }
-  os << (rep.links.empty() ? "" : "\n  ") << "],\n  \"bottleneck_links\": [";
-  for (std::size_t i = 0; i < rep.bottleneck_links.size(); ++i)
-    os << (i ? ", " : "")
-       << json_string(
-              rep.links[static_cast<std::size_t>(rep.bottleneck_links[i])]
-                  .name);
-  os << "],\n  \"fabric_horizon\": " << json_double(rep.fabric_horizon)
-     << ",\n  \"what_if\": [";
-  for (std::size_t i = 0; i < rep.what_ifs.size(); ++i) {
-    const WhatIfResult& w = rep.what_ifs[i];
-    os << (i ? "," : "") << "\n    {\"name\": " << json_string(w.name)
-       << ", \"kind\": \"" << kind_name(w.spec.kind) << "\""
-       << ", \"index\": " << w.spec.index
-       << ", \"factor\": " << json_double(w.spec.factor)
-       << ", \"microbatches\": " << w.spec.microbatches
-       << ", \"baseline\": " << json_double(w.baseline)
-       << ", \"estimate\": " << json_double(w.estimate);
-    if (w.ground_truth >= 0) {
-      const double denom = std::max(std::abs(w.ground_truth), 1e-300);
-      os << ", \"ground_truth\": " << json_double(w.ground_truth)
-         << ", \"rel_error\": "
-         << json_double(std::abs(w.estimate - w.ground_truth) / denom);
+  w.end_array().key("bottleneck_links").begin_array();
+  for (const int l : rep.bottleneck_links)
+    w.value(rep.links[static_cast<std::size_t>(l)].name);
+  w.end_array().field("fabric_horizon", rep.fabric_horizon);
+  w.key("what_if").begin_array();
+  for (const WhatIfResult& wi : rep.what_ifs) {
+    w.begin_object().field("name", wi.name);
+    w.field("kind", kind_name(wi.spec.kind)).field("index", wi.spec.index);
+    w.field("factor", wi.spec.factor);
+    w.field("microbatches", wi.spec.microbatches);
+    w.field("baseline", wi.baseline).field("estimate", wi.estimate);
+    if (wi.ground_truth >= 0) {
+      const double denom = std::max(std::abs(wi.ground_truth), 1e-300);
+      w.field("ground_truth", wi.ground_truth);
+      w.field("rel_error", std::abs(wi.estimate - wi.ground_truth) / denom);
     } else {
-      os << ", \"ground_truth\": null, \"rel_error\": null";
+      w.key("ground_truth").null().key("rel_error").null();
     }
-    os << "}";
+    w.end_object();
   }
-  os << (rep.what_ifs.empty() ? "" : "\n  ") << "]\n}\n";
-  return os.str();
+  w.end_array().end_object();
+  return w.str();
 }
 
 std::string report_table(const AttributionReport& rep) {

@@ -3,9 +3,8 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
-#include <sstream>
 
-#include "obs/trace.h"  // json_double / json_string
+#include "util/json.h"
 
 namespace rannc {
 namespace obs {
@@ -127,35 +126,28 @@ std::string MetricsRegistry::to_json() const {
     for (const auto& [n, g] : gauges_) gs.emplace_back(n, g.get());
     for (const auto& [n, h] : histograms_) hs.emplace_back(n, h.get());
   }
-  std::ostringstream os;
-  os << "{\n  \"counters\": {";
-  for (std::size_t i = 0; i < cs.size(); ++i)
-    os << (i ? "," : "") << "\n    " << json_string(cs[i].first) << ": "
-       << cs[i].second->get();
-  os << (cs.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
-  for (std::size_t i = 0; i < gs.size(); ++i)
-    os << (i ? "," : "") << "\n    " << json_string(gs[i].first) << ": "
-       << json_double(gs[i].second->get());
-  os << (gs.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
-  for (std::size_t i = 0; i < hs.size(); ++i) {
-    const Histogram::Snapshot s = hs[i].second->snapshot();
-    os << (i ? "," : "") << "\n    " << json_string(hs[i].first)
-       << ": {\"count\": " << s.count << ", \"sum\": " << json_double(s.sum)
-       << ", \"min\": " << json_double(s.min)
-       << ", \"max\": " << json_double(s.max)
-       << ", \"p50\": " << json_double(s.quantile(0.50))
-       << ", \"p99\": " << json_double(s.quantile(0.99))
-       << ", \"buckets\": [";
-    for (std::size_t b = 0; b < s.buckets.size(); ++b) {
-      const bool inf = !std::isfinite(s.buckets[b].first);
-      os << (b ? "," : "") << "{\"le\": "
-         << (inf ? std::string("\"inf\"") : json_double(s.buckets[b].first))
-         << ", \"count\": " << s.buckets[b].second << "}";
+  json::Writer w;
+  w.begin_object().key("counters").begin_object();
+  for (const auto& [name, c] : cs) w.field(name, c->get());
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, g] : gs) w.field(name, g->get());
+  w.end_object().key("histograms").begin_object();
+  for (const auto& [name, h] : hs) {
+    const Histogram::Snapshot s = h->snapshot();
+    w.key(name).begin_object().field("count", s.count).field("sum", s.sum);
+    w.field("min", s.min).field("max", s.max);
+    w.field("p50", s.quantile(0.50)).field("p99", s.quantile(0.99));
+    w.key("buckets").begin_array();
+    for (const auto& [le, count] : s.buckets) {
+      w.begin_object().key("le");
+      if (std::isfinite(le)) w.value(le);
+      else w.value("inf");
+      w.field("count", count).end_object();
     }
-    os << "]}";
+    w.end_array().end_object();
   }
-  os << (hs.empty() ? "" : "\n  ") << "}\n}\n";
-  return os.str();
+  w.end_object().end_object();
+  return w.str();
 }
 
 bool MetricsRegistry::write_json_file(const std::string& path) const {

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iomanip>
-#include <limits>
-#include <ostream>
 #include <sstream>
 #include <tuple>
 
@@ -49,68 +45,30 @@ const char* domain_label(Domain d) {
   return "unknown";
 }
 
-void emit_event_json(std::ostream& os, const TraceEvent& e) {
-  os << "{\"name\":" << json_string(e.name) << ",\"ph\":\"" << e.ph
-     << "\",\"pid\":" << static_cast<int>(e.domain) << ",\"tid\":" << e.tid
-     << ",\"ts\":" << json_double(e.ts_us);
-  if (e.ph == 'X') os << ",\"dur\":" << json_double(e.dur_us);
-  if (!e.cat.empty()) os << ",\"cat\":" << json_string(e.cat);
-  if (e.ph == 'i') os << ",\"s\":\"t\"";
-  if (!e.args.empty()) os << ",\"args\":{" << e.args << "}";
-  os << "}";
+void write_event(json::Writer& w, const TraceEvent& e) {
+  w.begin_object().field("name", e.name);
+  w.field("ph", std::string_view(&e.ph, 1));
+  w.field("pid", static_cast<int>(e.domain)).field("tid", e.tid);
+  w.field("ts", e.ts_us);
+  if (e.ph == 'X') w.field("dur", e.dur_us);
+  if (!e.cat.empty()) w.field("cat", e.cat);
+  if (e.ph == 'i') w.field("s", "t");
+  if (!e.args.empty()) w.key("args").raw(e.args);
+  w.end_object();
 }
 
-void emit_metadata_json(std::ostream& os, int pid, int tid, const char* kind,
-                        const std::string& name) {
-  os << "{\"name\":\"" << kind << "\",\"ph\":\"M\",\"pid\":" << pid
-     << ",\"tid\":" << tid << ",\"ts\":0,\"args\":{\"name\":"
-     << json_string(name) << "}}";
+void write_metadata(json::Writer& w, int pid, int tid, const char* kind,
+                    const std::string& name) {
+  w.begin_object().field("name", kind).field("ph", "M").field("pid", pid);
+  w.field("tid", tid).field("ts", 0).key("args").begin_object();
+  w.field("name", name).end_object().end_object();
 }
 
 }  // namespace
 
-std::string json_double(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
-  return os.str();
-}
+std::string json_double(double v) { return json::number(v); }
 
-std::string json_string(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
+std::string json_string(const std::string& s) { return json::quote(s); }
 
 TraceRecorder::TraceRecorder()
     : id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)),
@@ -240,7 +198,7 @@ std::size_t TraceRecorder::event_count() const {
   return n;
 }
 
-void TraceRecorder::write_json(std::ostream& os) const {
+std::string TraceRecorder::json() const {
   std::vector<TraceEvent> events;
   std::vector<std::pair<int, std::string>> lanes;
   gather(events, lanes);
@@ -250,44 +208,26 @@ void TraceRecorder::write_json(std::ostream& os) const {
     tracks = track_names_;
   }
 
-  os << "{\n\"traceEvents\": [\n";
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
+  json::Writer w;
+  w.begin_object().key("traceEvents").begin_array();
   for (Domain d :
-       {Domain::Search, Domain::SimSchedule, Domain::SimFabric}) {
-    sep();
-    emit_metadata_json(os, static_cast<int>(d), 0, "process_name",
-                       domain_label(d));
-  }
-  for (const auto& [tid, name] : lanes) {
-    sep();
-    emit_metadata_json(os, static_cast<int>(Domain::Search), tid,
-                       "thread_name", name);
-  }
-  for (const auto& [key, name] : tracks) {
-    sep();
-    emit_metadata_json(os, key.first, key.second, "thread_name", name);
-  }
-  for (const TraceEvent& e : events) {
-    sep();
-    emit_event_json(os, e);
-  }
-  os << "\n],\n\"displayTimeUnit\": \"ms\"\n}\n";
-}
-
-std::string TraceRecorder::json() const {
-  std::ostringstream os;
-  write_json(os);
-  return os.str();
+       {Domain::Search, Domain::SimSchedule, Domain::SimFabric})
+    write_metadata(w, static_cast<int>(d), 0, "process_name",
+                   domain_label(d));
+  for (const auto& [tid, name] : lanes)
+    write_metadata(w, static_cast<int>(Domain::Search), tid, "thread_name",
+                   name);
+  for (const auto& [key, name] : tracks)
+    write_metadata(w, key.first, key.second, "thread_name", name);
+  for (const TraceEvent& e : events) write_event(w, e);
+  w.end_array().field("displayTimeUnit", "ms").end_object();
+  return w.str();
 }
 
 bool TraceRecorder::write_json_file(const std::string& path) const {
   std::ofstream os(path);
   if (!os) return false;
-  write_json(os);
+  os << json();
   return static_cast<bool>(os);
 }
 
@@ -298,25 +238,15 @@ std::string TraceRecorder::events_json(Domain d) const {
     std::lock_guard<std::mutex> lk(reg_mu_);
     tracks = track_names_;
   }
-  std::ostringstream os;
-  os << "[\n";
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
-  for (const auto& [key, name] : tracks) {
-    if (key.first != static_cast<int>(d)) continue;
-    sep();
-    emit_metadata_json(os, key.first, key.second, "thread_name", name);
-  }
-  for (const TraceEvent& e : events) {
-    if (e.domain != d) continue;
-    sep();
-    emit_event_json(os, e);
-  }
-  os << "\n]\n";
-  return os.str();
+  json::Writer w(json::Layout::Compact);
+  w.begin_array();
+  for (const auto& [key, name] : tracks)
+    if (key.first == static_cast<int>(d))
+      write_metadata(w, key.first, key.second, "thread_name", name);
+  for (const TraceEvent& e : events)
+    if (e.domain == d) write_event(w, e);
+  w.end_array();
+  return w.str();
 }
 
 TraceRecorder* set_recorder(TraceRecorder* rec) {
@@ -346,26 +276,9 @@ void Scope::begin(const char* cat) {
 
 Scope::~Scope() {
   if (rec_ == nullptr) return;
+  if (!args_.str().empty()) args_.end_object();
   rec_->complete(Domain::Search, rec_->lane(), std::move(name_), cat_, ts_us_,
-                 rec_->now_us() - ts_us_, std::move(args_));
-}
-
-void Scope::arg_i64(const char* key, std::int64_t v) {
-  if (rec_ == nullptr) return;
-  if (!args_.empty()) args_.push_back(',');
-  args_ += json_string(key) + ":" + std::to_string(v);
-}
-
-void Scope::arg(const char* key, double v) {
-  if (rec_ == nullptr) return;
-  if (!args_.empty()) args_.push_back(',');
-  args_ += json_string(key) + ":" + json_double(v);
-}
-
-void Scope::arg(const char* key, const std::string& v) {
-  if (rec_ == nullptr) return;
-  if (!args_.empty()) args_.push_back(',');
-  args_ += json_string(key) + ":" + json_string(v);
+                 rec_->now_us() - ts_us_, args_.str());
 }
 
 // ---- timeline spans -------------------------------------------------------

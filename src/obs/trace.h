@@ -34,7 +34,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -42,6 +41,8 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "util/json.h"
 
 namespace rannc {
 namespace obs {
@@ -62,7 +63,7 @@ struct TraceEvent {
   double dur_us = 0;  ///< span length; meaningful for ph == 'X' only
   std::string name;
   std::string cat;
-  /// Pre-serialized JSON object *body* (no braces), e.g. `"S":4,"MB":8`.
+  /// Args object from a Compact json::Writer, e.g. `{"S":4,"MB":8}`.
   /// Empty = no args.
   std::string args;
 };
@@ -91,7 +92,7 @@ class TraceRecorder {
   void complete(Domain d, int tid, std::string name, const char* cat,
                 double ts_us, double dur_us, std::string args = {});
   /// Counter sample ('C'); `args` carries the series values, e.g.
-  /// `"hits":12,"misses":3`.
+  /// `{"hits":12,"misses":3}`.
   void counter(Domain d, int tid, std::string name, double ts_us,
                std::string args);
   /// Instant event ('i').
@@ -106,14 +107,13 @@ class TraceRecorder {
   [[nodiscard]] std::size_t event_count() const;
 
   /// Full trace document: {"traceEvents": [...], "displayTimeUnit": "ms"}.
-  void write_json(std::ostream& os) const;
   [[nodiscard]] std::string json() const;
   /// Returns false when the file cannot be opened.
   bool write_json_file(const std::string& path) const;
 
-  /// The events of one domain (plus its track-name metadata) as a JSON
-  /// array, canonically sorted — the unit tests compare these strings to
-  /// pin down bit-identical virtual-time traces across thread counts.
+  /// The events of one domain (plus its track-name metadata) as a Compact
+  /// JSON array, canonically sorted — the unit tests compare these strings
+  /// to pin down bit-identical virtual-time traces across thread counts.
   [[nodiscard]] std::string events_json(Domain d) const;
 
  private:
@@ -181,23 +181,23 @@ class Scope {
 
   [[nodiscard]] bool active() const { return rec_ != nullptr; }
 
-  /// Appends an args key; no-op when inactive.
-  template <typename T, std::enable_if_t<std::is_integral_v<T>, int> = 0>
-  void arg(const char* key, T v) {
-    arg_i64(key, static_cast<std::int64_t>(v));
+  /// Appends an args member (a number, bool or string); no-op when
+  /// inactive.
+  template <typename T>
+  void arg(const char* key, const T& v) {
+    if (rec_ == nullptr) return;
+    if (args_.str().empty()) args_.begin_object();
+    args_.field(key, v);
   }
-  void arg(const char* key, double v);
-  void arg(const char* key, const std::string& v);
 
  private:
   void begin(const char* cat);
-  void arg_i64(const char* key, std::int64_t v);
 
   TraceRecorder* rec_;
   std::string name_;
   const char* cat_ = "";
   double ts_us_ = 0;
-  std::string args_;
+  json::Writer args_{json::Layout::Compact};
 };
 
 // ---- shared timeline representation ---------------------------------------
@@ -211,7 +211,7 @@ struct TimelineSpan {
   std::string name;    ///< trace event name
   double start = 0;    ///< domain time, seconds
   double end = 0;
-  std::string args;    ///< JSON args body for the trace event
+  std::string args;    ///< trace event args (TraceEvent::args)
 };
 
 /// ASCII Gantt: one `<track_label><track> |....XX..|` row per track,
@@ -225,11 +225,11 @@ std::string render_ascii_timeline(const std::vector<TimelineSpan>& spans,
 void record_spans(TraceRecorder& rec, Domain d, const char* cat,
                   const std::vector<TimelineSpan>& spans);
 
-// ---- JSON helpers shared by the writers -----------------------------------
+// ---- JSON spelling forwards ------------------------------------------------
 
-/// Deterministic double formatting (max_digits10, finite-checked).
+/// json::number; kept for callers outside the library.
 std::string json_double(double v);
-/// Escapes and quotes a JSON string.
+/// json::quote; kept for callers outside the library.
 std::string json_string(const std::string& s);
 
 }  // namespace obs

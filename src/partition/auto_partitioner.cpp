@@ -522,11 +522,12 @@ SearchResult auto_partition(const VerifiedGraph& model,
     progress_cells += sol.dp_cells_visited;
     progress_queries += sol.profile_queries;
     ++progress_jobs;
+    json::Writer args(json::Layout::Compact);
+    args.begin_object().field("dp_cells", progress_cells);
+    args.field("profile_queries", progress_queries);
+    args.field("jobs_done", progress_jobs).end_object();
     rec->counter(obs::Domain::Search, 0, "sweep_progress", rec->now_us(),
-                 "\"dp_cells\":" + std::to_string(progress_cells) +
-                     ",\"profile_queries\":" +
-                     std::to_string(progress_queries) +
-                     ",\"jobs_done\":" + std::to_string(progress_jobs));
+                 args.str());
   };
 
   bool aborted = false;

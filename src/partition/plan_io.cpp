@@ -1,7 +1,5 @@
 #include "partition/plan_io.h"
 
-#include <iomanip>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -109,32 +107,24 @@ std::vector<PlanViolation> validate_plan(const PartitionResult& plan,
 // ---- JSON writing -----------------------------------------------------------
 
 std::string plan_to_json(const PartitionResult& plan) {
-  std::ostringstream os;
-  os << std::setprecision(17);  // lossless double round-trip
-  os << "{\n";
-  os << "  \"version\": 1,\n";
-  os << "  \"feasible\": " << (plan.feasible ? "true" : "false") << ",\n";
-  os << "  \"microbatches\": " << plan.microbatches << ",\n";
-  os << "  \"pipelines\": " << plan.pipelines << ",\n";
-  os << "  \"nodes_used\": " << plan.nodes_used << ",\n";
-  os << "  \"est_iteration_time\": " << plan.est_iteration_time << ",\n";
-  os << "  \"stages\": [\n";
-  for (std::size_t s = 0; s < plan.stages.size(); ++s) {
-    const StagePlan& sp = plan.stages[s];
-    os << "    {\"devices\": " << sp.devices
-       << ", \"replicas_total\": " << sp.replicas_total
-       << ", \"microbatch_size\": " << sp.microbatch_size
-       << ", \"t_f\": " << sp.t_f << ", \"t_b\": " << sp.t_b
-       << ", \"mem\": " << sp.mem << ", \"param_bytes\": " << sp.param_bytes
-       << ", \"comm_out_bytes\": " << sp.comm_out_bytes << ", \"tasks\": [";
-    for (std::size_t i = 0; i < sp.tasks.size(); ++i) {
-      if (i) os << ',';
-      os << sp.tasks[i];
-    }
-    os << "]}" << (s + 1 < plan.stages.size() ? "," : "") << "\n";
+  json::Writer w(json::Layout::Compact);
+  w.begin_object().field("version", 1).field("feasible", plan.feasible);
+  w.field("microbatches", plan.microbatches).field("pipelines", plan.pipelines);
+  w.field("nodes_used", plan.nodes_used);
+  w.field("est_iteration_time", plan.est_iteration_time);
+  w.key("stages").begin_array();
+  for (const StagePlan& sp : plan.stages) {
+    w.begin_object().field("devices", sp.devices);
+    w.field("replicas_total", sp.replicas_total);
+    w.field("microbatch_size", sp.microbatch_size);
+    w.field("t_f", sp.t_f).field("t_b", sp.t_b).field("mem", sp.mem);
+    w.field("param_bytes", sp.param_bytes);
+    w.field("comm_out_bytes", sp.comm_out_bytes).key("tasks").begin_array();
+    for (const TaskId t : sp.tasks) w.value(t);
+    w.end_array().end_object();
   }
-  os << "  ]\n}\n";
-  return os.str();
+  w.end_array().end_object();
+  return w.str();
 }
 
 // ---- JSON reading -----------------------------------------------------------

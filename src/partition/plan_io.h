@@ -33,7 +33,9 @@ std::vector<PlanViolation> validate_plan(const PartitionResult& plan,
                                          const SearchRequest& req);
 
 /// Serializes the plan (stage task lists, devices, replica counts,
-/// microbatching, timings, memory) as a JSON document.
+/// microbatching, timings, memory) as a one-line Compact JSON document:
+/// plans are read by machines (serve replies, the plan store, the search
+/// benches' plan-identity checks).
 std::string plan_to_json(const PartitionResult& plan);
 
 /// Reads back the fields written by plan_to_json: stage task lists,

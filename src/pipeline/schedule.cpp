@@ -220,17 +220,17 @@ std::vector<obs::TimelineSpan> schedule_spans(const ScheduleResult& res) {
     sp.name = (iv.backward ? "B mb " : "F mb ") + std::to_string(iv.microbatch);
     sp.start = iv.start;
     sp.end = iv.end;
-    sp.args = "\"stage\":" + std::to_string(iv.stage) +
-              ",\"microbatch\":" + std::to_string(iv.microbatch) +
-              ",\"backward\":" + (iv.backward ? "true" : "false") +
-              ",\"resource_ready\":" + obs::json_double(iv.resource_ready);
+    json::Writer args(json::Layout::Compact);
+    args.begin_object().field("stage", iv.stage);
+    args.field("microbatch", iv.microbatch).field("backward", iv.backward);
+    args.field("resource_ready", iv.resource_ready);
     if (iv.dep_stage >= 0) {
-      sp.args += ",\"data_ready\":" + obs::json_double(iv.data_ready) +
-                 ",\"comm_delay\":" + obs::json_double(iv.comm_delay) +
-                 ",\"dep_stage\":" + std::to_string(iv.dep_stage) +
-                 ",\"dep_microbatch\":" + std::to_string(iv.dep_microbatch) +
-                 ",\"dep_backward\":" + (iv.dep_backward ? "true" : "false");
+      args.field("data_ready", iv.data_ready);
+      args.field("comm_delay", iv.comm_delay).field("dep_stage", iv.dep_stage);
+      args.field("dep_microbatch", iv.dep_microbatch);
+      args.field("dep_backward", iv.dep_backward);
     }
+    sp.args = args.end_object().str();
     spans.push_back(std::move(sp));
   }
   return spans;
@@ -303,8 +303,10 @@ void trace_schedule(obs::TraceRecorder& rec, const ScheduleResult& res,
                        "stage " + std::to_string(s));
   obs::record_spans(rec, obs::Domain::SimSchedule, "schedule",
                     schedule_spans(res));
+  json::Writer args(json::Layout::Compact);
+  args.begin_object().field("bubble_fraction", res.bubble_fraction);
   rec.counter(obs::Domain::SimSchedule, 0, "bubble_fraction", 0.0,
-              "\"bubble_fraction\":" + obs::json_double(res.bubble_fraction));
+              args.end_object().str());
 }
 
 }  // namespace rannc

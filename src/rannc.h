@@ -8,6 +8,7 @@
 //
 // The layers, bottom to top:
 //
+//   json        the JSON reader and the JSON writer every document uses
 //   obs         tracing (Chrome trace-event), metrics registry, logging
 //   graph       task/value graph, builder API, subgraph queries
 //   analysis    structural verifier, shape re-inference, diagnostics
@@ -23,6 +24,9 @@
 //   runtime     single-device trainer and the pipelined trainer
 //   serve       graph fingerprints, durable plan store, PlanServer
 #pragma once
+
+// ---- JSON ------------------------------------------------------------------
+#include "util/json.h"
 
 // ---- observability ---------------------------------------------------------
 #include "obs/attribution.h"

@@ -3,7 +3,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/trace.h"
 #include "util/json.h"
 
 namespace rannc {
@@ -45,7 +44,7 @@ std::string profile_sig(const SearchRequest& req) {
   const DeviceSpec& d = req.cluster.device;
   std::ostringstream os;
   const auto f = [&os](const char* k, double v) {
-    os << ',' << k << '=' << obs::json_double(v);
+    os << ',' << k << '=' << json::number(v);
   };
   os << "precision=" << precision_name(req.precision)
      << ",opt=" << optimizer_name(req.optimizer)
@@ -73,7 +72,7 @@ std::string geom_sig(const SearchRequest& req) {
      << ",dpn=" << req.cluster.devices_per_node
      << ",bs=" << req.batch_size
      << ",mem=" << req.cluster.device.memory_bytes
-     << ",margin=" << obs::json_double(req.memory_margin)
+     << ",margin=" << json::number(req.memory_margin)
      << ",maxcells=" << req.budget.max_dp_cells;
   return os.str();
 }
@@ -126,19 +125,14 @@ bool PlanStore::save(const PlanKey& key, const StoredEntry& entry) const {
     {
       std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
       if (!out) return false;
-      out << "{\n"
-          << "  \"format_version\": " << kFormatVersion << ",\n"
-          << "  \"fingerprint\": \"" << key.fp.hex() << "\",\n"
-          << "  \"profile_sig\": " << obs::json_string(key.profile_sig)
-          << ",\n"
-          << "  \"geom_sig\": " << obs::json_string(key.geom_sig) << ",\n"
-          << "  \"infeasible\": " << (entry.infeasible ? "true" : "false")
-          << ",\n"
-          << "  \"infeasible_reason\": "
-          << obs::json_string(entry.infeasible_reason) << ",\n"
-          << "  \"checksum\": \"" << checksum(entry) << "\",\n"
-          << "  \"plan\": " << obs::json_string(entry.plan_json) << "\n"
-          << "}\n";
+      json::Writer w;
+      w.begin_object().field("format_version", kFormatVersion);
+      w.field("fingerprint", key.fp.hex());
+      w.field("profile_sig", key.profile_sig).field("geom_sig", key.geom_sig);
+      w.field("infeasible", entry.infeasible);
+      w.field("infeasible_reason", entry.infeasible_reason);
+      w.field("checksum", checksum(entry)).field("plan", entry.plan_json);
+      out << w.end_object().str();
       if (!out.good()) {
         out.close();
         std::filesystem::remove(tmp_path);

@@ -23,8 +23,11 @@
 // §12), so they must not split the cache — a pruned search hits the entry
 // an exhaustive one wrote, and vice versa.
 //
-// Format version 2 dropped the version-1 profile-memo payload; a version-1
-// entry is a miss like any other defect, and the next search rewrites it.
+// Format version 2 dropped the version-1 profile-memo payload. Version 3
+// stores the plan in plan_to_json's one-line Compact layout (version 2 held
+// a multi-line one), so a stored plan can be embedded as-is in a
+// newline-delimited serve reply. An entry of any other version is a miss
+// like any other defect, and the next search rewrites it.
 #pragma once
 
 #include <filesystem>
@@ -69,7 +72,7 @@ struct StoredEntry {
 
 class PlanStore {
  public:
-  static constexpr int kFormatVersion = 2;
+  static constexpr int kFormatVersion = 3;
 
   /// Opens (creating if needed) the store directory. Throws
   /// std::filesystem::filesystem_error only here — a store that cannot

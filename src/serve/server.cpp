@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <chrono>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -228,7 +227,7 @@ ServeResponse PlanServer::handle(const ServeRequest& req) {
       break;
   }
   if (span.active()) {
-    span.arg("status", std::string(status_name(resp.status)));
+    span.arg("status", status_name(resp.status));
     if (!resp.key.empty()) span.arg("key", resp.key);
   }
   return resp;
@@ -255,17 +254,16 @@ std::string PlanServer::stats_json() const {
       obs::metrics().histogram("serve.hit_latency_us").snapshot();
   const obs::Histogram::Snapshot miss =
       obs::metrics().histogram("serve.miss_latency_us").snapshot();
-  std::ostringstream os;
-  os << "{\"hits\": " << s.hits << ", \"disk_hits\": " << s.disk_hits
-     << ", \"misses\": " << s.misses << ", \"coalesced\": " << s.coalesced
-     << ", \"searches\": " << s.searches << ", \"shed\": " << s.shed
-     << ", \"errors\": " << s.errors
-     << ", \"hit_latency_us\": {\"p50\": " << obs::json_double(hit.quantile(0.5))
-     << ", \"p99\": " << obs::json_double(hit.quantile(0.99))
-     << "}, \"miss_latency_us\": {\"p50\": "
-     << obs::json_double(miss.quantile(0.5))
-     << ", \"p99\": " << obs::json_double(miss.quantile(0.99)) << "}}";
-  return os.str();
+  json::Writer w(json::Layout::Compact);
+  w.begin_object().field("hits", s.hits).field("disk_hits", s.disk_hits);
+  w.field("misses", s.misses).field("coalesced", s.coalesced);
+  w.field("searches", s.searches).field("shed", s.shed);
+  w.field("errors", s.errors).key("hit_latency_us").begin_object();
+  w.field("p50", hit.quantile(0.5)).field("p99", hit.quantile(0.99));
+  w.end_object().key("miss_latency_us").begin_object();
+  w.field("p50", miss.quantile(0.5)).field("p99", miss.quantile(0.99));
+  w.end_object().end_object();
+  return w.str();
 }
 
 ServeRequest request_from_json(const json::Value& v,
@@ -296,59 +294,51 @@ PlanServer::WireResult PlanServer::serve_line(const std::string& line) {
   std::int64_t id = 0;
   try {
     const json::Value v = json::parse(line);
+    json::Writer w(json::Layout::Compact);
     id = v.geti("id");
     const std::string cmd = v.gets("cmd");
     if (cmd == "shutdown") {
-      return {"{\"id\": " + std::to_string(id) +
-                  ", \"status\": \"ok\", \"bye\": true}",
-              true};
+      w.begin_object().field("id", id).field("status", "ok").field("bye", true);
+      return {w.end_object().str(), true};
     }
     if (cmd == "stats") {
-      return {"{\"id\": " + std::to_string(id) +
-                  ", \"status\": \"ok\", \"stats\": " + stats_json() + "}",
-              false};
+      w.begin_object().field("id", id).field("status", "ok").key("stats");
+      w.raw(stats_json());
+      return {w.end_object().str(), false};
     }
     if (cmd == "fingerprint") {
       const Fingerprint fp = fingerprint_for(spec_from_json(v));
-      return {"{\"id\": " + std::to_string(id) +
-                  ", \"status\": \"ok\", \"fingerprint\": \"" + fp.hex() +
-                  "\"}",
-              false};
+      w.begin_object().field("id", id).field("status", "ok");
+      w.field("fingerprint", fp.hex());
+      return {w.end_object().str(), false};
     }
     if (!cmd.empty())
       throw std::invalid_argument("unknown cmd '" + cmd + "'");
 
     const ServeRequest req = request_from_json(v, opts_.request_defaults);
     const ServeResponse resp = handle(req);
-    std::ostringstream os;
-    os << "{\"id\": " << req.id << ", \"status\": \""
-       << status_name(resp.status) << "\"";
-    if (resp.coalesced) os << ", \"coalesced\": true";
-    if (resp.from_disk) os << ", \"from_disk\": true";
-    if (!resp.fingerprint.empty())
-      os << ", \"fingerprint\": \"" << resp.fingerprint << "\"";
-    if (!resp.key.empty()) os << ", \"key\": \"" << resp.key << "\"";
-    os << ", \"latency_us\": " << obs::json_double(resp.latency_us);
+    w.begin_object().field("id", req.id);
+    w.field("status", status_name(resp.status));
+    if (resp.coalesced) w.field("coalesced", true);
+    if (resp.from_disk) w.field("from_disk", true);
+    if (!resp.fingerprint.empty()) w.field("fingerprint", resp.fingerprint);
+    if (!resp.key.empty()) w.field("key", resp.key);
+    w.field("latency_us", resp.latency_us);
     if (resp.status == ServeResponse::Status::Hit ||
         resp.status == ServeResponse::Status::Miss) {
-      if (resp.infeasible) {
-        os << ", \"infeasible\": true, \"reason\": "
-           << obs::json_string(resp.infeasible_reason);
-      } else {
-        os << ", \"plan\": " << json::compact(resp.plan_json);
-      }
+      if (resp.infeasible)
+        w.field("infeasible", true).field("reason", resp.infeasible_reason);
+      else
+        w.key("plan").raw(resp.plan_json);
     }
-    if (!resp.error.empty())
-      os << ", \"error\": " << obs::json_string(resp.error);
-    os << "}";
-    return {os.str(), false};
+    if (!resp.error.empty()) w.field("error", resp.error);
+    return {w.end_object().str(), false};
   } catch (const std::exception& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     obs::metrics().counter("serve.errors").add();
-    return {"{\"id\": " + std::to_string(id) +
-                ", \"status\": \"error\", \"error\": " +
-                obs::json_string(e.what()) + "}",
-            false};
+    json::Writer w(json::Layout::Compact);
+    w.begin_object().field("id", id).field("status", "error");
+    return {w.field("error", e.what()).end_object().str(), false};
   }
 }
 

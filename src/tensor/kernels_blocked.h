@@ -1,7 +1,7 @@
 // Cache-blocked GEMM/conv kernels (internal to src/tensor).
 //
 // These are the fast counterparts of the naive reference loops in ops.cpp,
-// dispatched behind the public op entry points unless RANNC_NAIVE_KERNELS
+// dispatched behind the public op entry points unless set_naive_kernels
 // selects the reference path. They operate on raw pointers; all shape
 // checking and output allocation stays in ops.cpp so both paths share it.
 //

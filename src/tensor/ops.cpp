@@ -16,7 +16,7 @@ namespace rannc {
 
 namespace {
 
-std::atomic<int> g_naive_mode{-1};  // -1 = consult env on first use
+std::atomic<bool> g_naive{false};
 std::atomic<ThreadPool*> g_kernel_pool{nullptr};
 
 /// Per-op counters/histogram, resolved once per call site (function-local
@@ -82,18 +82,10 @@ Tensor elementwise_unary(const Tensor& a, float (*fn)(float)) {
 
 // ---- kernel dispatch --------------------------------------------------------
 
-bool naive_kernels() {
-  int mode = g_naive_mode.load(std::memory_order_relaxed);
-  if (mode < 0) {
-    const char* env = std::getenv("RANNC_NAIVE_KERNELS");
-    mode = (env && env[0] == '1' && env[1] == '\0') ? 1 : 0;
-    g_naive_mode.store(mode, std::memory_order_relaxed);
-  }
-  return mode == 1;
-}
+bool naive_kernels() { return g_naive.load(std::memory_order_relaxed); }
 
 void set_naive_kernels(bool naive) {
-  g_naive_mode.store(naive ? 1 : 0, std::memory_order_relaxed);
+  g_naive.store(naive, std::memory_order_relaxed);
 }
 
 void set_kernel_pool(ThreadPool* pool) {

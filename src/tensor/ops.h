@@ -20,13 +20,12 @@ class ThreadPool;
 // The matmul and conv families have two implementations: the naive reference
 // loops (the shapes the comments in ops.cpp describe) and cache-blocked
 // kernels compiled -O3/-mavx2 (src/tensor/kernels_blocked.*). The blocked
-// kernels are the default; RANNC_NAIVE_KERNELS=1 (or set_naive_kernels) pins
-// the reference path for parity testing and benchmarking.
+// kernels are the default; set_naive_kernels(true) pins the reference path
+// for parity testing and benchmarking.
 
 /// True when ops run the naive reference kernels instead of the blocked ones.
-/// First call latches RANNC_NAIVE_KERNELS from the environment.
 bool naive_kernels();
-/// Overrides the kernel choice at runtime (wins over the environment).
+/// Selects the naive reference kernels (true) or the blocked ones (false).
 void set_naive_kernels(bool naive);
 
 /// Overrides the pool used by all tensor kernels (nullptr restores the

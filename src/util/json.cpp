@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -198,11 +200,12 @@ class Parser {
     Value v;
     v.type = Value::Type::Number;
     v.raw_number = s_.substr(start, pos_ - start);
-    try {
-      v.number = std::stod(v.raw_number);
-    } catch (const std::out_of_range&) {
+    // from_chars, unlike strtod, accepts subnormals: every double the
+    // writer spells must read back.
+    const char* end = s_.data() + pos_;
+    const auto [ptr, ec] = std::from_chars(s_.data() + start, end, v.number);
+    if (ec != std::errc() || ptr != end)
       fail(start, "number out of double range");
-    }
     return v;
   }
 
@@ -294,24 +297,87 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-std::string compact(const std::string& text) {
+std::string quote(std::string_view s) {
   std::string out;
-  out.reserve(text.size());
-  bool in_string = false;
-  bool escaped = false;
-  for (char c : text) {
-    if (in_string) {
-      out.push_back(c);
-      if (escaped) escaped = false;
-      else if (c == '\\') escaped = true;
-      else if (c == '"') in_string = false;
-      continue;
+  out.reserve(s.size() + 2);
+  out.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out.push_back(kHex[(c >> 4) & 0xF]);
+          out.push_back(kHex[c & 0xF]);
+        } else {
+          out.push_back(c);
+        }
     }
-    if (std::isspace(static_cast<unsigned char>(c))) continue;
-    out.push_back(c);
-    if (c == '"') in_string = true;
   }
+  out.push_back('"');
   return out;
+}
+
+std::string number(double v) {
+  if (!std::isfinite(v)) return "0";
+  // chars_format::general at a fixed precision is printf's %.17g.
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::general,
+                               std::numeric_limits<double>::max_digits10);
+  return std::string(buf, r.ptr);
+}
+
+void Writer::next_item() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (nonempty_.empty()) return;
+  if (nonempty_.back()) out_.push_back(',');
+  nonempty_.back() = true;
+  newline();
+}
+
+void Writer::newline() {
+  if (layout_ == Layout::Compact) return;
+  out_.push_back('\n');
+  out_.append(2 * nonempty_.size(), ' ');
+}
+
+Writer& Writer::key(std::string_view k) {
+  next_item();
+  out_ += quote(k);
+  out_ += layout_ == Layout::Pretty ? ": " : ":";
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::open(char bracket) {
+  next_item();
+  out_.push_back(bracket);
+  nonempty_.push_back(false);
+  return *this;
+}
+
+Writer& Writer::close(char bracket) {
+  const bool had_items = nonempty_.back();
+  nonempty_.pop_back();
+  if (had_items) newline();
+  out_.push_back(bracket);
+  if (layout_ == Layout::Pretty && nonempty_.empty()) out_.push_back('\n');
+  return *this;
+}
+
+Writer& Writer::raw(std::string_view doc) {
+  next_item();
+  out_ += doc;
+  return *this;
 }
 
 }  // namespace json

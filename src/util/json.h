@@ -1,16 +1,24 @@
-// The repo's one JSON reader: a minimal document model behind every parse
-// of external input — serve wire requests, plan-store entries,
-// plan_from_json (rannc lint --plan) and rannc explain --diff. This is a strict parser for the full
+// The repo's one JSON reader and one JSON writer.
+//
+// Reading: a minimal document model behind every parse of external input —
+// serve wire requests, plan-store entries, plan_from_json (rannc lint
+// --plan) and rannc explain --diff. This is a strict parser for the full
 // JSON grammar (objects, arrays, strings with escapes, numbers, booleans,
 // null) that rejects trailing garbage and numbers a double cannot hold;
 // numbers keep their raw spelling so std::int64_t values round-trip
 // without passing through a double.
+//
+// Writing: `Writer` streams every document the program emits — plans,
+// plan-store entries, serve replies, traces and their args, metrics,
+// explain reports and the BENCH_*.json files. It owns all of the syntax:
+// string escaping, number spelling, separators and indentation.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -69,8 +77,9 @@ class Value {
 
 /// Parses a complete JSON document. Throws std::invalid_argument (with the
 /// byte offset) on any syntax error, on trailing non-whitespace, on numbers
-/// that overflow or underflow a double (1e999, 1e-320), and on documents
-/// nested deeper than an internal sanity bound.
+/// that overflow a double or underflow it to zero (1e999, 1e-400; a
+/// subnormal such as 1e-320 reads), and on documents nested deeper than an
+/// internal sanity bound.
 Value parse(const std::string& text);
 
 /// Reads the whole file at `path` (a document for parse() or for a typed
@@ -78,9 +87,76 @@ Value parse(const std::string& text);
 /// path when it cannot be read.
 std::string read_file(const std::string& path);
 
-/// Removes all whitespace outside string literals — turns any JSON
-/// document into a single line for newline-delimited protocols.
-std::string compact(const std::string& text);
+/// `s` escaped and quoted: `"` `\` newline tab and CR as \" \\ \n \t \r,
+/// every other byte below 0x20 as \u00XX, all else verbatim.
+std::string quote(std::string_view s);
+/// `v` with max_digits10 significant digits in the shortest %g form, which
+/// parses back to the same double; a non-finite value is written as 0.
+std::string number(double v);
+
+/// How a Writer lays a document out. The only layout parameter there is.
+enum class Layout {
+  Pretty,   ///< two-space indent, one member or item per line, final '\n'
+  Compact,  ///< no whitespace outside strings: NDJSON lines, trace args
+};
+
+/// Streaming writer. Containers open and close explicitly; inside an
+/// object every value is preceded by key(). Integers are written exactly
+/// as int64, doubles through number(), strings through quote().
+///
+///   Writer w;
+///   w.begin_object().field("version", 1).key("tasks").begin_array();
+///   for (int t : tasks) w.value(t);
+///   w.end_array().end_object();
+class Writer {
+ public:
+  explicit Writer(Layout layout = Layout::Pretty) : layout_(layout) {}
+
+  Writer& begin_object() { return open('{'); }
+  Writer& end_object() { return close('}'); }
+  Writer& begin_array() { return open('['); }
+  Writer& end_array() { return close(']'); }
+  /// The next value (or container) is this object member's value.
+  Writer& key(std::string_view k);
+
+  Writer& value(std::string_view s) { return raw(quote(s)); }
+  Writer& value(const char* s) { return raw(quote(s)); }
+  Writer& value(double v) { return raw(number(v)); }
+  Writer& value(bool b) { return raw(b ? "true" : "false"); }
+  template <typename T,
+            std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>,
+                             int> = 0>
+  Writer& value(T v) {
+    return raw(std::to_string(static_cast<std::int64_t>(v)));
+  }
+  Writer& null() { return raw("null"); }
+  /// Embeds `doc`, a complete document written by a Compact writer, as
+  /// one value (a plan in a serve reply, a trace event's args).
+  Writer& raw(std::string_view doc);
+
+  /// key(k), then value(v).
+  template <typename T>
+  Writer& field(std::string_view k, const T& v) {
+    key(k);
+    return value(v);
+  }
+
+  /// The document written so far.
+  [[nodiscard]] const std::string& str() const { return out_; }
+
+ private:
+  /// Separator and indentation before a member or item.
+  void next_item();
+  /// Pretty layout: line break and indentation for the current depth.
+  void newline();
+  Writer& open(char bracket);
+  Writer& close(char bracket);
+
+  Layout layout_;
+  std::string out_;
+  std::vector<bool> nonempty_;  ///< per open container: has an item
+  bool after_key_ = false;
+};
 
 }  // namespace json
 }  // namespace rannc

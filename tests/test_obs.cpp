@@ -80,7 +80,7 @@ TEST(ObsTrace, EmittedDocumentIsValidJson) {
     obs::Scope inner([] { return std::string("inner lazy"); }, "test");
   }
   rec.counter(obs::Domain::SimFabric, 2, "bw_share", 1.0,
-              "\"bytes_per_s\":125000000");
+              R"({"bytes_per_s":125000000})");
   rec.instant(obs::Domain::Search, 0, "marker", "test", 5.0);
   rec.set_track_name(obs::Domain::SimSchedule, 0, "stage 0");
   obs::set_recorder(nullptr);

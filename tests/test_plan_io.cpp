@@ -2,7 +2,11 @@
 // of every reader of external JSON (all of which parse through util/json).
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstring>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -190,7 +194,7 @@ TEST(JsonReaders, RejectEveryMalformedInput) {
       {"json: geti of an exponent",
        [] { (void)json::parse(R"({"a": 1e3})").geti("a"); }},
       {"json: double overflow", [] { (void)json::parse("1e999"); }},
-      {"json: double underflow", [] { (void)json::parse("1e-320"); }},
+      {"json: double underflow", [] { (void)json::parse("1e-400"); }},
       {"serve request: fractional layer count",
        [] {
          (void)serve::spec_from_json(
@@ -217,6 +221,147 @@ TEST(JsonReaders, RejectEveryMalformedInput) {
   } catch (const std::exception& ex) {
     ADD_FAILURE() << "round trip threw " << ex.what();
   }
+}
+
+// ---- util/json's writer: every document it writes reads back ---------------
+
+TEST(JsonWriter, EveryControlByteQuoteAndBackslashRoundTrip) {
+  std::string all;
+  for (int c = 0; c < 0x20; ++c) all.push_back(static_cast<char>(c));
+  all += "\"\\ plain";
+  for (const json::Layout layout : {json::Layout::Pretty, json::Layout::Compact}) {
+    json::Writer w(layout);
+    w.begin_object().field(all, all).key("list").begin_array();
+    for (const char c : all) w.value(std::string(1, c));
+    w.end_array().end_object();
+    const json::Value v = json::parse(w.str());
+    EXPECT_EQ(v.gets(all), all);
+    ASSERT_EQ(v.find("list")->items.size(), all.size());
+    for (std::size_t i = 0; i < all.size(); ++i)
+      EXPECT_EQ(v.find("list")->items[i].str, std::string(1, all[i])) << i;
+  }
+  EXPECT_EQ(json::quote(std::string(1, '\x1f')), "\"\\u001f\"");
+}
+
+TEST(JsonWriter, DoublesRoundTripExactly) {
+  const double cases[] = {0.1,
+                          -0.0,
+                          0.0,
+                          1.0 / 3.0,
+                          -2.5e-300,
+                          std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::min(),
+                          DBL_MAX,
+                          -DBL_MAX};
+  json::Writer w(json::Layout::Compact);
+  w.begin_array();
+  for (const double d : cases) w.value(d);
+  w.end_array();
+  const json::Value v = json::parse(w.str());
+  ASSERT_EQ(v.items.size(), std::size(cases));
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    EXPECT_EQ(std::memcmp(&v.items[i].number, &cases[i], sizeof(double)), 0)
+        << json::number(cases[i]) << " read back as " << v.items[i].number;
+  }
+  EXPECT_EQ(json::number(0.1), "0.10000000000000001");
+  EXPECT_EQ(json::number(-0.0), "-0");
+  // Non-finite values are written as 0, never as bare inf/nan.
+  EXPECT_EQ(json::number(std::numeric_limits<double>::infinity()), "0");
+  EXPECT_EQ(json::number(std::numeric_limits<double>::quiet_NaN()), "0");
+}
+
+TEST(JsonWriter, Int64ExtremesComeBackExact) {
+  const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  json::Writer w;
+  w.begin_object().field("lo", lo).field("hi", hi).end_object();
+  const json::Value v = json::parse(w.str());
+  EXPECT_EQ(v.find("lo")->as_int64(), lo);
+  EXPECT_EQ(v.find("hi")->as_int64(), hi);
+}
+
+/// One document with empty and nested containers of every kind.
+void write_nested(json::Writer& w) {
+  w.begin_object()
+      .key("empty_object")
+      .begin_object()
+      .end_object()
+      .key("empty_array")
+      .begin_array()
+      .end_array()
+      .key("nested")
+      .begin_array()
+      .begin_array()
+      .end_array()
+      .begin_object()
+      .field("a", 1)
+      .key("b")
+      .begin_array()
+      .value(true)
+      .null()
+      .value("s")
+      .value(2.5)
+      .end_array()
+      .end_object()
+      .end_array()
+      .key("raw")
+      .raw(R"({"x":[1,{}]})")
+      .end_object();
+}
+
+/// Canonical re-serialization of a parsed value, for comparing documents.
+std::string canonical(const json::Value& v) {
+  json::Writer w(json::Layout::Compact);
+  const std::function<void(const json::Value&)> put =
+      [&](const json::Value& x) {
+        switch (x.type) {
+          case json::Value::Type::Null: w.null(); break;
+          case json::Value::Type::Bool: w.value(x.boolean); break;
+          case json::Value::Type::Number: w.raw(x.raw_number); break;
+          case json::Value::Type::String: w.value(x.str); break;
+          case json::Value::Type::Array:
+            w.begin_array();
+            for (const json::Value& item : x.items) put(item);
+            w.end_array();
+            break;
+          case json::Value::Type::Object:
+            w.begin_object();
+            for (const auto& [k, m] : x.members) {
+              w.key(k);
+              put(m);
+            }
+            w.end_object();
+            break;
+        }
+      };
+  put(v);
+  return w.str();
+}
+
+TEST(JsonWriter, EmptyAndNestedContainers) {
+  json::Writer w(json::Layout::Compact);
+  write_nested(w);
+  EXPECT_EQ(w.str(),
+            R"({"empty_object":{},"empty_array":[],"nested":[[],{"a":1,)"
+            R"("b":[true,null,"s",2.5]}],"raw":{"x":[1,{}]}})");
+  const json::Value v = json::parse(w.str());
+  EXPECT_TRUE(v.find("empty_object")->is_object());
+  EXPECT_TRUE(v.find("empty_object")->members.empty());
+  EXPECT_TRUE(v.find("empty_array")->items.empty());
+  EXPECT_EQ(v.find("nested")->items[1].find("b")->items.size(), 4u);
+  EXPECT_EQ(canonical(v), w.str());
+}
+
+TEST(JsonWriter, PrettyAndCompactLayoutsParseEqual) {
+  json::Writer pretty;
+  json::Writer compact(json::Layout::Compact);
+  write_nested(pretty);
+  write_nested(compact);
+  EXPECT_NE(pretty.str(), compact.str());
+  EXPECT_EQ(pretty.str().back(), '\n');
+  EXPECT_EQ(compact.str().find_first_of("\n "), std::string::npos);
+  EXPECT_EQ(canonical(json::parse(pretty.str())),
+            canonical(json::parse(compact.str())));
 }
 
 }  // namespace

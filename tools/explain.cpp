@@ -127,7 +127,8 @@ void diff_values(const json::Value& a, const json::Value& b,
     }
     case json::Value::Type::String:
       if (a.str != b.str)
-        out.push_back(path + ": \"" + a.str + "\" vs \"" + b.str + "\"");
+        out.push_back(path + ": " + json::quote(a.str) + " vs " +
+                      json::quote(b.str));
       return;
     case json::Value::Type::Array: {
       if (a.items.size() != b.items.size()) {
