@@ -39,14 +39,6 @@ int main(int argc, char** argv) {
   std::printf("iteration %.1f ms, bubble %.1f%%\n\n", sync.iteration_time * 1e3,
               100 * sync.bubble_fraction);
 
-  const ScheduleResult fb = simulate_1f1b_sync(st, MB);
-  std::printf("-- synchronous 1F1B (same flush, bounded in-flight state) --\n%s",
-              render_gantt(fb, static_cast<int>(st.size()), 110).c_str());
-  std::printf("iteration %.1f ms, bubble %.1f%% — identical makespan to GPipe\n"
-              "for balanced stages, but each stage holds at most S-s\n"
-              "microbatches of activations instead of all of them.\n\n",
-              fb.iteration_time * 1e3, 100 * fb.bubble_fraction);
-
   const ScheduleResult async_r = simulate_1f1b_async(st, MB);
   std::printf("-- asynchronous 1F1B (PipeDream-2BW) steady state --\n");
   std::printf("iteration %.1f ms, bubble %.1f%% — faster, but parameters go\n"

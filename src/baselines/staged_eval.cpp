@@ -34,7 +34,6 @@ StagedEval eval_stages(const GraphProfiler& prof, const ClusterSpec& cluster,
     StageTimes& st = ev.times[static_cast<std::size_t>(i)];
     st.t_f = p.t_fwd + comm_out;
     st.t_b = p.t_bwd + (checkpointing ? p.t_fwd : 0) + comm_in;
-    st.comm_next = 0;  // folded into t_f / t_b above
 
     std::int64_t inflight = 1;
     if (S > 1) {

@@ -24,12 +24,6 @@ void check_fit(double fitted, double direct, double scale, const char* what) {
                            " conservation fit disagrees with direct sum");
 }
 
-double overlap(double lo1, double hi1, double lo2, double hi2) {
-  const double lo = std::max(lo1, lo2);
-  const double hi = std::min(hi1, hi2);
-  return hi > lo ? hi - lo : 0.0;
-}
-
 /// Fixed-width "%.6f" (tables only; JSON uses json::number).
 std::string fixed6(double v) {
   char buf[64];
@@ -56,10 +50,6 @@ const char* kind_name(WhatIf::Kind k) {
   switch (k) {
     case WhatIf::Kind::StageComputeScale:
       return "stage_compute_scale";
-    case WhatIf::Kind::EdgeCommScale:
-      return "edge_comm_scale";
-    case WhatIf::Kind::AllCommScale:
-      return "all_comm_scale";
     case WhatIf::Kind::Microbatches:
       return "microbatches";
   }
@@ -94,31 +84,10 @@ AttributionReport attribute(const std::vector<CausalOp>& ops, int num_stages,
 
   rep.stages.resize(static_cast<std::size_t>(rep.num_stages));
   for (int s = 0; s < rep.num_stages; ++s) {
-    ExactSum compute, comm, queue, bubble_direct;
+    ExactSum compute, bubble_direct;
     double prev_end = 0;
     for (const CausalOp* o : by_stage[static_cast<std::size_t>(s)]) {
-      if (o->start > prev_end) {
-        // Classify the gap by the constraint that released `o`.
-        const bool data_binds =
-            o->dep_stage >= 0 && o->data_ready >= o->resource_ready;
-        double wire_seg = 0, queue_seg = 0;
-        if (data_binds && o->comm_delay > 0) {
-          // The data edge occupied [data_ready - comm_delay, data_ready);
-          // the uncontended nominal rides at the end (the transfer drains
-          // at full rate last), any excess ahead of it is queuing.
-          const double d0 = o->data_ready - o->comm_delay;
-          const double nominal =
-              o->comm_nominal < 0
-                  ? o->comm_delay
-                  : std::min(o->comm_nominal, o->comm_delay);
-          const double wire_lo = o->data_ready - nominal;
-          wire_seg = overlap(wire_lo, o->data_ready, prev_end, o->start);
-          queue_seg = overlap(d0, wire_lo, prev_end, o->start);
-        }
-        comm.add(wire_seg);
-        queue.add(queue_seg);
-        bubble_direct.add((o->start - prev_end) - wire_seg - queue_seg);
-      }
+      if (o->start > prev_end) bubble_direct.add(o->start - prev_end);
       compute.add(o->end - o->start);
       prev_end = std::max(prev_end, o->end);
     }
@@ -126,13 +95,10 @@ AttributionReport attribute(const std::vector<CausalOp>& ops, int num_stages,
 
     StageBuckets& b = rep.stages[static_cast<std::size_t>(s)];
     b.compute = compute.value();
-    b.comm = comm.value();
-    b.queue = queue.value();
     b.total = T;
-    // Fit the bubble so the canonical fold reproduces T bit-exactly, then
+    // Fit the bubble so compute + bubble reproduces T bit-exactly, then
     // cross-check it against the directly enumerated gaps.
-    const double partial = (b.compute + b.comm) + b.queue;
-    b.bubble = fit_residual(T, partial);
+    b.bubble = fit_residual(T, b.compute);
     check_fit(b.bubble, bubble_direct.value(), T, "stage bubble");
   }
 
@@ -210,11 +176,6 @@ std::string what_if_name(const WhatIf& w) {
     case WhatIf::Kind::StageComputeScale:
       return "stage" + std::to_string(w.index) + ".compute.x" +
              factor_str(w.factor);
-    case WhatIf::Kind::EdgeCommScale:
-      return "edge" + std::to_string(w.index) + ".comm.x" +
-             factor_str(w.factor);
-    case WhatIf::Kind::AllCommScale:
-      return "comm.x" + factor_str(w.factor);
     case WhatIf::Kind::Microbatches:
       return "microbatches." + std::to_string(w.microbatches);
   }
@@ -230,14 +191,6 @@ double estimate_what_if(const AttributionReport& rep, const WhatIf& w) {
         return T;
       return T + (w.factor - 1.0) *
                      rep.path.compute_by_stage[static_cast<std::size_t>(w.index)];
-    case WhatIf::Kind::EdgeCommScale:
-      if (w.index < 0 ||
-          static_cast<std::size_t>(w.index) >= rep.path.comm_by_edge.size())
-        return T;
-      return T + (w.factor - 1.0) *
-                     rep.path.comm_by_edge[static_cast<std::size_t>(w.index)];
-    case WhatIf::Kind::AllCommScale:
-      return T + (w.factor - 1.0) * rep.path.comm_total;
     case WhatIf::Kind::Microbatches: {
       if (rep.microbatches <= 0 || w.microbatches <= 0) return T;
       // Steady-state cost of one more (or one fewer) microbatch: the
@@ -261,9 +214,6 @@ std::vector<WhatIf> default_what_ifs(const AttributionReport& rep) {
   v.push_back({WhatIf::Kind::StageComputeScale, anchor, 1.25, 0});
   const int straggler = rep.stragglers.empty() ? anchor : rep.stragglers[0];
   v.push_back({WhatIf::Kind::StageComputeScale, straggler, 0.9, 0});
-  if (rep.num_stages > 1) v.push_back({WhatIf::Kind::EdgeCommScale, 0, 0.5, 0});
-  v.push_back({WhatIf::Kind::AllCommScale, -1, 0.5, 0});
-  v.push_back({WhatIf::Kind::AllCommScale, -1, 2.0, 0});
   if (rep.microbatches > 0) {
     v.push_back({WhatIf::Kind::Microbatches, -1, 1.0, rep.microbatches * 2});
     if (rep.microbatches > 1)
@@ -275,16 +225,15 @@ std::vector<WhatIf> default_what_ifs(const AttributionReport& rep) {
 namespace {
 
 void write_buckets(json::Writer& w, const StageBuckets& b) {
-  w.begin_object().field("compute", b.compute).field("comm", b.comm);
-  w.field("queue", b.queue).field("bubble", b.bubble).field("total", b.total);
-  w.end_object();
+  w.begin_object().field("compute", b.compute).field("bubble", b.bubble);
+  w.field("total", b.total).end_object();
 }
 
 }  // namespace
 
 std::string report_json(const AttributionReport& rep) {
   json::Writer w;
-  w.begin_object().field("schema", "rannc.explain.v1");
+  w.begin_object().field("schema", "rannc.explain.v2");
   w.field("subject", rep.subject).field("num_stages", rep.num_stages);
   w.field("microbatches", rep.microbatches).field("step_time", rep.step_time);
   w.field("anchor_stage", rep.anchor_stage).key("step");
@@ -299,17 +248,12 @@ std::string report_json(const AttributionReport& rep) {
   w.end_array().key("critical_path").begin_object();
   w.field("makespan", cp.makespan).field("terminal_stage", cp.terminal_stage);
   w.field("compute_total", cp.compute_total);
-  w.field("comm_total", cp.comm_total).key("compute_by_stage").begin_array();
+  w.key("compute_by_stage").begin_array();
   for (const double t : cp.compute_by_stage) w.value(t);
-  w.end_array().key("comm_by_edge").begin_array();
-  for (const double t : cp.comm_by_edge) w.value(t);
   w.end_array().key("segments").begin_array();
   for (const PathSegment& sg : cp.segments) {
-    const bool comm = sg.kind == PathSegment::Kind::Comm;
-    w.begin_object().field("kind", comm ? "comm" : "compute");
-    w.field("stage", sg.stage).field("microbatch", sg.microbatch);
-    w.field("backward", sg.backward);
-    if (comm) w.field("from_stage", sg.from_stage);
+    w.begin_object().field("stage", sg.stage);
+    w.field("microbatch", sg.microbatch).field("backward", sg.backward);
     w.field("start", sg.start).field("end", sg.end).end_object();
   }
   w.end_array().end_object().key("stragglers").begin_array();
@@ -352,33 +296,23 @@ std::string report_table(const AttributionReport& rep) {
   os << "step_time " << fixed6(rep.step_time) << " s   stages "
      << rep.num_stages << "   microbatches " << rep.microbatches
      << "   anchor stage " << rep.anchor_stage << "\n\n";
-  os << "stage " << pad_left("compute", 12) << pad_left("comm", 12)
-     << pad_left("queue", 12) << pad_left("bubble", 12)
+  os << "stage " << pad_left("compute", 12) << pad_left("bubble", 12)
      << pad_left("busy%", 8) << "\n";
   for (std::size_t s = 0; s < rep.stages.size(); ++s) {
     const StageBuckets& b = rep.stages[s];
-    const double busy_pct =
-        b.total > 0 ? 100.0 * (b.compute + b.comm + b.queue) / b.total : 0.0;
+    const double busy_pct = b.total > 0 ? 100.0 * b.compute / b.total : 0.0;
     char pct[32];
     std::snprintf(pct, sizeof pct, "%.1f", busy_pct);
     os << pad_left(std::to_string(s), 5) << pad_left(fixed6(b.compute), 12)
-       << pad_left(fixed6(b.comm), 12) << pad_left(fixed6(b.queue), 12)
        << pad_left(fixed6(b.bubble), 12) << pad_left(pct, 8) << "\n";
   }
   os << "\ncritical path: compute " << fixed6(rep.path.compute_total)
-     << " s + comm " << fixed6(rep.path.comm_total) << " s ("
-     << rep.path.segments.size() << " segments, terminal stage "
+     << " s (" << rep.path.segments.size() << " segments, terminal stage "
      << rep.path.terminal_stage << ")\n";
   os << "  compute on path by stage:";
   for (std::size_t s = 0; s < rep.path.compute_by_stage.size(); ++s)
     os << "  s" << s << " " << fixed6(rep.path.compute_by_stage[s]);
   os << "\n";
-  if (!rep.path.comm_by_edge.empty()) {
-    os << "  comm on path by edge:";
-    for (std::size_t e = 0; e < rep.path.comm_by_edge.size(); ++e)
-      os << "  e" << e << " " << fixed6(rep.path.comm_by_edge[e]);
-    os << "\n";
-  }
   os << "  stragglers (by compute):";
   for (int s : rep.stragglers) os << " s" << s;
   os << "\n";

@@ -1,18 +1,15 @@
 // Causal performance attribution: conservation-checked decomposition of a
-// simulated training step into compute / communication / bubble /
-// contention-queuing buckets, straggler and bottleneck rankings, and
-// first-order what-if estimators.
+// simulated training step into compute / bubble buckets, straggler and
+// bottleneck rankings, first-order what-if estimators, and the per-link
+// wire / contention-queuing split of a fabric replay.
 //
 // The decomposition works per stage: each stage's ops and the gaps
-// between them partition the closed interval [0, step_time] exactly, and
-// each gap is classified by the causal edge that was binding when it
-// ended — waiting on data in flight is communication (split into wire
-// time and queuing when a measured delay exceeds the uncontended
-// nominal), everything else is bubble. Buckets are accumulated with
-// compensated summation and the bubble bucket is then *fitted* so the
-// canonical left-to-right fold
+// between them partition the closed interval [0, step_time] exactly.
+// Boundary communication is inside each stage's compute time (the
+// paper's h()), so every gap is bubble. Compute is accumulated with
+// compensated summation and the bubble bucket is then *fitted* so
 //
-//     ((compute + comm) + queue) + bubble == total
+//     compute + bubble == total
 //
 // holds bit-exactly in double arithmetic (the fit nudges by at most a few
 // ulps and is cross-checked against the directly summed gap total). The
@@ -36,12 +33,10 @@
 namespace rannc {
 namespace obs {
 
-/// One stage's exact partition of [0, total]. The canonical fold
-/// ((compute + comm) + queue) + bubble reproduces `total` bit-exactly.
+/// One stage's exact partition of [0, total]: compute + bubble reproduces
+/// `total` bit-exactly.
 struct StageBuckets {
   double compute = 0;  ///< seconds the stage ran F/B ops
-  double comm = 0;     ///< gap seconds waiting on data in flight (wire)
-  double queue = 0;    ///< gap seconds attributed to contention queuing
   double bubble = 0;   ///< fitted idle remainder (head/interior/tail gaps)
   double total = 0;    ///< the end-to-end virtual step time
 };
@@ -76,8 +71,6 @@ struct FabricTransfer {
 struct WhatIf {
   enum class Kind {
     StageComputeScale,  ///< scale stage `index` compute time by `factor`
-    EdgeCommScale,      ///< scale the edge index<->index+1 comm by `factor`
-    AllCommScale,       ///< scale every comm edge by `factor`
     Microbatches,       ///< run with `microbatches` instead
   };
   Kind kind = Kind::StageComputeScale;
@@ -132,15 +125,15 @@ void attach_links(AttributionReport& rep,
 std::string what_if_name(const WhatIf& w);
 
 /// First-order estimate of the perturbed step time from the report alone
-/// (critical-path arithmetic; see ALGORITHMS.md section 12).
+/// (critical-path arithmetic; see docs/ALGORITHMS.md section 11).
 double estimate_what_if(const AttributionReport& rep, const WhatIf& w);
 
-/// The default catalog (>= 6 perturbations) used by rannc explain:
-/// anchor/straggler compute scaling, first-edge and global comm scaling,
-/// halved and doubled microbatch counts.
+/// The default catalog used by rannc explain: anchor compute scaled by
+/// 0.75 and 1.25, the top straggler's by 0.9, and the microbatch count
+/// doubled and (when > 1) halved.
 std::vector<WhatIf> default_what_ifs(const AttributionReport& rep);
 
-/// Deterministic pretty-printed JSON document ("rannc.explain.v1").
+/// Deterministic pretty-printed JSON document ("rannc.explain.v2").
 std::string report_json(const AttributionReport& rep);
 
 /// ASCII attribution table (stages, critical path, links, what-ifs).

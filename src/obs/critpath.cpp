@@ -37,8 +37,6 @@ CriticalPath critical_path(const std::vector<CausalOp>& ops, int num_stages) {
   CriticalPath path;
   if (num_stages < 0) num_stages = 0;
   path.compute_by_stage.assign(static_cast<std::size_t>(num_stages), 0.0);
-  path.comm_by_edge.assign(
-      static_cast<std::size_t>(std::max(0, num_stages - 1)), 0.0);
   if (ops.empty()) return path;
 
   // Terminal op: latest end; ties resolved by the canonical op order.
@@ -56,14 +54,7 @@ CriticalPath critical_path(const std::vector<CausalOp>& ops, int num_stages) {
   std::vector<PathSegment> rev;
   for (std::size_t guard = 0; guard <= ops.size(); ++guard) {
     const CausalOp& o = ops[cur];
-    PathSegment seg;
-    seg.kind = PathSegment::Kind::Compute;
-    seg.stage = o.stage;
-    seg.microbatch = o.microbatch;
-    seg.backward = o.backward;
-    seg.start = o.start;
-    seg.end = o.end;
-    rev.push_back(seg);
+    rev.push_back({o.stage, o.microbatch, o.backward, o.start, o.end});
 
     // Which constraint released this op? Prefer the data edge on ties.
     const bool data_binds = o.dep_stage >= 0 && o.data_ready >= o.resource_ready;
@@ -79,17 +70,6 @@ CriticalPath critical_path(const std::vector<CausalOp>& ops, int num_stages) {
         }
       }
       if (prod == ops.size()) break;  // dangling edge: path starts here
-      if (o.comm_delay > 0) {
-        PathSegment cs;
-        cs.kind = PathSegment::Kind::Comm;
-        cs.stage = o.stage;
-        cs.microbatch = o.microbatch;
-        cs.backward = o.backward;
-        cs.from_stage = o.dep_stage;
-        cs.start = o.data_ready - o.comm_delay;
-        cs.end = o.data_ready;
-        rev.push_back(cs);
-      }
       cur = prod;
       continue;
     }
@@ -110,30 +90,18 @@ CriticalPath critical_path(const std::vector<CausalOp>& ops, int num_stages) {
   std::reverse(rev.begin(), rev.end());
   path.segments = std::move(rev);
 
-  // Exact per-stage / per-edge sums, accumulated in path (time) order.
+  // Exact per-stage sums, accumulated in path (time) order.
   std::vector<ExactSum> per_stage(static_cast<std::size_t>(num_stages));
-  std::vector<ExactSum> per_edge(path.comm_by_edge.size());
   ExactSum compute_total;
-  ExactSum comm_total;
   for (const PathSegment& s : path.segments) {
     const double d = s.end - s.start;
-    if (s.kind == PathSegment::Kind::Compute) {
-      compute_total.add(d);
-      if (s.stage >= 0 && s.stage < num_stages)
-        per_stage[static_cast<std::size_t>(s.stage)].add(d);
-    } else {
-      comm_total.add(d);
-      const int e = std::min(s.stage, s.from_stage);
-      if (e >= 0 && static_cast<std::size_t>(e) < per_edge.size())
-        per_edge[static_cast<std::size_t>(e)].add(d);
-    }
+    compute_total.add(d);
+    if (s.stage >= 0 && s.stage < num_stages)
+      per_stage[static_cast<std::size_t>(s.stage)].add(d);
   }
   for (std::size_t s = 0; s < per_stage.size(); ++s)
     path.compute_by_stage[s] = per_stage[s].value();
-  for (std::size_t e = 0; e < per_edge.size(); ++e)
-    path.comm_by_edge[e] = per_edge[e].value();
   path.compute_total = compute_total.value();
-  path.comm_total = comm_total.value();
   return path;
 }
 

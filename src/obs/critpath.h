@@ -1,21 +1,20 @@
 // Critical-path engine over causal operation records.
 //
-// The pipeline simulators in `src/pipeline` annotate every scheduled
-// interval with the two constraints that could have released it — the
-// owning stage becoming free (`resource_ready`) and the cross-stage data
-// dependency arriving (`data_ready`, producer end plus the analytic
-// communication delay). Those annotations turn the flat span timeline of
-// PR 4 into a causal DAG, and this header walks that DAG backwards from
-// the op that ends at the makespan to recover the *exact* virtual-time
-// critical path: an alternating chain of compute segments and
-// communication edges that tiles [path start, makespan] with no gaps
-// (in these simulators every op starts exactly when its binding
+// The GPipe simulator in `src/pipeline` records every scheduled op with
+// the two constraints that could have released it — the owning stage
+// becoming free (`resource_ready`) and the cross-stage data dependency
+// arriving (`data_ready`, the producer's end; boundary communication is
+// inside each stage's compute time, as in the paper's h()). Those records
+// form a causal DAG, and this header walks it backwards from the op that
+// ends at the makespan to recover the *exact* virtual-time critical path:
+// a chain of compute segments that tiles [path start, makespan] with no
+// gaps (in that simulator every op starts exactly when its binding
 // constraint releases it).
 //
 // Everything here is plain arithmetic over deterministic virtual-time
 // inputs, so the output is bit-identical across runs and thread counts.
-// `src/obs` sits at the bottom of the library stack; the op records are
-// defined here and adapted from `ScheduleInterval` by `src/pipeline`.
+// `src/obs` sits at the bottom of the library stack; the op record is
+// defined here and `src/pipeline` produces it directly.
 #pragma once
 
 #include <cmath>
@@ -25,9 +24,7 @@
 namespace rannc {
 namespace obs {
 
-/// One scheduled operation plus its causal-edge annotations. Mirrors
-/// `ScheduleInterval` (src/pipeline) but lives in obs so the analysis
-/// layer does not depend on the simulators.
+/// One scheduled operation plus its causal-edge annotations.
 struct CausalOp {
   int stage = 0;
   int microbatch = 0;
@@ -37,30 +34,20 @@ struct CausalOp {
   /// When the owning stage finished its previous op (0 = stage was idle
   /// since t=0).
   double resource_ready = 0;
-  /// When the cross-stage input arrived: producer end + comm_delay.
-  /// Meaningful only when dep_stage >= 0.
+  /// When the cross-stage input arrived (the producer's end). Meaningful
+  /// only when dep_stage >= 0.
   double data_ready = 0;
-  /// Analytic transfer delay on the data edge (0 = free edge).
-  double comm_delay = 0;
-  /// Uncontended transfer time of the data edge; < 0 means "equal to
-  /// comm_delay" (the analytic schedule model has no contention). When a
-  /// caller injects measured delays, the excess over nominal is
-  /// attributed to the contention-queuing bucket.
-  double comm_nominal = -1;
   /// Producing op of the data edge; dep_stage < 0 = no cross-stage input.
   int dep_stage = -1;
   int dep_microbatch = -1;
   bool dep_backward = false;
 };
 
-/// One element of the critical path, in time order.
+/// One op on the critical path, in time order.
 struct PathSegment {
-  enum class Kind { Compute, Comm };
-  Kind kind = Kind::Compute;
-  int stage = 0;        ///< op stage (Compute) / consumer stage (Comm)
+  int stage = 0;
   int microbatch = 0;
   bool backward = false;
-  int from_stage = -1;  ///< Comm only: producing stage
   double start = 0;
   double end = 0;
 };
@@ -72,11 +59,7 @@ struct CriticalPath {
   std::vector<PathSegment> segments;  ///< earliest first
   /// Exact (compensated) per-stage compute seconds on the path.
   std::vector<double> compute_by_stage;
-  /// Exact per-edge comm seconds on the path; edge e sits between stage
-  /// e and stage e + 1 (both directions fold onto the same edge).
-  std::vector<double> comm_by_edge;
   double compute_total = 0;
-  double comm_total = 0;
 };
 
 /// Walks the causal DAG backwards from the op ending at the makespan

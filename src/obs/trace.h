@@ -11,7 +11,7 @@
 //    jobs done) rides along as `sweep_progress` counter events.
 //
 //  * `Domain::SimSchedule` / `Domain::SimFabric` — *virtual-time* spans
-//    of the simulated cluster: every `ScheduleInterval` of the pipeline
+//    of the simulated cluster: every scheduled op of the pipeline
 //    simulators on a per-stage track, every `comm::Fabric` transfer on a
 //    per-`Link` track with instantaneous bandwidth-share counters. These
 //    timestamps are simulated seconds, not host time, and their

@@ -11,7 +11,7 @@ PlanEvaluation evaluate_plan(const PartitionResult& plan,
   ev.stage_times.reserve(plan.stages.size());
   const int R = plan.pipelines;
   for (const StagePlan& sp : plan.stages) {
-    ev.stage_times.push_back({sp.t_f, sp.t_b, 0.0});
+    ev.stage_times.push_back({sp.t_f, sp.t_b});
     const std::int64_t grad_bytes = static_cast<std::int64_t>(
         static_cast<double>(sp.param_bytes) *
         (req.precision == Precision::Mixed ? 0.5 : 1.0));

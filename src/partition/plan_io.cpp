@@ -87,10 +87,19 @@ std::vector<PlanViolation> validate_plan(const PartitionResult& plan,
     }
   }
 
-  // Memory and device accounting.
+  // Counts, memory and device accounting.
+  if (plan.microbatches < 1)
+    fail("plan has " + std::to_string(plan.microbatches) +
+         " microbatches; needs at least 1");
+  if (plan.pipelines < 1)
+    fail("plan has " + std::to_string(plan.pipelines) +
+         " pipelines; needs at least 1");
   int devices_used = 0;
   for (std::size_t s = 0; s < plan.stages.size(); ++s) {
     const StagePlan& sp = plan.stages[s];
+    if (sp.microbatch_size < 1)
+      fail("stage " + std::to_string(s) + " has microbatch size " +
+           std::to_string(sp.microbatch_size) + "; needs at least 1");
     if (sp.mem > req.usable_memory())
       fail("stage " + std::to_string(s) + " exceeds the device memory budget");
     if (sp.devices < 1)

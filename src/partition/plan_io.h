@@ -26,6 +26,7 @@ struct PlanViolation {
 ///  * stages are topologically ordered (all cross-stage values flow
 ///    forward);
 ///  * every stage replica fits the device-memory budget;
+///  * microbatches, pipelines and every stage's microbatch size are >= 1;
 ///  * device accounting is consistent (replicas = devices * pipelines,
 ///    total devices within the cluster).
 /// Returns the list of violations (empty = valid plan).

@@ -14,41 +14,20 @@
 
 namespace rannc {
 
-/// Per-microbatch timing of one pipeline stage.
+/// Per-microbatch timing of one pipeline stage. Boundary communication is
+/// part of both times, as in the paper's stage cost h() (Section III-C).
 struct StageTimes {
-  double t_f = 0;         ///< forward seconds per microbatch
-  double t_b = 0;         ///< backward seconds per microbatch (incl. recompute)
-  double comm_next = 0;   ///< activation (fwd) / gradient (bwd) transfer to
-                          ///< the adjacent stage; 0 for the last stage
-};
-
-/// One box in the schedule: stage `stage` processes microbatch `microbatch`.
-/// The trailing causal-edge annotations record the two constraints that
-/// could have released the op — the stage becoming free and the
-/// cross-stage data dependency arriving — which is what the attribution
-/// engine in `src/obs` walks to recover the exact critical path.
-struct ScheduleInterval {
-  int stage = 0;
-  int microbatch = 0;
-  bool backward = false;
-  double start = 0;
-  double end = 0;
-  /// When this stage finished its previous op (0 = idle since t=0).
-  double resource_ready = 0;
-  /// Producer end + comm_delay; meaningful only when dep_stage >= 0.
-  double data_ready = 0;
-  /// Analytic transfer delay on the data edge.
-  double comm_delay = 0;
-  /// Producing op of the cross-stage data edge; dep_stage < 0 = none.
-  int dep_stage = -1;
-  int dep_microbatch = -1;
-  bool dep_backward = false;
+  double t_f = 0;  ///< forward seconds per microbatch (incl. activation send)
+  double t_b = 0;  ///< backward seconds per microbatch (incl. recompute and
+                   ///< gradient send)
 };
 
 struct ScheduleResult {
   double iteration_time = 0;  ///< makespan of one mini-batch (all microbatches)
   double bubble_fraction = 0; ///< idle device-time fraction
-  std::vector<ScheduleInterval> intervals;
+  /// One record per scheduled F/B op, with the causal edges that released
+  /// it (what the attribution engine in `src/obs` walks).
+  std::vector<obs::CausalOp> intervals;
 };
 
 /// Simulates a synchronous GPipe schedule: each stage runs all forward
@@ -65,20 +44,8 @@ double gpipe_iteration_uniform(double t_f, double t_b, int stages,
 
 /// Asynchronous 1F1B steady state (PipeDream-2BW): no flush, so per
 /// mini-batch cost is MB times the busiest stage's per-microbatch period.
-/// Communication is overlapped with compute (PipeDream's design), so each
-/// stage's period is max(compute, transfers).
 ScheduleResult simulate_1f1b_async(const std::vector<StageTimes>& stages,
                                    int microbatches);
-
-/// Event-driven simulation of one mini-batch under the 1F1B discipline
-/// *with* a synchronizing drain (Megatron-style synchronous 1F1B): stage s
-/// runs min(S-s, MB) warm-up forwards, then alternates one-forward /
-/// one-backward, then drains its remaining backwards. Same bubble as GPipe
-/// but each stage holds at most S-s microbatches of activations instead of
-/// MB — the memory-saving scheduling the paper's successors adopted.
-/// Produces the full interval timeline (for Gantt rendering).
-ScheduleResult simulate_1f1b_sync(const std::vector<StageTimes>& stages,
-                                  int microbatches);
 
 /// Converts a schedule's intervals into generic timeline spans (track =
 /// stage, glyph F/B, virtual-time seconds) — the single interval walk
@@ -87,16 +54,11 @@ ScheduleResult simulate_1f1b_sync(const std::vector<StageTimes>& stages,
 /// dep_*), so the emitted trace is a self-contained causal DAG.
 std::vector<obs::TimelineSpan> schedule_spans(const ScheduleResult& res);
 
-/// Adapts a simulated schedule into the obs-level causal op records the
-/// critical-path and attribution engines consume (a field-for-field copy;
-/// the direction of the dependency keeps obs below pipeline).
-std::vector<obs::CausalOp> causal_ops(const ScheduleResult& res);
-
 /// Evaluates one what-if against the report `rep` of the GPipe schedule
 /// simulated from (`stages`, `microbatches`): the report's first-order
 /// estimate, and the ground truth from perturbing a copy of the simulator
-/// inputs (a stage's compute times, one or all boundary transfer times, or
-/// the microbatch count) and re-running simulate_gpipe.
+/// inputs (a stage's compute times or the microbatch count) and re-running
+/// simulate_gpipe.
 obs::WhatIfResult evaluate_what_if(const obs::AttributionReport& rep,
                                    const std::vector<StageTimes>& stages,
                                    int microbatches, const obs::WhatIf& w);

@@ -353,7 +353,7 @@ TEST(ObsLog, ParseLevelAcceptsAliases) {
 // ---- unified timeline renderer --------------------------------------------
 
 TEST(ObsTimeline, AsciiRendererMatchesGantt) {
-  const std::vector<StageTimes> st = {{1.0, 2.0, 0.0}, {1.5, 2.5, 0.0}};
+  const std::vector<StageTimes> st = {{1.0, 2.0}, {1.5, 2.5}};
   const ScheduleResult res = simulate_gpipe(st, 4);
   // render_gantt is now a thin wrapper over the shared TimelineSpan path;
   // rendering the spans directly must agree byte-for-byte.
@@ -391,21 +391,17 @@ TEST(ObsTimeline, RecordSpansLandsInVirtualDomain) {
 // ---- causal attribution (src/obs/critpath.h, src/obs/attribution.h) -------
 // Fixtures small enough to verify by hand against the GPipe recurrences:
 //   uniform2 (tf=tb=1, MB=4):    T = 10, each stage computes 8, bubbles 2
-//   comm2 (tf=tb=1, c=0.5, MB=2): T = 7, 1 s of comm on the critical path
 //   asym2 (s0 2x slower, MB=4):  T = 18, path compute s0=16 / s1=2
 
-std::vector<StageTimes> uniform2() { return {{1, 1, 0}, {1, 1, 0}}; }
-std::vector<StageTimes> comm2() { return {{1, 1, 0.5}, {1, 1, 0}}; }
-std::vector<StageTimes> asym2() { return {{2, 2, 0}, {1, 1, 0}}; }
+std::vector<StageTimes> uniform2() { return {{1, 1}, {1, 1}}; }
+std::vector<StageTimes> asym2() { return {{2, 2}, {1, 1}}; }
 
-/// The canonical left-to-right fold the attribution layer fits bit-exactly.
-double fold(const obs::StageBuckets& b) {
-  return ((b.compute + b.comm) + b.queue) + b.bubble;
-}
+/// The sum the attribution layer fits bit-exactly.
+double fold(const obs::StageBuckets& b) { return b.compute + b.bubble; }
 
 TEST(CritPath, UniformGpipeKnownPath) {
   const ScheduleResult res = simulate_gpipe(uniform2(), 4);
-  const obs::CriticalPath path = critical_path(causal_ops(res), 2);
+  const obs::CriticalPath path = critical_path(res.intervals, 2);
   EXPECT_DOUBLE_EQ(path.makespan, 10.0);
   EXPECT_EQ(path.terminal_stage, 0);
   // The path tiles [0, makespan] with no gaps.
@@ -418,12 +414,11 @@ TEST(CritPath, UniformGpipeKnownPath) {
   EXPECT_DOUBLE_EQ(path.compute_by_stage[0], 5.0);
   EXPECT_DOUBLE_EQ(path.compute_by_stage[1], 5.0);
   EXPECT_DOUBLE_EQ(path.compute_total, 10.0);
-  EXPECT_DOUBLE_EQ(path.comm_total, 0.0);
 }
 
 TEST(CritPath, AsymmetricStagesPath) {
   const ScheduleResult res = simulate_gpipe(asym2(), 4);
-  const obs::CriticalPath path = critical_path(causal_ops(res), 2);
+  const obs::CriticalPath path = critical_path(res.intervals, 2);
   EXPECT_DOUBLE_EQ(path.makespan, 18.0);
   EXPECT_EQ(path.terminal_stage, 0);
   ASSERT_EQ(path.compute_by_stage.size(), 2u);
@@ -433,28 +428,12 @@ TEST(CritPath, AsymmetricStagesPath) {
   EXPECT_DOUBLE_EQ(path.compute_by_stage[1], 2.0);
 }
 
-TEST(CritPath, CommEdgesOnPath) {
-  const ScheduleResult res = simulate_gpipe(comm2(), 2);
-  const obs::CriticalPath path = critical_path(causal_ops(res), 2);
-  EXPECT_DOUBLE_EQ(path.makespan, 7.0);
-  ASSERT_EQ(path.comm_by_edge.size(), 1u);
-  // One forward and one backward boundary transfer bind: 2 * 0.5 s.
-  EXPECT_DOUBLE_EQ(path.comm_by_edge[0], 1.0);
-  EXPECT_DOUBLE_EQ(path.comm_total, 1.0);
-  int comm_segments = 0;
-  for (const obs::PathSegment& s : path.segments)
-    if (s.kind == obs::PathSegment::Kind::Comm) ++comm_segments;
-  EXPECT_EQ(comm_segments, 2);
-}
-
 TEST(Attribution, UniformGpipeMatchesTextbookBubble) {
   const obs::AttributionReport rep =
-      obs::attribute(causal_ops(simulate_gpipe(uniform2(), 4)), 2, 4);
+      obs::attribute(simulate_gpipe(uniform2(), 4).intervals, 2, 4);
   EXPECT_DOUBLE_EQ(rep.step_time, 10.0);
   EXPECT_EQ(rep.anchor_stage, 0);
   EXPECT_DOUBLE_EQ(rep.step.compute, 8.0);
-  EXPECT_DOUBLE_EQ(rep.step.comm, 0.0);
-  EXPECT_DOUBLE_EQ(rep.step.queue, 0.0);
   EXPECT_DOUBLE_EQ(rep.step.bubble, 2.0);
   // (S-1)/(MB+S-1) = 1/5 for S=2, MB=4.
   EXPECT_DOUBLE_EQ(rep.step.bubble / rep.step.total, 0.2);
@@ -462,64 +441,25 @@ TEST(Attribution, UniformGpipeMatchesTextbookBubble) {
                    simulate_gpipe(uniform2(), 4).bubble_fraction);
 }
 
-TEST(Attribution, CommFixtureBuckets) {
-  const obs::AttributionReport rep =
-      obs::attribute(causal_ops(simulate_gpipe(comm2(), 2)), 2, 2);
-  EXPECT_DOUBLE_EQ(rep.step_time, 7.0);
-  ASSERT_EQ(rep.stages.size(), 2u);
-  for (const obs::StageBuckets& b : rep.stages) {
-    EXPECT_DOUBLE_EQ(b.compute, 4.0);
-    EXPECT_DOUBLE_EQ(b.comm, 0.5);
-    EXPECT_DOUBLE_EQ(b.queue, 0.0);
-    EXPECT_DOUBLE_EQ(b.bubble, 2.5);
-  }
-}
-
 TEST(Attribution, ConservationBitExactAcrossSimulators) {
   // Awkward, non-representable times so the fit actually has to work.
-  const std::vector<StageTimes> st = {
-      {0.3, 0.7, 0.013}, {0.41, 0.29, 0.007}, {0.5, 0.23, 0}};
-  for (const ScheduleResult& res :
-       {simulate_gpipe(st, 7), simulate_1f1b_sync(st, 7)}) {
-    const obs::AttributionReport rep = obs::attribute(causal_ops(res), 3, 7);
-    EXPECT_DOUBLE_EQ(rep.step_time, res.iteration_time);
-    for (const obs::StageBuckets& b : rep.stages) {
-      // Bit-exact: == on doubles, not a tolerance.
-      EXPECT_EQ(fold(b), rep.step_time);
-      EXPECT_EQ(b.total, rep.step_time);
-      EXPECT_GE(b.compute, 0.0);
-      EXPECT_GE(b.comm, 0.0);
-      EXPECT_GE(b.bubble, -1e-12);
-    }
-    EXPECT_EQ(fold(rep.step), rep.step_time);
+  const std::vector<StageTimes> st = {{0.3, 0.7}, {0.41, 0.29}, {0.5, 0.23}};
+  const ScheduleResult res = simulate_gpipe(st, 7);
+  const obs::AttributionReport rep = obs::attribute(res.intervals, 3, 7);
+  EXPECT_DOUBLE_EQ(rep.step_time, res.iteration_time);
+  for (const obs::StageBuckets& b : rep.stages) {
+    // Bit-exact: == on doubles, not a tolerance.
+    EXPECT_EQ(fold(b), rep.step_time);
+    EXPECT_EQ(b.total, rep.step_time);
+    EXPECT_GE(b.compute, 0.0);
+    EXPECT_GE(b.bubble, -1e-12);
   }
-}
-
-TEST(Attribution, SyntheticContentionFillsQueueBucket) {
-  // Two ops on two stages; the consumer's measured edge delay (1.0) is
-  // larger than the uncontended nominal (0.4): the excess is queuing.
-  std::vector<obs::CausalOp> ops(2);
-  ops[0].stage = 0;
-  ops[0].end = 1.0;
-  ops[1].stage = 1;
-  ops[1].start = 2.0;
-  ops[1].end = 3.0;
-  ops[1].dep_stage = 0;
-  ops[1].data_ready = 2.0;
-  ops[1].comm_delay = 1.0;
-  ops[1].comm_nominal = 0.4;
-  const obs::AttributionReport rep = obs::attribute(ops, 2, 1);
-  EXPECT_DOUBLE_EQ(rep.step_time, 3.0);
-  const obs::StageBuckets& b = rep.stages[1];
-  EXPECT_DOUBLE_EQ(b.comm, 0.4);
-  EXPECT_DOUBLE_EQ(b.queue, 0.6);
-  EXPECT_DOUBLE_EQ(b.bubble, 1.0);  // head idle [0, 1)
-  EXPECT_EQ(fold(b), rep.step_time);
+  EXPECT_EQ(fold(rep.step), rep.step_time);
 }
 
 TEST(Attribution, StragglerRankingByCompute) {
   const obs::AttributionReport rep =
-      obs::attribute(causal_ops(simulate_gpipe(asym2(), 4)), 2, 4);
+      obs::attribute(simulate_gpipe(asym2(), 4).intervals, 2, 4);
   ASSERT_EQ(rep.stragglers.size(), 2u);
   EXPECT_EQ(rep.stragglers[0], 0);  // 16 s of compute vs 8 s
   EXPECT_EQ(rep.stragglers[1], 1);
@@ -528,11 +468,9 @@ TEST(Attribution, StragglerRankingByCompute) {
 TEST(Attribution, WhatIfWithinFivePercentOfGroundTruth) {
   using K = obs::WhatIf::Kind;
   const obs::AttributionReport asym =
-      obs::attribute(causal_ops(simulate_gpipe(asym2(), 4)), 2, 4);
-  const obs::AttributionReport comm =
-      obs::attribute(causal_ops(simulate_gpipe(comm2(), 2)), 2, 2);
+      obs::attribute(simulate_gpipe(asym2(), 4).intervals, 2, 4);
   const obs::AttributionReport unif =
-      obs::attribute(causal_ops(simulate_gpipe(uniform2(), 4)), 2, 4);
+      obs::attribute(simulate_gpipe(uniform2(), 4).intervals, 2, 4);
 
   struct Case {
     const obs::AttributionReport* rep;
@@ -545,8 +483,8 @@ TEST(Attribution, WhatIfWithinFivePercentOfGroundTruth) {
       {&asym, asym2(), 4, {K::StageComputeScale, 0, 0.75, 0}, 14.0},
       {&asym, asym2(), 4, {K::StageComputeScale, 0, 1.25, 0}, 22.0},
       {&asym, asym2(), 4, {K::StageComputeScale, 1, 0.5, 0}, 17.0},
-      {&comm, comm2(), 2, {K::AllCommScale, -1, 0.5, 0}, 6.5},
-      {&comm, comm2(), 2, {K::EdgeCommScale, 0, 2.0, 0}, 8.0},
+      {&asym, asym2(), 4, {K::StageComputeScale, 1, 1.5, 0}, 19.0},
+      {&asym, asym2(), 4, {K::Microbatches, -1, 1.0, 8}, 34.0},
       {&unif, uniform2(), 4, {K::Microbatches, -1, 1.0, 8}, 18.0},
       {&unif, uniform2(), 4, {K::Microbatches, -1, 1.0, 2}, 6.0},
   };
@@ -561,10 +499,17 @@ TEST(Attribution, WhatIfWithinFivePercentOfGroundTruth) {
   }
 }
 
-TEST(Attribution, DefaultCatalogHasAtLeastSixEntries) {
+TEST(Attribution, DefaultCatalogNamesForUniformFixture) {
+  // Anchor and top straggler are both stage 0 (equal compute, lower id).
   const obs::AttributionReport rep =
-      obs::attribute(causal_ops(simulate_gpipe(uniform2(), 4)), 2, 4);
-  EXPECT_GE(obs::default_what_ifs(rep).size(), 6u);
+      obs::attribute(simulate_gpipe(uniform2(), 4).intervals, 2, 4);
+  std::vector<std::string> names;
+  for (const obs::WhatIf& w : obs::default_what_ifs(rep))
+    names.push_back(obs::what_if_name(w));
+  const std::vector<std::string> want = {
+      "stage0.compute.x0.75", "stage0.compute.x1.25", "stage0.compute.x0.9",
+      "microbatches.8", "microbatches.2"};
+  EXPECT_EQ(names, want);
 }
 
 TEST(Attribution, FabricContentionAttributedToNicQueue) {
@@ -631,7 +576,7 @@ TEST(Attribution, ReportJsonDeterministicAndWellFormed) {
     ASSERT_TRUE(plan.feasible) << plan.infeasible_reason;
     const PlanEvaluation ev = evaluate_plan(plan, cfg);
     obs::AttributionReport rep =
-        obs::attribute(causal_ops(ev.schedule),
+        obs::attribute(ev.schedule.intervals,
                        static_cast<int>(plan.stages.size()), plan.microbatches);
     for (const obs::WhatIf& w : obs::default_what_ifs(rep))
       rep.what_ifs.push_back(
@@ -642,7 +587,7 @@ TEST(Attribution, ReportJsonDeterministicAndWellFormed) {
   EXPECT_TRUE(json_well_formed(docs[0]));
   // The table renderer runs on the same report without throwing.
   EXPECT_FALSE(obs::report_table(obs::attribute(
-                   causal_ops(simulate_gpipe(uniform2(), 4)), 2, 4))
+                   simulate_gpipe(uniform2(), 4).intervals, 2, 4))
                    .empty());
 }
 

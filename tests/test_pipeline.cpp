@@ -9,12 +9,8 @@
 namespace rannc {
 namespace {
 
-std::vector<StageTimes> uniform(int S, double tf, double tb, double comm = 0) {
-  std::vector<StageTimes> v(static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) {
-    v[static_cast<std::size_t>(s)] = {tf, tb, s + 1 < S ? comm : 0.0};
-  }
-  return v;
+std::vector<StageTimes> uniform(int S, double tf, double tb) {
+  return std::vector<StageTimes>(static_cast<std::size_t>(S), {tf, tb});
 }
 
 TEST(GPipeSchedule, MatchesClosedFormForUniformStages) {
@@ -51,20 +47,14 @@ TEST(GPipeSchedule, BottleneckStageDominates) {
   EXPECT_LE(r.iteration_time, 16 * 10.0 + 3 * 12.0);
 }
 
-TEST(GPipeSchedule, CommunicationDelaysSuccessor) {
-  const double no_comm = simulate_gpipe(uniform(2, 1, 1, 0.0), 4).iteration_time;
-  const double comm = simulate_gpipe(uniform(2, 1, 1, 0.5), 4).iteration_time;
-  EXPECT_GT(comm, no_comm);
-}
-
 TEST(GPipeSchedule, IntervalsRespectDependencies) {
   const ScheduleResult r = simulate_gpipe(uniform(3, 1, 2), 4);
   // Forward of (s, j) must end before forward of (s+1, j) ends.
   auto find = [&](int s, int j, bool bwd) {
-    for (const ScheduleInterval& iv : r.intervals)
+    for (const obs::CausalOp& iv : r.intervals)
       if (iv.stage == s && iv.microbatch == j && iv.backward == bwd) return iv;
     ADD_FAILURE() << "missing interval";
-    return ScheduleInterval{};
+    return obs::CausalOp{};
   };
   for (int j = 0; j < 4; ++j) {
     EXPECT_LE(find(0, j, false).end, find(1, j, false).start + 1e-12);
@@ -117,68 +107,6 @@ TEST_P(MicrobatchSweep, GPipeNeverFasterThanWorkLowerBound) {
 
 INSTANTIATE_TEST_SUITE_P(MBs, MicrobatchSweep,
                          ::testing::Values(1, 2, 4, 8, 16, 64));
-
-
-TEST(Sync1F1B, MatchesGPipeMakespanForUniformStages) {
-  // Same bubble as GPipe for uniform stages (the discipline only reorders
-  // work, it does not remove the flush).
-  for (int S : {2, 4}) {
-    for (int MB : {4, 8, 16}) {
-      const auto st = uniform(S, 1.0, 2.0);
-      const double gp = simulate_gpipe(st, MB).iteration_time;
-      const double fb = simulate_1f1b_sync(st, MB).iteration_time;
-      EXPECT_NEAR(fb, gp, 1e-9) << "S=" << S << " MB=" << MB;
-    }
-  }
-}
-
-TEST(Sync1F1B, SchedulesEveryOperationExactlyOnce) {
-  const ScheduleResult r = simulate_1f1b_sync(uniform(3, 1, 2), 5);
-  int fwd = 0, bwd = 0;
-  for (const ScheduleInterval& iv : r.intervals) (iv.backward ? bwd : fwd)++;
-  EXPECT_EQ(fwd, 3 * 5);
-  EXPECT_EQ(bwd, 3 * 5);
-}
-
-TEST(Sync1F1B, RespectsDependencies) {
-  const ScheduleResult r = simulate_1f1b_sync(uniform(3, 1.5, 2.5), 6);
-  auto find = [&](int s, int j, bool bwd) {
-    for (const ScheduleInterval& iv : r.intervals)
-      if (iv.stage == s && iv.microbatch == j && iv.backward == bwd) return iv;
-    ADD_FAILURE() << "missing interval";
-    return ScheduleInterval{};
-  };
-  for (int j = 0; j < 6; ++j) {
-    EXPECT_LE(find(0, j, false).end, find(1, j, false).start + 1e-12);
-    EXPECT_LE(find(1, j, false).end, find(2, j, false).start + 1e-12);
-    EXPECT_LE(find(2, j, true).end, find(1, j, true).start + 1e-12);
-    EXPECT_LE(find(1, j, false).end, find(1, j, true).start + 1e-12);
-  }
-}
-
-TEST(Sync1F1B, LimitsInFlightMicrobatchesToPipelineDepth) {
-  // Stage s never holds more than S - s forwards without a backward: count
-  // max outstanding (forward done, backward not yet started) per stage.
-  const int S = 4, MB = 12;
-  const ScheduleResult r = simulate_1f1b_sync(uniform(S, 1, 1), MB);
-  for (int s = 0; s < S; ++s) {
-    std::vector<std::pair<double, int>> events;  // time, +1 fwd-end/-1 bwd-start
-    for (const ScheduleInterval& iv : r.intervals) {
-      if (iv.stage != s) continue;
-      if (!iv.backward)
-        events.push_back({iv.end, +1});
-      else
-        events.push_back({iv.start, -1});
-    }
-    std::sort(events.begin(), events.end());
-    int live = 0, peak = 0;
-    for (auto [t, d] : events) {
-      live += d;
-      peak = std::max(peak, live);
-    }
-    EXPECT_LE(peak, S - s) << "stage " << s;
-  }
-}
 
 }  // namespace
 }  // namespace rannc

@@ -170,11 +170,17 @@ TEST(PlanEval, ExplainStepTimeIsTheEvaluatedMakespan) {
   const PlanEvaluation ev = evaluate_plan(plan, req);
   const int S = static_cast<int>(plan.stages.size());
   const obs::AttributionReport rep =
-      obs::attribute(causal_ops(ev.schedule), S, plan.microbatches);
+      obs::attribute(ev.schedule.intervals, S, plan.microbatches);
   EXPECT_TRUE(rep.step_time == ev.schedule.iteration_time);
-  // Comm is counted once, inside compute: no schedule-side comm bucket.
-  EXPECT_EQ(rep.step.comm, 0.0);
-  for (const StageTimes& st : ev.stage_times) EXPECT_EQ(st.comm_next, 0.0);
+  // Comm is counted once, inside t_f / t_b: each stage's compute bucket is
+  // all of its per-microbatch time.
+  for (int s = 0; s < S; ++s) {
+    const StageTimes& st = ev.stage_times[static_cast<std::size_t>(s)];
+    const double want = plan.microbatches * (st.t_f + st.t_b);
+    EXPECT_NEAR(rep.stages[static_cast<std::size_t>(s)].compute, want,
+                1e-9 * want)
+        << "stage " << s;
+  }
 }
 
 }  // namespace

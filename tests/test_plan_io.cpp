@@ -122,6 +122,46 @@ TEST(ValidatePlan, DetectsDeviceOversubscription) {
   EXPECT_FALSE(validate_plan(plan, cfg).empty());
 }
 
+bool has_violation(const std::vector<PlanViolation>& v,
+                   const std::string& needle) {
+  for (const PlanViolation& x : v)
+    if (x.what.find(needle) != std::string::npos) return true;
+  return false;
+}
+
+TEST(ValidatePlan, RejectsNonPositiveMicrobatches) {
+  SearchRequest cfg;
+  PartitionResult plan = small_plan(cfg);
+  ASSERT_TRUE(plan.feasible);
+  for (int mb : {0, -4}) {
+    plan.microbatches = mb;
+    const auto v = validate_plan(plan, cfg);
+    EXPECT_TRUE(has_violation(v, std::to_string(mb) + " microbatches")) << mb;
+  }
+}
+
+TEST(ValidatePlan, RejectsNonPositivePipelines) {
+  SearchRequest cfg;
+  PartitionResult plan = small_plan(cfg);
+  ASSERT_TRUE(plan.feasible);
+  // Zero replicas keep the replica accounting (devices * 0) consistent.
+  plan.pipelines = 0;
+  for (StagePlan& sp : plan.stages) sp.replicas_total = 0;
+  const auto v = validate_plan(plan, cfg);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_TRUE(has_violation(v, "0 pipelines")) << v.front().what;
+}
+
+TEST(ValidatePlan, RejectsNonPositiveMicrobatchSize) {
+  SearchRequest cfg;
+  PartitionResult plan = small_plan(cfg);
+  ASSERT_TRUE(plan.feasible);
+  for (StagePlan& sp : plan.stages) sp.microbatch_size = 0;
+  const auto v = validate_plan(plan, cfg);
+  EXPECT_EQ(v.size(), plan.stages.size());
+  EXPECT_TRUE(has_violation(v, "stage 0 has microbatch size 0"));
+}
+
 TEST(ValidatePlan, RejectsInfeasibleAndGraphlessPlans) {
   SearchRequest cfg;
   PartitionResult empty;

@@ -72,7 +72,9 @@ REL_TOL = 1e-9
 
 
 def rel_close(a, b, tol=REL_TOL):
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    """a and b differ by at most `tol` of the larger magnitude (relative at
+    every scale, so a 5-microsecond time is held to 1e-9 of itself)."""
+    return a == b or abs(a - b) <= tol * max(abs(a), abs(b))
 
 
 class Sentinel:

@@ -3,18 +3,17 @@
 // Runs the partition search for a builder model, scores the winning plan
 // with evaluate_plan — the GPipe schedule the search optimized, boundary
 // comm folded into each stage's t_f / t_b as in h() (paper Section III-C)
-// — and folds the schedule's causal annotations into an attribution report
-// (src/obs/attribution.h):
+// — and folds the schedule's causal op records into an attribution report
+// (src/obs/attribution.h, schema "rannc.explain.v2"):
 //
-//   * the exact critical path,
+//   * the exact critical path of compute segments,
 //   * a conservation-checked decomposition of the step time into
-//     compute / comm / queue / bubble buckets per stage (the buckets sum
-//     to the step time bit-exactly; the schedule-side comm bucket is 0
-//     because comm is counted inside compute, exactly once),
+//     compute / bubble buckets per stage (compute + bubble == step time
+//     bit-exactly; boundary comm is counted once, inside compute),
 //   * per-link wire vs contention-queuing attribution from a discrete-event
 //     fabric replay of the plan's communication pattern,
-//   * a what-if catalog: first-order estimates validated against
-//     ground-truth re-simulation.
+//   * a what-if catalog (stage compute scaling, microbatch count):
+//     first-order estimates validated against ground-truth re-simulation.
 //
 //   rannc explain --model bert --layers 8 --out explain.json
 //   rannc explain --diff a.json b.json [--tol 1e-9]
@@ -59,7 +58,7 @@ int run(const Inputs& in, const Options& o) {
   const PlanEvaluation ev = evaluate_plan(plan, req);
   const int S = static_cast<int>(plan.stages.size());
   obs::AttributionReport rep =
-      obs::attribute(causal_ops(ev.schedule), S, plan.microbatches);
+      obs::attribute(ev.schedule.intervals, S, plan.microbatches);
   {
     std::ostringstream subject;
     subject << in.model.model << " S=" << S << " MB=" << plan.microbatches

@@ -23,14 +23,16 @@ cumulative `sweep_progress` counter series is required instead: present,
 non-empty, and per search counting jobs_done 1, 2, 3, ... in timestamp
 order with dp_cells and profile_queries non-decreasing.
 
-With --explain the single argument is a rannc explain attribution report,
-validated against tools/explain_schema.json plus semantic checks: every
-stage's buckets fold to the step time *bit-exactly* (the serializer emits
-max_digits10 doubles, so the C++ conservation guarantee survives the JSON
-round-trip into Python floats), each link's wire + queue equals its active
-seconds exactly, the critical path tiles [start, makespan] with no gaps,
-stragglers is a permutation of the stages, and the what-if catalog has
->= 6 entries with consistent rel_error values.
+With --explain the single argument is a rannc explain attribution report
+(rannc.explain.v2), validated against tools/explain_schema.json plus
+semantic checks: every stage's buckets are exactly compute / bubble /
+total and compute + bubble equals the step time *bit-exactly* (the
+serializer emits max_digits10 doubles, so the C++ conservation guarantee
+survives the JSON round-trip into Python floats), each link's wire + queue
+equals its active seconds exactly, the critical path tiles [start,
+makespan] with no gaps, stragglers is a permutation of the stages, and the
+what-if catalog has >= 5 entries (>= 4 at one microbatch, which has no
+halved count) with consistent rel_error values.
 
 Exits 0 when everything passes, 1 otherwise. No third-party deps.
 """
@@ -165,17 +167,18 @@ def semantic_trace_checks(trace, search_only=False):
 def semantic_explain_checks(rep):
     errors = []
 
-    def fold(b):
-        # The canonical left-to-right fold the C++ side fits bit-exactly.
-        return ((b["compute"] + b["comm"]) + b["queue"]) + b["bubble"]
-
     t = rep["step_time"]
-    if fold(rep["step"]) != t:
-        errors.append(f"step buckets fold to {fold(rep['step'])!r}, not {t!r}")
-    for entry in rep["stages"]:
-        b = entry["buckets"]
-        if b["total"] != t or fold(b) != t:
-            errors.append(f"stage {entry['stage']}: buckets do not fold to step_time")
+    for name, b in [("step", rep["step"])] + [
+            (f"stage {e['stage']}", e["buckets"]) for e in rep["stages"]]:
+        if set(b) != {"compute", "bubble", "total"}:
+            errors.append(f"{name}: bucket keys {sorted(b)}, expected "
+                          "compute / bubble / total")
+            continue
+        # The sum the C++ side fits bit-exactly.
+        total = b["compute"] + b["bubble"]
+        if b["total"] != t or total != t:
+            errors.append(f"{name}: compute + bubble = {total!r}, "
+                          f"total {b['total']!r}, step_time {t!r}")
     anchor = rep["anchor_stage"]
     if 0 <= anchor < len(rep["stages"]):
         if rep["step"] != rep["stages"][anchor]["buckets"]:
@@ -202,8 +205,12 @@ def semantic_explain_checks(rep):
     if sorted(rep["bottleneck_links"]) != sorted(l["name"] for l in rep["links"]):
         errors.append("bottleneck_links is not a permutation of link names")
 
-    if len(rep["what_if"]) < 6:
-        errors.append(f"what-if catalog has {len(rep['what_if'])} entries, expected >= 6")
+    # Three compute scalings, doubled microbatches, and halved ones when
+    # there are at least two to halve.
+    want = 5 if rep["microbatches"] > 1 else 4
+    if len(rep["what_if"]) < want:
+        errors.append(f"what-if catalog has {len(rep['what_if'])} entries, "
+                      f"expected >= {want}")
     for w in rep["what_if"]:
         if w["baseline"] != t:
             errors.append(f"what-if {w['name']}: baseline != step_time")
