@@ -296,6 +296,10 @@ int main(int argc, char** argv) {
   std::ofstream f(out);
   f << w.field("pass", pass).end_object().str();
   f.close();
+  if (!f) {
+    std::fprintf(stderr, "cannot write %s\n", out.c_str());
+    return 1;
+  }
 
   std::printf("min speedup %.2fx (gate %.1fx) -> %s\n", min_speedup, gate,
               pass ? "PASS" : "FAIL");

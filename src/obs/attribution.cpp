@@ -18,7 +18,7 @@ namespace {
 constexpr double kConservationSlack = 1e-9;
 
 void check_fit(double fitted, double direct, double scale, const char* what) {
-  const double tol = kConservationSlack * std::max(1.0, std::abs(scale));
+  const double tol = kConservationSlack * std::abs(scale);
   if (std::abs(fitted - direct) > tol)
     throw std::logic_error(std::string("attribution: ") + what +
                            " conservation fit disagrees with direct sum");

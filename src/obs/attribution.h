@@ -106,7 +106,8 @@ struct AttributionReport {
 /// Builds the schedule-side report: critical path, per-stage buckets with
 /// the bit-exact conservation fit, anchor decomposition, stragglers.
 /// Throws std::logic_error if conservation cannot be established (fitted
-/// bubble disagreeing with the directly summed gaps beyond 1e-9 * T).
+/// bubble disagreeing with the directly summed gaps beyond 1e-9 * T,
+/// relative at every scale).
 AttributionReport attribute(const std::vector<CausalOp>& ops, int num_stages,
                             int microbatches);
 

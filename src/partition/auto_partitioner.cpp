@@ -136,18 +136,20 @@ class UnitSequence {
     std::vector<double> f, b, comm_out, comm_in;
   };
 
-  /// Builds one ProfileTable per microbatch size in `bsizes`. Runs before
-  /// the sweep; the tables are never written afterwards, so concurrent
-  /// jobs read them without locks.
+  /// Builds a ProfileTable for each microbatch size in `bsizes` that has
+  /// none yet. Runs before each node group's jobs start; the tables are
+  /// never written while jobs run, so concurrent jobs read them without
+  /// locks.
   void build_tables(const std::set<std::int64_t>& bsizes,
                     const ClusterSpec& cluster) {
     const std::size_t n = units_.size();
     const double af = prof_->act_factor();
-    bsizes_.assign(bsizes.begin(), bsizes.end());
-    tables_.assign(bsizes_.size(), ProfileTable{});
-    for (std::size_t i = 0; i < bsizes_.size(); ++i) {
-      const std::int64_t bsize = bsizes_[i];
-      ProfileTable& t = tables_[i];
+    for (const std::int64_t bsize : bsizes) {
+      const auto it = std::lower_bound(bsizes_.begin(), bsizes_.end(), bsize);
+      if (it != bsizes_.end() && *it == bsize) continue;
+      ProfileTable& t = *tables_.emplace(
+          tables_.begin() + (it - bsizes_.begin()), ProfileTable{});
+      bsizes_.insert(it, bsize);
       t.f.assign(n + 1, 0);
       t.b.assign(n + 1, 0);
       for (std::size_t u = 0; u < n; ++u) {
@@ -173,7 +175,7 @@ class UnitSequence {
     }
   }
 
-  /// The table of a microbatch size passed to build_tables.
+  /// The table of a microbatch size built by build_tables.
   const ProfileTable& table(std::int64_t bsize) const {
     const auto it = std::lower_bound(bsizes_.begin(), bsizes_.end(), bsize);
     if (it == bsizes_.end() || *it != bsize)
@@ -327,22 +329,18 @@ struct Candidate {
   double est_iter = 0;
 };
 
-/// Every microbatch size the Phase-3 sweep (or estimate_iteration) can ask
-/// the profile fn for: bsize = BS / R / MB / stage_devs over the exact
-/// (n, MB, stage_devs) ranges Algorithm 2 enumerates, clamped to >= 1.
+/// Every microbatch size the jobs of one node group (D devices per
+/// pipeline, R pipelines) or estimate_iteration can ask the profile fn
+/// for: bsize = BS / R / MB / stage_devs over the exact (MB, stage_devs)
+/// ranges Algorithm 2 enumerates, clamped to >= 1.
 /// UnitSequence::build_tables builds one profile table for each.
-std::set<std::int64_t> enumerate_bsizes(std::int64_t BS, int N_nodes,
-                                        int Dnode) {
+std::set<std::int64_t> enumerate_bsizes(std::int64_t BS, int R, int D) {
   std::set<std::int64_t> out{1};
-  for (int n = 1; n <= N_nodes; n *= 2) {
-    const int D = Dnode * n;
-    const int R = N_nodes / n;
-    for (int MB = 1; MB <= BS / R; MB *= 2)
-      for (int sd = 1; sd <= D; ++sd) {
-        const std::int64_t b = BS / R / MB / sd;
-        if (b >= 1) out.insert(b);
-      }
-  }
+  for (int MB = 1; MB <= BS / R; MB *= 2)
+    for (int sd = 1; sd <= D; ++sd) {
+      const std::int64_t b = BS / R / MB / sd;
+      if (b >= 1) out.insert(b);
+    }
   return out;
 }
 
@@ -475,10 +473,6 @@ SearchResult auto_partition(const VerifiedGraph& model,
   res.stats.threads_used = threads;
   const auto t_search0 = std::chrono::steady_clock::now();
 
-  {
-    obs::Scope sc("phase3:prebuild_times");
-    seq.build_tables(enumerate_bsizes(BS, N_nodes, Dnode), req.cluster);
-  }
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1)
     pool = std::make_unique<ThreadPool>(static_cast<unsigned>(threads - 1));
@@ -508,7 +502,17 @@ SearchResult auto_partition(const VerifiedGraph& model,
     std::int64_t bsize_min = 1;  ///< smallest reachable per-replica microbatch
     double job_lb = 0;           ///< admissible floor on the job's bottleneck V
     std::vector<double> suffix;  ///< suffix[b]: V floor past unit b (size N+1)
+    std::vector<double> rem;     ///< rem[b]: load floor past unit b (size N+1)
+    double load = 0;             ///< T: floor on the summed stage t_f + t_b
+    double allreduce = 0;        ///< A: floor on the slowest all-reduce
   };
+  // Parameter bytes of the whole model and of its largest unit: the stage
+  // holding the most parameters holds at least max(P / S, largest unit).
+  const std::int64_t params_total = seq.range_param_bytes(0, seq.size());
+  std::int64_t params_unit_max = 0;
+  for (int u = 0; u < seq.size(); ++u)
+    params_unit_max = std::max(params_unit_max, seq.range_param_bytes(u, u + 1));
+  const double grad_factor = req.precision == Precision::Mixed ? 0.5 : 1.0;
 
   // Cumulative sweep progress, sampled into the search trace once per
   // finished job. The mutex (taken only while a recorder is attached) keeps
@@ -557,6 +561,13 @@ SearchResult auto_partition(const VerifiedGraph& model,
     std::vector<double> ests(jobs.size(), 0);
     std::vector<char> skipped(jobs.size(), 0);
 
+    // Only this group's microbatch sizes: the sweep stops at the first
+    // group with a feasible plan, so later groups' tables are never read.
+    {
+      obs::Scope sc("phase3:prebuild_times");
+      seq.build_tables(enumerate_bsizes(BS, R, D), req.cluster);
+    }
+
     // Admissible per-job lower bounds (docs/ALGORITHMS.md §12). Every DP
     // cell of job (S, MB) profiles at a per-replica microbatch >=
     // bsize_min = BS / R / MB / (D - S + 1) (integer division is antitone
@@ -570,44 +581,52 @@ SearchResult auto_partition(const VerifiedGraph& model,
       const int NU = seq.size();
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         const SweepJob& j = jobs[i];
-        jb[i].bsize_min =
-            std::max<std::int64_t>(1, BS / R / j.MB / (D - j.S + 1));
-        const auto& tp = seq.table(jb[i].bsize_min);
-        jb[i].suffix.assign(static_cast<std::size_t>(NU) + 1, 0.0);
-        double total = 0;
+        JobBounds& b = jb[i];
+        b.bsize_min = std::max<std::int64_t>(1, BS / R / j.MB / (D - j.S + 1));
+        const auto& tp = seq.table(b.bsize_min);
+        b.suffix.assign(static_cast<std::size_t>(NU) + 1, 0.0);
+        b.rem.assign(static_cast<std::size_t>(NU) + 1, 0.0);
         for (int u = NU - 1; u >= 0; --u) {
-          const double f = tp.f[static_cast<std::size_t>(u) + 1] -
-                           tp.f[static_cast<std::size_t>(u)];
-          const double bb = tp.b[static_cast<std::size_t>(u) + 1] -
-                            tp.b[static_cast<std::size_t>(u)];
+          const std::size_t k = static_cast<std::size_t>(u);
+          const double f = tp.f[k + 1] - tp.f[k];
+          const double bb = tp.b[k + 1] - tp.b[k];
           // Any stage containing unit u spends at least the unit's own
           // compute, plus its checkpoint recompute when the merged-profile
           // semantics apply (matches make_profile_fn).
           const double ub =
               f + bb + (j.S > 1 && req.use_coarsening ? f : 0.0);
-          total += ub;
-          jb[i].suffix[static_cast<std::size_t>(u)] =
-              std::max(jb[i].suffix[static_cast<std::size_t>(u) + 1], ub);
+          b.rem[k] = b.rem[k + 1] + ub;
+          b.suffix[k] = std::max(b.suffix[k + 1], ub);
         }
+        b.load = b.rem[0];
         // Bottleneck floor: some stage contains the worst unit, and the
         // busiest of S stages carries at least 1/S of the total compute.
-        jb[i].job_lb =
-            std::max(jb[i].suffix[0], total / static_cast<double>(j.S));
+        b.job_lb = std::max(b.suffix[0], b.load / static_cast<double>(j.S));
+        // Every stage all-reduces across >= R ranks (all-reduce time is
+        // monotone in bytes and ranks).
+        const std::int64_t params =
+            std::max(params_total / j.S, params_unit_max);
+        b.allreduce = allreduce_time(
+            req.cluster,
+            static_cast<std::int64_t>(static_cast<double>(params) *
+                                      grad_factor),
+            R, R > 1);
       }
     }
 
     const auto run_job = [&](std::int64_t idx_) {
       const std::size_t i = static_cast<std::size_t>(idx_);
       const SweepJob& j = jobs[i];
-      // GPipe's flush serializes the bottleneck stage's MB forwards and MB
-      // backwards, so any solution's estimate is >= MB * V; a job whose V
-      // floor already loses to the incumbent cannot produce the winner
-      // (strictly — ties survive) and is skipped whole.
+      // Any solution's estimate is at least the GPipe makespan floor at
+      // the job's V floor plus its all-reduce floor (estimate_floor); a job
+      // whose floor already loses to the incumbent cannot produce the
+      // winner (strictly — ties survive) and is skipped whole.
       const double est_scale = static_cast<double>(j.MB);
       if (req.prune) {
         const double I = std::bit_cast<double>(
             incumbent.load(std::memory_order_relaxed));
-        if (est_scale * jb[i].job_lb > I) {
+        if (estimate_floor(jb[i].job_lb, est_scale, jb[i].load,
+                           jb[i].allreduce) > I) {
           skipped[i] = 1;
           jobs_pruned.fetch_add(1, std::memory_order_relaxed);
           return;
@@ -642,7 +661,10 @@ SearchResult auto_partition(const VerifiedGraph& model,
         };
         in.incumbent = &incumbent;
         in.est_scale = est_scale;
+        in.total_load = jb[i].load;
+        in.allreduce_floor = jb[i].allreduce;
         in.suffix_bound = jb[i].suffix.data();
+        in.remaining_load = jb[i].rem.data();
         in.job_bound = jb[i].job_lb;
       }
       StageDpSolution sol = form_stage_dp(in);
@@ -877,9 +899,10 @@ struct SweepProfiles::Impl {
         prof(ap.graph, req.cluster.device, req.precision),
         seq(ap, prof, partition_units(ap, prof, req, stats),
             /*standalone=*/!req.use_coarsening) {
-    seq.build_tables(enumerate_bsizes(req.batch_size, req.cluster.num_nodes,
-                                      req.cluster.devices_per_node),
-                     cluster);
+    for (int n = 1; n <= cluster.num_nodes; n *= 2)
+      seq.build_tables(enumerate_bsizes(req.batch_size, cluster.num_nodes / n,
+                                        cluster.devices_per_node * n),
+                       cluster);
     table_fn = make_profile_fn(seq, prof, req.precision, req.optimizer,
                                !req.use_coarsening);
     oracle_fn = make_oracle_profile_fn(seq, prof, cluster, req.precision,

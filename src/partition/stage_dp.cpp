@@ -92,6 +92,10 @@ StageDpSolution form_stage_dp(const StageDpInput& in) {
   // (one relaxed load per kFlush cells) plus once per column; a stale read
   // only prunes less, never wrongly.
   const bool use_inc = in.incumbent != nullptr && in.est_scale > 0;
+  // The estimate floor of every solution whose bottleneck V is >= x.
+  const auto floor_of = [&in](double x) {
+    return estimate_floor(x, in.est_scale, in.total_load, in.allreduce_floor);
+  };
   double I = kInf;  // current incumbent estimate
   const auto load_incumbent = [&] {
     if (use_inc)
@@ -127,6 +131,10 @@ StageDpSolution form_stage_dp(const StageDpInput& in) {
   // Largest stage_devs whose per-replica microbatch stays >= 1.
   const std::int64_t max_stage_devs =
       in.batch_size / in.replica_factor / in.microbatches;
+  // bsize_of[k]: per-replica microbatch of a stage with k devices.
+  std::vector<std::int64_t> bsize_of(static_cast<std::size_t>(D) + 1, 0);
+  for (int k = 1; k <= D; ++k)
+    bsize_of[static_cast<std::size_t>(k)] = max_stage_devs / k;
   int d_min = 1;
   // Set when any incumbent-dependent cut (column, range or path) skipped a
   // candidate. From then on an infinite cell may be evidence of domination
@@ -145,16 +153,24 @@ StageDpSolution form_stage_dp(const StageDpInput& in) {
       ++epoch;  // invalidates the (bp, stage_devs) profile cache
       load_incumbent();
       // Suffix cut: any completion of this column still places the units
-      // (b, N] in later stages, so its bottleneck V is at least
-      // suffix_bound[b]; strictly above the incumbent means no solution
-      // through this column can win or tie.
-      if (use_inc && in.suffix_bound && s < S &&
-          in.est_scale * in.suffix_bound[b] > I) {
-        ++sol.columns_pruned;
-        incumbent_cut_fired = true;
-        continue;
+      // (b, N] in the S - s later stages, so its bottleneck V is at least
+      // suffix_bound[b] (the worst unit) and remaining_load[b] / (S - s)
+      // (the busiest stage's share); a floor strictly above the incumbent
+      // means no solution through this column can win or tie.
+      if (use_inc && s < S) {
+        double x = in.suffix_bound ? in.suffix_bound[b] : 0.0;
+        if (in.remaining_load)
+          x = std::max(x, in.remaining_load[b] / static_cast<double>(S - s));
+        if (floor_of(x) > I) {
+          ++sol.columns_pruned;
+          incumbent_cut_fired = true;
+          continue;
+        }
       }
-      for (int d = D - (S - s); d >= std::max(d_min, s); --d) {
+      // Structural cut: the last layer's answer is read at d == D only.
+      const int d_stop = in.prune && s == S ? std::max(d_min, D)
+                                             : std::max(d_min, s);
+      for (int d = D - (S - s); d >= d_stop; --d) {
         bool bsize_clipped = false;
         for (int bp = s - 1; bp <= b - 1; ++bp) {
           if (use_bound) {
@@ -181,7 +197,7 @@ StageDpSolution form_stage_dp(const StageDpInput& in) {
                 bsize_clipped = V[idx(s - 1, bp, dp)] != kInf;
               continue;
             }
-            if (use_inc && in.est_scale * be.b.time > I) {
+            if (use_inc && floor_of(be.b.time) > I) {
               ++sol.ranges_bound_pruned;
               incumbent_cut_fired = true;
               continue;  // any solution using this stage is dominated
@@ -202,8 +218,7 @@ StageDpSolution form_stage_dp(const StageDpInput& in) {
             if (++cells_since_refresh >= kFlush) {
               cells_since_refresh = 0;
               load_incumbent();
-              if (use_inc && in.job_bound > 0 &&
-                  in.est_scale * in.job_bound > I) {
+              if (use_inc && in.job_bound > 0 && floor_of(in.job_bound) > I) {
                 // A sibling's newly published incumbent dominates this
                 // whole invocation — abort it as pruned, not as a budget
                 // exhaustion.
@@ -219,19 +234,21 @@ StageDpSolution form_stage_dp(const StageDpInput& in) {
             }
             const double prevV = V[idx(s - 1, bp, dp)];
             if (prevV == kInf) continue;  // previous stages infeasible
-            if (use_inc && in.est_scale * prevV > I) {
+            if (use_inc && floor_of(prevV) > I) {
               ++sol.paths_pruned;  // prefix alone already dominated
               incumbent_cut_fired = true;
               continue;
             }
             const int stage_devs = d - dp;
             const std::int64_t bsize =
-                in.batch_size / in.replica_factor / in.microbatches /
-                stage_devs;
+                bsize_of[static_cast<std::size_t>(stage_devs)];
             if (bsize < 1) {
               bsize_clipped = true;  // too many replicas for this microbatch
               continue;
             }
+            // Cannot improve the target (see StageDpInput::prune (c)). A
+            // finite target also makes bsize_clipped irrelevant for (s, b, d).
+            if (in.prune && prevV >= V[idx(s, b, d)]) continue;
             StageProfile p;
             if (in.reuse_equal_stage_devs) {
               CacheEnt& ce =

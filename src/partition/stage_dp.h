@@ -88,10 +88,19 @@ struct StageDpInput {
   /// pattern of a positive double (their IEEE order matches uint64 order).
   /// Read-only here; null disables incumbent pruning.
   const std::atomic<std::uint64_t>* incumbent = nullptr;
-  /// Any solution's iteration estimate satisfies est >= est_scale * V
-  /// (GPipe: the bottleneck stage serializes MB forwards + backwards, so
-  /// est_scale = microbatches).
+  /// remaining_load[b] lower-bounds the summed t_f + t_b of the units of
+  /// the suffix (b, N]. Size N+1 when set; the column cut spreads it over
+  /// the S - s stages left, so V >= remaining_load[b] / (S - s).
+  const double* remaining_load = nullptr;
+  /// Every incumbent cut compares estimate_floor(x, est_scale, total_load,
+  /// allreduce_floor) against the incumbent, for a floor x on the
+  /// bottleneck V of the solutions it would drop. est_scale is the
+  /// microbatch count; total_load floors the summed t_f + t_b of all
+  /// stages and allreduce_floor the slowest stage's gradient all-reduce
+  /// (with both 0 the floor is est_scale * x, less the slack).
   double est_scale = 0;
+  double total_load = 0;
+  double allreduce_floor = 0;
   /// Job-level V lower bound (max over suffix_bound[0..N-1]); re-checked at
   /// the batched budget cadence so a job dominated by a sibling's newly
   /// published incumbent aborts mid-DP (`dominated`).
@@ -103,15 +112,20 @@ struct StageDpInput {
   /// the answer reads (b == N, d == D), and skip cells whose prefix
   /// V[s-1][bp][dp] lies outside the span of that prefix column's finite
   /// cells (such a cell can set no value, no clipped flag and no cut).
+  /// (c) Skip a cell before its profile lookup when its prefix value
+  /// already reaches the target's V[s][b][d]: max(tf', t_f) + max(tb', t_b)
+  /// rounds to at least tf' + tb' (IEEE addition is monotone), and an
+  /// update needs a strict improvement.
   bool prune = false;
 };
 
 struct StageDpSolution {
   bool feasible = false;
   bool aborted = false;  ///< search budget (max_cells) exhausted
-  /// Aborted because the incumbent proved this invocation cannot win
-  /// (est_scale * job_bound exceeded it mid-DP). Distinct from `aborted`:
-  /// a dominated job is a successful prune, not a budget exhaustion.
+  /// Aborted because the incumbent proved this invocation cannot win (the
+  /// estimate floor at job_bound exceeded it mid-DP). Distinct from
+  /// `aborted`: a dominated job is a successful prune, not a budget
+  /// exhaustion.
   bool dominated = false;
   /// b_i: exclusive end-unit of stage i (stage i = units (b_{i-1}, b_i]).
   std::vector<int> stage_end;
@@ -132,6 +146,25 @@ struct StageDpSolution {
   std::int64_t paths_pruned = 0;
   std::int64_t bound_queries = 0;
 };
+
+/// Relative slack on every estimate floor. The floors are sums and
+/// products of the same table reads the estimate is made of, evaluated in
+/// another order, so rounding could lift an exact floor a few ulps over
+/// the estimate it bounds; scaling by 1 - 1e-9 keeps it below.
+inline constexpr double kFloorSlack = 1.0 - 1e-9;
+
+/// Admissible floor on the iteration estimate of any GPipe plan with
+/// bottleneck V >= x, MB = est_scale microbatches, summed stage time
+/// sum_s (t_f,s + t_b,s) >= total_load and slowest all-reduce >=
+/// allreduce_floor. The makespan is sum_s (t_f,s + t_b,s) + (MB - 1) * V
+/// (gpipe_iteration) and the sum is >= max(total_load, V), so it is at
+/// least MB * V + max(0, total_load - V), which is nondecreasing in V.
+[[nodiscard]] inline double estimate_floor(double x, double est_scale,
+                                           double total_load,
+                                           double allreduce_floor) {
+  const double rest = total_load > x ? total_load - x : 0.0;
+  return (est_scale * x + rest + allreduce_floor) * kFloorSlack;
+}
 
 /// Algorithm 1 (form_stage_dp). Returns an infeasible solution when
 /// V[S, |B|, D] stays infinite.

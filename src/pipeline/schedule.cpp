@@ -78,9 +78,16 @@ ScheduleResult simulate_gpipe(const std::vector<StageTimes>& stages,
   return res;
 }
 
-double gpipe_iteration_uniform(double t_f, double t_b, int stages,
-                               int microbatches) {
-  return (microbatches + stages - 1) * (t_f + t_b);
+double gpipe_iteration(const std::vector<StageTimes>& stages,
+                       int microbatches) {
+  if (stages.empty() || microbatches == 0) return 0;
+  double sum = 0, max_f = 0, max_b = 0;
+  for (const StageTimes& st : stages) {
+    sum += st.t_f + st.t_b;
+    max_f = std::max(max_f, st.t_f);
+    max_b = std::max(max_b, st.t_b);
+  }
+  return sum + (microbatches - 1) * (max_f + max_b);
 }
 
 ScheduleResult simulate_1f1b_async(const std::vector<StageTimes>& stages,

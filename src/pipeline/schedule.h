@@ -36,11 +36,14 @@ struct ScheduleResult {
 ScheduleResult simulate_gpipe(const std::vector<StageTimes>& stages,
                               int microbatches);
 
-/// Closed-form approximation for homogeneous stages:
-///   (MB + S - 1) * (t_f + t_b).
-/// Used by tests as an oracle for simulate_gpipe.
-double gpipe_iteration_uniform(double t_f, double t_b, int stages,
-                               int microbatches);
+/// simulate_gpipe's makespan in closed form: the longest path through the
+/// fill/flush DAG runs every stage's forward and backward once and the
+/// slowest forward and backward MB - 1 more times,
+///   sum_s (t_f,s + t_b,s) + (MB - 1) * (max t_f + max t_b).
+/// Equal to the simulated makespan up to rounding; the search's estimate
+/// floors (estimate_floor in partition/stage_dp.h) rest on this identity.
+double gpipe_iteration(const std::vector<StageTimes>& stages,
+                       int microbatches);
 
 /// Asynchronous 1F1B steady state (PipeDream-2BW): no flush, so per
 /// mini-batch cost is MB times the busiest stage's per-microbatch period.

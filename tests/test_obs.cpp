@@ -457,6 +457,25 @@ TEST(Attribution, ConservationBitExactAcrossSimulators) {
   EXPECT_EQ(fold(rep.step), rep.step_time);
 }
 
+TEST(Attribution, MisfitAboveRelativeSlackThrows) {
+  // Two ops of one stage overlapping by `overlap` seconds: the fitted
+  // bubble (T - compute) is -overlap while the directly summed gaps are 0.
+  // On a 3 ms step the slack is 1e-9 * 3 ms, so a 1e-8-relative misfit
+  // throws and a 1e-10-relative one passes.
+  const auto report = [](double overlap) {
+    std::vector<obs::CausalOp> ops(2);
+    ops[0].end = 1.5e-3;
+    ops[1].microbatch = 1;
+    ops[1].start = 1.5e-3 - overlap;
+    ops[1].end = 3e-3;
+    ops[1].resource_ready = ops[1].start;
+    return obs::attribute(ops, 1, 2);
+  };
+  EXPECT_THROW(report(1e-8 * 3e-3), std::logic_error);
+  EXPECT_NO_THROW(report(1e-10 * 3e-3));
+  EXPECT_NO_THROW(report(0));
+}
+
 TEST(Attribution, StragglerRankingByCompute) {
   const obs::AttributionReport rep =
       obs::attribute(simulate_gpipe(asym2(), 4).intervals, 2, 4);

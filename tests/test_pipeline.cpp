@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <random>
 
 #include "pipeline/schedule.h"
 
@@ -17,10 +19,32 @@ TEST(GPipeSchedule, MatchesClosedFormForUniformStages) {
   for (int S : {1, 2, 4, 8}) {
     for (int MB : {1, 2, 8, 32}) {
       const ScheduleResult r = simulate_gpipe(uniform(S, 1.0, 2.0), MB);
-      EXPECT_NEAR(r.iteration_time, gpipe_iteration_uniform(1.0, 2.0, S, MB),
+      // Uniform stages: (MB + S - 1) * (t_f + t_b).
+      EXPECT_NEAR(r.iteration_time, (MB + S - 1) * 3.0, 1e-9)
+          << "S=" << S << " MB=" << MB;
+      EXPECT_NEAR(gpipe_iteration(uniform(S, 1.0, 2.0), MB), (MB + S - 1) * 3.0,
                   1e-9)
           << "S=" << S << " MB=" << MB;
     }
+  }
+}
+
+TEST(GPipeSchedule, MatchesClosedFormForHeterogeneousStages) {
+  // Random stage times over five orders of magnitude: the simulated
+  // makespan is sum_s (t_f + t_b) + (MB - 1) * (max t_f + max t_b).
+  std::mt19937_64 rng(20211);
+  std::uniform_real_distribution<double> expo(-6.0, -1.0);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int S = 1 + static_cast<int>(rng() % 12);
+    const int MB = 1 << (rng() % 7);
+    std::vector<StageTimes> st(static_cast<std::size_t>(S));
+    for (StageTimes& t : st) {
+      t.t_f = std::pow(10.0, expo(rng));
+      t.t_b = std::pow(10.0, expo(rng));
+    }
+    const double sim = simulate_gpipe(st, MB).iteration_time;
+    EXPECT_NEAR(gpipe_iteration(st, MB), sim, 1e-12 * sim)
+        << "trial " << trial << " S=" << S << " MB=" << MB;
   }
 }
 

@@ -7,9 +7,11 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "partition/plan_io.h"
 #include "partition/search.h"
 #include "partition/stage_dp.h"
+#include "pipeline/schedule.h"
 #include "serve/fingerprint.h"
 #include "serve/model_zoo.h"
 #include "serve/plan_store.h"
@@ -175,19 +178,29 @@ TEST(SearchPrune, WinnerCandidateIsNeverPrunedAndKeepsItsEstimate) {
 
 /// Regression: a memory-pruned range must still mark its microbatch-clipped
 /// candidates (bsize_clipped), or d_min advances where the exhaustive DP's
-/// does not and the optimum is lost for every later column and layer. These
-/// zoo geometries lost it by 1-11 % (and BERT @ 2x8 returned three
-/// different plans across engine configurations) before the fix.
+/// does not and the optimum is lost for every later column and layer. The
+/// GPT-2 / BERT-h2048 geometries lost it by 1-11 % (and BERT @ 2x8 returned
+/// three different plans across engine configurations) before that fix.
+/// The matrix is the perfbench search-zoo (its models at its batches),
+/// where the GPipe-makespan, all-reduce and remaining-load floors fire
+/// hardest.
 TEST(SearchPrune, MemoryFloorKeepsTheOptimumOnLargeModels) {
-  serve::ModelSpec gpt2, bert;
-  gpt2.model = "gpt2";
+  const auto named = [](const char* model) {
+    serve::ModelSpec s;
+    s.model = model;
+    return s;
+  };
+  serve::ModelSpec r50 = named("resnet"), r152 = named("resnet");
+  r50.depth = 50;
+  r152.depth = 152;
+  serve::ModelSpec gpt2 = named("gpt2"), bert_xl = named("bert");
   gpt2.hidden = 1600;
   gpt2.layers = 48;
-  bert.model = "bert";
-  bert.hidden = 2048;
-  bert.layers = 64;
-  const std::pair<serve::ModelSpec, std::int64_t> cases[] = {{gpt2, 64},
-                                                             {bert, 256}};
+  bert_xl.hidden = 2048;
+  bert_xl.layers = 64;
+  const std::pair<serve::ModelSpec, std::int64_t> cases[] = {
+      {r50, 1024},          {r152, 256}, {named("t5"), 256},
+      {named("bert"), 256}, {gpt2, 64},  {bert_xl, 256}};
   for (const auto& [spec, batch] : cases) {
     const BuiltModel m = serve::build_model(spec);
     for (int nodes : {4, 2}) {
@@ -196,15 +209,19 @@ TEST(SearchPrune, MemoryFloorKeepsTheOptimumOnLargeModels) {
       base.cluster.devices_per_node = 8;
       base.batch_size = batch;
       base.budget.threads = 1;
-      const PartitionResult ex =
-          auto_partition(m.graph, exhaustive(base)).plan;
-      ASSERT_TRUE(ex.feasible) << ex.infeasible_reason;
-      const std::string want = plan_to_json(ex);
+      const SearchResult ex = auto_partition(m.graph, exhaustive(base));
+      ASSERT_TRUE(ex.feasible()) << ex.plan.infeasible_reason;
+      const std::string want = plan_to_json(ex.plan);
+      const std::string where = serve::canonical_sig(spec) + " " +
+                                std::to_string(nodes) + "x8";
       for (int threads : {1, 4}) {
         SearchRequest req = base;
         req.budget.threads = threads;
-        EXPECT_EQ(plan_to_json(auto_partition(m.graph, req).plan), want)
-            << spec.model << " " << nodes << "x8 threads=" << threads;
+        const SearchResult pr = auto_partition(m.graph, req);
+        EXPECT_EQ(plan_to_json(pr.plan), want)
+            << where << " threads=" << threads;
+        EXPECT_LE(pr.stats().dp_cells_visited, ex.stats().dp_cells_visited)
+            << where << " threads=" << threads;
       }
     }
   }
@@ -455,6 +472,148 @@ TEST(StageDpBounds, InadmissibleMemoryFloorLosesFeasibility) {
   const StageDpSolution wrong = form_stage_dp(bad);
   EXPECT_FALSE(wrong.feasible);
   EXPECT_GT(wrong.ranges_mem_pruned, 0);
+}
+
+/// The stage times `sol` selects, profiled as the DP profiled them.
+std::vector<StageTimes> synthetic_stages(const SyntheticUnits& u,
+                                         const StageDpInput& in,
+                                         const StageDpSolution& sol) {
+  std::vector<StageTimes> st;
+  int lo = 0;
+  for (std::size_t i = 0; i < sol.stage_end.size(); ++i) {
+    const std::int64_t bsize = in.batch_size / in.replica_factor /
+                               in.microbatches / sol.stage_devices[i];
+    const StageProfile p = u.fn()(lo, sol.stage_end[i], bsize,
+                                  in.microbatches, in.num_stages);
+    st.push_back({p.t_f, p.t_b});
+    lo = sol.stage_end[i];
+  }
+  return st;
+}
+
+/// The GPipe makespan of `sol`: the concrete estimate the floors of every
+/// cell on its path must stay under.
+double synthetic_makespan(const SyntheticUnits& u, const StageDpInput& in,
+                          const StageDpSolution& sol) {
+  return simulate_gpipe(synthetic_stages(u, in, sol), in.microbatches)
+      .iteration_time;
+}
+
+/// Arms every incumbent hook with the admissible floors of the synthetic
+/// profile (per-unit t_f + t_b at the smallest reachable microbatch):
+/// range bound, suffix bound, remaining load and total load.
+struct ArmedFloors {
+  std::vector<double> suffix, rem;
+
+  StageDpInput arm(const SyntheticUnits& u, const StageDpInput& in) {
+    StageDpInput armed = in;
+    armed.bound = admissible_bound(u, in);
+    armed.prune = true;
+    const std::int64_t bsize_min = std::max<std::int64_t>(
+        1, in.batch_size / in.replica_factor / in.microbatches /
+               (in.num_devices - in.num_stages + 1));
+    const std::size_t n = static_cast<std::size_t>(in.num_units);
+    suffix.assign(n + 1, 0.0);
+    rem.assign(n + 1, 0.0);
+    const RangeProfileFn profile = u.fn();
+    for (int b = in.num_units - 1; b >= 0; --b) {
+      const StageProfile p =
+          profile(b, b + 1, bsize_min, in.microbatches, in.num_stages);
+      const std::size_t k = static_cast<std::size_t>(b);
+      suffix[k] = std::max(suffix[k + 1], p.t_f + p.t_b);
+      rem[k] = rem[k + 1] + p.t_f + p.t_b;
+    }
+    armed.suffix_bound = suffix.data();
+    armed.remaining_load = rem.data();
+    armed.total_load = rem[0];
+    armed.job_bound =
+        std::max(suffix[0], rem[0] / static_cast<double>(in.num_stages));
+    armed.est_scale = static_cast<double>(in.microbatches);
+    return armed;
+  }
+};
+
+TEST(StageDpBounds, EstimateFloorBoundsTheSimulatedMakespan) {
+  // estimate_floor at the exact V and summed stage time equals the GPipe
+  // closed form in real arithmetic: it must stay at or below the simulated
+  // makespan (the slack absorbs rounding) and be tight within the slack.
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> expo(-6.0, -1.0);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int S = 1 + static_cast<int>(rng() % 12);
+    const int MB = 1 << (rng() % 7);
+    std::vector<StageTimes> st(static_cast<std::size_t>(S));
+    double sum = 0, mf = 0, mb = 0;
+    for (StageTimes& t : st) {
+      t.t_f = std::pow(10.0, expo(rng));
+      t.t_b = std::pow(10.0, expo(rng));
+      sum += t.t_f + t.t_b;
+      mf = std::max(mf, t.t_f);
+      mb = std::max(mb, t.t_b);
+    }
+    const double sim = simulate_gpipe(st, MB).iteration_time;
+    const double allreduce = 1e-3 * sim;
+    const double floor = estimate_floor(mf + mb, MB, sum, allreduce);
+    EXPECT_LE(floor, sim + allreduce) << "trial " << trial;
+    EXPECT_GE(floor, (sim + allreduce) * (1 - 2e-9)) << "trial " << trial;
+    // Any smaller V floor or load floor gives a smaller estimate floor.
+    EXPECT_LE(estimate_floor(0.5 * (mf + mb), MB, sum, allreduce), floor);
+    EXPECT_LE(estimate_floor(mf + mb, MB, 0.5 * sum, allreduce), floor);
+  }
+}
+
+TEST(StageDpBounds, AdmissibleLoadFloorsKeepTheOptimum) {
+  // Incumbent = the exact GPipe makespan of the optimum: every floor on
+  // the optimum's path is at most that, and the cuts are strict.
+  const SyntheticUnits u = ramp_units(16);
+  const StageDpInput in = dp_input(u, 3, 6);
+  const StageDpSolution plain = form_stage_dp(in);
+  ASSERT_TRUE(plain.feasible);
+
+  ArmedFloors floors;
+  StageDpInput armed = floors.arm(u, in);
+  const std::atomic<std::uint64_t> incumbent{
+      std::bit_cast<std::uint64_t>(synthetic_makespan(u, in, plain))};
+  armed.incumbent = &incumbent;
+
+  const StageDpSolution pruned = form_stage_dp(armed);
+  ASSERT_TRUE(pruned.feasible);
+  EXPECT_FALSE(pruned.dominated);
+  EXPECT_EQ(pruned.stage_end, plain.stage_end);
+  EXPECT_EQ(pruned.stage_devices, plain.stage_devices);
+  EXPECT_DOUBLE_EQ(pruned.max_tf, plain.max_tf);
+  EXPECT_DOUBLE_EQ(pruned.max_tb, plain.max_tb);
+  EXPECT_LT(pruned.dp_cells_visited, plain.dp_cells_visited);
+}
+
+TEST(StageDpBounds, InflatedLoadFloorLosesTheOptimum) {
+  // Negative control for the load term: the same armed DP with the total
+  // load set 1.5x over the optimum's own summed stage time (an
+  // overestimate, hence inadmissible) cuts the optimum's path.
+  const SyntheticUnits u = ramp_units(16);
+  const StageDpInput in = dp_input(u, 3, 6);
+  const StageDpSolution plain = form_stage_dp(in);
+  ASSERT_TRUE(plain.feasible);
+
+  ArmedFloors floors;
+  StageDpInput bad = floors.arm(u, in);
+  double sum = 0;
+  for (const StageTimes& t : synthetic_stages(u, in, plain))
+    sum += t.t_f + t.t_b;
+  ASSERT_LT(bad.total_load, sum);  // the admissible load is below it
+  bad.total_load = 1.5 * sum;
+  const std::atomic<std::uint64_t> incumbent{
+      std::bit_cast<std::uint64_t>(synthetic_makespan(u, in, plain))};
+  bad.incumbent = &incumbent;
+
+  const StageDpSolution wrong = form_stage_dp(bad);
+  EXPECT_GT(wrong.paths_pruned + wrong.columns_pruned +
+                wrong.ranges_bound_pruned,
+            0);
+  const bool lost_optimum = !wrong.feasible || wrong.dominated ||
+                            wrong.value() > plain.value() ||
+                            wrong.stage_end != plain.stage_end;
+  EXPECT_TRUE(lost_optimum);
 }
 
 // ---- plan-store keys across engine modes ----------------------------------

@@ -375,6 +375,9 @@ def main(argv):
                     help="skip one benchmark (repeatable)")
     args = ap.parse_args(argv[1:])
 
+    # The benchmarks run with the work dir as cwd, so --out must not be
+    # relative to the caller's cwd.
+    args.work_dir = os.path.abspath(args.work_dir)
     os.makedirs(args.work_dir, exist_ok=True)
     s = Sentinel()
     ran = 0

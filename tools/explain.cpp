@@ -115,9 +115,8 @@ void diff_values(const json::Value& a, const json::Value& b,
       if (a.boolean != b.boolean) out.push_back(path + ": bool mismatch");
       return;
     case json::Value::Type::Number: {
-      const double denom =
-          std::max({std::abs(a.number), std::abs(b.number), 1.0});
-      if (std::abs(a.number - b.number) > tol * denom) {
+      const double scale = std::max(std::abs(a.number), std::abs(b.number));
+      if (std::abs(a.number - b.number) > tol * scale) {
         std::ostringstream os;
         os << path << ": " << a.number << " vs " << b.number;
         out.push_back(os.str());
