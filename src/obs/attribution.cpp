@@ -182,28 +182,6 @@ std::string what_if_name(const WhatIf& w) {
   return "unknown";
 }
 
-double estimate_what_if(const AttributionReport& rep, const WhatIf& w) {
-  const double T = rep.step_time;
-  switch (w.kind) {
-    case WhatIf::Kind::StageComputeScale:
-      if (w.index < 0 ||
-          static_cast<std::size_t>(w.index) >= rep.path.compute_by_stage.size())
-        return T;
-      return T + (w.factor - 1.0) *
-                     rep.path.compute_by_stage[static_cast<std::size_t>(w.index)];
-    case WhatIf::Kind::Microbatches: {
-      if (rep.microbatches <= 0 || w.microbatches <= 0) return T;
-      // Steady-state cost of one more (or one fewer) microbatch: the
-      // busiest stage's per-microbatch work.
-      double rate = 0;
-      for (const StageBuckets& b : rep.stages)
-        rate = std::max(rate, b.compute / rep.microbatches);
-      return T + (w.microbatches - rep.microbatches) * rate;
-    }
-  }
-  return T;
-}
-
 std::vector<WhatIf> default_what_ifs(const AttributionReport& rep) {
   std::vector<WhatIf> v;
   const int anchor =
@@ -233,7 +211,7 @@ void write_buckets(json::Writer& w, const StageBuckets& b) {
 
 std::string report_json(const AttributionReport& rep) {
   json::Writer w;
-  w.begin_object().field("schema", "rannc.explain.v2");
+  w.begin_object().field("schema", "rannc.explain.v3");
   w.field("subject", rep.subject).field("num_stages", rep.num_stages);
   w.field("microbatches", rep.microbatches).field("step_time", rep.step_time);
   w.field("anchor_stage", rep.anchor_stage).key("step");
@@ -274,14 +252,7 @@ std::string report_json(const AttributionReport& rep) {
     w.field("kind", kind_name(wi.spec.kind)).field("index", wi.spec.index);
     w.field("factor", wi.spec.factor);
     w.field("microbatches", wi.spec.microbatches);
-    w.field("baseline", wi.baseline).field("estimate", wi.estimate);
-    if (wi.ground_truth >= 0) {
-      const double denom = std::max(std::abs(wi.ground_truth), 1e-300);
-      w.field("ground_truth", wi.ground_truth);
-      w.field("rel_error", std::abs(wi.estimate - wi.ground_truth) / denom);
-    } else {
-      w.key("ground_truth").null().key("rel_error").null();
-    }
+    w.field("baseline", wi.baseline).field("ground_truth", wi.ground_truth);
     w.end_object();
   }
   w.end_array().end_object();
@@ -334,22 +305,11 @@ std::string report_table(const AttributionReport& rep) {
     os << "  fabric horizon " << fixed6(rep.fabric_horizon) << " s\n";
   }
   if (!rep.what_ifs.empty()) {
-    os << "\nwhat-if (estimate vs ground-truth re-simulation):\n";
-    os << "  " << pad_right("name", 28) << pad_left("estimate", 12)
-       << pad_left("ground", 12) << pad_left("err%", 8) << "\n";
-    for (const WhatIfResult& w : rep.what_ifs) {
-      os << "  " << pad_right(w.name, 28) << pad_left(fixed6(w.estimate), 12);
-      if (w.ground_truth >= 0) {
-        const double denom = std::max(std::abs(w.ground_truth), 1e-300);
-        char err[32];
-        std::snprintf(err, sizeof err, "%.2f",
-                      100.0 * std::abs(w.estimate - w.ground_truth) / denom);
-        os << pad_left(fixed6(w.ground_truth), 12) << pad_left(err, 8);
-      } else {
-        os << pad_left("-", 12) << pad_left("-", 8);
-      }
-      os << "\n";
-    }
+    os << "\nwhat-if (re-simulated step time):\n";
+    os << "  " << pad_right("name", 28) << pad_left("step s", 12) << "\n";
+    for (const WhatIfResult& w : rep.what_ifs)
+      os << "  " << pad_right(w.name, 28)
+         << pad_left(fixed6(w.ground_truth), 12) << "\n";
   }
   return os.str();
 }

@@ -65,9 +65,8 @@ struct FabricTransfer {
   int bottleneck_link = -1;  ///< slowest link on the path
 };
 
-/// A perturbation of the simulated plan, answered two ways: a first-order
-/// estimate from the attribution report alone, and (by callers that own
-/// the simulator inputs) a ground-truth re-simulation.
+/// A perturbation of the simulated plan, answered by callers that own the
+/// simulator inputs with a re-simulation (evaluate_what_if).
 struct WhatIf {
   enum class Kind {
     StageComputeScale,  ///< scale stage `index` compute time by `factor`
@@ -81,10 +80,9 @@ struct WhatIf {
 
 struct WhatIfResult {
   WhatIf spec;
-  std::string name;          ///< stable human-readable id
-  double baseline = 0;       ///< the report's step time
-  double estimate = 0;       ///< first-order estimate of the new step time
-  double ground_truth = -1;  ///< re-simulated step time; < 0 = not computed
+  std::string name;         ///< stable human-readable id
+  double baseline = 0;      ///< the report's step time
+  double ground_truth = 0;  ///< re-simulated step time
 };
 
 struct AttributionReport {
@@ -125,16 +123,12 @@ void attach_links(AttributionReport& rep,
 /// Stable name, e.g. "stage0.compute.x0.75" or "microbatches.8".
 std::string what_if_name(const WhatIf& w);
 
-/// First-order estimate of the perturbed step time from the report alone
-/// (critical-path arithmetic; see docs/ALGORITHMS.md section 11).
-double estimate_what_if(const AttributionReport& rep, const WhatIf& w);
-
 /// The default catalog used by rannc explain: anchor compute scaled by
 /// 0.75 and 1.25, the top straggler's by 0.9, and the microbatch count
 /// doubled and (when > 1) halved.
 std::vector<WhatIf> default_what_ifs(const AttributionReport& rep);
 
-/// Deterministic pretty-printed JSON document ("rannc.explain.v2").
+/// Deterministic pretty-printed JSON document ("rannc.explain.v3").
 std::string report_json(const AttributionReport& rep);
 
 /// ASCII attribution table (stages, critical path, links, what-ifs).

@@ -140,7 +140,6 @@ obs::WhatIfResult evaluate_what_if(const obs::AttributionReport& rep,
   r.spec = w;
   r.name = obs::what_if_name(w);
   r.baseline = rep.step_time;
-  r.estimate = obs::estimate_what_if(rep, w);
   std::vector<StageTimes> stages = stages_in;
   const int S = static_cast<int>(stages.size());
   switch (w.kind) {

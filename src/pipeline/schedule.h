@@ -58,10 +58,9 @@ ScheduleResult simulate_1f1b_async(const std::vector<StageTimes>& stages,
 std::vector<obs::TimelineSpan> schedule_spans(const ScheduleResult& res);
 
 /// Evaluates one what-if against the report `rep` of the GPipe schedule
-/// simulated from (`stages`, `microbatches`): the report's first-order
-/// estimate, and the ground truth from perturbing a copy of the simulator
-/// inputs (a stage's compute times or the microbatch count) and re-running
-/// simulate_gpipe.
+/// simulated from (`stages`, `microbatches`): perturbs a copy of the
+/// simulator inputs (a stage's compute times or the microbatch count) and
+/// re-runs simulate_gpipe.
 obs::WhatIfResult evaluate_what_if(const obs::AttributionReport& rep,
                                    const std::vector<StageTimes>& stages,
                                    int microbatches, const obs::WhatIf& w);

@@ -24,7 +24,6 @@ const char* status_name(ServeResponse::Status s) {
   switch (s) {
     case ServeResponse::Status::Hit: return "hit";
     case ServeResponse::Status::Miss: return "miss";
-    case ServeResponse::Status::Overloaded: return "overloaded";
     case ServeResponse::Status::Error: return "error";
   }
   return "error";
@@ -34,78 +33,27 @@ PlanServer::PlanServer(ServeOptions opts) : opts_(std::move(opts)) {
   if (!opts_.store_dir.empty()) store_.emplace(opts_.store_dir);
 }
 
-PlanServer::~PlanServer() = default;
-
 PlanServer::GraphEntry::GraphEntry(BuiltModel b)
     : built(std::move(b)),
       verified(built.graph),
       fp(fingerprint_graph(verified)) {}
 
-std::shared_ptr<const PlanServer::GraphEntry> PlanServer::graph_for(
-    const ModelSpec& spec) {
+const PlanServer::GraphEntry& PlanServer::graph_for(const ModelSpec& spec) {
   const std::string sig = canonical_sig(spec);
-  {
-    std::lock_guard<std::mutex> lk(graphs_mu_);
-    if (auto it = graphs_.find(sig); it != graphs_.end()) return it->second;
-  }
-  // Build and verify outside the lock — both can take milliseconds and
-  // must not stall concurrent hits. A racing duplicate build produces an
-  // identical entry; first insert wins.
-  auto ge = std::make_shared<const GraphEntry>(build_model(spec));
-  std::lock_guard<std::mutex> lk(graphs_mu_);
-  return graphs_.emplace(sig, std::move(ge)).first->second;
+  if (auto it = graphs_.find(sig); it != graphs_.end()) return it->second;
+  return graphs_.try_emplace(sig, build_model(spec)).first->second;
 }
 
 Fingerprint PlanServer::fingerprint_for(const ModelSpec& spec) {
-  return graph_for(spec)->fp;
-}
-
-PlanServer::Outcome PlanServer::run_search(
-    const std::shared_ptr<const GraphEntry>& ge, const PlanKey& key,
-    const SearchRequest& req) {
-  Outcome out;
-  try {
-    searches_.fetch_add(1, std::memory_order_relaxed);
-    SearchResult sr;
-    {
-      obs::Scope span("serve.search", "serve");
-      if (span.active()) span.arg("key", key_stem(key));
-      sr = opts_.search_fn ? opts_.search_fn(ge->verified, req)
-                           : auto_partition(ge->verified, req);
-    }
-    const PartitionResult& result = sr.plan;
-    auto cp = std::make_shared<CachedPlan>();
-    if (result.feasible) {
-      cp->plan_json = plan_to_json(result);
-    } else {
-      cp->infeasible = true;
-      cp->infeasible_reason = result.infeasible_reason;
-    }
-    {
-      std::lock_guard<std::mutex> lk(plans_mu_);
-      plans_[key.filename()] = cp;
-    }
-    if (store_ && opts_.persist) {
-      StoredEntry e;
-      e.plan_json = cp->plan_json;
-      e.infeasible = cp->infeasible;
-      e.infeasible_reason = cp->infeasible_reason;
-      store_->save(key, e);
-    }
-    out.ok = true;
-    out.plan = std::move(cp);
-  } catch (const std::exception& e) {
-    out.ok = false;
-    out.error = e.what();
-  }
-  return out;
+  std::lock_guard<std::mutex> lk(mu_);
+  return graph_for(spec).fp;
 }
 
 ServeResponse PlanServer::dispatch(const ServeRequest& req) {
   ServeResponse resp;
-  const std::shared_ptr<const GraphEntry> ge = graph_for(req.model);
-  resp.fingerprint = ge->fp.hex();
-  const PlanKey key = make_plan_key(ge->fp, req.search);
+  const GraphEntry& ge = graph_for(req.model);
+  resp.fingerprint = ge.fp.hex();
+  const PlanKey key = make_plan_key(ge.fp, req.search);
   resp.key = key_stem(key);
 
   const auto fill_plan = [&resp](const CachedPlan& cp) {
@@ -115,85 +63,65 @@ ServeResponse PlanServer::dispatch(const ServeRequest& req) {
   };
 
   // L1: in-memory plan cache.
-  {
-    std::lock_guard<std::mutex> lk(plans_mu_);
-    if (auto it = plans_.find(key.filename()); it != plans_.end()) {
-      resp.status = ServeResponse::Status::Hit;
-      fill_plan(*it->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return resp;
-    }
+  if (auto it = plans_.find(key.filename()); it != plans_.end()) {
+    resp.status = ServeResponse::Status::Hit;
+    fill_plan(it->second);
+    ++hits_;
+    return resp;
   }
 
   // L2: durable store.
   if (store_) {
     if (const auto e = store_->load(key)) {
-      auto loaded = std::make_shared<CachedPlan>();
-      loaded->plan_json = e->plan_json;
-      loaded->infeasible = e->infeasible;
-      loaded->infeasible_reason = e->infeasible_reason;
-      std::shared_ptr<const CachedPlan> cp = loaded;
-      {
-        std::lock_guard<std::mutex> lk(plans_mu_);
-        cp = plans_.emplace(key.filename(), cp).first->second;
-      }
+      const CachedPlan& cp =
+          plans_
+              .try_emplace(key.filename(),
+                           CachedPlan{e->plan_json, e->infeasible,
+                                      e->infeasible_reason})
+              .first->second;
       resp.status = ServeResponse::Status::Hit;
       resp.from_disk = true;
-      fill_plan(*cp);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      disk_hits_.fetch_add(1, std::memory_order_relaxed);
+      fill_plan(cp);
+      ++hits_;
+      ++disk_hits_;
       return resp;
     }
   }
 
-  // Single-flight admission.
-  bool leader = false;
-  std::promise<Outcome> promise;
-  std::shared_future<Outcome> future;
+  // L3: search, then cache and persist the result. A throwing search
+  // becomes Status::Error in handle.
+  ++misses_;
+  SearchResult sr;
   {
-    std::lock_guard<std::mutex> lk(inflight_mu_);
-    if (auto it = inflight_.find(key.filename()); it != inflight_.end()) {
-      future = it->second;
-      resp.coalesced = true;
-      coalesced_.fetch_add(1, std::memory_order_relaxed);
-      misses_.fetch_add(1, std::memory_order_relaxed);
-    } else if (leaders_ >= opts_.max_queue) {
-      resp.status = ServeResponse::Status::Overloaded;
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      return resp;
-    } else {
-      leader = true;
-      ++leaders_;
-      future = promise.get_future().share();
-      inflight_.emplace(key.filename(), future);
-      misses_.fetch_add(1, std::memory_order_relaxed);
-    }
+    obs::Scope span("serve.search", "serve");
+    if (span.active()) span.arg("key", resp.key);
+    sr = auto_partition(ge.verified, req.search);
   }
-
-  Outcome out;
-  if (leader) {
-    out = run_search(ge, key, req.search);  // never throws
-    promise.set_value(out);
-    std::lock_guard<std::mutex> lk(inflight_mu_);
-    inflight_.erase(key.filename());
-    --leaders_;
+  CachedPlan fresh;
+  if (sr.plan.feasible) {
+    fresh.plan_json = plan_to_json(sr.plan);
   } else {
-    out = future.get();
+    fresh.infeasible = true;
+    fresh.infeasible_reason = sr.plan.infeasible_reason;
   }
-
-  if (!out.ok) {
-    resp.status = ServeResponse::Status::Error;
-    resp.error = out.error;
-    return resp;
+  const CachedPlan& cp =
+      plans_.try_emplace(key.filename(), std::move(fresh)).first->second;
+  if (store_ && opts_.persist) {
+    StoredEntry e;
+    e.plan_json = cp.plan_json;
+    e.infeasible = cp.infeasible;
+    e.infeasible_reason = cp.infeasible_reason;
+    store_->save(key, e);
   }
   resp.status = ServeResponse::Status::Miss;
-  fill_plan(*out.plan);
+  fill_plan(cp);
   return resp;
 }
 
 ServeResponse PlanServer::handle(const ServeRequest& req) {
   const auto t0 = std::chrono::steady_clock::now();
   obs::Scope span("serve.request", "serve");
+  std::lock_guard<std::mutex> lk(mu_);
   ServeResponse resp;
   try {
     resp = dispatch(req);
@@ -215,15 +143,11 @@ ServeResponse PlanServer::handle(const ServeRequest& req) {
       break;
     case ServeResponse::Status::Miss:
       m.counter("serve.misses").add();
-      if (resp.coalesced) m.counter("serve.coalesced").add();
       m.histogram("serve.miss_latency_us").record(resp.latency_us);
-      break;
-    case ServeResponse::Status::Overloaded:
-      m.counter("serve.shed").add();
       break;
     case ServeResponse::Status::Error:
       m.counter("serve.errors").add();
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      ++errors_;
       break;
   }
   if (span.active()) {
@@ -234,15 +158,8 @@ ServeResponse PlanServer::handle(const ServeRequest& req) {
 }
 
 PlanServer::Stats PlanServer::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.disk_hits = disk_hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
-  s.searches = searches_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.errors = errors_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> lk(mu_);
+  return {hits_, disk_hits_, misses_, errors_};
 }
 
 std::string PlanServer::stats_json() const {
@@ -256,9 +173,8 @@ std::string PlanServer::stats_json() const {
       obs::metrics().histogram("serve.miss_latency_us").snapshot();
   json::Writer w(json::Layout::Compact);
   w.begin_object().field("hits", s.hits).field("disk_hits", s.disk_hits);
-  w.field("misses", s.misses).field("coalesced", s.coalesced);
-  w.field("searches", s.searches).field("shed", s.shed);
-  w.field("errors", s.errors).key("hit_latency_us").begin_object();
+  w.field("misses", s.misses).field("errors", s.errors);
+  w.key("hit_latency_us").begin_object();
   w.field("p50", hit.quantile(0.5)).field("p99", hit.quantile(0.99));
   w.end_object().key("miss_latency_us").begin_object();
   w.field("p50", miss.quantile(0.5)).field("p99", miss.quantile(0.99));
@@ -319,7 +235,6 @@ PlanServer::WireResult PlanServer::serve_line(const std::string& line) {
     const ServeResponse resp = handle(req);
     w.begin_object().field("id", req.id);
     w.field("status", status_name(resp.status));
-    if (resp.coalesced) w.field("coalesced", true);
     if (resp.from_disk) w.field("from_disk", true);
     if (!resp.fingerprint.empty()) w.field("fingerprint", resp.fingerprint);
     if (!resp.key.empty()) w.field("key", resp.key);
@@ -334,7 +249,10 @@ PlanServer::WireResult PlanServer::serve_line(const std::string& line) {
     if (!resp.error.empty()) w.field("error", resp.error);
     return {w.end_object().str(), false};
   } catch (const std::exception& e) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      ++errors_;
+    }
     obs::metrics().counter("serve.errors").add();
     json::Writer w(json::Layout::Compact);
     w.begin_object().field("id", id).field("status", "error");

@@ -1,13 +1,11 @@
 // Tests for the serve subsystem: canonical fingerprints, the durable plan
 // store (including its format-version contract), and PlanServer
-// (single-flight, shedding, bit-identity of served plans).
+// (cache layers, one request at a time, bit-identity of served plans).
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <sstream>
 #include <thread>
 
@@ -67,17 +65,6 @@ std::string slurp(const std::filesystem::path& p) {
 void spit(const std::filesystem::path& p, const std::string& text) {
   std::ofstream out(p, std::ios::binary | std::ios::trunc);
   out << text;
-}
-
-template <typename F>
-bool eventually(F&& pred, int timeout_ms = 10000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return pred();
 }
 
 /// Two independent elementwise branches joined by an Add — small enough to
@@ -364,7 +351,6 @@ TEST(PlanServerTest, MissThenHitAndPlanIsBitIdenticalToDirect) {
   const PlanServer::Stats s = server.stats();
   EXPECT_EQ(s.hits, 1);
   EXPECT_EQ(s.misses, 1);
-  EXPECT_EQ(s.searches, 1);
   EXPECT_EQ(s.errors, 0);
 }
 
@@ -525,7 +511,7 @@ TEST(PlanServerTest, InfeasibleResultsAreCachedToo) {
   const ServeResponse r2 = server.handle(req);
   EXPECT_EQ(r2.status, ServeResponse::Status::Hit);
   EXPECT_TRUE(r2.infeasible);
-  EXPECT_EQ(server.stats().searches, 1);
+  EXPECT_EQ(server.stats().misses, 1);
 }
 
 TEST(PlanServerTest, UnknownModelIsAnErrorReplyNotACrash) {
@@ -541,74 +527,29 @@ TEST(PlanServerTest, UnknownModelIsAnErrorReplyNotACrash) {
             ServeResponse::Status::Miss);
 }
 
-TEST(PlanServerTest, ConcurrentDuplicatesCoalesceOntoOneSearch) {
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  ServeOptions o;
-  o.search_fn = [gate](const VerifiedGraph& g, const SearchRequest& req) {
-    gate.wait();  // hold the leader's search open
-    return auto_partition(g, req);
-  };
-  PlanServer server(o);
+TEST(PlanServerTest, ConcurrentDuplicatesSearchOnce) {
+  // One lock covers a whole request: whichever thread takes it first
+  // searches, and the other then hits the plan that search cached.
+  PlanServer server(ServeOptions{});
+  ServeResponse r[2];
+  std::thread t0([&] { r[0] = server.handle(mlp_request()); });
+  std::thread t1([&] { r[1] = server.handle(mlp_request()); });
+  t0.join();
+  t1.join();
 
-  ServeResponse leader_resp, follower_resp;
-  std::thread leader(
-      [&] { leader_resp = server.handle(mlp_request()); });
-  // The leader has registered in-flight by the time its search starts.
-  ASSERT_TRUE(eventually([&] { return server.stats().searches == 1; }));
-  std::thread follower(
-      [&] { follower_resp = server.handle(mlp_request()); });
-  ASSERT_TRUE(eventually([&] { return server.stats().coalesced == 1; }));
-  release.set_value();
-  leader.join();
-  follower.join();
-
-  ASSERT_EQ(leader_resp.status, ServeResponse::Status::Miss)
-      << leader_resp.error;
-  ASSERT_EQ(follower_resp.status, ServeResponse::Status::Miss)
-      << follower_resp.error;
-  EXPECT_FALSE(leader_resp.coalesced);
-  EXPECT_TRUE(follower_resp.coalesced);
-  EXPECT_FALSE(leader_resp.plan_json.empty());
-  EXPECT_EQ(follower_resp.plan_json, leader_resp.plan_json);
+  int misses = 0, hits = 0;
+  for (const ServeResponse& x : r) {
+    misses += x.status == ServeResponse::Status::Miss;
+    hits += x.status == ServeResponse::Status::Hit;
+  }
+  EXPECT_EQ(misses, 1) << r[0].error << r[1].error;
+  EXPECT_EQ(hits, 1);
+  EXPECT_FALSE(r[0].plan_json.empty());
+  EXPECT_EQ(r[1].plan_json, r[0].plan_json);
 
   const PlanServer::Stats s = server.stats();
-  EXPECT_EQ(s.searches, 1);  // single flight
-  EXPECT_EQ(s.misses, 2);
-  EXPECT_EQ(s.coalesced, 1);
-}
-
-TEST(PlanServerTest, MissesBeyondTheQueueBoundAreShed) {
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  ServeOptions o;
-  o.max_queue = 1;
-  o.search_fn = [gate](const VerifiedGraph& g, const SearchRequest& req) {
-    gate.wait();
-    return auto_partition(g, req);
-  };
-  PlanServer server(o);
-
-  ServeResponse leader_resp;
-  std::thread leader(
-      [&] { leader_resp = server.handle(mlp_request(16)); });
-  ASSERT_TRUE(eventually([&] { return server.stats().searches == 1; }));
-
-  // A *different* key cannot coalesce; with the queue full it is shed
-  // immediately instead of piling up behind the running search.
-  const ServeResponse shed = server.handle(mlp_request(32));
-  EXPECT_EQ(shed.status, ServeResponse::Status::Overloaded);
-  EXPECT_TRUE(shed.plan_json.empty());
-
-  release.set_value();
-  leader.join();
-  ASSERT_EQ(leader_resp.status, ServeResponse::Status::Miss)
-      << leader_resp.error;
-  EXPECT_EQ(server.stats().shed, 1);
-
-  // Load gone: the same request now searches normally.
-  EXPECT_EQ(server.handle(mlp_request(32)).status,
-            ServeResponse::Status::Miss);
+  EXPECT_EQ(s.misses, 1);
+  EXPECT_EQ(s.hits, 1);
 }
 
 // ---- wire protocol ---------------------------------------------------------
@@ -661,6 +602,53 @@ TEST(ServeWire, RequestReplyRoundTrip) {
   const auto bye = server.serve_line(R"({"id": 10, "cmd": "shutdown"})");
   EXPECT_TRUE(bye.shutdown);
   EXPECT_EQ(json::parse(bye.reply).gets("status"), "ok");
+}
+
+TEST(ServeWire, ReplyStatsAndRequestKeysArePinned) {
+  PlanServer server(ServeOptions{});
+  const json::Value miss = json::parse(
+      server
+          .serve_line(R"({"id": 1, "model": "mlp", "nodes": 1, )"
+                      R"("devices_per_node": 2, "batch_size": 16})")
+          .reply);
+  EXPECT_EQ(miss.gets("status"), "miss");
+  std::vector<std::string> reply_keys;
+  for (const auto& [k, v] : miss.members) reply_keys.push_back(k);
+  EXPECT_EQ(reply_keys, (std::vector<std::string>{"id", "status",
+                                                  "fingerprint", "key",
+                                                  "latency_us", "plan"}));
+
+  const json::Value stats =
+      *json::parse(server.serve_line(R"({"id": 2, "cmd": "stats"})").reply)
+           .find("stats");
+  std::vector<std::string> stats_keys;
+  for (const auto& [k, v] : stats.members) stats_keys.push_back(k);
+  EXPECT_EQ(stats_keys,
+            (std::vector<std::string>{"hits", "disk_hits", "misses", "errors",
+                                      "hit_latency_us", "miss_latency_us"}));
+
+  // Every request key rannc serve accepts, each with a distinct value.
+  const ServeRequest r = serve::request_from_json(json::parse(
+      R"({"id": 3, "cmd": "", "nodes": 2, "devices_per_node": 4, )"
+      R"("batch_size": 64, "threads": 3, "max_dp_cells": 5, "prune": false, )"
+      R"("model": "bert", "layers": 6, "hidden": 7, "seq": 8, "vocab": 9, )"
+      R"("heads": 10, "depth": 11, "width": 12, "image": 13, "classes": 14, )"
+      R"("batch": 15, "input_dim": 16, "experts": 17})"));
+  EXPECT_EQ(r.id, 3);
+  EXPECT_EQ(r.search.cluster.num_nodes, 2);
+  EXPECT_EQ(r.search.cluster.devices_per_node, 4);
+  EXPECT_EQ(r.search.batch_size, 64);
+  EXPECT_EQ(r.search.budget.threads, 3);
+  EXPECT_EQ(r.search.budget.max_dp_cells, 5);
+  EXPECT_FALSE(r.search.prune);
+  EXPECT_EQ(r.model.model, "bert");
+  EXPECT_EQ(std::vector<std::int64_t>(
+                {r.model.layers, r.model.hidden, r.model.seq, r.model.vocab,
+                 r.model.heads, r.model.depth, r.model.width, r.model.image,
+                 r.model.classes, r.model.batch, r.model.input_dim,
+                 r.model.experts}),
+            (std::vector<std::int64_t>{6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+                                       17}));
 }
 
 TEST(ServeWire, UnknownKeyIsAnErrorNamingTheKey) {

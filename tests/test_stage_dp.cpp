@@ -51,7 +51,7 @@ StageDpInput base_input(const SyntheticUnits& u, int S, int D,
 
 /// Brute-force reference: enumerate all stage boundaries and device
 /// assignments, return the minimal V = max t_f + max t_b.
-double brute_force(const SyntheticUnits& u, const StageDpInput& in) {
+double brute_force(const StageDpInput& in) {
   const int N = in.num_units, S = in.num_stages, D = in.num_devices;
   double best = std::numeric_limits<double>::infinity();
   std::vector<int> ends(static_cast<std::size_t>(S));
@@ -115,7 +115,7 @@ TEST_P(DpVsBruteForce, MatchesExhaustiveSearch) {
   StageDpInput in = base_input(u, S, D, /*BS=*/64, /*R=*/1, /*MB=*/2,
                                /*M=*/1 << 28);
   StageDpSolution sol = form_stage_dp(in);
-  const double ref = brute_force(u, in);
+  const double ref = brute_force(in);
   ASSERT_TRUE(sol.feasible);
   EXPECT_NEAR(sol.value(), ref, 1e-9 * std::abs(ref));
 }
@@ -136,7 +136,9 @@ TEST(StageDp, SolutionStructureIsConsistent) {
   EXPECT_EQ(sol.stage_end.back(), 6);
   int total_dev = 0;
   for (std::size_t i = 0; i < sol.stage_end.size(); ++i) {
-    if (i) EXPECT_GT(sol.stage_end[i], sol.stage_end[i - 1]);
+    if (i) {
+      EXPECT_GT(sol.stage_end[i], sol.stage_end[i - 1]);
+    }
     EXPECT_GE(sol.stage_devices[i], 1);
     total_dev += sol.stage_devices[i];
   }

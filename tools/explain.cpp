@@ -4,7 +4,7 @@
 // with evaluate_plan — the GPipe schedule the search optimized, boundary
 // comm folded into each stage's t_f / t_b as in h() (paper Section III-C)
 // — and folds the schedule's causal op records into an attribution report
-// (src/obs/attribution.h, schema "rannc.explain.v2"):
+// (src/obs/attribution.h, schema "rannc.explain.v3"):
 //
 //   * the exact critical path of compute segments,
 //   * a conservation-checked decomposition of the step time into
@@ -12,8 +12,8 @@
 //     bit-exactly; boundary comm is counted once, inside compute),
 //   * per-link wire vs contention-queuing attribution from a discrete-event
 //     fabric replay of the plan's communication pattern,
-//   * a what-if catalog (stage compute scaling, microbatch count):
-//     first-order estimates validated against ground-truth re-simulation.
+//   * a what-if catalog (stage compute scaling, microbatch count), each
+//     answered by re-simulating the perturbed schedule.
 //
 //   rannc explain --model bert --layers 8 --out explain.json
 //   rannc explain --diff a.json b.json [--tol 1e-9]
@@ -75,8 +75,7 @@ int run(const Inputs& in, const Options& o) {
     comm::attribute_fabric(rep, fabric);
   }
 
-  // What-if catalog: first-order estimates from the report, ground truth
-  // by perturbing the simulator inputs and re-running the schedule.
+  // What-if catalog: perturb the simulator inputs and re-run the schedule.
   for (const obs::WhatIf& w : obs::default_what_ifs(rep))
     rep.what_ifs.push_back(
         evaluate_what_if(rep, ev.stage_times, plan.microbatches, w));

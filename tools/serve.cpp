@@ -13,20 +13,13 @@
 // fingerprint, {"cmd":"stats"} the serve counters, {"cmd":"shutdown"}
 // stops the daemon (EOF does too).
 //
-// Requests are dispatched to --workers transport threads, so concurrent
-// duplicate submissions coalesce onto one search (single-flight) and
-// misses beyond --max-queue in-flight searches get an immediate
-// "overloaded" reply. Replies carry the request id; their order across
-// concurrent requests is not defined.
-#include <atomic>
+// Requests are answered one at a time, in input order; a miss's search
+// uses every core (--threads). Replies carry the request id.
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "cli_args.h"
 #include "rannc.h"
@@ -38,21 +31,13 @@ struct Options {
   std::string store_dir;
   std::string input_file;
   std::string metrics_file;
-  int workers = 4;
-  int max_queue = 4;
   bool no_persist = false;
   bool quiet = false;
 };
 
 int run(const Inputs& in, const Options& o) {
-  // Transport threads start eagerly: bound them like search threads.
-  if (o.workers < 1 || o.workers > kMaxThreads || o.max_queue < 1)
-    throw std::invalid_argument("--workers must be in [1, " +
-                                std::to_string(kMaxThreads) +
-                                "] and --max-queue >= 1");
   serve::ServeOptions so;
   so.store_dir = o.store_dir;
-  so.max_queue = o.max_queue;
   so.persist = !o.no_persist;
   // The shared search flag group becomes the daemon's request defaults:
   // wire requests inherit them and override field by field.
@@ -68,33 +53,13 @@ int run(const Inputs& in, const Options& o) {
     input = &file;
   }
 
-  // Each transport thread takes the next input line itself, so a busy
-  // daemon reads no further ahead than its free threads; *search*
-  // admission control (shedding) is the server's own leader limit.
-  std::mutex in_mu, out_mu;
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> workers;
-  for (int w = 0; w < o.workers; ++w) {
-    workers.emplace_back([&] {
-      std::string line;
-      while (!stop.load(std::memory_order_relaxed)) {
-        {
-          std::lock_guard<std::mutex> lk(in_mu);
-          if (stop.load(std::memory_order_relaxed) ||
-              !std::getline(*input, line))
-            return;
-        }
-        if (line.empty()) continue;
-        const auto wr = server.serve_line(line);
-        {
-          std::lock_guard<std::mutex> lk(out_mu);
-          std::cout << wr.reply << '\n' << std::flush;
-        }
-        if (wr.shutdown) stop.store(true, std::memory_order_relaxed);
-      }
-    });
+  std::string line;
+  while (std::getline(*input, line)) {
+    if (line.empty()) continue;
+    const auto wr = server.serve_line(line);
+    std::cout << wr.reply << '\n' << std::flush;
+    if (wr.shutdown) break;
   }
-  for (std::thread& t : workers) t.join();
 
   if (!o.metrics_file.empty() &&
       !obs::metrics().write_json_file(o.metrics_file))
@@ -103,9 +68,8 @@ int run(const Inputs& in, const Options& o) {
   if (!o.quiet) {
     const auto s = server.stats();
     std::cerr << "rannc serve: " << s.hits << " hits (" << s.disk_hits
-              << " from disk), " << s.misses << " misses (" << s.coalesced
-              << " coalesced, " << s.searches << " searches), " << s.shed
-              << " shed, " << s.errors << " errors\n";
+              << " from disk), " << s.misses << " misses, " << s.errors
+              << " errors\n";
   }
   return 0;
 }
@@ -117,9 +81,6 @@ Body serve_command(ArgParser& p, const Inputs& in) {
   p.section("Service");
   p.opt("--store", &o->store_dir, "DIR",
         "durable plan store directory (empty = memory only)");
-  p.opt("--workers", &o->workers, "N", "transport threads (default 4)");
-  p.opt("--max-queue", &o->max_queue, "N",
-        "in-flight searches before misses are shed (default 4)");
   p.flag("--no-persist", &o->no_persist,
          "serve from the store but do not write new entries");
   p.opt("--input", &o->input_file, "FILE",
