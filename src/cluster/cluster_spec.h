@@ -4,11 +4,11 @@
 // 8 V100s connected by NVLink (25-50 GB/s between GPU pairs), nodes
 // connected by 100 Gb/s InfiniBand.
 //
-// The closed forms below are the only communication cost estimate: the
-// partitioner, plan evaluation, the baseline planners and the pipeline
-// runtime all call them. The discrete-event fabric in `src/comm` models
-// link contention, but only to replay a chosen plan and to compare against
-// these formulas (`bench_comm_fabric`).
+// The closed forms below are the only communication model: the
+// partitioner, plan evaluation, the baseline planners, the pipeline runtime
+// and `rannc explain` all call them. They model no link contention, as the
+// paper's own estimate does (footnote 3); docs/ALGORITHMS.md §5 records
+// why no contention simulator is kept beside them.
 #pragma once
 
 #include <cstdint>

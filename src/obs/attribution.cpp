@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -120,57 +119,6 @@ AttributionReport attribute(const std::vector<CausalOp>& ops, int num_stages,
   return rep;
 }
 
-void attach_links(AttributionReport& rep,
-                  const std::vector<FabricTransfer>& transfers,
-                  const std::vector<std::string>& link_names,
-                  const std::vector<double>& link_busy_seconds,
-                  double horizon) {
-  struct Acc {
-    std::int64_t transfers = 0;
-    ExactSum bytes, wire, active, queue_direct;
-  };
-  std::map<int, Acc> by_link;  // ordered by link id => deterministic
-  for (const FabricTransfer& t : transfers) {
-    if (t.bottleneck_link < 0) continue;
-    Acc& a = by_link[t.bottleneck_link];
-    const double flow = t.finish - t.activate;
-    const double nominal = std::min(std::max(0.0, t.nominal), flow);
-    ++a.transfers;
-    a.bytes.add(t.bytes);
-    a.wire.add(nominal);
-    a.active.add(flow);
-    a.queue_direct.add(flow - nominal);
-  }
-  rep.links.clear();
-  for (const auto& [l, a] : by_link) {
-    LinkAttribution la;
-    la.name = l >= 0 && static_cast<std::size_t>(l) < link_names.size()
-                  ? link_names[static_cast<std::size_t>(l)]
-                  : "link:" + std::to_string(l);
-    la.transfers = a.transfers;
-    la.bytes = a.bytes.value();
-    la.wire = a.wire.value();
-    la.active = a.active.value();
-    la.queue = fit_residual(la.active, la.wire);  // wire + queue == active
-    check_fit(la.queue, a.queue_direct.value(), la.active, "link queue");
-    la.busy = l >= 0 && static_cast<std::size_t>(l) < link_busy_seconds.size()
-                  ? link_busy_seconds[static_cast<std::size_t>(l)]
-                  : 0.0;
-    rep.links.push_back(std::move(la));
-  }
-  rep.bottleneck_links.resize(rep.links.size());
-  for (std::size_t i = 0; i < rep.links.size(); ++i)
-    rep.bottleneck_links[i] = static_cast<int>(i);
-  std::sort(rep.bottleneck_links.begin(), rep.bottleneck_links.end(),
-            [&](int a, int b) {
-              const LinkAttribution& la = rep.links[static_cast<std::size_t>(a)];
-              const LinkAttribution& lb = rep.links[static_cast<std::size_t>(b)];
-              if (la.queue != lb.queue) return la.queue > lb.queue;
-              return la.name < lb.name;
-            });
-  rep.fabric_horizon = horizon;
-}
-
 std::string what_if_name(const WhatIf& w) {
   switch (w.kind) {
     case WhatIf::Kind::StageComputeScale:
@@ -211,7 +159,7 @@ void write_buckets(json::Writer& w, const StageBuckets& b) {
 
 std::string report_json(const AttributionReport& rep) {
   json::Writer w;
-  w.begin_object().field("schema", "rannc.explain.v3");
+  w.begin_object().field("schema", "rannc.explain.v4");
   w.field("subject", rep.subject).field("num_stages", rep.num_stages);
   w.field("microbatches", rep.microbatches).field("step_time", rep.step_time);
   w.field("anchor_stage", rep.anchor_stage).key("step");
@@ -236,17 +184,7 @@ std::string report_json(const AttributionReport& rep) {
   }
   w.end_array().end_object().key("stragglers").begin_array();
   for (const int s : rep.stragglers) w.value(s);
-  w.end_array().key("links").begin_array();
-  for (const LinkAttribution& l : rep.links) {
-    w.begin_object().field("name", l.name).field("transfers", l.transfers);
-    w.field("bytes", l.bytes).field("wire", l.wire).field("queue", l.queue);
-    w.field("active", l.active).field("busy", l.busy).end_object();
-  }
-  w.end_array().key("bottleneck_links").begin_array();
-  for (const int l : rep.bottleneck_links)
-    w.value(rep.links[static_cast<std::size_t>(l)].name);
-  w.end_array().field("fabric_horizon", rep.fabric_horizon);
-  w.key("what_if").begin_array();
+  w.end_array().key("what_if").begin_array();
   for (const WhatIfResult& wi : rep.what_ifs) {
     w.begin_object().field("name", wi.name);
     w.field("kind", kind_name(wi.spec.kind)).field("index", wi.spec.index);
@@ -287,23 +225,6 @@ std::string report_table(const AttributionReport& rep) {
   os << "  stragglers (by compute):";
   for (int s : rep.stragglers) os << " s" << s;
   os << "\n";
-  if (!rep.links.empty()) {
-    os << "\nlinks (grouped by bottleneck link of each transfer path):\n";
-    os << "  " << pad_right("name", 14) << pad_left("transfers", 10)
-       << pad_left("bytes", 14) << pad_left("wire s", 12)
-       << pad_left("queue s", 12) << pad_left("busy s", 12) << "\n";
-    for (int idx : rep.bottleneck_links) {
-      const LinkAttribution& l = rep.links[static_cast<std::size_t>(idx)];
-      char bytes[32];
-      std::snprintf(bytes, sizeof bytes, "%.0f", l.bytes);
-      os << "  " << pad_right(l.name, 14)
-         << pad_left(std::to_string(l.transfers), 10)
-         << pad_left(bytes, 14) << pad_left(fixed6(l.wire), 12)
-         << pad_left(fixed6(l.queue), 12) << pad_left(fixed6(l.busy), 12)
-         << "\n";
-    }
-    os << "  fabric horizon " << fixed6(rep.fabric_horizon) << " s\n";
-  }
   if (!rep.what_ifs.empty()) {
     os << "\nwhat-if (re-simulated step time):\n";
     os << "  " << pad_right("name", 28) << pad_left("step s", 12) << "\n";

@@ -1,7 +1,6 @@
 // Causal performance attribution: conservation-checked decomposition of a
-// simulated training step into compute / bubble buckets, straggler and
-// bottleneck rankings, first-order what-if estimators, and the per-link
-// wire / contention-queuing split of a fabric replay.
+// simulated training step into compute / bubble buckets, the straggler
+// ranking, and a what-if catalog answered by re-simulation.
 //
 // The decomposition works per stage: each stage's ops and the gaps
 // between them partition the closed interval [0, step_time] exactly.
@@ -12,9 +11,8 @@
 //     compute + bubble == total
 //
 // holds bit-exactly in double arithmetic (the fit nudges by at most a few
-// ulps and is cross-checked against the directly summed gap total). The
-// same discipline applies to the per-link wire/queue split. Reports are
-// therefore conservation-checked *and* byte-stable: every input is
+// ulps and is cross-checked against the directly summed gap total). Reports
+// are therefore conservation-checked *and* byte-stable: every input is
 // deterministic virtual time, so serialized reports are identical across
 // runs and RANNC_THREADS values.
 //
@@ -24,7 +22,6 @@
 // GPipe), whereas the critical path itself is gapless by construction.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -39,30 +36,6 @@ struct StageBuckets {
   double compute = 0;  ///< seconds the stage ran F/B ops
   double bubble = 0;   ///< fitted idle remainder (head/interior/tail gaps)
   double total = 0;    ///< the end-to-end virtual step time
-};
-
-/// Per-link communication attribution (fabric transfers grouped by the
-/// bottleneck link of their path). `wire + queue == active` bit-exactly.
-struct LinkAttribution {
-  std::string name;
-  std::int64_t transfers = 0;
-  double bytes = 0;
-  double wire = 0;    ///< uncontended flow seconds (sum of nominals)
-  double queue = 0;   ///< fitted contention excess
-  double active = 0;  ///< summed actual flow seconds of these transfers
-  double busy = 0;    ///< union-of-intervals busy seconds of the link
-};
-
-/// One fabric transfer, as logged by comm::Fabric (adapted there; obs
-/// does not depend on the fabric).
-struct FabricTransfer {
-  int src = 0;
-  int dst = 0;
-  double bytes = 0;
-  double activate = 0;  ///< flow start (post-latency), virtual seconds
-  double finish = 0;
-  double nominal = 0;   ///< uncontended flow seconds: bytes / min path bw
-  int bottleneck_link = -1;  ///< slowest link on the path
 };
 
 /// A perturbation of the simulated plan, answered by callers that own the
@@ -95,9 +68,6 @@ struct AttributionReport {
   std::vector<StageBuckets> stages;  ///< per-stage partitions of [0, T]
   CriticalPath path;
   std::vector<int> stragglers;  ///< stage ids, most compute-loaded first
-  std::vector<LinkAttribution> links;      ///< only links that carried data
-  std::vector<int> bottleneck_links;       ///< indices into links, by queue
-  double fabric_horizon = 0;               ///< fabric virtual makespan
   std::vector<WhatIfResult> what_ifs;
 };
 
@@ -109,17 +79,6 @@ struct AttributionReport {
 AttributionReport attribute(const std::vector<CausalOp>& ops, int num_stages,
                             int microbatches);
 
-/// Attaches the fabric side: groups `transfers` by bottleneck link,
-/// splits each link's active seconds into wire + queue (bit-exact fold),
-/// and ranks bottleneck links by queue seconds. `link_names` and
-/// `link_busy_seconds` are indexed by link id; `horizon` is the fabric's
-/// final virtual clock.
-void attach_links(AttributionReport& rep,
-                  const std::vector<FabricTransfer>& transfers,
-                  const std::vector<std::string>& link_names,
-                  const std::vector<double>& link_busy_seconds,
-                  double horizon);
-
 /// Stable name, e.g. "stage0.compute.x0.75" or "microbatches.8".
 std::string what_if_name(const WhatIf& w);
 
@@ -128,10 +87,10 @@ std::string what_if_name(const WhatIf& w);
 /// doubled and (when > 1) halved.
 std::vector<WhatIf> default_what_ifs(const AttributionReport& rep);
 
-/// Deterministic pretty-printed JSON document ("rannc.explain.v3").
+/// Deterministic pretty-printed JSON document ("rannc.explain.v4").
 std::string report_json(const AttributionReport& rep);
 
-/// ASCII attribution table (stages, critical path, links, what-ifs).
+/// ASCII attribution table (stages, critical path, what-ifs).
 std::string report_table(const AttributionReport& rep);
 
 }  // namespace obs

@@ -39,8 +39,6 @@ const char* domain_label(Domain d) {
       return "search (wall clock)";
     case Domain::SimSchedule:
       return "pipeline schedule (virtual time)";
-    case Domain::SimFabric:
-      return "comm fabric (virtual time)";
   }
   return "unknown";
 }
@@ -210,8 +208,7 @@ std::string TraceRecorder::json() const {
 
   json::Writer w;
   w.begin_object().key("traceEvents").begin_array();
-  for (Domain d :
-       {Domain::Search, Domain::SimSchedule, Domain::SimFabric})
+  for (Domain d : {Domain::Search, Domain::SimSchedule})
     write_metadata(w, static_cast<int>(d), 0, "process_name",
                    domain_label(d));
   for (const auto& [tid, name] : lanes)

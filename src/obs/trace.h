@@ -10,13 +10,11 @@
 //    flame view. Cumulative sweep progress (DP cells, profile queries,
 //    jobs done) rides along as `sweep_progress` counter events.
 //
-//  * `Domain::SimSchedule` / `Domain::SimFabric` — *virtual-time* spans
-//    of the simulated cluster: every scheduled op of the pipeline
-//    simulators on a per-stage track, every `comm::Fabric` transfer on a
-//    per-`Link` track with instantaneous bandwidth-share counters. These
-//    timestamps are simulated seconds, not host time, and their
-//    serialization is canonically ordered so the emitted JSON is
-//    bit-identical across runs and thread counts (the simulations
+//  * `Domain::SimSchedule` — *virtual-time* spans of the simulated
+//    pipeline: every scheduled op of the pipeline simulators on a
+//    per-stage track. These timestamps are simulated seconds, not host
+//    time, and their serialization is canonically ordered so the emitted
+//    JSON is bit-identical across runs and thread counts (the simulations
 //    themselves are deterministic).
 //
 // The emitted file loads directly in chrome://tracing / Perfetto
@@ -47,18 +45,17 @@
 namespace rannc {
 namespace obs {
 
-/// Clock domain of an event; doubles as the chrome `pid` so the three
+/// Clock domain of an event; doubles as the chrome `pid` so the two
 /// timelines render as separate processes.
 enum class Domain : int {
   Search = 1,       ///< wall-clock partition-search events
   SimSchedule = 2,  ///< virtual-time pipeline-schedule events
-  SimFabric = 3,    ///< virtual-time communication-fabric events
 };
 
 struct TraceEvent {
   Domain domain = Domain::Search;
   char ph = 'X';      ///< X = complete span, C = counter, i = instant
-  int tid = 0;        ///< thread lane (Search) or track id (Sim*)
+  int tid = 0;        ///< thread lane (Search) or stage track (SimSchedule)
   double ts_us = 0;   ///< microseconds (wall since recorder start, or sim)
   double dur_us = 0;  ///< span length; meaningful for ph == 'X' only
   std::string name;

@@ -17,7 +17,6 @@
 //   models      BERT / GPT-2 / T5 / ResNet / MLP reference builders
 //   profiler    per-op cost model, graph profiler, memory estimator
 //   cluster     cluster topology and the closed-form communication costs
-//   comm        discrete-event fabric: replays a plan's traffic (contention)
 //   pipeline    GPipe / 1F1B schedule simulators
 //   partition   the automatic partitioner (paper Algorithms 1 & 2)
 //   baselines   Megatron-LM / GPipe-Model / PipeDream comparisons
@@ -59,8 +58,7 @@
 #include "profiler/graph_profiler.h"
 #include "profiler/memory.h"
 
-// ---- communication and schedules -------------------------------------------
-#include "comm/fabric.h"
+// ---- schedules ---------------------------------------------------------------
 #include "pipeline/schedule.h"
 
 // ---- partitioning ----------------------------------------------------------

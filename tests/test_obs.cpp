@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "cluster/cluster_spec.h"
-#include "comm/fabric.h"
 #include "models/bert.h"
 #include "obs/attribution.h"
 #include "obs/critpath.h"
@@ -79,8 +78,8 @@ TEST(ObsTrace, EmittedDocumentIsValidJson) {
     sc.arg("label", "a\"b");
     obs::Scope inner([] { return std::string("inner lazy"); }, "test");
   }
-  rec.counter(obs::Domain::SimFabric, 2, "bw_share", 1.0,
-              R"({"bytes_per_s":125000000})");
+  rec.counter(obs::Domain::SimSchedule, 0, "bubble_fraction", 1.0,
+              R"({"bubble_fraction":0.25})");
   rec.instant(obs::Domain::Search, 0, "marker", "test", 5.0);
   rec.set_track_name(obs::Domain::SimSchedule, 0, "stage 0");
   obs::set_recorder(nullptr);
@@ -139,9 +138,9 @@ TEST(ObsTrace, TracedPlanBitIdenticalToUntraced) {
   EXPECT_GT(rec.event_count(), 0u);
 }
 
-// Runs search + virtual-time replay (schedule + fabric) at a given thread
-// count and returns the canonical JSON of both sim domains.
-std::pair<std::string, std::string> sim_trace_at_threads(int threads) {
+// Runs search + the virtual-time schedule at a given thread count and
+// returns the canonical JSON of the schedule domain.
+std::string sim_trace_at_threads(int threads) {
   BertConfig bc;
   bc.hidden = 128;
   bc.layers = 4;
@@ -160,28 +159,21 @@ std::pair<std::string, std::string> sim_trace_at_threads(int threads) {
 
   trace_schedule(rec, evaluate_plan(plan, cfg).schedule,
                  static_cast<int>(plan.stages.size()));
-  comm::Fabric fabric(cfg.cluster);
-  fabric.set_recorder(&rec);
-  replay_plan_comm(fabric, plan);
-  fabric.set_recorder(nullptr);
   obs::set_recorder(nullptr);
 
-  return {rec.events_json(obs::Domain::SimSchedule),
-          rec.events_json(obs::Domain::SimFabric)};
+  return rec.events_json(obs::Domain::SimSchedule);
 }
 
 TEST(ObsTrace, SimDomainsBitIdenticalAcrossThreadCounts) {
   ObsGuard guard;
-  const auto [sched1, fabric1] = sim_trace_at_threads(1);
-  const auto [sched4, fabric4] = sim_trace_at_threads(4);
+  const std::string sched1 = sim_trace_at_threads(1);
+  const std::string sched4 = sim_trace_at_threads(4);
   EXPECT_FALSE(sched1.empty());
-  EXPECT_FALSE(fabric1.empty());
   EXPECT_NE(sched1.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(fabric1.find("\"ph\":\"C\""), std::string::npos);
+  EXPECT_NE(sched1.find("\"ph\":\"C\""), std::string::npos);
   // The search lanes interleave differently at 4 threads, but the
-  // virtual-time domains serialize byte-for-byte identically.
+  // virtual-time schedule domain serializes byte-for-byte identically.
   EXPECT_EQ(sched1, sched4);
-  EXPECT_EQ(fabric1, fabric4);
 }
 
 TEST(ObsTrace, SearchDomainCarriesPhaseSpansAndLanes) {
@@ -525,52 +517,6 @@ TEST(Attribution, DefaultCatalogNamesForUniformFixture) {
       "stage0.compute.x0.75", "stage0.compute.x1.25", "stage0.compute.x0.9",
       "microbatches.8", "microbatches.2"};
   EXPECT_EQ(names, want);
-}
-
-TEST(Attribution, FabricContentionAttributedToNicQueue) {
-  ClusterSpec spec;
-  spec.num_nodes = 2;
-  spec.devices_per_node = 2;
-  comm::Fabric fabric(spec);
-  fabric.set_transfer_log(true);
-  // Two node-crossing transfers share nic-out:0 / nic-in:1: the fluid
-  // fair share halves the NIC for both, so each flows for ~2x its
-  // uncontended nominal and the excess lands in the queue bucket.
-  const std::vector<comm::Fabric::Transfer> batch = {
-      {0, 2, 8.0e6}, {1, 3, 8.0e6}};
-  fabric.run_step(batch);
-
-  obs::AttributionReport rep;
-  comm::attribute_fabric(rep, fabric);
-  ASSERT_FALSE(rep.links.empty());
-  const obs::LinkAttribution* nic = nullptr;
-  for (const obs::LinkAttribution& l : rep.links)
-    if (l.name == "nic-out:0") nic = &l;
-  ASSERT_NE(nic, nullptr);
-  EXPECT_EQ(nic->transfers, 2);
-  EXPECT_GT(nic->queue, 0.0);
-  // Bit-exact per-link conservation: wire + queue == active.
-  EXPECT_EQ(nic->wire + nic->queue, nic->active);
-  ASSERT_FALSE(rep.bottleneck_links.empty());
-  EXPECT_EQ(rep.links[static_cast<std::size_t>(rep.bottleneck_links[0])].name,
-            "nic-out:0");
-  EXPECT_GT(rep.fabric_horizon, 0.0);
-}
-
-TEST(Attribution, UncontendedTransferHasZeroQueue) {
-  ClusterSpec spec;
-  spec.num_nodes = 2;
-  spec.devices_per_node = 2;
-  comm::Fabric fabric(spec);
-  fabric.set_transfer_log(true);
-  fabric.p2p(0, 2, 8 << 20);
-  obs::AttributionReport rep;
-  comm::attribute_fabric(rep, fabric);
-  ASSERT_FALSE(rep.links.empty());
-  for (const obs::LinkAttribution& l : rep.links) {
-    EXPECT_EQ(l.queue, 0.0) << l.name;
-    EXPECT_EQ(l.wire + l.queue, l.active) << l.name;
-  }
 }
 
 TEST(Attribution, ReportJsonDeterministicAndWellFormed) {

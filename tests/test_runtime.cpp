@@ -1,6 +1,7 @@
-// Tests for the execution runtime: optimizers, the reference trainer, and
-// the multi-threaded pipeline trainer's numerical equivalence with
-// single-device training (the paper's loss-parity validation, Section IV-B).
+// Tests for the execution runtime: optimizers, the reference trainer, the
+// multi-threaded pipeline trainer's numerical equivalence with
+// single-device training (the paper's loss-parity validation, Section IV-B),
+// and the closable channel the pipeline trainer rides on.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -8,12 +9,14 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
 
 #include "models/mlp.h"
 #include "obs/metrics.h"
+#include "runtime/channel.h"
 #include "runtime/pipeline_runtime.h"
 #include "runtime/trainer.h"
 #include "tensor/ops.h"
@@ -466,6 +469,38 @@ TEST(PipelineTrainer, BoundaryHandoffIsZeroCopy) {
   EXPECT_GT(allocs[0], 0);
   EXPECT_EQ(allocs[1], allocs[0]);
   EXPECT_EQ(allocs[2], allocs[0]);
+}
+
+// ---- closable channel ----------------------------------------------------
+
+TEST(Channel, CloseUnblocksReceiverWithNullopt) {
+  Channel<int> ch(4);
+  std::optional<int> got = 0;
+  std::thread receiver([&] { got = ch.recv(); });
+  ch.close();
+  receiver.join();
+  EXPECT_FALSE(got.has_value());
+}
+
+TEST(Channel, CloseUnblocksFullSender) {
+  Channel<int> ch(1);
+  ASSERT_TRUE(ch.send(1));
+  bool sent = true;
+  std::thread sender([&] { sent = ch.send(2); });  // blocks: channel full
+  ch.close();
+  sender.join();
+  EXPECT_FALSE(sent);
+  EXPECT_FALSE(ch.send(3));  // closed channels reject immediately
+}
+
+TEST(Channel, DrainsQueuedItemsAfterClose) {
+  Channel<int> ch(4);
+  ASSERT_TRUE(ch.send(1));
+  ASSERT_TRUE(ch.send(2));
+  ch.close();
+  EXPECT_EQ(ch.recv(), 1);
+  EXPECT_EQ(ch.recv(), 2);
+  EXPECT_EQ(ch.recv(), std::nullopt);
 }
 
 }  // namespace

@@ -5,10 +5,10 @@ Usage:
     bench_sentinel.py --build-dir build [--quick] [--baseline-dir .]
                       [--work-dir DIR] [--skip NAME ...]
 
-Re-runs the six benchmark suites (bench_partitioner, bench_serve,
-bench_runtime, bench_comm_fabric, bench_search_scale, bench_kernels) and
-compares their fresh JSON output against the committed
-BENCH_{PARTITIONER,SERVE,RUNTIME,COMM_FABRIC,SEARCH,KERNELS}.json
+Re-runs the five benchmark suites (bench_partitioner, bench_serve,
+bench_runtime, bench_search_scale, bench_kernels) and compares their fresh
+JSON output against the committed
+BENCH_{PARTITIONER,SERVE,RUNTIME,SEARCH,KERNELS}.json
 baselines. Wall-clock timings are machine-dependent and never compared
 with a baseline's; the sentinel guards the *deterministic* surface, plus
 kernel throughput ratios taken within one run:
@@ -25,10 +25,6 @@ kernel throughput ratios taken within one run:
                 benchmark's own 5x speedup gate is wall-clock-dependent,
                 so the sentinel reruns it with --gate 1.0 (the fast path
                 must merely not be slower than the naive one).
-  comm_fabric   rows matched by (op, bytes, ranks, spans_nodes):
-                analytic_s and simulated_s are pure virtual time and must
-                match to 1e-9 relative. It has no --quick mode: every run
-                is the full sweep.
   search        scenarios matched by name: every engine must be feasible
                 and all three (exhaustive, pruned, pruned-t1) must agree
                 on the plan. The Phase-2 block counters (blocks,
@@ -54,7 +50,7 @@ kernel throughput ratios taken within one run:
 Rows/geometries/phases present only in the baseline (e.g. a --quick run
 covers a subset) are skipped with a note, never failed; invariant gates
 on the current run (plans identical across thread counts, restart served
-entirely from disk, simulated >= analytic, runtime pass) always apply.
+entirely from disk, runtime pass) always apply.
 
 Exits 0 when nothing drifted, 1 on drift or a failed invariant, 2 on
 usage/setup errors. No third-party deps.
@@ -66,8 +62,7 @@ import os
 import subprocess
 import sys
 
-BENCHES = ["partitioner", "serve", "runtime", "comm_fabric", "search",
-           "kernels"]
+BENCHES = ["partitioner", "serve", "runtime", "search", "kernels"]
 REL_TOL = 1e-9
 
 
@@ -179,23 +174,6 @@ def check_runtime(s, base, cur):
         else:
             s.note(f"{key}: quick-mode step counts differ from baseline, "
                    "final_loss drift check skipped")
-
-
-def check_comm_fabric(s, base, cur):
-    base_rows = {(r["op"], r["bytes"], r["ranks"], r["spans_nodes"]): r
-                 for r in base}
-    for r in cur:
-        key = (f"comm_fabric/{r['op']}-{r['bytes']}B-{r['ranks']}r-"
-               f"{'inter' if r['spans_nodes'] else 'intra'}")
-        s.expect(r["simulated_s"] >= r["analytic_s"] * (1 - REL_TOL),
-                 f"{key}: simulated time below the contention-free bound")
-        b = base_rows.get((r["op"], r["bytes"], r["ranks"], r["spans_nodes"]))
-        if b is None:
-            s.note(f"{key}: no matching baseline row")
-            continue
-        for field in ("analytic_s", "simulated_s"):
-            if not rel_close(r[field], b[field]):
-                s.fail(f"{key}.{field}: {r[field]} != baseline {b[field]}")
 
 
 PHASE2_FIELDS = ("blocks", "coarsen_levels", "uncoarsen_moves",
@@ -321,7 +299,6 @@ CHECKS = {
     "partitioner": check_partitioner,
     "serve": check_serve,
     "runtime": check_runtime,
-    "comm_fabric": check_comm_fabric,
     "search": check_search,
     "kernels": check_kernels,
 }
@@ -343,9 +320,9 @@ def run_bench(name, build_dir, work_dir, quick):
                 "--benchmark_repetitions=3",
                 f"--benchmark_out={out_path}",
                 "--benchmark_out_format=json"]
-    elif quick and name != "comm_fabric":  # one full sweep, ~5 ms
+    elif quick:
         cmd.append("--quick")
-    if name not in ("comm_fabric", "kernels"):  # comm_fabric writes to cwd
+    if name != "kernels":
         cmd += ["--out", out_path]
     if name == "runtime":
         # The benchmark's 5x speedup gate is wall-clock-dependent; the

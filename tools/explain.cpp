@@ -4,14 +4,12 @@
 // with evaluate_plan — the GPipe schedule the search optimized, boundary
 // comm folded into each stage's t_f / t_b as in h() (paper Section III-C)
 // — and folds the schedule's causal op records into an attribution report
-// (src/obs/attribution.h, schema "rannc.explain.v3"):
+// (src/obs/attribution.h, schema "rannc.explain.v4"):
 //
 //   * the exact critical path of compute segments,
 //   * a conservation-checked decomposition of the step time into
 //     compute / bubble buckets per stage (compute + bubble == step time
 //     bit-exactly; boundary comm is counted once, inside compute),
-//   * per-link wire vs contention-queuing attribution from a discrete-event
-//     fabric replay of the plan's communication pattern,
 //   * a what-if catalog (stage compute scaling, microbatch count), each
 //     answered by re-simulating the perturbed schedule.
 //
@@ -65,14 +63,6 @@ int run(const Inputs& in, const Options& o) {
             << " nodes=" << req.cluster.num_nodes << "x"
             << req.cluster.devices_per_node;
     rep.subject = subject.str();
-  }
-
-  // Per-link wire vs contention attribution of one step's traffic.
-  {
-    comm::Fabric fabric(req.cluster);
-    fabric.set_transfer_log(true);
-    replay_plan_comm(fabric, plan);
-    comm::attribute_fabric(rep, fabric);
   }
 
   // What-if catalog: perturb the simulator inputs and re-run the schedule.

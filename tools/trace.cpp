@@ -3,20 +3,18 @@
 // writes both observability artifacts:
 //
 //   trace.json    Chrome trace-event timeline (open in chrome://tracing or
-//                 https://ui.perfetto.dev). Three processes:
+//                 https://ui.perfetto.dev). Two processes:
 //                   pid 1  "search (wall clock)"        — partition phases,
 //                          per-thread stage-DP job lanes, sweep progress
 //                   pid 2  "pipeline schedule (virtual time)" — per-stage
 //                          F/B intervals of the simulated GPipe schedule
-//                   pid 3  "comm fabric (virtual time)" — per-link transfer
-//                          spans and bandwidth-share counters
 //   metrics.json  counters/gauges/histograms snapshot (dp cells, profile
-//                 queries, bubble fraction, per-link busy fractions, ...)
+//                 queries, iteration time, bubble fraction, ...)
 //
 //   rannc trace --model bert --layers 8 --trace trace.json
 //               --metrics metrics.json
 //
-// The virtual-time (pid 2/3) events are deterministic: bit-identical across
+// The virtual-time (pid 2) events are deterministic: bit-identical across
 // runs and RANNC_THREADS values.
 #include <iostream>
 #include <memory>
@@ -35,27 +33,6 @@ struct Options {
   bool quiet = false;
 };
 
-/// Replays one step's traffic of the plan (replay_plan_comm) on the
-/// discrete-event fabric, all in virtual time: events land on the
-/// recorder's per-link SimFabric tracks, link busy fractions on the
-/// metrics registry.
-void replay_fabric(obs::TraceRecorder& rec, const PartitionResult& plan,
-                   const ClusterSpec& cluster) {
-  comm::Fabric fabric(cluster);
-  fabric.set_recorder(&rec);
-  replay_plan_comm(fabric, plan);
-
-  obs::MetricsRegistry& m = obs::metrics();
-  const double horizon = fabric.max_clock();
-  m.gauge("fabric.virtual_seconds").set(horizon);
-  if (horizon > 0)
-    for (comm::LinkId l = 0; l < fabric.num_links(); ++l)
-      if (fabric.link_busy_seconds(l) > 0)
-        m.gauge("fabric." + fabric.link(l).name + ".busy_fraction")
-            .set(fabric.link_busy_seconds(l) / horizon);
-  fabric.set_recorder(nullptr);
-}
-
 int run(const Inputs& in, const Options& o) {
   obs::set_thread_name("main");
   obs::TraceRecorder rec;
@@ -69,16 +46,14 @@ int run(const Inputs& in, const Options& o) {
   if (!o.quiet) std::cout << describe(plan);
 
   if (plan.feasible) {
-    // Virtual-time replay of the winning plan: simulated GPipe schedule on
-    // the SimSchedule tracks, then the communication pattern on the
-    // SimFabric link tracks.
+    // Virtual-time replay of the winning plan: the simulated GPipe
+    // schedule on the SimSchedule tracks.
     obs::Scope sc("simulate_plan", "sim");
     const ScheduleResult sched = evaluate_plan(plan, req).schedule;
     trace_schedule(rec, sched, static_cast<int>(plan.stages.size()));
     obs::MetricsRegistry& mreg = obs::metrics();
     mreg.gauge("sim.iteration_time").set(sched.iteration_time);
     mreg.gauge("sim.bubble_fraction").set(sched.bubble_fraction);
-    replay_fabric(rec, plan, req.cluster);
   } else {
     RANNC_LOG_WARN("partition infeasible (" << plan.infeasible_reason
                                             << "); trace has search events "

@@ -9,28 +9,26 @@ Usage:
 Validates trace.json against tools/trace_schema.json (and metrics.json
 against tools/metrics_schema.json when given) using a small built-in
 subset of JSON Schema (type / required / properties / additionalProperties
-/ items / enum), then applies rannc-specific semantic checks:
+as a schema or false / items / enum), then applies rannc-specific semantic checks:
 
   * pid 1 (search, wall clock) has complete spans for >= 3 search phases
   * pid 2 (pipeline schedule, virtual time) has >= 1 complete span
-  * pid 3 (comm fabric, virtual time) has >= 1 complete span and >= 1
-    bandwidth-share counter event
-  * all three pids carry process_name metadata
+  * both pids carry process_name metadata
 
 With --search-only (e.g. for bench_partitioner --trace output, which has
-no simulation replay) the pid 2/3 checks are skipped and the search's
+no simulated schedule) the pid 2 check is skipped and the search's
 cumulative `sweep_progress` counter series is required instead: present,
 non-empty, and per search counting jobs_done 1, 2, 3, ... in timestamp
 order with dp_cells and profile_queries non-decreasing.
 
 With --explain the single argument is a rannc explain attribution report
-(rannc.explain.v3), validated against tools/explain_schema.json plus
-semantic checks: every stage's buckets are exactly compute / bubble /
-total and compute + bubble equals the step time *bit-exactly* (the
-serializer emits max_digits10 doubles, so the C++ conservation guarantee
-survives the JSON round-trip into Python floats), each link's wire + queue
-equals its active seconds exactly, the critical path tiles [start,
-makespan] with no gaps, stragglers is a permutation of the stages, and the
+(rannc.explain.v4), validated against tools/explain_schema.json, whose
+top level admits no keys beyond the schema's, plus semantic checks: every
+stage's buckets are exactly compute / bubble / total and compute + bubble
+equals the step time *bit-exactly* (the serializer emits max_digits10
+doubles, so the C++ conservation guarantee survives the JSON round-trip
+into Python floats), the critical path tiles [start, makespan] with no
+gaps, stragglers is a permutation of the stages, and the
 what-if catalog has >= 5 entries (>= 4 at one microbatch, which has no
 halved count), each with the report's step time as its baseline.
 
@@ -83,6 +81,8 @@ def check(value, schema, path, errors):
                 check(v, props[k], f"{path}.{k}", errors)
             elif isinstance(extra, dict):
                 check(v, extra, f"{path}.{k}", errors)
+            elif extra is False:
+                errors.append(f"{path}: unexpected key '{k}'")
     if isinstance(value, list) and "items" in schema:
         for i, item in enumerate(value):
             check(item, schema["items"], f"{path}[{i}]", errors)
@@ -145,16 +145,12 @@ def semantic_trace_checks(trace, search_only=False):
     else:
         if not any(e["pid"] == 2 and e["ph"] == "X" for e in events):
             errors.append("schedule domain (pid 2): no complete spans")
-        if not any(e["pid"] == 3 and e["ph"] == "X" for e in events):
-            errors.append("fabric domain (pid 3): no transfer spans")
-        if not any(e["pid"] == 3 and e["ph"] == "C" for e in events):
-            errors.append("fabric domain (pid 3): no bandwidth-share counters")
     named_pids = {
         e["pid"]
         for e in events
         if e["ph"] == "M" and e["name"] == "process_name"
     }
-    for pid in (1, 2, 3):
+    for pid in (1, 2):
         if pid not in named_pids:
             errors.append(f"pid {pid}: missing process_name metadata")
     for e in events:
@@ -198,12 +194,6 @@ def semantic_explain_checks(rep):
         errors.append("critical path does not end at the makespan")
     if cp["makespan"] != t:
         errors.append("critical_path.makespan != step_time")
-
-    for link in rep["links"]:
-        if link["wire"] + link["queue"] != link["active"]:
-            errors.append(f"link {link['name']}: wire + queue != active")
-    if sorted(rep["bottleneck_links"]) != sorted(l["name"] for l in rep["links"]):
-        errors.append("bottleneck_links is not a permutation of link names")
 
     # Three compute scalings, doubled microbatches, and halved ones when
     # there are at least two to halve.
