@@ -11,6 +11,12 @@
 //    worse partitions and worse S/MB choices);
 //  * the search does not finish for deeper models (emulated here by a DP
 //    cell budget standing in for the paper's 24-hour timeout).
+//
+// A second section prints the experiment E6 diagnostics behind the Fig. 2/3
+// narrative: atomic component counts vs model depth (paper: ~15k at 256
+// layers), a block-count (k) sweep of balance against cut bytes (the paper
+// fixes k = 32), and the uncoarsening and balance-refinement ablations.
+// bench_search measures the search cost itself.
 #include <algorithm>
 #include <cstdio>
 
@@ -70,5 +76,92 @@ int main() {
       "layers; our analytic profiler is noiseless, so summed standalone\n"
       "estimates stay nearly proportional to merged profiles and mislead the\n"
       "DP less than real measurement error does (see EXPERIMENTS.md).\n");
+
+  // ---- E6: coarsening cost and quality diagnostics -----------------------
+  std::printf("\n== Atomic component counts (BERT hidden 1024) ==\n");
+  std::printf("%-7s %-8s %-8s %-8s\n", "layers", "tasks", "atomic",
+              "cloned");
+  for (std::int64_t L : {24LL, 96LL, 256LL}) {
+    BertConfig bc;
+    bc.hidden = 1024;
+    bc.layers = L;
+    BuiltModel bm = build_bert(bc);
+    AtomicPartition ap = atomic_partition(bm.graph);
+    std::printf("%-7lld %-8zu %-8zu %-8zu\n", static_cast<long long>(L),
+                ap.graph.num_tasks(), ap.comps.size(), ap.num_cloned_tasks);
+  }
+
+  std::printf("\n== Block count (k) sweep: BERT hidden 1024, 96 layers ==\n");
+  std::printf("%-5s %-12s %-12s %-10s %-10s\n", "k", "max/mean", "cut(MiB)",
+              "levels", "moves");
+  {
+    BertConfig bc;
+    bc.hidden = 1024;
+    bc.layers = 96;
+    BuiltModel bm = build_bert(bc);
+    AtomicPartition ap = atomic_partition(bm.graph);
+    GraphProfiler prof(ap.graph, DeviceSpec{});
+    for (int k : {8, 16, 32, 64}) {
+      BlockPartitionConfig cfg;
+      cfg.k = k;
+      cfg.profile_batch = 8;
+      BlockPartition bp = block_partition(ap, prof, cfg);
+      double mx = 0, sum = 0;
+      for (const Block& b : bp.blocks) {
+        mx = std::max(mx, b.time());
+        sum += b.time();
+      }
+      std::printf("%-5d %-12.3f %-12.1f %-10d %-10d\n", k,
+                  mx / (sum / static_cast<double>(bp.blocks.size())),
+                  static_cast<double>(bp.cut_bytes) / (1024.0 * 1024.0),
+                  bp.coarsen_levels, bp.uncoarsen_moves);
+    }
+  }
+
+  std::printf("\n== Uncoarsening ablation (k=32): inter-block traffic ==\n");
+  {
+    BertConfig bc;
+    bc.hidden = 1024;
+    bc.layers = 96;
+    BuiltModel bm = build_bert(bc);
+    AtomicPartition ap = atomic_partition(bm.graph);
+    GraphProfiler prof(ap.graph, DeviceSpec{});
+    for (bool unc : {false, true}) {
+      BlockPartitionConfig cfg;
+      cfg.k = 32;
+      cfg.profile_batch = 8;
+      cfg.uncoarsening = unc;
+      BlockPartition bp = block_partition(ap, prof, cfg);
+      std::printf(
+          "  uncoarsening %-3s: cut = %.1f MiB (%d boundary moves)\n",
+          unc ? "on" : "off",
+          static_cast<double>(bp.cut_bytes) / (1024.0 * 1024.0),
+          bp.uncoarsen_moves);
+    }
+  }
+
+  std::printf("\n== Balance-refinement ablation (k=32) ==\n");
+  {
+    BertConfig bc;
+    bc.hidden = 1024;
+    bc.layers = 96;
+    BuiltModel bm = build_bert(bc);
+    AtomicPartition ap = atomic_partition(bm.graph);
+    GraphProfiler prof(ap.graph, DeviceSpec{});
+    for (bool refine : {false, true}) {
+      BlockPartitionConfig cfg;
+      cfg.k = 32;
+      cfg.profile_batch = 8;
+      cfg.balance_refinement = refine;
+      BlockPartition bp = block_partition(ap, prof, cfg);
+      double mx = 0, mn = 1e30;
+      for (const Block& b : bp.blocks) {
+        mx = std::max(mx, b.time());
+        mn = std::min(mn, b.time());
+      }
+      std::printf("  refinement %-3s: block time spread max/min = %.2f\n",
+                  refine ? "on" : "off", mx / mn);
+    }
+  }
   return 0;
 }

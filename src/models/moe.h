@@ -4,7 +4,7 @@
 // thousands of atomic operations; the dense builders in this directory top
 // out around a few thousand tasks. A top-1-routed MoE decoder gets there
 // honestly — every expert is a real parameterized FFN on its capacity slice
-// of the tokens — so bench_search_scale can measure the bound-and-prune
+// of the tokens — so bench_search can measure the bound-and-prune
 // search on a graph of RaNNC's intended magnitude without fabricating
 // degenerate op chains.
 #pragma once

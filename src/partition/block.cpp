@@ -1370,7 +1370,6 @@ class Partitioner {
       sl.erase(std::find(sl.begin(), sl.end(), c));
       scan_list(dst).push_back(c);
     }
-    ++result_moves_;
     ++refine_moves_;
     return tc;
   }

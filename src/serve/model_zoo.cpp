@@ -74,7 +74,11 @@ BuiltModel build_model(const ModelSpec& o) {
 std::string canonical_sig(const ModelSpec& o) {
   std::string s = "model=" + o.model;
   const auto put = [&s](const char* k, std::int64_t v) {
-    if (v) s += "," + std::string(k) + "=" + std::to_string(v);
+    if (!v) return;
+    s += ',';
+    s += k;
+    s += '=';
+    s += std::to_string(v);
   };
   put("layers", o.layers);
   put("hidden", o.hidden);

@@ -228,12 +228,17 @@ std::int64_t comp_edges(const AtomicPartition& ap) {
 /// check against a full quotient rebuild, the carried quotient against a
 /// fresh build_view() at every view, and every indexed refinement pick
 /// against the linear scan; each view it audited is counted in `audit`.
+/// With uncoarsening off, `uncoarsen_moves` must read 0 while refinement
+/// still moves comps.
 void expect_checked_matches_plain(const Built& b, const std::string& name) {
   BlockPartitionConfig base;
   const BlockPartition plain = block_partition(b.ap, *b.prof, base);
   std::int64_t max_mem = 0;
   for (const Block& blk : plain.blocks)
     max_mem = std::max(max_mem, 4 * blk.param_bytes + blk.act_bytes);
+  obs::Counter& refine_moves =
+      obs::metrics().counter("partition.block.refine_moves");
+  std::int64_t refine_moves_without_uncoarsening = 0;
   for (int k : {4, 32})
     for (std::int64_t mem : {std::int64_t{0}, max_mem * 3 / 4, max_mem})
       for (bool unc : {true, false})
@@ -252,7 +257,12 @@ void expect_checked_matches_plain(const Built& b, const std::string& name) {
           ASSERT_NO_THROW(checked = detail::block_partition_checked(
                               b.ap, *b.prof, cfg, &audit));
           EXPECT_GE(audit.views, 2);  // at least a coarsening level + finalize
+          const std::int64_t moves0 = refine_moves.get();
           const BlockPartition want = block_partition(b.ap, *b.prof, cfg);
+          if (!unc) {
+            EXPECT_EQ(want.uncoarsen_moves, 0);
+            refine_moves_without_uncoarsening += refine_moves.get() - moves0;
+          }
           EXPECT_EQ(checked.blocks, want.blocks);
           EXPECT_EQ(checked.block_of_comp, want.block_of_comp);
           EXPECT_EQ(checked.cut_bytes, want.cut_bytes);
@@ -260,6 +270,8 @@ void expect_checked_matches_plain(const Built& b, const std::string& name) {
           EXPECT_EQ(checked.uncoarsen_moves, want.uncoarsen_moves);
           EXPECT_EQ(checked.compaction_merges, want.compaction_merges);
         }
+  // Refinement did move comps, so the zeros above are not vacuous.
+  EXPECT_GT(refine_moves_without_uncoarsening, 0);
 }
 
 TEST(BlockCycleCheck, AgreesWithFullRebuildOnModelZoo) {

@@ -135,8 +135,11 @@ TEST(Convexity, ChainPrefixesAlwaysConvex) {
   // Long chain: every prefix/suffix/window is convex.
   TaskGraph g("chain");
   ValueId v = g.add_input("x", Shape{2});
-  for (int i = 0; i < 10; ++i)
-    v = g.add_task("t" + std::to_string(i), OpKind::Relu, {v}, Shape{2});
+  for (int i = 0; i < 10; ++i) {
+    std::string name = "t";
+    name += std::to_string(i);
+    v = g.add_task(name, OpKind::Relu, {v}, Shape{2});
+  }
   g.mark_output(v);
   for (int lo = 0; lo < 10; ++lo) {
     for (int hi = lo + 1; hi <= 10; ++hi) {

@@ -487,6 +487,8 @@ TEST(PlanServerTest, FingerprintKeyedHitAcrossSpecSpellings) {
   ServeRequest b = mlp_request();
   b.model.batch = 1;
   ASSERT_NE(serve::canonical_sig(a.model), serve::canonical_sig(b.model));
+  // The signature keys the graph cache, so its spelling is pinned.
+  EXPECT_EQ(serve::canonical_sig(b.model), "model=mlp,batch=1");
 
   const ServeResponse ra = server.handle(a);
   ASSERT_EQ(ra.status, ServeResponse::Status::Miss) << ra.error;

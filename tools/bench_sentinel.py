@@ -5,19 +5,13 @@ Usage:
     bench_sentinel.py --build-dir build [--quick] [--baseline-dir .]
                       [--work-dir DIR] [--skip NAME ...]
 
-Re-runs the five benchmark suites (bench_partitioner, bench_serve,
-bench_runtime, bench_search_scale, bench_kernels) and compares their fresh
-JSON output against the committed
-BENCH_{PARTITIONER,SERVE,RUNTIME,SEARCH,KERNELS}.json
-baselines. Wall-clock timings are machine-dependent and never compared
-with a baseline's; the sentinel guards the *deterministic* surface, plus
-kernel throughput ratios taken within one run:
+Re-runs the four benchmark suites (bench_serve, bench_runtime,
+bench_search, bench_kernels) and compares their fresh JSON output against
+the committed BENCH_{SERVE,RUNTIME,SEARCH,KERNELS}.json baselines.
+Wall-clock timings are machine-dependent and never compared with a
+baseline's; the sentinel guards the *deterministic* surface, plus kernel
+throughput ratios taken within one run:
 
-  partitioner   geometries matched by (name, batch_size): task counts,
-                feasibility, plans_identical, and the search-work counters
-                (dp_cells, profile_queries, profile_queries_saved) per
-                config label must be identical — these count algorithmic work,
-                so any drift is a behaviour change, not noise.
   serve         phase request/hit/miss/disk-hit counts and the p99 gate
                 when the trace length matches the baseline's.
   runtime       per-model final losses (bit-cited in the baseline) when
@@ -25,21 +19,16 @@ kernel throughput ratios taken within one run:
                 benchmark's own 5x speedup gate is wall-clock-dependent,
                 so the sentinel reruns it with --gate 1.0 (the fast path
                 must merely not be slower than the naive one).
-  search        scenarios matched by name: every engine must be feasible
-                and all three (exhaustive, pruned, pruned-t1) must agree
-                on the plan. The Phase-2 block counters (blocks,
-                coarsen_levels, uncoarsen_moves, compaction_merges) must
-                be identical to the baseline for every engine, since
-                Phase 2 runs before the engine choice. DP-cell counts,
-                profile/bound queries and the
-                prune counters must be identical to the baseline for the
-                engines whose counters are scheduling-independent
-                (exhaustive, and pruned-t1 at one thread); the threaded
-                pruned engine's counters depend on incumbent-cut timing
-                across threads, so it is only required never to visit
-                more cells than exhaustive. The 10x cells/speedup gate is
-                enforced on full-size runs; a --quick rerun checks the
-                small scenarios instead.
+  search        rows matched by name, the same rows in both files: both
+                engines (exhaustive and pruned, one thread each) must agree
+                on the plan, and the 105k-task row must keep its 10x
+                cells/speedup gate. Every search-work counter (DP cells,
+                profile queries and saves, bound queries, every prune
+                counter), the Phase-2 block counters, feasibility and the
+                estimated iteration time must equal the baseline's for
+                both engines: at one thread they count algorithmic work,
+                so any drift is a behaviour change, not noise. The suite
+                has one mode; --quick does not shrink it.
   kernels       google-benchmark rows of bench_kernels at BERT-tiny's GEMM
                 shapes, one thread (BM_MatMul and BM_MatMulGradA with
                 solo:1): on the same run, matmul_grad_a's time per flop
@@ -47,10 +36,11 @@ kernel throughput ratios taken within one run:
                 of three repetitions each). Every such shape in the
                 baseline must be in the current run.
 
-Rows/geometries/phases present only in the baseline (e.g. a --quick run
-covers a subset) are skipped with a note, never failed; invariant gates
-on the current run (plans identical across thread counts, restart served
-entirely from disk, runtime pass) always apply.
+A --quick serve or runtime run whose size differs from the baseline's
+(trace length, step counts) skips its count and loss drift checks with a
+note, never a failure; invariant gates on the current run (plans identical
+across engines, restart served entirely from disk, runtime pass) always
+apply.
 
 Exits 0 when nothing drifted, 1 on drift or a failed invariant, 2 on
 usage/setup errors. No third-party deps.
@@ -62,7 +52,7 @@ import os
 import subprocess
 import sys
 
-BENCHES = ["partitioner", "serve", "runtime", "search", "kernels"]
+BENCHES = ["serve", "runtime", "search", "kernels"]
 REL_TOL = 1e-9
 
 
@@ -86,39 +76,6 @@ class Sentinel:
     def expect(self, cond, msg):
         if not cond:
             self.fail(msg)
-
-
-def check_partitioner(s, base, cur):
-    for g in cur.get("geometries", []):
-        key = f"partitioner/{g['name']}"
-        s.expect(g.get("plans_identical") is True,
-                 f"{key}: plans differ across thread counts")
-        for c in g.get("configs", []):
-            s.expect(c.get("feasible") is True,
-                     f"{key}/{c['label']}: infeasible partition")
-    base_geoms = {(g["name"], g["batch_size"]): g
-                  for g in base.get("geometries", [])}
-    for g in cur.get("geometries", []):
-        bg = base_geoms.get((g["name"], g["batch_size"]))
-        key = f"partitioner/{g['name']}"
-        if bg is None:
-            s.note(f"{key} (batch {g['batch_size']}): no matching baseline "
-                   "geometry, drift check skipped")
-            continue
-        s.expect(g["tasks"] == bg["tasks"],
-                 f"{key}: task count {g['tasks']} != baseline {bg['tasks']}")
-        base_cfgs = {c["label"]: c for c in bg.get("configs", [])}
-        for c in g.get("configs", []):
-            b = base_cfgs.get(c["label"])
-            if b is None:
-                s.note(f"{key}/{c['label']}: no baseline config")
-                continue
-            for field in ("dp_cells", "profile_queries",
-                          "profile_queries_saved"):
-                s.expect(
-                    c[field] == b[field],
-                    f"{key}/{c['label']}.{field}: {c[field]} != "
-                    f"baseline {b[field]}")
 
 
 def check_serve(s, base, cur):
@@ -176,82 +133,52 @@ def check_runtime(s, base, cur):
                    "final_loss drift check skipped")
 
 
-PHASE2_FIELDS = ("blocks", "coarsen_levels", "uncoarsen_moves",
-                 "compaction_merges")
+SEARCH_COUNTERS = ("feasible", "dp_cells", "profile_queries",
+                   "profile_queries_saved", "bound_queries", "jobs_pruned",
+                   "jobs_dominated", "ranges_pruned", "columns_pruned",
+                   "paths_pruned", "incumbent_updates", "blocks",
+                   "coarsen_levels", "uncoarsen_moves", "compaction_merges")
 
 
 def check_search(s, base, cur):
-    # Invariants on the current run: all engines feasible, and both pruned
-    # engines must produce the exhaustive engine's plan bit for bit.
-    for sc in cur.get("scenarios", []):
-        key = f"search/{sc['name']}"
-        s.expect(sc.get("plans_identical") is True,
+    # Invariants on the current run: both engines produce the same plan bit
+    # for bit, and bound-and-prune keeps its 10x bar at scale.
+    for row in cur.get("rows", []):
+        key = f"search/{row['name']}"
+        s.expect(row.get("plans_identical") is True,
                  f"{key}: engines disagree on the winning plan")
-        for e in sc.get("engines", []):
-            s.expect(e.get("feasible") is True,
-                     f"{key}/{e['label']}: engine found no feasible plan")
-        phase2 = {tuple(e.get(f) for f in PHASE2_FIELDS)
-                  for e in sc.get("engines", [])}
-        s.expect(len(phase2) <= 1,
-                 f"{key}: engines disagree on the Phase-2 block counters")
-    if cur.get("quick") is False:
-        # The 10x acceptance gate only means anything on the full-size
-        # scenario; quick reruns cover the small scenarios.
-        s.expect(cur.get("gate_10x") is True,
-                 "search: pruned engine lost the 10x cells/speedup gate")
-    # Drift: the search-work counters are deterministic per scenario and
-    # engine, independent of thread count and machine speed.
-    base_scs = {sc["name"]: sc for sc in base.get("scenarios", [])}
-    for sc in cur.get("scenarios", []):
-        b_sc = base_scs.get(sc["name"])
-        key = f"search/{sc['name']}"
-        if b_sc is None:
-            s.note(f"{key}: no matching baseline scenario, drift check "
-                   "skipped")
+        if "gate_10x" in row:
+            s.expect(row["gate_10x"] is True,
+                     f"{key}: pruned engine lost the 10x cells/speedup gate")
+    # Drift: every counter is deterministic per row and engine at one
+    # thread, independent of machine speed.
+    cur_names = {r["name"] for r in cur.get("rows", [])}
+    for b_row in base.get("rows", []):
+        if b_row["name"] not in cur_names:
+            s.fail(f"search/{b_row['name']}: row missing from the current run")
+    base_rows = {r["name"]: r for r in base.get("rows", [])}
+    for row in cur.get("rows", []):
+        key = f"search/{row['name']}"
+        b_row = base_rows.get(row["name"])
+        if b_row is None:
+            s.fail(f"{key}: row missing from the baseline")
             continue
-        s.expect(sc["tasks"] == b_sc["tasks"],
-                 f"{key}: task count {sc['tasks']} != baseline "
-                 f"{b_sc['tasks']}")
-        engines = {e["label"]: e for e in sc.get("engines", [])}
-        ex = engines.get("exhaustive")
-        base_engines = {e["label"]: e for e in b_sc.get("engines", [])}
-        for e in sc.get("engines", []):
-            b = base_engines.get(e["label"])
-            if b is None:
-                s.note(f"{key}/{e['label']}: no baseline engine")
-                continue
-            # Phase 2 runs before the engine choice: its block counters are
-            # deterministic for every engine, the pruned one included.
-            for field in PHASE2_FIELDS:
-                s.expect(
-                    e.get(field) == b.get(field),
-                    f"{key}/{e['label']}.{field}: {e.get(field)} != "
-                    f"baseline {b.get(field)}")
-            # Pruning never does MORE work than the exhaustive sweep.
-            if e["label"] != "exhaustive" and ex is not None:
-                s.expect(e["dp_cells"] <= ex["dp_cells"],
-                         f"{key}/{e['label']}: visited more DP cells "
-                         f"({e['dp_cells']}) than exhaustive "
-                         f"({ex['dp_cells']})")
-            if e["label"] == "pruned":
-                # The threaded incumbent engine's counters depend on cut
-                # timing across worker threads (a stale incumbent read only
-                # prunes less), so exact counts vary run to run. The plan is
-                # still bit-identical (checked above).
-                s.note(f"{key}/pruned: counters are cut-timing-dependent, "
-                       "exact drift check skipped")
-                continue
-            # exhaustive (no cuts) and pruned-t1 (one thread, so the
-            # incumbent advances in job order) have scheduling-independent
-            # counters.
-            for field in ("dp_cells", "profile_queries", "bound_queries",
-                          "jobs_pruned", "jobs_dominated", "ranges_pruned",
-                          "columns_pruned", "paths_pruned",
-                          "incumbent_updates"):
-                s.expect(
-                    e[field] == b[field],
-                    f"{key}/{e['label']}.{field}: {e[field]} != "
-                    f"baseline {b[field]}")
+        for field in ("tasks", "nodes", "devices_per_node", "batch_size"):
+            s.expect(row[field] == b_row[field],
+                     f"{key}.{field}: {row[field]} != baseline "
+                     f"{b_row[field]}")
+        labels = [e["label"] for e in row["engines"]]
+        if labels != [e["label"] for e in b_row["engines"]]:
+            s.fail(f"{key}: engines {labels} differ from the baseline's")
+            continue
+        for e, b in zip(row["engines"], b_row["engines"]):
+            for field in SEARCH_COUNTERS:
+                s.expect(e[field] == b[field],
+                         f"{key}/{e['label']}.{field}: {e[field]} != "
+                         f"baseline {b[field]}")
+            s.expect(rel_close(e["est_iteration"], b["est_iteration"]),
+                     f"{key}/{e['label']}.est_iteration: "
+                     f"{e['est_iteration']} != baseline {b['est_iteration']}")
 
 
 GRAD_A_OVER_MATMUL_MAX = 1.5
@@ -296,7 +223,6 @@ def check_kernels(s, base, cur):
 
 
 CHECKS = {
-    "partitioner": check_partitioner,
     "serve": check_serve,
     "runtime": check_runtime,
     "search": check_search,
@@ -304,13 +230,12 @@ CHECKS = {
 }
 
 
-# Suites whose binary name differs from the BENCH_*.json stem.
-EXE_NAMES = {"search": "bench_search_scale"}
+# Suites with a smaller --quick mode.
+QUICK_SUITES = ("serve", "runtime")
 
 
 def run_bench(name, build_dir, work_dir, quick):
-    exe = os.path.join(os.path.abspath(build_dir), "bench",
-                       EXE_NAMES.get(name, f"bench_{name}"))
+    exe = os.path.join(os.path.abspath(build_dir), "bench", f"bench_{name}")
     if not os.path.exists(exe):
         raise RuntimeError(f"benchmark binary not found: {exe}")
     out_path = os.path.join(work_dir, f"BENCH_{name.upper()}.json")
@@ -320,7 +245,7 @@ def run_bench(name, build_dir, work_dir, quick):
                 "--benchmark_repetitions=3",
                 f"--benchmark_out={out_path}",
                 "--benchmark_out_format=json"]
-    elif quick:
+    elif quick and name in QUICK_SUITES:
         cmd.append("--quick")
     if name != "kernels":
         cmd += ["--out", out_path]
@@ -346,7 +271,7 @@ def main(argv):
     ap.add_argument("--work-dir", default="sentinel-out",
                     help="where fresh benchmark output is written")
     ap.add_argument("--quick", action="store_true",
-                    help="pass --quick to every benchmark that has one "
+                    help="pass --quick to the serve and runtime suites "
                          "(CI smoke mode)")
     ap.add_argument("--skip", action="append", default=[], choices=BENCHES,
                     help="skip one benchmark (repeatable)")

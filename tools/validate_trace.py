@@ -3,7 +3,7 @@
 JSON schemas.
 
 Usage:
-    validate_trace.py [--search-only] trace.json [metrics.json]
+    validate_trace.py trace.json [metrics.json]
     validate_trace.py --explain explain.json
 
 Validates trace.json against tools/trace_schema.json (and metrics.json
@@ -12,14 +12,11 @@ subset of JSON Schema (type / required / properties / additionalProperties
 as a schema or false / items / enum), then applies rannc-specific semantic checks:
 
   * pid 1 (search, wall clock) has complete spans for >= 3 search phases
+    and the search's cumulative `sweep_progress` counter series: present,
+    non-empty, and per search counting jobs_done 1, 2, 3, ... in
+    timestamp order with dp_cells and profile_queries non-decreasing
   * pid 2 (pipeline schedule, virtual time) has >= 1 complete span
   * both pids carry process_name metadata
-
-With --search-only (e.g. for bench_partitioner --trace output, which has
-no simulated schedule) the pid 2 check is skipped and the search's
-cumulative `sweep_progress` counter series is required instead: present,
-non-empty, and per search counting jobs_done 1, 2, 3, ... in timestamp
-order with dp_cells and profile_queries non-decreasing.
 
 With --explain the single argument is a rannc explain attribution report
 (rannc.explain.v4), validated against tools/explain_schema.json, whose
@@ -133,18 +130,16 @@ def sweep_progress_checks(events):
     return errors
 
 
-def semantic_trace_checks(trace, search_only=False):
+def semantic_trace_checks(trace):
     errors = []
     events = trace["traceEvents"]
     search_spans = {e["name"] for e in events if e["pid"] == 1 and e["ph"] == "X"}
     phases = {n for n in search_spans if n.startswith(("phase", "verify"))}
     if len(phases) < 3:
         errors.append(f"search domain: expected >= 3 phase spans, got {sorted(phases)}")
-    if search_only:
-        errors += sweep_progress_checks(events)
-    else:
-        if not any(e["pid"] == 2 and e["ph"] == "X" for e in events):
-            errors.append("schedule domain (pid 2): no complete spans")
+    errors += sweep_progress_checks(events)
+    if not any(e["pid"] == 2 and e["ph"] == "X" for e in events):
+        errors.append("schedule domain (pid 2): no complete spans")
     named_pids = {
         e["pid"]
         for e in events
@@ -223,8 +218,6 @@ def main(argv):
         print(f"OK: {argv[1]}")
         return 0
 
-    search_only = "--search-only" in argv
-    argv = [a for a in argv if a != "--search-only"]
     if len(argv) < 2 or len(argv) > 3:
         print(__doc__)
         return 2
@@ -233,7 +226,7 @@ def main(argv):
     trace, errors = validate_file(argv[1], "trace_schema.json")
     failures += errors
     if not errors:
-        failures += semantic_trace_checks(trace, search_only)
+        failures += semantic_trace_checks(trace)
 
     if len(argv) == 3:
         _, errors = validate_file(argv[2], "metrics_schema.json")
